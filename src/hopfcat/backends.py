@@ -218,9 +218,6 @@ class MorphismRep:
         if (self.table is None) == (self.matrix is None):
             raise BackendError("morphism needs exactly one of table, matrix")
 
-    def is_function(self):
-        return self.table is not None
-
 
 # ---------------------------------------------------------------------------
 # the backend itself

@@ -434,6 +434,8 @@ def run_build(path, target, order=None, seed=None):
             raise InstanceError(f"target {target!r} needs a functor and comonoids")
         if target == "groupoid" and inst.backend.kind != "finset":
             raise InstanceError("groupoid extraction needs a finset-gset backend")
+        if target == "deformed" and inst.backend.kind == "finset":
+            raise InstanceError("deformation needs a linear backend, not finset")
     except (InstanceError, OSError) as exc:
         return {"error": str(exc), "verdict": "error"}, 2
 

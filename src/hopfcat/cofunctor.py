@@ -255,11 +255,14 @@ class CoinvariantsFunctor(ComonoidalFunctor):
 def group_coinvariants_relations(source, obj):
     n = source.obj_size(obj)
     blocks = []
-    ident = Matrix.identity(n, RATIONAL)
     for g in source.group.elements():
         if g == 0:
             continue
-        blocks.append(source.as_matrix(source.act(g, obj)) - ident)
+        # act(g) - identity, subtracting on the diagonal only
+        entries = list(source.as_matrix(source.act(g, obj)).entries)
+        for d in range(0, n * n, n + 1):
+            entries[d] -= 1
+        blocks.append(Matrix(n, n, RATIONAL, tuple(entries)))
     if not blocks:
         return Matrix.zeros(n, 0, RATIONAL)
     return hstack(blocks)

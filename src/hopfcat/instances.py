@@ -221,7 +221,7 @@ def _parse_atom(doc, kind, group, ring, base_dim):
 
 def parse_backend(doc) -> Backend:
     kind_name = doc["backend"]
-    kind = BACKEND_KINDS.get(kind_name)
+    kind = BACKEND_KINDS.get(kind_name) if isinstance(kind_name, str) else None
     _require(kind is not None,
              f"backend: expected one of {sorted(BACKEND_KINDS)}, got {kind_name!r}")
     ring = parse_ring(doc.get("scalar_ring"))

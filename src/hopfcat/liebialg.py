@@ -322,12 +322,6 @@ class EnvelopingEngine:
         self._nf_cache[word] = result
         return result
 
-    def normalize(self, e):
-        out = {}
-        for w, c in e.items():
-            out = self.add(out, self.scale(self.normal_word(w), c))
-        return out
-
     def mul(self, e1, e2):
         out = {}
         for w1, c1 in e1.items():
@@ -631,11 +625,6 @@ class TruncatedUEA:
         row = [Fraction(0)] * self.dim
         row[self.index[()]] = Fraction(1)
         return Matrix(1, self.dim, RATIONAL, tuple(row))
-
-    def antipode_matrix(self):
-        cols = [self.vector_of(self.engine.antipode({w: Fraction(1)}))
-                for w in self.basis]
-        return _cols_to_matrix(cols, self.dim)
 
 
 def _cols_to_matrix(cols, rows):

@@ -1,10 +1,11 @@
 """Exact matrices over the scalar rings, with the eliminations the rest of
 the package leans on.
 
-Everything here is deterministic: row echelon always picks the leftmost
-column with a usable pivot and the first row that provides one.  Over the
-truncated series ring a usable pivot is a unit (nonzero constant term);
-inversion there succeeds exactly when the degree-0 part is invertible.
+Rational elimination is sparse and exact: rows are {col: Fraction} dicts
+of their nonzeros.  Its results are deterministic because the reduced row
+echelon form with leftmost pivots is unique to the row space.  Inversion is
+dense; over the truncated series ring its pivots must be units (nonzero
+constant term), so it succeeds exactly when the degree-0 part is invertible.
 """
 
 from __future__ import annotations
@@ -173,40 +174,44 @@ def hstack(mats):
     return Matrix(rows, sum(m.cols for m in mats), ring, tuple(out))
 
 
-def _rref(rows):
-    """Reduced row echelon form over the rationals, leftmost pivots.
+def _rref(vectors):
+    """Reduced row echelon form, leftmost pivots, of the span of vectors.
 
-    Mutates and returns (rows, pivot_cols).  rows is a list of lists of
-    Fractions.
+    vectors: {col: Fraction} dicts of nonzeros, consumed.  Each is reduced
+    against the pivot rows so far, normalised on its leftmost entry and
+    back-substituted into them.  Returns (rows, pivot_cols), pivots
+    ascending, rows[k] the sparse pivot row of pivot_cols[k].
     """
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
+    pivot_rows = {}
+    for v in vectors:
+        # Pivot rows are zero on every other pivot column, so one pass over
+        # the pivot columns v starts with clears them all.
+        for c in [c for c in v if c in pivot_rows]:
+            _axpy(v, -v[c], pivot_rows[c])
+        if not v:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
+        lead = min(v)
+        pv = v[lead]
         if pv != 1:
             inv = 1 / pv
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [a - f * b for a, b in zip(ri, rr)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+            v = {k: x * inv for k, x in v.items()}
+        for row in pivot_rows.values():
+            f = row.get(lead)
+            if f:
+                _axpy(row, -f, v)
+        pivot_rows[lead] = v
+    pivots = sorted(pivot_rows)
+    return [pivot_rows[c] for c in pivots], pivots
+
+
+def _axpy(y, a, x):
+    """y += a * x on sparse rows, dropping entries that cancel."""
+    for k, xk in x.items():
+        t = y.get(k, 0) + a * xk
+        if t:
+            y[k] = t
+        else:
+            del y[k]
 
 
 def rational_kernel_vector(m: Matrix):
@@ -216,8 +221,8 @@ def rational_kernel_vector(m: Matrix):
     """
     if m.ring != RATIONAL:
         raise RingMismatch("kernel search is rational-only")
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    rows, pivots = _rref(rows)
+    rows, pivots = _rref({j: x for j, x in enumerate(m.row(i)) if x}
+                         for i in range(m.rows))
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     if not free:
@@ -225,8 +230,8 @@ def rational_kernel_vector(m: Matrix):
     f = free[0]
     v = [Fraction(0)] * m.cols
     v[f] = Fraction(1)
-    for r, c in enumerate(pivots):
-        v[c] = -rows[r][f]
+    for row, c in zip(rows, pivots):
+        v[c] = -row.get(f, Fraction(0))
     return tuple(v)
 
 
@@ -292,28 +297,32 @@ def cokernel_projection(relations: Matrix, ambient_dim=None):
     """
     if relations.ring != RATIONAL:
         raise RingMismatch("cokernel_projection is rational-only")
-    n = relations.rows
+    n, m = relations.rows, relations.cols
     if ambient_dim is not None and ambient_dim != n:
         raise ValueError("ambient dimension disagrees with relation rows")
-    # Echelonize the span of the columns, viewed as vectors in Q^n.
-    rows = [[relations[i, j] for i in range(n)] for j in range(relations.cols)]
-    rows, pivots = _rref(rows)
+    # Echelonize the span of the columns, viewed as sparse vectors in Q^n.
+    cols = [{} for _ in range(m)]
+    for idx, x in enumerate(relations.entries):
+        if x:
+            i, j = divmod(idx, m)
+            cols[j][i] = x
+    rows, pivots = _rref(cols)
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     r = len(free)
     zero, one = Fraction(0), Fraction(1)
-    p_rows = [[zero] * n for _ in range(r)]
+    slot = {f: t for t, f in enumerate(free)}
+    p = [zero] * (r * n)
+    s = [zero] * (n * r)
     for t, f in enumerate(free):
-        p_rows[t][f] = one
-        # e_pivot = -sum(R[row, free] e_free) modulo the relation span
-        for row, c in enumerate(pivots):
-            p_rows[t][c] = -rows[row][f]
-    s_rows = [[zero] * r for _ in range(n)]
-    for t, f in enumerate(free):
-        s_rows[f][t] = one
-    p = Matrix.from_rows(RATIONAL, p_rows)
-    s = Matrix.from_rows(RATIONAL, s_rows)
-    return p, s
+        p[t * n + f] = one
+        s[f * r + t] = one
+    # e_pivot = -sum(R[row, free] e_free) modulo the relation span
+    for row, c in zip(rows, pivots):
+        for f, x in row.items():
+            if f != c:
+                p[slot[f] * n + c] = -x
+    return Matrix(r, n, RATIONAL, tuple(p)), Matrix(n, r, RATIONAL, tuple(s))
 
 
 def lift_matrix(m: Matrix, ring: Ring) -> Matrix:

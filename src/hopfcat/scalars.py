@@ -26,7 +26,10 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -203,9 +206,3 @@ def hseries_ring(order: int) -> Ring:
         raise ValueError("truncation order must be >= 0")
     return Ring("hseries", order)
 
-
-def lift_scalar(v, ring: Ring):
-    """Embed a rational scalar into the given ring (identity on rationals)."""
-    if ring.kind == "rational":
-        return as_fraction(v)
-    return HSeries.from_rational(as_fraction(v), ring.order)

@@ -75,6 +75,22 @@ class TestVerifyOutcomes:
         assert run_verify(str(tmp_path / "missing.json"))[1] == 2
         assert run_verify(write_doc(tmp_path, {"backend": "numpy"}))[1] == 2
 
+    def test_zero_denominator_scalar_exits_2(self, tmp_path):
+        doc = load_corpus_document("b2_twists")
+        doc["lie_bialgebra"]["twists"][0][0][1] = "1/0"
+        report, code = run_verify(write_doc(tmp_path, doc))
+        assert code == 2
+        assert report["verdict"] == "error"
+        assert "1/0" in report["error"]
+
+    def test_non_string_backend_exits_2(self, tmp_path):
+        doc = load_corpus_document("z2_group_algebra")
+        doc["backend"] = ["linrep"]
+        report, code = run_verify(write_doc(tmp_path, doc))
+        assert code == 2
+        assert report["verdict"] == "error"
+        assert "backend" in report["error"]
+
     def test_seed_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOPFCAT_SEED", "7")
         assert run_verify(write_doc(tmp_path, {}))[1] == 0
@@ -134,6 +150,11 @@ class TestBuild:
 
     def test_groupoid_needs_finset(self):
         assert run_build(corpus_path("z3_group_algebra"), "groupoid")[1] == 2
+
+    def test_deformed_needs_linear_backend(self):
+        report, code = run_build(corpus_path("z2_torsors"), "deformed")
+        assert code == 2
+        assert report["verdict"] == "error"
 
     def test_unknown_target(self):
         assert run_build(corpus_path("z2_torsors"), "monoid")[1] == 2

@@ -120,6 +120,30 @@ class TestCoinvariantsFunctor:
             rel = b.as_matrix(b.act(g, rr)) - Matrix.identity(4, RATIONAL)
             assert (p * rel).is_zero()
 
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("word", [("R",), ("R", "R")])
+    def test_projection_is_orbit_indicator(self, n, word):
+        # Coinvariants of a permutation module identify each orbit of basis
+        # vectors: p has one row per orbit, ordered by the orbit's largest
+        # member, and sums the orbit onto that representative.
+        b = regular_linear(cyclic_group(n))
+        fn = group_coinvariants_functor(b)
+        k = len(word)
+        orbits = {}
+        for x in range(n ** k):
+            digits = [x // n ** (k - 1 - t) % n for t in range(k)]
+            orbit = frozenset(sum((d + g) % n * n ** (k - 1 - t)
+                                  for t, d in enumerate(digits))
+                              for g in range(n))
+            orbits[max(orbit)] = orbit
+        reps = sorted(orbits)
+        expected = Matrix.from_rows(RATIONAL, [
+            [1 if x in orbits[rep] else 0 for x in range(n ** k)] for rep in reps])
+        p, s = fn.projection(b.obj(*word)), fn.section(b.obj(*word))
+        assert p == expected
+        assert s == Matrix.from_rows(RATIONAL, [
+            [1 if x == rep else 0 for rep in reps] for x in range(n ** k)])
+
     def test_comonoidal_laws(self):
         b = regular_linear(cyclic_group(2))
         fn = group_coinvariants_functor(b)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hopfcat.linalg import (
     Matrix,
     Singular,
+    _rref,
     cokernel_projection,
     hstack,
     lift_matrix,
@@ -27,6 +28,97 @@ def qm(rows):
 def square_matrices(n):
     return st.lists(st.lists(rationals, min_size=n, max_size=n),
                     min_size=n, max_size=n).map(qm)
+
+
+# ---------------------------------------------------------------------------
+# dense reference elimination, the oracle for the sparse one in the library
+
+
+def dense_rref(rows):
+    """Reduced row echelon form over the rationals, leftmost pivots.
+
+    Mutates and returns (rows, pivot_cols).  rows is a list of lists of
+    Fractions.
+    """
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        if pv != 1:
+            inv = 1 / pv
+            rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                ri, rr = rows[i], rows[r]
+                rows[i] = [a - f * b for a, b in zip(ri, rr)]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def dense_kernel_vector(m):
+    rows, pivots = dense_rref([list(m.row(i)) for i in range(m.rows)])
+    free = [c for c in range(m.cols) if c not in pivots]
+    if not free:
+        return None
+    f = free[0]
+    v = [Fraction(0)] * m.cols
+    v[f] = Fraction(1)
+    for r, c in enumerate(pivots):
+        v[c] = -rows[r][f]
+    return tuple(v)
+
+
+def dense_cokernel_projection(relations):
+    n = relations.rows
+    rows, pivots = dense_rref([[relations[i, j] for i in range(n)]
+                               for j in range(relations.cols)])
+    free = [c for c in range(n) if c not in pivots]
+    r = len(free)
+    p_rows = [[Fraction(0)] * n for _ in range(r)]
+    for t, f in enumerate(free):
+        p_rows[t][f] = Fraction(1)
+        for row, c in enumerate(pivots):
+            p_rows[t][c] = -rows[row][f]
+    s_rows = [[Fraction(0)] * r for _ in range(n)]
+    for t, f in enumerate(free):
+        s_rows[f][t] = Fraction(1)
+    return (Matrix(r, n, RATIONAL, tuple(x for row in p_rows for x in row)),
+            Matrix(n, r, RATIONAL, tuple(x for row in s_rows for x in row)))
+
+
+# mostly zeros, as the relation matrices are, with non-integer entries mixed in
+sparse_entries = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@st.composite
+def rational_matrices(draw, max_side=7):
+    """Wide, tall and square matrices, with repeated, rescaled and zero
+    rows appended (factor 0 gives a zero row, factor 1 a repeat)."""
+    r = draw(st.integers(1, max_side))
+    c = draw(st.integers(1, max_side))
+    rows = draw(st.lists(st.lists(sparse_entries, min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    copies = draw(st.lists(st.tuples(st.integers(0, r - 1),
+                                     st.sampled_from([0, 1, -1, Fraction(2, 3)])),
+                           max_size=3))
+    for i, k in copies:
+        rows.append([k * x for x in rows[i]])
+    return qm(rows)
 
 
 class TestMatrixBasics:
@@ -183,3 +275,33 @@ class TestStackAndLift:
         lifted = lift_matrix(a, r)
         assert lifted.ring == r
         assert reduce_matrix(lifted) == a
+
+
+class TestSparseEliminationAgainstDense:
+    @settings(max_examples=150)
+    @given(rational_matrices())
+    def test_same_pivots_and_reduced_rows(self, m):
+        dense_rows, dense_pivots = dense_rref([list(m.row(i)) for i in range(m.rows)])
+        rows, pivots = _rref({j: x for j, x in enumerate(m.row(i)) if x}
+                             for i in range(m.rows))
+        assert pivots == dense_pivots
+        assert len(rows) == len(pivots)
+        for row, dense_row in zip(rows, dense_rows):
+            assert all(x != 0 for x in row.values())
+            assert [row.get(j, 0) for j in range(m.cols)] == dense_row
+        assert all(x == 0 for row in dense_rows[len(pivots):] for x in row)
+
+    @settings(max_examples=100)
+    @given(rational_matrices())
+    def test_kernel_vector_matches_dense(self, m):
+        assert rational_kernel_vector(m) == dense_kernel_vector(m)
+
+    @settings(max_examples=100)
+    @given(rational_matrices())
+    def test_cokernel_projection_matches_dense(self, m):
+        assert cokernel_projection(m) == dense_cokernel_projection(m)
+
+    def test_full_rank_relations_leave_a_zero_quotient(self):
+        p, s = cokernel_projection(Matrix.identity(3, RATIONAL))
+        assert (p.rows, p.cols) == (0, 3)
+        assert (s.rows, s.cols) == (3, 0)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfcat.scalars import HSeries, RATIONAL, RingMismatch, hseries_ring
+from hopfcat.scalars import HSeries, RATIONAL, RingMismatch, as_fraction, hseries_ring
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -107,3 +107,9 @@ class TestRing:
         assert RATIONAL.inv(Fraction(2)) == Fraction(1, 2)
         r = hseries_ring(1)
         assert r.inv(r.coerce(["2", "0"])) == r.coerce(["1/2", "0"])
+
+
+class TestAsFraction:
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            as_fraction("1/0")
