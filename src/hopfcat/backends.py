@@ -25,8 +25,7 @@ tensor product.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .linalg import Matrix, mat_kron
 from .scalars import RATIONAL, Ring
@@ -45,6 +44,12 @@ class GroupTable:
     """Finite group on indices 0..n-1 with 0 the identity.
 
     table[g][h] = g * h.
+
+    generators is a generating set, computed once per table: greedily take
+    the smallest index not in the subgroup generated so far.  This gives
+    S4 -> (1, 2, 6), Z8 -> (1,), the trivial group -> ().  Orbits of the
+    group are the orbits of its generators, and a map commutes with every
+    element iff it commutes with the generators.
     """
 
     table: tuple  # tuple of tuples
@@ -55,6 +60,7 @@ class GroupTable:
         if self.names is None:
             object.__setattr__(self, "names", tuple(str(i) for i in range(n)))
         validate_group(self.table)
+        object.__setattr__(self, "generators", _greedy_generators(self.table))
 
     @property
     def order(self):
@@ -72,6 +78,20 @@ class GroupTable:
 
     def elements(self):
         return range(self.order)
+
+
+def _greedy_generators(table):
+    gens = []
+    sub = {0}
+    for g in range(len(table)):
+        if g in sub:
+            continue
+        gens.append(g)
+        frontier = set(sub)
+        while frontier:
+            frontier = {table[h][x] for h in frontier for x in gens} - sub
+            sub |= frontier
+    return tuple(gens)
 
 
 def validate_group(table):
@@ -477,14 +497,20 @@ class Backend:
     def check_equivariant(self, f: MorphismRep):
         """All group elements commute with f; dy: f intertwines the base
         action and coaction.  Returns list of failure descriptions.
+
+        Only the generators are tested unless one fails; then every element
+        is walked, so that each failing element is listed in index order.
         """
-        failures = []
         fm = self.as_matrix(f)
-        for g in self.group.elements():
-            left = fm * self.as_matrix(self.act(g, f.dom))
-            right = self.as_matrix(self.act(g, f.cod)) * fm
-            if left != right:
-                failures.append(f"group element {self.group.names[g]} does not commute")
+
+        def commutes(g):
+            return (fm * self.as_matrix(self.act(g, f.dom))
+                    == self.as_matrix(self.act(g, f.cod)) * fm)
+
+        failures = []
+        if not all(commutes(g) for g in self.group.generators):
+            failures = [f"group element {self.group.names[g]} does not commute"
+                        for g in self.group.elements() if not commutes(g)]
         if self.kind == "dy":
             bdim = self.atom_size(self.base)
             lift = mat_kron(Matrix.identity(bdim, self.ring), fm)
@@ -506,7 +532,7 @@ class Backend:
 # structural self-checks
 
 
-def check_braiding_coherence(backend, max_word=2):
+def check_braiding_coherence(backend):
     """Naturality-free coherence of the symmetry on small tensor words:
     inverse law and both hexagons (strictified to products of swaps).
     Returns failure descriptions; empty means coherent.
@@ -514,8 +540,6 @@ def check_braiding_coherence(backend, max_word=2):
     failures = []
     names = sorted(backend.atoms)
     words = [ObjectRef.unit()] + [ObjectRef.atom(n) for n in names]
-    pairs_words = [ObjectRef((a, b)) for a in names for b in names]
-    small = words + pairs_words[: max(0, max_word * max_word)]
     for x in words:
         for y in words:
             s = backend.braiding(x, y)

@@ -17,7 +17,6 @@ default of 0 keeps runs reproducible.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -44,7 +43,6 @@ from .liebialg import (
     twist_dy_module,
 )
 from .deform import (
-    PreCartierData,
     PreCartierViolation,
     build_deformed_hopf_category,
     check_pre_cartier,

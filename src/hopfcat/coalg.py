@@ -10,9 +10,9 @@ structure is accepted only if every record holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .backends import Backend, MorphismRep, ObjectRef
+from .backends import MorphismRep, ObjectRef
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,8 @@ class OrbitFunctor(ComonoidalFunctor):
 
     Each source tensor word gets a fresh target atom whose elements are
     the orbits under the diagonal action, listed by smallest member.
+    Orbits are searched along the group's generators only, which finds
+    the same orbits as walking every element.
     Equivariant maps descend to orbit maps; the splitting sends the orbit
     of a pair to the pair of orbits.
     """
@@ -135,7 +137,7 @@ class OrbitFunctor(ComonoidalFunctor):
         if key in self._images:
             return self._images[key]
         n = self.source.obj_size(obj)
-        acts = [self.source.act(g, obj).table for g in self.source.group.elements()]
+        acts = [self.source.act(g, obj).table for g in self.source.group.generators]
         orbit_of = [-1] * n
         reps = []
         for start in range(n):

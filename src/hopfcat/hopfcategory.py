@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .backends import MorphismRep, ObjectRef
 from .coalg import (
     Comonoid,
     HopfMonoidData,
@@ -27,14 +26,7 @@ from .coalg import (
     tensor_comonoid,
     unit_comonoid,
 )
-from .cofunctor import (
-    AdaptednessCertificate,
-    certify_adapted,
-    chi,
-    invert_mor,
-    mult_along,
-    NotAdapted,
-)
+from .cofunctor import certify_adapted, mult_along
 
 
 class NotCocommutative(ValueError):

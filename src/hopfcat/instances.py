@@ -355,8 +355,11 @@ def parse_lie(doc, backend=None):
                       "modules", "uea"}, "lie_bialgebra")
     n = doc.get("dim")
     _require(isinstance(n, int) and n >= 1, "lie_bialgebra: needs an integer dim >= 1")
-    names = tuple(doc["names"]) if "names" in doc else None
-    _require(names is None or len(names) == n, "lie_bialgebra: wrong number of names")
+    names = doc.get("names")
+    if "names" in doc:
+        _require(isinstance(names, list), "lie_bialgebra.names: expected a list")
+        _require(len(names) == n, "lie_bialgebra: wrong number of names")
+        names = tuple(names)
 
     def in_range(*idx):
         return all(isinstance(i, int) and 0 <= i < n for i in idx)
@@ -374,11 +377,15 @@ def parse_lie(doc, backend=None):
     except ValueError as exc:
         raise InstanceError(f"lie_bialgebra: {exc}") from exc
 
+    twist_docs = doc.get("twists", [])
+    _require(isinstance(twist_docs, list), "lie_bialgebra.twists: expected a list")
     twists = [_parse_matrix(RATIONAL, rows, "lie_bialgebra.twists", (n, n))
-              for rows in doc.get("twists", [])]
+              for rows in twist_docs]
 
+    module_docs = doc.get("modules", [])
+    _require(isinstance(module_docs, list), "lie_bialgebra.modules: expected a list")
     modules = []
-    for mdoc in doc.get("modules", []):
+    for mdoc in module_docs:
         if isinstance(mdoc, str):
             _require(backend is not None and backend.kind == "dy",
                      f"lie_bialgebra.modules: {mdoc!r} refers to a dy backend atom")
@@ -423,8 +430,10 @@ def parse_deformation(backend, doc):
     convention = doc.get("convention", "t_delta_zero")
     _require(convention in ("t_delta_zero", "literal"),
              f"deformation: unknown convention {convention!r}")
+    t_docs = doc.get("t", [])
+    _require(isinstance(t_docs, list), "deformation.t: expected a list")
     table = {}
-    for entry in doc.get("t", []):
+    for entry in t_docs:
         _check_keys(entry, {"x", "y", "matrix"}, "deformation.t")
         wx = _word(entry.get("x"), "deformation.t.x")
         wy = _word(entry.get("y"), "deformation.t.y")

@@ -32,7 +32,7 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .coalg import LawRecord

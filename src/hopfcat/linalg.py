@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import RATIONAL, HSeries, Ring, RingMismatch, as_fraction
+from .scalars import RATIONAL, HSeries, Ring, RingMismatch
 
 
 class Singular(Exception):

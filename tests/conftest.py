@@ -6,12 +6,99 @@ so that agreement is evidence rather than tautology.
 """
 
 import itertools
+import random
 
-from hopfcat.backends import finset_backend, regular_atom
+from hopfcat.backends import Atom, finset_backend, group_from_generators, regular_atom
 
 
 def torsor_backend(group, names=("S", "T")):
     return finset_backend(group, [regular_atom(n, group) for n in names])
+
+
+def subgroup_closure(group, gens):
+    """The subgroup generated by gens, as the set of all finite products."""
+    sub = {0}
+    while True:
+        more = sub | {group.mul(a, g) for a in sub for g in gens}
+        if more == sub:
+            return sub
+        sub = more
+
+
+def coset_atom(name, group, subgroups, seed=None):
+    """Finset atom on the disjoint union of the left coset spaces G/H, one
+    per subgroup H (a set of indices), acted on by left multiplication.
+    H = {0} gives the regular action and H = G a fixed point.  With a seed
+    the points are renamed by a random permutation.
+    """
+    points = []
+    for k, h in enumerate(subgroups):
+        for g in group.elements():
+            point = (k, frozenset(group.mul(g, x) for x in h))
+            if point not in points:
+                points.append(point)
+    label = list(range(len(points)))
+    if seed is not None:
+        random.Random(seed).shuffle(label)
+    where = {p: label[i] for i, p in enumerate(points)}
+    action = []
+    for g in group.elements():
+        row = [0] * len(points)
+        for k, coset in points:
+            row[where[(k, coset)]] = where[(k, frozenset(group.mul(g, x) for x in coset))]
+        action.append(tuple(row))
+    return Atom(name, len(points), tuple(action))
+
+
+def dihedral_group():
+    """Symmetries of a square, order 8, as permutations of its corners."""
+    return group_from_generators(4, [(1, 2, 3, 0), (3, 2, 1, 0)])
+
+
+def gset_backend(group):
+    """Finset backend with three atoms: S regular, T regular with its
+    points renamed, and U not transitive: G/H for H generated by the
+    smallest involution, plus two fixed points.  group needs even order.
+    """
+    involution = min(g for g in group.elements() if g and group.mul(g, g) == 0)
+    whole = set(group.elements())
+    return finset_backend(group, [
+        regular_atom("S", group),
+        coset_atom("T", group, [{0}], seed=1),
+        coset_atom("U", group, [subgroup_closure(group, [involution]), whole, whole], seed=2),
+    ])
+
+
+def naive_orbit_info(backend, obj):
+    """(representatives, orbit label of each element) of a finset object:
+    scanning elements in ascending order, each unlabelled element starts a
+    new orbit, namely its image under every group element.
+    """
+    acts = [backend.act(g, obj).table for g in backend.group.elements()]
+    orbit_of = [-1] * backend.obj_size(obj)
+    reps = []
+    for start in range(len(orbit_of)):
+        if orbit_of[start] < 0:
+            for act in acts:
+                orbit_of[act[start]] = len(reps)
+            reps.append(start)
+    return tuple(reps), tuple(orbit_of)
+
+
+def naive_equivariance_failures(backend, f):
+    """The group part of Backend.check_equivariant, testing every group
+    element in index order; tables are compared as functions.
+    """
+    out = []
+    for g in backend.group.elements():
+        ad, ac = backend.act(g, f.dom), backend.act(g, f.cod)
+        if f.table is not None:
+            holds = all(f.table[ad.table[i]] == ac.table[x] for i, x in enumerate(f.table))
+        else:
+            holds = f.matrix * ad.matrix == ac.matrix * f.matrix
+        if not holds:
+            out.append(f"group element {backend.group.names[g]} does not commute")
+    return out
 
 
 def equivariant_bijections(backend, x, y):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfcat.backends import (
     Atom,
@@ -21,6 +23,8 @@ from hopfcat.backends import (
 )
 from hopfcat.linalg import Matrix
 from hopfcat.scalars import RATIONAL
+
+from conftest import dihedral_group, gset_backend, naive_equivariance_failures, subgroup_closure
 
 
 class TestGroups:
@@ -59,6 +63,23 @@ class TestGroups:
     def test_bad_table_rejected(self):
         with pytest.raises(BackendError):
             GroupTable(((0, 1), (0, 1)))
+
+    @pytest.mark.parametrize(
+        "group",
+        [cyclic_group(n) for n in range(1, 9)]
+        + [symmetric_group(3), symmetric_group(4), dihedral_group()],
+        ids=[f"z{n}" for n in range(1, 9)] + ["s3", "s4", "d4"])
+    def test_generators_are_greedy_and_generate(self, group):
+        gens = group.generators
+        for k, g in enumerate(gens):
+            assert g == min(set(group.elements()) - subgroup_closure(group, gens[:k]))
+        assert subgroup_closure(group, gens) == set(group.elements())
+
+    def test_generators_of_named_groups(self):
+        assert cyclic_group(1).generators == ()
+        assert cyclic_group(8).generators == (1,)
+        assert symmetric_group(4).generators == (1, 2, 6)
+        assert dihedral_group().generators == (1, 2)
 
 
 def z2_finset():
@@ -157,6 +178,82 @@ class TestLinearBackend:
         assert b.check_equivariant(f) == []
         f2 = b.mor_from_matrix(r, b.unit(), Matrix.from_rows(RATIONAL, [[1, 0]]))
         assert b.check_equivariant(f2) != []
+
+
+FINSET_BACKENDS = [gset_backend(g)
+                   for g in (symmetric_group(3), cyclic_group(4), dihedral_group())]
+LINEAR_BACKENDS = [
+    linear_backend(g, [regular_linear_atom("R", g),
+                       Atom("I", 1, (Matrix.identity(1, RATIONAL),) * g.order)])
+    for g in (cyclic_group(3), symmetric_group(3))]
+
+
+# Maps drawn below are of three kinds: equivariant ones; the action of one
+# element h, which commutes exactly with the centralizer of h, so that
+# some generators may pass and others fail; and arbitrary ones.  The
+# first two sometimes get one entry changed.
+
+
+@st.composite
+def finset_maps(draw):
+    b = draw(st.sampled_from(FINSET_BACKENDS))
+    dom = b.obj(*draw(st.lists(st.sampled_from("STU"), min_size=1, max_size=2)))
+    n = b.obj_size(dom)
+    kind = draw(st.sampled_from(["select", "act", "any"]))
+    if kind == "select":
+        # coordinate selections commute with the diagonal action
+        picks = draw(st.lists(st.integers(0, len(dom) - 1), max_size=2))
+        cod = b.obj(*(dom.factors[j] for j in picks))
+        table = [b.index_of(cod, [b.coords_of(dom, i)[j] for j in picks]) for i in range(n)]
+    elif kind == "act":
+        cod = dom
+        table = list(b.act(draw(st.sampled_from(b.group.elements())), dom).table)
+    else:
+        cod = b.obj(*draw(st.lists(st.sampled_from("STU"), max_size=2)))
+        table = draw(st.lists(st.integers(0, b.obj_size(cod) - 1), min_size=n, max_size=n))
+    if kind != "any" and draw(st.booleans()):
+        table[draw(st.integers(0, n - 1))] = draw(st.integers(0, b.obj_size(cod) - 1))
+    return b, b.mor_from_table(dom, cod, tuple(table))
+
+
+@st.composite
+def linear_maps(draw):
+    b = draw(st.sampled_from(LINEAR_BACKENDS))
+    dom = b.obj(draw(st.sampled_from("RI")))
+    kind = draw(st.sampled_from(["average", "act", "any"]))
+    if kind == "act":
+        m = b.act(draw(st.sampled_from(b.group.elements())), dom).matrix
+        cod = dom
+    else:
+        cod = b.obj(draw(st.sampled_from("RI")))
+        rows, cols = b.obj_size(cod), b.obj_size(dom)
+        ent = draw(st.lists(st.integers(-2, 2), min_size=rows * cols, max_size=rows * cols))
+        m = Matrix(rows, cols, RATIONAL, tuple(Fraction(x) for x in ent))
+    if kind == "average":
+        # the sum of g m g^-1 over the group is equivariant
+        avg = Matrix.zeros(m.rows, m.cols, RATIONAL)
+        for g in b.group.elements():
+            avg = avg + b.act(g, cod).matrix * m * b.act(b.group.inv(g), dom).matrix
+        m = avg
+    if kind != "any" and draw(st.booleans()):
+        ent = list(m.entries)
+        ent[draw(st.integers(0, len(ent) - 1))] += 1
+        m = Matrix(m.rows, m.cols, RATIONAL, tuple(ent))
+    return b, b.mor_from_matrix(dom, cod, m)
+
+
+class TestEquivarianceAgainstAllElements:
+    @settings(max_examples=150, deadline=None)
+    @given(finset_maps())
+    def test_finset_tables(self, bf):
+        b, f = bf
+        assert b.check_equivariant(f) == naive_equivariance_failures(b, f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(linear_maps())
+    def test_linear_matrices(self, bf):
+        b, f = bf
+        assert b.check_equivariant(f) == naive_equivariance_failures(b, f)
 
 
 def toy_dy():

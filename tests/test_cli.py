@@ -91,6 +91,21 @@ class TestVerifyOutcomes:
         assert report["verdict"] == "error"
         assert "backend" in report["error"]
 
+    @pytest.mark.parametrize("name, section, field", [
+        ("b2_twists", "lie_bialgebra", "names"),
+        ("b2_twists", "lie_bialgebra", "twists"),
+        ("b2_twists", "lie_bialgebra", "modules"),
+        ("abelian_precartier", "deformation", "t"),
+    ])
+    def test_non_list_field_exits_2(self, tmp_path, name, section, field):
+        doc = load_corpus_document(name)
+        assert isinstance(doc[section][field], list)
+        doc[section][field] = 5
+        report, code = run_verify(write_doc(tmp_path, doc))
+        assert code == 2
+        assert report["verdict"] == "error"
+        assert f"{section}.{field}" in report["error"]
+
     def test_seed_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOPFCAT_SEED", "7")
         assert run_verify(write_doc(tmp_path, {}))[1] == 0

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from hopfcat.backends import (
@@ -24,6 +26,8 @@ from hopfcat.cofunctor import (
 )
 from hopfcat.linalg import Matrix
 from hopfcat.scalars import RATIONAL
+
+from conftest import dihedral_group, gset_backend, naive_orbit_info
 
 
 def torsor_backend(group):
@@ -95,6 +99,21 @@ class TestOrbitFunctor:
         # label s goes to s*1
         for lab, rep in enumerate(reps):
             assert img.table[lab] == orbit_of[rep // 3 * 3 + g.mul(rep % 3, 1)]
+
+
+class TestOrbitSearchAgainstAllElements:
+    @pytest.mark.parametrize("group", [symmetric_group(3), cyclic_group(4), dihedral_group()],
+                             ids=["s3", "z4", "d4"])
+    def test_orbit_info_matches_naive_walk(self, group):
+        b = gset_backend(group)
+        fn = OrbitFunctor(b)
+        reps, orbit_of = fn.orbit_info(b.obj("U"))
+        sizes = sorted(orbit_of.count(k) for k in range(len(reps)))
+        assert sizes[:2] == [1, 1] and len(sizes) == 3
+        for k in (1, 2, 3):
+            for word in itertools.product("STU", repeat=k):
+                obj = b.obj(*word)
+                assert fn.orbit_info(obj) == naive_orbit_info(b, obj), word
 
 
 class TestCoinvariantsFunctor:
