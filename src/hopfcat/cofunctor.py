@@ -257,9 +257,9 @@ class CoinvariantsFunctor(ComonoidalFunctor):
 def group_coinvariants_relations(source, obj):
     n = source.obj_size(obj)
     blocks = []
-    for g in source.group.elements():
-        if g == 0:
-            continue
+    # gh - 1 = (g - 1)h + (h - 1): the generators' blocks span the same
+    # subspace as every element's, so the unique RREF is the same
+    for g in source.group.generators:
         # act(g) - identity, subtracting on the diagonal only
         entries = list(source.as_matrix(source.act(g, obj)).entries)
         for d in range(0, n * n, n + 1):

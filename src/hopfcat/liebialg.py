@@ -253,18 +253,39 @@ def twist_dy_module(lb: LieBialgebra, j: Matrix, pi: Matrix, pistar: Matrix):
 # enveloping algebra: exact normal ordering on words
 
 
+def _acc(out, terms, coef=1):
+    """Add coef * value into out[key] for every (key, value) of terms, in
+    place, keeping no zero values; returns out.  The one accumulator for
+    every sparse element here: words, word pairs and (index, word) keys.
+    """
+    if coef != 1:
+        terms = ((k, c * coef) for k, c in terms)
+    for k, c in terms:
+        old = out.get(k)
+        if old is not None:
+            c += old
+        if c:
+            out[k] = c
+        elif old is not None:
+            del out[k]
+    return out
+
+
 class EnvelopingEngine:
     """Words in the generators with rational coefficients, rewritten to
     the basis of non-decreasing words.  No degree bound: intermediate
     terms may grow and later cancel, which is exactly what the truncated
     checks need to avoid lying about high-degree laws.
 
-    Elements are dicts word-tuple -> Fraction with no zero values.
+    Elements are dicts word-tuple -> Fraction with no zero values.  Normal
+    forms, coproducts and coactions of single words are memoized; the
+    public methods return fresh dicts, never a cached one.
     """
 
     def __init__(self, lb: LieBialgebra):
         self.lb = lb
         self._nf_cache = {}
+        self._delta_cache = {}
         self._coact_cache = {}
 
     # -- element helpers
@@ -282,12 +303,7 @@ class EnvelopingEngine:
     def add(*elems):
         out = {}
         for e in elems:
-            for w, c in e.items():
-                nc = out.get(w, Fraction(0)) + c
-                if nc:
-                    out[w] = nc
-                elif w in out:
-                    del out[w]
+            _acc(out, e.items())
         return out
 
     @staticmethod
@@ -298,7 +314,8 @@ class EnvelopingEngine:
         return {w: v * c for w, v in e.items()}
 
     def normal_word(self, word):
-        """Normal form of a single word as an element dict."""
+        """Normal form of a single word as an element dict (cached: do not
+        mutate it)."""
         word = tuple(word)
         cached = self._nf_cache.get(word)
         if cached is not None:
@@ -314,11 +331,9 @@ class EnvelopingEngine:
         else:
             a, b = word[pos], word[pos + 1]
             head, tail = word[:pos], word[pos + 2:]
-            swapped = self.normal_word(head + (b, a) + tail)
-            result = dict(swapped)
+            result = dict(self.normal_word(head + (b, a) + tail))
             for k, coef in self.lb.bracket_of(a, b):
-                piece = self.normal_word(head + (k,) + tail)
-                result = self.add(result, self.scale(piece, coef))
+                _acc(result, self.normal_word(head + (k,) + tail).items(), coef)
         self._nf_cache[word] = result
         return result
 
@@ -326,49 +341,41 @@ class EnvelopingEngine:
         out = {}
         for w1, c1 in e1.items():
             for w2, c2 in e2.items():
-                out = self.add(out, self.scale(self.normal_word(w1 + w2), c1 * c2))
+                _acc(out, self.normal_word(w1 + w2).items(), c1 * c2)
         return out
 
     # -- tensor-square elements: dict (word, word) -> Fraction
-
-    @staticmethod
-    def t_add(*elems):
-        out = {}
-        for e in elems:
-            for k, c in e.items():
-                nc = out.get(k, Fraction(0)) + c
-                if nc:
-                    out[k] = nc
-                elif k in out:
-                    del out[k]
-        return out
 
     def t_mul(self, e1, e2):
         out = {}
         for (a1, b1), c1 in e1.items():
             for (a2, b2), c2 in e2.items():
-                left = self.normal_word(a1 + a2)
-                right = self.normal_word(b1 + b2)
-                for wl, cl in left.items():
-                    for wr, cr in right.items():
-                        key = (wl, wr)
-                        nc = out.get(key, Fraction(0)) + c1 * c2 * cl * cr
-                        if nc:
-                            out[key] = nc
-                        elif key in out:
-                            del out[key]
+                right = self.normal_word(b1 + b2).items()
+                _acc(out, (((wl, wr), cl * cr)
+                           for wl, cl in self.normal_word(a1 + a2).items()
+                           for wr, cr in right), c1 * c2)
         return out
+
+    def _delta_word(self, word):
+        """Delta of one word, as Delta(word[:-1]) times the primitive
+        Delta of its last letter (cached: do not mutate it)."""
+        cached = self._delta_cache.get(word)
+        if cached is None:
+            if word:
+                last = word[-1]
+                cached = self.t_mul(self._delta_word(word[:-1]),
+                                    {((last,), ()): Fraction(1), ((), (last,)): Fraction(1)})
+            else:
+                cached = {((), ()): Fraction(1)}
+            self._delta_cache[word] = cached
+        return cached
 
     def coproduct(self, e):
         """The splitting with primitive generators, extended as an algebra
         map; exact on any element."""
         out = {}
         for word, coef in e.items():
-            term = {((), ()): Fraction(1)}
-            for letter in word:
-                prim = {((letter,), ()): Fraction(1), ((), (letter,)): Fraction(1)}
-                term = self.t_mul(term, prim)
-            out = self.t_add(out, {k: c * coef for k, c in term.items()})
+            _acc(out, self._delta_word(word).items(), coef)
         return out
 
     def counit(self, e):
@@ -378,25 +385,12 @@ class EnvelopingEngine:
         """Reverse each word with a sign, then renormalize."""
         out = {}
         for word, coef in e.items():
-            sign = Fraction(-1) ** len(word)
             piece = self.normal_word(tuple(reversed(word)))
-            out = self.add(out, self.scale(piece, sign * coef))
+            _acc(out, piece.items(), (-1) ** len(word) * coef)
         return out
 
     # -- the crossed structure on the enveloping algebra
     #    elements of b (x) U are dicts (index, word) -> Fraction
-
-    @staticmethod
-    def b_add(*elems):
-        out = {}
-        for e in elems:
-            for k, c in e.items():
-                nc = out.get(k, Fraction(0)) + c
-                if nc:
-                    out[k] = nc
-                elif k in out:
-                    del out[k]
-        return out
 
     def act(self, i, e):
         """pi(e_i (x) u) = e_i u: left multiplication by a generator."""
@@ -411,8 +405,7 @@ class EnvelopingEngine:
         """
         out = {}
         for word, coef in e.items():
-            piece = self._coact_word(word, twist)
-            out = self.b_add(out, {k: c * coef for k, c in piece.items()})
+            _acc(out, self._coact_word(word, twist).items(), coef)
         return out
 
     def _coact_word(self, word, twist):
@@ -421,11 +414,9 @@ class EnvelopingEngine:
         if key in cache:
             return cache[key]
         n = self.lb.dim
+        result = {}
         if not word:
-            if twist is None:
-                result = {}
-            else:
-                result = {}
+            if twist is not None:
                 for a in range(n):
                     for b in range(n):
                         if twist[a, b]:
@@ -433,21 +424,17 @@ class EnvelopingEngine:
         else:
             x, rest = word[0], word[1:]
             inner = self._coact_word(rest, twist)
-            result = {}
             # (B (x) 1)(x (x) pistar(u))
             for (a, w), c in inner.items():
-                for k, br in self.lb.bracket_of(x, a):
-                    result = self.b_add(result, {(k, w): c * br})
+                _acc(result, (((k, w), br) for k, br in self.lb.bracket_of(x, a)), c)
             # (1 (x) pi)(tau (x) 1): keep the comodule leg, multiply in x
             for (a, w), c in inner.items():
                 prod = self.act(x, {w: Fraction(1)})
-                result = self.b_add(result,
-                                    {(a, w2): c * c2 for w2, c2 in prod.items()})
+                _acc(result, (((a, w2), c2) for w2, c2 in prod.items()), c)
             # -(1 (x) pi)(D (x) 1)(x (x) u)
             for (a, b), c in self.lb.cobracket_of(x):
                 prod = self.act(b, {rest: Fraction(1)})
-                result = self.b_add(result,
-                                    {(a, w2): -c * c2 for w2, c2 in prod.items()})
+                _acc(result, (((a, w2), c2) for w2, c2 in prod.items()), -c)
         cache[key] = result
         return result
 
@@ -469,9 +456,9 @@ def check_uea_dy_identities(lb: LieBialgebra, max_degree, twist=None):
                 u = {w: Fraction(1)}
                 lhs = {}
                 for k, br in lb.bracket_of(i, j):
-                    lhs = eng.add(lhs, eng.scale(eng.act(k, u), br))
-                rhs = eng.add(eng.act(i, eng.act(j, u)),
-                              eng.scale(eng.act(j, eng.act(i, u)), -1))
+                    _acc(lhs, eng.act(k, u).items(), br)
+                rhs = _acc(eng.act(i, eng.act(j, u)),
+                           eng.act(j, eng.act(i, u)).items(), -1)
                 if lhs != rhs:
                     ok = False
     records.append(LawRecord("uea.module", ok, f"degree <= {max_degree}"))
@@ -482,25 +469,11 @@ def check_uea_dy_identities(lb: LieBialgebra, max_degree, twist=None):
         first = eng.coact(u, twist)
         # (1 (x) pistar) then antisymmetrize the two outer legs,
         # swap-minus-identity orientation as in check_dy_module
-        lhs = {}
+        lhs, rhs = {}, {}
         for (a, w1), c in first.items():
-            inner = eng.coact({w1: Fraction(1)}, twist)
-            for (b, w2), c2 in inner.items():
-                for key, sgn in (((b, a, w2), 1), ((a, b, w2), -1)):
-                    nc = lhs.get(key, Fraction(0)) + sgn * c * c2
-                    if nc:
-                        lhs[key] = nc
-                    elif key in lhs:
-                        del lhs[key]
-        rhs = {}
-        for (a, w1), c in first.items():
-            for (p, q), c2 in lb.cobracket_of(a):
-                key = (p, q, w1)
-                nc = rhs.get(key, Fraction(0)) + c * c2
-                if nc:
-                    rhs[key] = nc
-                elif key in rhs:
-                    del rhs[key]
+            for (b, w2), c2 in eng.coact({w1: Fraction(1)}, twist).items():
+                _acc(lhs, (((b, a, w2), c2), ((a, b, w2), -c2)), c)
+            _acc(rhs, (((p, q, w1), c2) for (p, q), c2 in lb.cobracket_of(a)), c)
         if lhs != rhs:
             ok = False
     records.append(LawRecord("uea.comodule", ok, f"degree <= {max_degree}"))
@@ -510,16 +483,14 @@ def check_uea_dy_identities(lb: LieBialgebra, max_degree, twist=None):
         for w in words:
             u = {w: Fraction(1)}
             lhs = eng.coact(eng.act(i, u), twist)
-            inner = eng.coact(u, twist)
             rhs = {}
-            for (a, w1), c in inner.items():
-                for k, br in lb.bracket_of(i, a):
-                    rhs = eng.b_add(rhs, {(k, w1): c * br})
+            for (a, w1), c in eng.coact(u, twist).items():
+                _acc(rhs, (((k, w1), br) for k, br in lb.bracket_of(i, a)), c)
                 prod = eng.act(i, {w1: Fraction(1)})
-                rhs = eng.b_add(rhs, {(a, w2): c * c2 for w2, c2 in prod.items()})
+                _acc(rhs, (((a, w2), c2) for w2, c2 in prod.items()), c)
             for (a, b), c in lb.cobracket_of(i):
                 prod = eng.act(b, {w: Fraction(1)})
-                rhs = eng.b_add(rhs, {(a, w2): -c * c2 for w2, c2 in prod.items()})
+                _acc(rhs, (((a, w2), c2) for w2, c2 in prod.items()), -c)
             if lhs != rhs:
                 ok = False
     records.append(LawRecord("uea.mixed", ok, f"degree <= {max_degree}"))
@@ -598,17 +569,19 @@ class TruncatedUEA:
         """U -> b (x) U.  Untwisted this preserves degree and is total;
         twisted it raises degree, so the domain shrinks by one degree."""
         sub = self.basis if self.twist is None else self._sub_basis(self.order - 1)
-        n = self.lb.dim
-        cols = []
-        for w in sub:
-            img = self.engine.coact({w: Fraction(1)}, self.twist)
-            col = [Fraction(0)] * (n * self.dim)
-            for (a, w2), c in img.items():
+        rows, cols = self.lb.dim * self.dim, len(sub)
+        ent = [Fraction(0)] * (rows * cols)
+        for j, w in enumerate(sub):
+            for (a, w2), c in self.engine.coact({w: Fraction(1)}, self.twist).items():
                 if len(w2) > self.order:
                     raise DegreeOverflow("coaction output exceeds the truncation")
-                col[a * self.dim + self.index[w2]] = c
-            cols.append(Matrix(n * self.dim, 1, RATIONAL, tuple(col)))
-        return _cols_to_matrix(cols, n * self.dim)
+                ent[(a * self.dim + self.index[w2]) * cols + j] = c
+        return Matrix(rows, cols, RATIONAL, tuple(ent))
+
+    def delta_images(self):
+        """Delta of each basis word, in basis order, as a sparse dict
+        (word, word) -> Fraction; degree is preserved, so nothing is cut."""
+        return [self.engine.coproduct({w: Fraction(1)}) for w in self.basis]
 
     def delta_matrix(self):
         """U_order -> U_order (x) U_order; degree is preserved, total."""

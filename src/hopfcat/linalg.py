@@ -48,8 +48,9 @@ class Matrix:
 
     @classmethod
     def identity(cls, n, ring):
-        z, o = ring.zero(), ring.one()
-        return cls(n, n, ring, tuple(o if i == j else z for i in range(n) for j in range(n)))
+        ent = [ring.zero()] * (n * n)
+        ent[::n + 1] = [ring.one()] * n
+        return cls(n, n, ring, tuple(ent))
 
     @classmethod
     def zeros(cls, rows, cols, ring):
@@ -71,8 +72,10 @@ class Matrix:
         self._check_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
+        zero = self.ring.zero()
         return Matrix(self.rows, self.cols, self.ring,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
+                      tuple(a if b is zero or not b else b if a is zero or not a else a + b
+                            for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other):
         self._check_ring(other)
@@ -95,18 +98,24 @@ class Matrix:
             raise ValueError(f"shape mismatch in product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         n, m, k = self.rows, other.cols, self.cols
         a, b = self.entries, other.entries
-        zero = self.ring.zero()
+        zero, one = self.ring.zero(), self.ring.one()
+        # the nonzeros of a row of other are found once, when first
+        # needed; a sum starts at its first product, not at zero
+        brows = [None] * k
         out = []
         for i in range(n):
-            arow = a[i * k:(i + 1) * k]
             acc = [zero] * m
-            for t, x in enumerate(arow):
-                if not x:
+            for t, x in enumerate(a[i * k:(i + 1) * k]):
+                if x is zero or not x:
                     continue
-                brow = b[t * m:(t + 1) * m]
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] = acc[j] + x * y
+                brow = brows[t]
+                if brow is None:
+                    brow = brows[t] = [(j, y) for j, y in enumerate(b[t * m:(t + 1) * m])
+                                       if y is not zero and y]
+                for j, y in brow:
+                    p = y if x is one else x * y
+                    s = acc[j]
+                    acc[j] = p if s is zero else s + p
             out.extend(acc)
         return Matrix(n, m, self.ring, tuple(out))
 
@@ -141,19 +150,20 @@ def mat_kron(a: Matrix, b: Matrix) -> Matrix:
     """
     a._check_ring(b)
     rows, cols = a.rows * b.rows, a.cols * b.cols
-    zero = a.ring.zero()
+    zero, one = a.ring.zero(), a.ring.one()
     out = [zero] * (rows * cols)
-    for ra in range(a.rows):
-        for ca in range(a.cols):
-            x = a[ra, ca]
-            if not x:
-                continue
-            for rb in range(b.rows):
-                base = (ra * b.rows + rb) * cols + ca * b.cols
-                brow = b.entries[rb * b.cols:(rb + 1) * b.cols]
-                for cb, y in enumerate(brow):
-                    if y:
-                        out[base + cb] = x * y
+    # the nonzeros of b with their offsets in the output, found once
+    bnz = [(rb * cols + cb, y)
+           for rb in range(b.rows)
+           for cb, y in enumerate(b.entries[rb * b.cols:(rb + 1) * b.cols])
+           if y is not zero and y]
+    for idx, x in enumerate(a.entries):
+        if x is zero or not x:
+            continue
+        ra, ca = divmod(idx, a.cols)
+        base = ra * b.rows * cols + ca * b.cols
+        for off, y in bnz:
+            out[base + off] = y if x is one else x if y is one else x * y
     return Matrix(rows, cols, a.ring, tuple(out))
 
 
@@ -310,7 +320,7 @@ def cokernel_projection(relations: Matrix, ambient_dim=None):
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     r = len(free)
-    zero, one = Fraction(0), Fraction(1)
+    zero, one = RATIONAL.zero(), RATIONAL.one()
     slot = {f: t for t, f in enumerate(free)}
     p = [zero] * (r * n)
     s = [zero] * (n * r)
@@ -331,8 +341,10 @@ def lift_matrix(m: Matrix, ring: Ring) -> Matrix:
         raise RingMismatch("can only lift rational matrices")
     if ring.kind == "rational":
         return m
+    zero = ring.zero()
     return Matrix(m.rows, m.cols, ring,
-                  tuple(HSeries.from_rational(x, ring.order) for x in m.entries))
+                  tuple(HSeries.from_rational(x, ring.order) if x else zero
+                        for x in m.entries))
 
 
 def reduce_matrix(m: Matrix) -> Matrix:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 class RingMismatch(TypeError):
@@ -137,6 +138,17 @@ class HSeries:
         return "HSeries(%s)" % ", ".join(str(c) for c in self.coeffs)
 
 
+# Zero and one are shared objects of each ring: scalars are immutable, so
+# matrix code may pass over a zero or a unit entry by identity, before any
+# arithmetic.
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+@lru_cache(maxsize=None)
+def _series_constant(c, order):
+    return HSeries.from_rational(c, order)
+
+
 @dataclass(frozen=True)
 class Ring:
     """Tag describing which scalar ring a matrix lives over."""
@@ -146,13 +158,13 @@ class Ring:
 
     def zero(self):
         if self.kind == "rational":
-            return Fraction(0)
-        return HSeries.from_rational(0, self.order)
+            return _ZERO
+        return _series_constant(0, self.order)
 
     def one(self):
         if self.kind == "rational":
-            return Fraction(1)
-        return HSeries.from_rational(1, self.order)
+            return _ONE
+        return _series_constant(1, self.order)
 
     def coerce(self, x):
         """Build a ring element from JSON-ish input.

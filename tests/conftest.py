@@ -7,8 +7,11 @@ so that agreement is evidence rather than tautology.
 
 import itertools
 import random
+from fractions import Fraction
 
 from hopfcat.backends import Atom, finset_backend, group_from_generators, regular_atom
+from hopfcat.linalg import Matrix, hstack
+from hopfcat.scalars import RATIONAL
 
 
 def torsor_backend(group, names=("S", "T")):
@@ -153,3 +156,28 @@ def bijection_groupoid(backend, atom_names):
             inverse[(i, j)] = tuple(tab)
     return {"arrows": arrows, "hom_size": hom_size, "comp": comp,
             "identity": identity, "inverse": inverse, "objects": objs}
+
+
+def all_elements_coinvariants_relations(source, obj):
+    """Relations act(g) - 1 for every non-identity group element, side by
+    side: the relation matrix before it was cut down to the generators."""
+    n = source.obj_size(obj)
+    ident = Matrix.identity(n, RATIONAL)
+    blocks = [source.as_matrix(source.act(g, obj)) - ident
+              for g in source.group.elements() if g != 0]
+    return hstack(blocks) if blocks else Matrix.zeros(n, 0, RATIONAL)
+
+
+def letter_by_letter_coproduct(engine, elem):
+    """Delta of an enveloping-algebra element with no memo: each word's
+    image is rebuilt from 1 (x) 1 by multiplying in the primitive image of
+    one letter at a time."""
+    one = Fraction(1)
+    out = {}
+    for word, coef in elem.items():
+        term = {((), ()): one}
+        for letter in word:
+            term = engine.t_mul(term, {((letter,), ()): one, ((), (letter,)): one})
+        for key, c in term.items():
+            out[key] = out.get(key, 0) + c * coef
+    return {key: c for key, c in out.items() if c}

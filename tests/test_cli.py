@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hopfcat
+from hopfcat import cli
 from hopfcat.cli import CHECK_ORDER, main, run_build, run_verify
 from hopfcat.corpus import CORPUS_NAMES, corpus_path, load_corpus_document
 from hopfcat.instances import dump_document
@@ -225,3 +232,52 @@ class TestMain:
         code = main(["verify", str(tmp_path / "nope.json")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_python_dash_m_runs_without_warning(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(hopfcat.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopfcat", "verify", str(corpus_path("z2_torsors"))],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert "verdict: pass" in proc.stdout
+
+
+class TestUeaCoproductMutation:
+    """Perturb one entry of the memoized coproduct of one truncated
+    enveloping algebra inside the uea check group: the plain and twisted
+    algebras must each derive their own, and the checks must see it."""
+
+    def failing_rules(self, tmp_path, monkeypatch, perturb_twisted):
+        real = cli.TruncatedUEA
+
+        def perturbed(lb, order, twist=None):
+            uea = real(lb, order, twist=twist)
+            if (twist is not None) == perturb_twisted:
+                x = (0,)
+                uea.engine.coproduct({x: Fraction(1)})
+                uea.engine._delta_cache[x][(x, ())] = Fraction(2)
+            return uea
+
+        monkeypatch.setattr(cli, "TruncatedUEA", perturbed)
+        doc = load_corpus_document("b2_lie_bialgebra")
+        doc["lie_bialgebra"]["twists"] = [[["0", "1"], ["-1", "0"]]]
+        report, code = run_verify(write_doc(tmp_path, doc), checks="uea")
+        assert code == 1
+        return {r["rule"] for r in report["checks"] if not r["holds"]}
+
+    def test_unperturbed_passes(self, tmp_path):
+        doc = load_corpus_document("b2_lie_bialgebra")
+        doc["lie_bialgebra"]["twists"] = [[["0", "1"], ["-1", "0"]]]
+        report, code = run_verify(write_doc(tmp_path, doc), checks="uea")
+        assert code == 0
+        assert "uea.comonoid_unchanged[j0]" in {r["rule"] for r in report["checks"]}
+
+    def test_twisted_delta_fails_comonoid_unchanged(self, tmp_path, monkeypatch):
+        failing = self.failing_rules(tmp_path, monkeypatch, perturb_twisted=True)
+        assert failing == {"uea.comonoid_unchanged[j0]"}
+
+    def test_plain_delta_fails_coassociativity(self, tmp_path, monkeypatch):
+        failing = self.failing_rules(tmp_path, monkeypatch, perturb_twisted=False)
+        assert "uea.coassoc[j=0]" in failing
+        assert "uea.comonoid_unchanged[j0]" in failing

@@ -1,8 +1,10 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from hopfcat.backends import (
+    Atom,
     cyclic_group,
     finset_backend,
     linear_backend,
@@ -20,14 +22,15 @@ from hopfcat.cofunctor import (
     chi,
     gamma,
     group_coinvariants_functor,
+    group_coinvariants_relations,
     invert_mor,
     mult_along,
     pushforward_comonoid,
 )
-from hopfcat.linalg import Matrix
+from hopfcat.linalg import Matrix, cokernel_projection
 from hopfcat.scalars import RATIONAL
 
-from conftest import dihedral_group, gset_backend, naive_orbit_info
+from conftest import all_elements_coinvariants_relations, dihedral_group, gset_backend, naive_orbit_info
 
 
 def torsor_backend(group):
@@ -114,6 +117,50 @@ class TestOrbitSearchAgainstAllElements:
             for word in itertools.product("STU", repeat=k):
                 obj = b.obj(*word)
                 assert fn.orbit_info(obj) == naive_orbit_info(b, obj), word
+
+
+def permutation_linear_backend(group, perms):
+    """Linear backend with P, the permutation matrices of perms[g], and E,
+    the sign of perms[g] on a line.  perms must compose like the table:
+    perms[g * h] = perms[g] o perms[h]."""
+    n = len(perms[0])
+    one = Fraction(1)
+    mats, signs = [], []
+    for p in perms:
+        ent = [Fraction(0)] * (n * n)
+        for i in range(n):
+            ent[p[i] * n + i] = one
+        mats.append(Matrix(n, n, RATIONAL, tuple(ent)))
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        signs.append(Matrix(1, 1, RATIONAL, ((-one) ** inversions,)))
+    return linear_backend(group, [Atom("P", n, tuple(mats)), Atom("E", 1, tuple(signs))])
+
+
+def named_perms(group):
+    return [tuple(int(ch) for ch in name) for name in group.names]
+
+
+class TestCoinvariantRelationsAgainstAllElements:
+    @pytest.mark.parametrize("group, perms", [
+        (cyclic_group(4), [tuple((i + g) % 4 for i in range(4)) for g in range(4)]),
+        (symmetric_group(3), named_perms(symmetric_group(3))),
+        (dihedral_group(), named_perms(dihedral_group())),
+    ], ids=["z4", "s3", "d4"])
+    def test_quotient_matches_every_element_relations(self, group, perms):
+        b = permutation_linear_backend(group, perms)
+        for k in (1, 2, 3):
+            for word in itertools.product("PE", repeat=k):
+                obj = b.obj(*word)
+                rel = group_coinvariants_relations(b, obj)
+                assert rel.cols == len(group.generators) * b.obj_size(obj)
+                expect = cokernel_projection(all_elements_coinvariants_relations(b, obj))
+                assert cokernel_projection(rel) == expect, word
+
+    def test_trivial_group_has_no_relations(self):
+        b = permutation_linear_backend(cyclic_group(1), [(0, 1)])
+        rel = group_coinvariants_relations(b, b.obj("P", "E"))
+        assert (rel.rows, rel.cols) == (2, 0)
+        assert cokernel_projection(rel)[0] == Matrix.identity(2, RATIONAL)
 
 
 class TestCoinvariantsFunctor:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfcat.coalg import all_hold, failures
 from hopfcat.liebialg import (
@@ -23,6 +25,8 @@ from hopfcat.liebialg import (
 )
 from hopfcat.linalg import Matrix, mat_kron
 from hopfcat.scalars import RATIONAL
+
+from conftest import letter_by_letter_coproduct
 
 
 def qm(rows):
@@ -50,6 +54,17 @@ def b2_module():
                  [0, 0],
                  [0, 0]])
     return pi, pistar
+
+
+def sl2():
+    """[h, e] = 2e, [h, f] = -2f, [e, f] = h on basis h, e, f; zero
+    cobracket (only the bracket enters the coproduct)."""
+    n = 3
+    B = [[Fraction(0)] * (n * n) for _ in range(n)]
+    for a, b, k, c in ((0, 1, 1, 2), (0, 2, 2, -2), (1, 2, 0, 1)):
+        B[k][a * n + b] = Fraction(c)
+        B[k][b * n + a] = Fraction(-c)
+    return LieBialgebra(n, qm(B), Matrix.zeros(n * n, n, RATIONAL), ("h", "e", "f"))
 
 
 def double_b2():
@@ -383,3 +398,63 @@ class TestTruncatedUEA:
         expect = t.vector_of({(0, 1): Fraction(1), (1,): Fraction(-1)})
         for r in range(t.dim):
             assert m[r, col] == expect[r, 0]
+
+
+J = qm([[0, 1], [-1, 0]])
+ONE = Fraction(1)
+
+
+class TestMemoizedCoproduct:
+    @pytest.mark.parametrize("lb, order", [
+        (b2(), 6), (twist_bialgebra(b2(), J), 6), (sl2(), 4)], ids=["b2", "b2_twisted", "sl2"])
+    def test_every_pbw_word_matches_letter_by_letter(self, lb, order):
+        eng, oracle = EnvelopingEngine(lb), EnvelopingEngine(lb)
+        for w in pbw_words(lb.dim, order):
+            assert eng.coproduct({w: ONE}) == letter_by_letter_coproduct(oracle, {w: ONE}), w
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.integers(0, 2), max_size=5).map(tuple),
+                              st.fractions(min_value=-5, max_value=5, max_denominator=4)),
+                    max_size=4),
+           st.sampled_from([b2(), sl2()]),
+           st.booleans())
+    def test_any_element_matches_letter_by_letter(self, terms, lb, warm):
+        # non-normal words, repeated words and zero coefficients included
+        eng, oracle = EnvelopingEngine(lb), EnvelopingEngine(lb)
+        elem = {}
+        for w, c in terms:
+            w = tuple(letter % lb.dim for letter in w)
+            elem[w] = elem.get(w, 0) + c
+        elem = {w: c for w, c in elem.items() if c}
+        if warm:
+            for w in elem:
+                eng.coproduct({w[:-1]: ONE})
+        expect = letter_by_letter_coproduct(oracle, elem)
+        assert eng.coproduct(elem) == expect
+        assert eng.coproduct(elem) == expect
+
+    def test_results_are_fresh_dicts(self):
+        eng = EnvelopingEngine(b2())
+        w = (0, 1, 1)
+        first = eng.coproduct({w: ONE})
+        first.clear()
+        eng.coproduct({w: Fraction(3)})[((), w)] = Fraction(7)
+        assert eng.coproduct({w: ONE}) == letter_by_letter_coproduct(EnvelopingEngine(b2()), {w: ONE})
+
+    def test_delta_images_follow_the_basis(self):
+        t = TruncatedUEA(b2(), 3)
+        images = t.delta_images()
+        assert len(images) == t.dim
+        for w, img in zip(t.basis, images):
+            assert img == letter_by_letter_coproduct(t.engine, {w: ONE})
+
+    def test_pistar_matrix_equals_column_by_column(self):
+        t = TruncatedUEA(twist_bialgebra(b2(), J), 3, twist=J)
+        sub = [w for w in t.basis if len(w) <= 2]
+        m = t.pistar_matrix()
+        assert (m.rows, m.cols) == (2 * t.dim, len(sub))
+        for j, w in enumerate(sub):
+            col = [Fraction(0)] * (2 * t.dim)
+            for (a, w2), c in t.engine.coact({w: ONE}, J).items():
+                col[a * t.dim + t.index[w2]] = c
+            assert [m[r, j] for r in range(2 * t.dim)] == col

@@ -16,7 +16,7 @@ from hopfcat.linalg import (
     rational_kernel_vector,
     reduce_matrix,
 )
-from hopfcat.scalars import RATIONAL, hseries_ring
+from hopfcat.scalars import RATIONAL, HSeries, hseries_ring
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 
@@ -305,3 +305,73 @@ class TestSparseEliminationAgainstDense:
         p, s = cokernel_projection(Matrix.identity(3, RATIONAL))
         assert (p.rows, p.cols) == (0, 3)
         assert (s.rows, s.cols) == (3, 0)
+
+
+# ---------------------------------------------------------------------------
+# products, sums and Kronecker products against their textbook definitions
+
+
+def ring_entries(ring):
+    """The ring's shared zero and one, which the library passes over by
+    identity, next to equal values that are separate objects, and others."""
+    if ring == RATIONAL:
+        fresh = st.sampled_from([0, 1, -1]).map(Fraction)
+        values = rationals
+    else:
+        fresh = st.sampled_from([0, 1, -1]).map(lambda c: HSeries.from_rational(c, ring.order))
+        values = st.lists(rationals, min_size=ring.order + 1, max_size=ring.order + 1).map(
+            lambda c: HSeries(ring.order, tuple(c)))
+    return st.one_of(st.sampled_from([ring.zero(), ring.one()]), fresh, values)
+
+
+def ring_matrix(draw, ring, rows, cols):
+    ent = draw(st.lists(ring_entries(ring), min_size=rows * cols, max_size=rows * cols))
+    return Matrix(rows, cols, ring, tuple(ent))
+
+
+def textbook_product(a, b):
+    ent = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            s = a.ring.zero()
+            for t in range(a.cols):
+                s = s + a[i, t] * b[t, j]
+            ent.append(s)
+    return Matrix(a.rows, b.cols, a.ring, tuple(ent))
+
+
+def textbook_kron(a, b):
+    return Matrix(a.rows * b.rows, a.cols * b.cols, a.ring, tuple(
+        a[ra, ca] * b[rb, cb]
+        for ra in range(a.rows) for rb in range(b.rows)
+        for ca in range(a.cols) for cb in range(b.cols)))
+
+
+def same_entries(m, expect):
+    return m == expect and all(type(x) is type(y) for x, y in zip(m.entries, expect.entries))
+
+
+class TestEntrywiseOperations:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.sampled_from([RATIONAL, hseries_ring(2)]))
+    def test_product_sum_and_kron_match_the_definitions(self, data, ring):
+        n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+        a = ring_matrix(data.draw, ring, n, k)
+        b = ring_matrix(data.draw, ring, k, m)
+        c = ring_matrix(data.draw, ring, n, k)
+        assert same_entries(a * b, textbook_product(a, b))
+        assert same_entries(a + c, Matrix(n, k, ring, tuple(
+            x + y for x, y in zip(a.entries, c.entries))))
+        assert same_entries(mat_kron(a, b), textbook_kron(a, b))
+
+    def test_cancelling_sums_are_zero(self):
+        a = qm([[1, 1]])
+        b = qm([[1], [-1]])
+        assert (a * b).entries == (Fraction(0),)
+        assert (a + qm([[-1, 2]])).entries == (Fraction(0), Fraction(3))
+
+    def test_identity(self):
+        for ring in (RATIONAL, hseries_ring(1)):
+            for n in range(4):
+                assert Matrix.identity(n, ring) == Matrix(n, n, ring, tuple(
+                    ring.one() if i == j else ring.zero() for i in range(n) for j in range(n)))
