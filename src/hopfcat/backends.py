@@ -392,13 +392,7 @@ class Backend:
         dom = f.dom.tensor(g.dom)
         cod = f.cod.tensor(g.cod)
         if self.kind == "finset":
-            gd = self.obj_size(g.dom)
-            gc = self.obj_size(g.cod)
-            table = tuple(
-                f.table[i] * gc + g.table[j]
-                for i in range(self.obj_size(f.dom))
-                for j in range(gd)
-            )
+            table = _tensor_tables(f.table, g.table, self.obj_size(g.cod))
             return MorphismRep(dom, cod, table=table)
         return MorphismRep(dom, cod, matrix=mat_kron(f.matrix, g.matrix))
 
@@ -433,13 +427,11 @@ class Backend:
     def act(self, g, obj: ObjectRef) -> MorphismRep:
         """Diagonal action of group element g on a tensor word."""
         if self.kind == "finset":
-            if not obj.factors:
-                return self.identity_mor(obj)
-            tables = [self.atoms[name].action[g] for name in obj.factors]
-            parts = [MorphismRep(ObjectRef.atom(name), ObjectRef.atom(name), table=t)
-                     for name, t in zip(obj.factors, tables)]
-            out = self.tensor_all(parts)
-            return MorphismRep(obj, obj, table=out.table)
+            table = (0,)
+            for name in obj.factors:
+                perm = self.atoms[name].action[g]
+                table = _tensor_tables(table, perm, len(perm))
+            return MorphismRep(obj, obj, table=table)
         mat = Matrix.identity(1, self.ring)
         for name in obj.factors:
             mat = mat_kron(mat, self.atoms[name].action[g])
@@ -526,6 +518,24 @@ class Backend:
         if f.table is not None and g.table is not None:
             return f.table == g.table
         return self.as_matrix(f) == self.as_matrix(g)
+
+
+def _tensor_tables(f, g, gc):
+    """Row-major tensor product of two function tables: entry i * len(g) + j
+    is f[i] * gc + g[j], where gc is the size of g's codomain.  Filled
+    along the shorter of the two tables: by columns when g is shorter,
+    else by rows."""
+    ng = len(g)
+    if ng < len(f):
+        out = [0] * (len(f) * ng)
+        shifted = [a * gc for a in f]
+        for j, b in enumerate(g):
+            out[j::ng] = [a + b for a in shifted]
+        return tuple(out)
+    out = []
+    for a in f:
+        out += map((a * gc).__add__, g)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .hopfcategory import (
     build_hopf_monoid,
     check_hopf_category,
     extract_set_groupoid,
+    hopf_data_equal,
 )
 from .liebialg import (
     TruncatedUEA,
@@ -148,11 +149,25 @@ def _check_adapted(inst, rng):
     return records
 
 
+def _plain_build(inst):
+    """build_hopf_category on the instance's functor and comonoids, run
+    once per loaded instance and shared by the check groups; a
+    construction error is kept and raised again for each caller."""
+    if inst.built is None:
+        try:
+            inst.built = build_hopf_category(inst.functor, inst.comonoids)
+        except CONSTRUCTION_ERRORS as exc:
+            inst.built = exc
+    if isinstance(inst.built, Exception):
+        raise inst.built
+    return inst.built
+
+
 def _check_build(inst, rng):
     if inst.functor is None or not inst.comonoids:
         return []
     try:
-        data = build_hopf_category(inst.functor, inst.comonoids)
+        data = _plain_build(inst)
     except CONSTRUCTION_ERRORS as exc:
         return [LawRecord("build.constructor", False, str(exc))]
     return check_hopf_category(data.backend, data)
@@ -163,7 +178,7 @@ def _check_groupoid(inst, rng):
             or inst.backend.kind != "finset"):
         return []
     try:
-        data = build_hopf_category(inst.functor, inst.comonoids)
+        data = _plain_build(inst)
         _, records = extract_set_groupoid(inst.functor.target, data)
     except CONSTRUCTION_ERRORS as exc:
         return [LawRecord("groupoid.constructor", False, str(exc))]
@@ -288,24 +303,6 @@ def _check_precartier(inst, rng):
         inf_braided=functor)
 
 
-def _hopf_data_equal(a, b):
-    if a.labels != b.labels:
-        return False
-    for da, db in ((a.hom, b.hom), (a.mult, b.mult), (a.unit, b.unit),
-                   (a.delta, b.delta), (a.eps, b.eps), (a.antipode, b.antipode)):
-        if set(da) != set(db):
-            return False
-        for key, fa in da.items():
-            fb = db[key]
-            if isinstance(fa, ObjectRef):
-                if fa != fb:
-                    return False
-            elif (fa.dom, fa.cod, fa.table, fa.matrix) != (fb.dom, fb.cod,
-                                                           fb.table, fb.matrix):
-                return False
-    return True
-
-
 def _build_deformed(inst, order=None):
     block = inst.deformation or {}
     if order is None:
@@ -322,13 +319,13 @@ def _check_deformed(inst, rng):
         return []
     try:
         data, order = _build_deformed(inst)
+        plain = _plain_build(inst)
     except CONSTRUCTION_ERRORS as exc:
         return [LawRecord("deformed.constructor", False, str(exc))]
     records = _suffix(check_hopf_category(data.backend, data), f"order{order}")
-    plain = build_hopf_category(inst.functor, inst.comonoids)
     reduced = reduce_order0(data) if order > 0 else data
     records.append(LawRecord("deformed.reduction",
-                             _hopf_data_equal(reduced, plain)))
+                             hopf_data_equal(reduced, plain)))
     return records
 
 
@@ -447,7 +444,7 @@ def run_build(path, target, order=None, seed=None):
             plain = build_hopf_category(inst.functor, inst.comonoids)
             reduced = reduce_order0(data) if built_order > 0 else data
             records.append(LawRecord("deformed.reduction",
-                                     _hopf_data_equal(reduced, plain)))
+                                     hopf_data_equal(reduced, plain)))
             structure = hopf_category_to_json(data)
     except CONSTRUCTION_ERRORS as exc:
         records = [LawRecord(f"{target}.constructor", False, str(exc))]

@@ -119,8 +119,12 @@ class OrbitFunctor(ComonoidalFunctor):
 
     Each source tensor word gets a fresh target atom whose elements are
     the orbits under the diagonal action, listed by smallest member.
-    Orbits are searched along the group's generators only, which finds
-    the same orbits as walking every element.
+    Orbits of a word P (x) A are built from the orbit data of its prefix P
+    (Holt, Eick & O'Brien, Handbook of Computational Group Theory, ch. 4):
+    every orbit meets the fibre over some representative r of P, and meets
+    it in one orbit of the stabilizer of r on the atom A.  So only the
+    atoms' permutations and the group table are read, never a diagonal
+    action table.
     Equivariant maps descend to orbit maps; the splitting sends the orbit
     of a pair to the pair of orbits.
     """
@@ -131,36 +135,67 @@ class OrbitFunctor(ComonoidalFunctor):
         target = finset_backend(trivial_group(), [])
         super().__init__(source, target)
         self._images = {}
+        group = source.group
+        self._inv = tuple(row.index(0) for row in group.table)
+        # the empty word: one orbit, fixed by the whole group
+        self._orbits = {(): ((0,), (0,), (0,), (tuple(group.elements()),))}
+
+    def _orbit_data(self, factors):
+        """(reps, orbit_of, trans, stabs) of a tensor word: the smallest
+        member of each orbit, ascending; each element's orbit; an element
+        trans[p] of the group taking p to its representative; and the
+        stabilizer of each representative, as a tuple of elements.
+        """
+        data = self._orbits.get(factors)
+        if data is not None:
+            return data
+        p_reps, p_orbit, p_trans, p_stabs = self._orbit_data(factors[:-1])
+        m = self.source.atom_size(factors[-1])
+        action = self.source.atoms[factors[-1]].action
+        table, inv = self.source.group.table, self._inv
+        reps, stabs, fibres = [], [], []
+        for r, stab in zip(p_reps, p_stabs):
+            # the fibre over r splits into stab-orbits; sel[a] in stab
+            # takes a to the smallest point of its stab-orbit
+            lab, sel = [-1] * m, [0] * m
+            for a in range(m):
+                if lab[a] >= 0:
+                    continue
+                idx = lab[a] = len(reps)
+                reps.append(r * m + a)
+                fixing = []
+                for h in stab:
+                    b = action[h][a]
+                    if b == a:
+                        fixing.append(h)
+                    elif lab[b] < 0:
+                        lab[b] = idx
+                        sel[b] = inv[h]
+                stabs.append(tuple(fixing))
+            fibres.append((lab, sel))
+        orbit_of, trans = [], []
+        for p, g in enumerate(p_trans):
+            # g takes (p, x) to (r, g.x); sel then fixes r and moves g.x
+            lab, sel = fibres[p_orbit[p]]
+            row = action[g]
+            orbit_of += [lab[x] for x in row]
+            trans += [table[sel[x]][g] for x in row]
+        data = (tuple(reps), tuple(orbit_of), tuple(trans), tuple(stabs))
+        self._orbits[factors] = data
+        return data
 
     def _image(self, obj: ObjectRef):
         key = obj.factors
         if key in self._images:
             return self._images[key]
-        n = self.source.obj_size(obj)
-        acts = [self.source.act(g, obj).table for g in self.source.group.generators]
-        orbit_of = [-1] * n
-        reps = []
-        for start in range(n):
-            if orbit_of[start] >= 0:
-                continue
-            idx = len(reps)
-            reps.append(start)
-            stack = [start]
-            orbit_of[start] = idx
-            while stack:
-                cur = stack.pop()
-                for act in acts:
-                    nxt = act[cur]
-                    if orbit_of[nxt] < 0:
-                        orbit_of[nxt] = idx
-                        stack.append(nxt)
-        if not obj.factors:
+        reps, orbit_of, _, _ = self._orbit_data(key)
+        if not key:
             image = self.target.unit()
         else:
             name = f"orb[{obj.label()}]"
             self.target.atoms[name] = Atom(name, len(reps), (tuple(range(len(reps))),))
             image = self.target.obj(name)
-        data = (image, tuple(reps), tuple(orbit_of))
+        data = (image, reps, orbit_of)
         self._images[key] = data
         return data
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .backends import ObjectRef
 from .coalg import (
     Comonoid,
     HopfMonoidData,
@@ -59,6 +60,26 @@ class HopfCategoryData:
     def hom_comonoid(self, i, j):
         return Comonoid(self.hom[(i, j)], self.delta[(i, j)], self.eps[(i, j)],
                         name=f"hom[{self.labels[i]},{self.labels[j]}]")
+
+
+def hopf_data_equal(a, b):
+    """Same labels, and the same objects and maps (endpoints and entries)
+    at every key of every structure dict."""
+    if a.labels != b.labels:
+        return False
+    for da, db in ((a.hom, b.hom), (a.mult, b.mult), (a.unit, b.unit),
+                   (a.delta, b.delta), (a.eps, b.eps), (a.antipode, b.antipode)):
+        if set(da) != set(db):
+            return False
+        for key, fa in da.items():
+            fb = db[key]
+            if isinstance(fa, ObjectRef):
+                if fa != fb:
+                    return False
+            elif (fa.dom, fa.cod, fa.table, fa.matrix) != (fb.dom, fb.cod,
+                                                           fb.table, fb.matrix):
+                return False
+    return True
 
 
 def require_cocommutative(backend, comonoids):

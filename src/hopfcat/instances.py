@@ -466,6 +466,9 @@ class Instance:
     modules: list = field(default_factory=list)
     uea: dict = None
     deformation: dict = None
+    # the plain Hopf category built from functor and comonoids, or the
+    # construction error, kept by the command-line driver across checks
+    built: object = field(default=None, repr=False, compare=False)
 
     def digest(self):
         return instance_digest(self.doc)

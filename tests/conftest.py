@@ -72,10 +72,27 @@ def gset_backend(group):
     ])
 
 
+def point_atom(name, group):
+    """Finset atom: a permutation group acting on the points it permutes.
+    The group's element names must be its permutations, as those of
+    symmetric_group and group_from_generators are."""
+    perms = tuple(tuple(int(ch) for ch in g) for g in group.names)
+    return Atom(name, len(perms[0]), perms)
+
+
 def naive_orbit_info(backend, obj):
-    """(representatives, orbit label of each element) of a finset object:
-    scanning elements in ascending order, each unlabelled element starts a
-    new orbit, namely its image under every group element.
+    """(representatives, orbit label of each element) of a finset object,
+    as naive_orbit_data finds them."""
+    return naive_orbit_data(backend, obj)[:2]
+
+
+def naive_orbit_data(backend, obj):
+    """(representatives, orbit label of each element, stabilizer of each
+    representative, action table of each group element) of a finset
+    object: scanning elements in ascending order, each unlabelled element
+    starts a new orbit, namely its image under every group element; a
+    stabilizer lists every element fixing the representative, ascending.
+    The tables let a caller check transversals.
     """
     acts = [backend.act(g, obj).table for g in backend.group.elements()]
     orbit_of = [-1] * backend.obj_size(obj)
@@ -85,7 +102,8 @@ def naive_orbit_info(backend, obj):
             for act in acts:
                 orbit_of[act[start]] = len(reps)
             reps.append(start)
-    return tuple(reps), tuple(orbit_of)
+    stabs = tuple(tuple(g for g, act in enumerate(acts) if act[r] == r) for r in reps)
+    return tuple(reps), tuple(orbit_of), stabs, acts
 
 
 def naive_equivariance_failures(backend, f):

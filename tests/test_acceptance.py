@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcat.backends import ObjectRef
+from hopfcat.backends import MorphismRep
 from hopfcat.coalg import all_hold, check_hopf_monoid, failures, group_algebra_hopf
 from hopfcat.cofunctor import certify_adapted, mult_along
 from hopfcat.hopfcategory import (
@@ -22,6 +22,7 @@ from hopfcat.hopfcategory import (
     build_hopf_monoid,
     check_hopf_category,
     extract_set_groupoid,
+    hopf_data_equal,
 )
 from hopfcat.liebialg import (
     LieBialgebra,
@@ -171,24 +172,6 @@ def oracle_twist_sides(lb, j):
                     for k, br in lb.bracket_of(b, d):
                         _acc(rhs, (a, c, k), weight * br)
     return tensor3(lhs), tensor3(rhs)
-
-
-def hopf_data_equal(a, b):
-    if a.labels != b.labels:
-        return False
-    for da, db in ((a.hom, b.hom), (a.mult, b.mult), (a.unit, b.unit),
-                   (a.delta, b.delta), (a.eps, b.eps), (a.antipode, b.antipode)):
-        if set(da) != set(db):
-            return False
-        for key, fa in da.items():
-            fb = db[key]
-            if isinstance(fa, ObjectRef):
-                if fa != fb:
-                    return False
-            elif (fa.dom, fa.cod, fa.table, fa.matrix) != (
-                    fb.dom, fb.cod, fb.table, fb.matrix):
-                return False
-    return True
 
 
 def b2():
@@ -398,6 +381,56 @@ class TestAntipodeMutation:
         for key, f in data.antipode.items():
             ident = data.backend.identity_mor(data.hom[key])
             assert f.table == ident.table
+
+
+# Which records must fail when one entry of a structure map changes.
+MUTATION_CATCHERS = {
+    "mult": ("hopfcat.", "comorphism.mult."),
+    "unit": ("hopfcat.unit.", "comorphism.unit."),
+    "delta": ("comonoid.",),
+    "eps": ("comonoid.",),
+    "antipode": ("hopfcat.antipode.",),
+}
+
+
+def change_first_entry(backend, f):
+    """f with its first entry changed: the next codomain index of a table,
+    or +1 on a matrix.  None for a table into a one-point set, which has
+    no other index to send anything to."""
+    if f.table is not None:
+        size = backend.obj_size(f.cod)
+        if size <= 1 or not f.table:
+            return None
+        return MorphismRep(f.dom, f.cod, table=((f.table[0] + 1) % size,) + f.table[1:])
+    m = f.matrix
+    return MorphismRep(f.dom, f.cod, matrix=Matrix(m.rows, m.cols, m.ring,
+                                                  (m.entries[0] + 1,) + m.entries[1:]))
+
+
+class TestBuildMutation:
+    @pytest.mark.parametrize("name", ["z3_torsors", "s3_torsors", "z3_group_algebra"])
+    def test_one_changed_entry_fails_a_law_of_its_map(self, name):
+        with criterion(5, f"structure map mutation detection [{name}]"):
+            inst = load_instance(corpus_path(name))
+            data = build_hopf_category(inst.functor, inst.comonoids)
+            assert all_hold(check_hopf_category(data.backend, data))
+            mutated = 0
+            for field_name, catchers in MUTATION_CATCHERS.items():
+                maps = getattr(data, field_name)
+                for key in sorted(maps):
+                    original = maps[key]
+                    changed = change_first_entry(data.backend, original)
+                    if changed is None:
+                        continue
+                    maps[key] = changed
+                    failed = [r.rule for r in check_hopf_category(data.backend, data)
+                              if not r.holds]
+                    maps[key] = original
+                    assert any(rule.startswith(catchers) for rule in failed), \
+                        (field_name, key, failed)
+                    mutated += 1
+            assert mutated > 0
+            assert all_hold(check_hopf_category(data.backend, data))
 
 
 # ---------------------------------------------------------------------------

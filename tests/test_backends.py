@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -254,6 +255,46 @@ class TestEquivarianceAgainstAllElements:
     def test_linear_matrices(self, bf):
         b, f = bf
         assert b.check_equivariant(f) == naive_equivariance_failures(b, f)
+
+
+# Sets of sizes 0..4 with the trivial action: empty, one-point and
+# non-square function tables between them.
+SIZED_SETS = finset_backend(cyclic_group(1),
+                            [Atom(f"N{k}", k, (tuple(range(k)),)) for k in range(5)])
+
+
+@st.composite
+def sized_tables(draw):
+    """(dom, cod, table) of a function between two of SIZED_SETS."""
+    dom = draw(st.integers(0, 4))
+    cod = draw(st.integers(1 if dom else 0, 4))
+    table = draw(st.lists(st.integers(0, max(cod - 1, 0)), min_size=dom, max_size=dom))
+    return SIZED_SETS.mor_from_table(SIZED_SETS.obj(f"N{dom}"), SIZED_SETS.obj(f"N{cod}"),
+                                     tuple(table))
+
+
+class TestFinsetTensorKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(sized_tables(), sized_tables())
+    def test_tensor_mor_is_the_textbook_product(self, f, g):
+        nf, ng = SIZED_SETS.obj_size(f.dom), SIZED_SETS.obj_size(g.dom)
+        gc = SIZED_SETS.obj_size(g.cod)
+        h = SIZED_SETS.tensor_mor(f, g)
+        assert (h.dom, h.cod) == (f.dom.tensor(g.dom), f.cod.tensor(g.cod))
+        assert h.table == tuple(f.table[i] * gc + g.table[j]
+                                for i in range(nf) for j in range(ng))
+
+    @pytest.mark.parametrize("b", FINSET_BACKENDS, ids=["s3", "z4", "d4"])
+    def test_act_is_the_tensor_of_the_factor_actions(self, b):
+        for k in range(4):
+            for word in itertools.product("STU", repeat=k):
+                obj = b.obj(*word)
+                for g in b.group.elements():
+                    parts = [b.mor_from_table(b.obj(n), b.obj(n), b.atoms[n].action[g])
+                             for n in word]
+                    expected = b.tensor_all(parts) if parts else b.identity_mor(obj)
+                    got = b.act(g, obj)
+                    assert (got.dom, got.cod, got.table) == (obj, obj, expected.table)
 
 
 def toy_dy():

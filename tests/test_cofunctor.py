@@ -30,7 +30,15 @@ from hopfcat.cofunctor import (
 from hopfcat.linalg import Matrix, cokernel_projection
 from hopfcat.scalars import RATIONAL
 
-from conftest import all_elements_coinvariants_relations, dihedral_group, gset_backend, naive_orbit_info
+from conftest import (
+    all_elements_coinvariants_relations,
+    coset_atom,
+    dihedral_group,
+    gset_backend,
+    naive_orbit_data,
+    naive_orbit_info,
+    point_atom,
+)
 
 
 def torsor_backend(group):
@@ -117,6 +125,59 @@ class TestOrbitSearchAgainstAllElements:
             for word in itertools.product("STU", repeat=k):
                 obj = b.obj(*word)
                 assert fn.orbit_info(obj) == naive_orbit_info(b, obj), word
+
+
+def orbit_cases():
+    """(backend, words) pairs whose orbit data is checked against the
+    all-elements walk.  X and V are a group acting on the points it
+    permutes, so their stabilizers are not trivial; U has fixed points;
+    T is a regular atom with renamed points."""
+    s4 = symmetric_group(4)
+    s4_sets = finset_backend(s4, [point_atom("X", s4), regular_atom("S", s4),
+                                  coset_atom("T", s4, [{0}], seed=3)])
+    s4_words = (list(itertools.product("XST", repeat=2))
+                + list(itertools.product("XS", repeat=3))
+                + [tuple("XXXX"), tuple("XSXT"), tuple("SXXX"), tuple("XXXS")])
+    d4 = dihedral_group()
+    d4_sets = finset_backend(d4, [*gset_backend(d4).atoms.values(), point_atom("V", d4)])
+    d4_words = (list(itertools.product("SVU", repeat=3))
+                + list(itertools.product("VU", repeat=4))
+                + [tuple("VSVT"), tuple("USUT"), tuple("SUVU")])
+    s3_sets = gset_backend(symmetric_group(3))
+    s3_words = [tuple("UUUU"), tuple("USUT"), tuple("TUSU"), tuple("STUU")]
+    trivial = finset_backend(cyclic_group(1), [Atom("P", 1, ((0,),)),
+                                               Atom("Q", 3, ((0, 1, 2),))])
+    trivial_words = [w for k in range(5) for w in itertools.product("PQ", repeat=k)]
+    return [(s4_sets, s4_words), (d4_sets, d4_words), (s3_sets, s3_words),
+            (trivial, trivial_words)]
+
+
+class TestOrbitDataAgainstAllElements:
+    @pytest.mark.parametrize("case", orbit_cases(), ids=["s4_points", "d4_square", "s3_gset",
+                                                        "trivial"])
+    def test_orbit_data_matches_naive_walk(self, case):
+        b, words = case
+        fn = OrbitFunctor(b)
+        for word in words:
+            reps, orbit_of, trans, stabs = fn._orbit_data(word)
+            n_reps, n_orbit_of, n_stabs, acts = naive_orbit_data(b, b.obj(*word))
+            assert (reps, orbit_of) == (n_reps, n_orbit_of), word
+            assert stabs == n_stabs, word
+            assert all(acts[g][p] == reps[orbit_of[p]] for p, g in enumerate(trans)), word
+
+    def test_empty_word_is_one_orbit_fixed_by_the_group(self):
+        b = gset_backend(symmetric_group(3))
+        fn = OrbitFunctor(b)
+        assert fn._orbit_data(()) == ((0,), (0,), (0,), (tuple(range(6)),))
+        assert fn.orbit_info(b.unit()) == ((0,), (0,))
+
+    def test_only_requested_words_get_target_atoms(self):
+        d4 = dihedral_group()
+        b = finset_backend(d4, [point_atom("V", d4), regular_atom("S", d4)])
+        fn = OrbitFunctor(b)
+        fn.apply_obj(b.obj("V", "S", "V"))
+        assert list(fn.target.atoms) == ["orb[V(x)S(x)V]"]
+        assert set(fn._orbits) == {(), ("V",), ("V", "S"), ("V", "S", "V")}
 
 
 def permutation_linear_backend(group, perms):
