@@ -361,12 +361,7 @@ class Backend:
         """Matrix of a morphism; function tables become 0/1 matrices."""
         if f.matrix is not None:
             return f.matrix
-        rows, cols = self.obj_size(f.cod), self.obj_size(f.dom)
-        zero, one = self.ring.zero(), self.ring.one()
-        ent = [zero] * (rows * cols)
-        for j, i in enumerate(f.table):
-            ent[i * cols + j] = one
-        return Matrix(rows, cols, self.ring, tuple(ent))
+        return Matrix.from_table(self.ring, f.table, self.obj_size(f.cod))
 
     # -- composition and tensor
 
@@ -413,14 +408,7 @@ class Backend:
         table = tuple((k % ny) * nx + (k // ny) for k in range(nx * ny))
         if self.kind == "finset":
             return MorphismRep(dom, cod, table=table)
-        return self.mor_from_matrix(dom, cod, self._perm_matrix(table, nx * ny))
-
-    def _perm_matrix(self, table, n):
-        zero, one = self.ring.zero(), self.ring.one()
-        ent = [zero] * (n * n)
-        for j, i in enumerate(table):
-            ent[i * n + j] = one
-        return Matrix(n, n, self.ring, tuple(ent))
+        return self.mor_from_matrix(dom, cod, Matrix.from_table(self.ring, table, nx * ny))
 
     # -- group action on objects
 
@@ -639,14 +627,7 @@ def linear_backend(group, atoms, ring=RATIONAL):
 def regular_linear_atom(name, group, ring=RATIONAL):
     """Permutation matrices of the left regular action."""
     n = group.order
-    mats = []
-    zero, one = ring.zero(), ring.one()
-    for g in range(n):
-        ent = [zero] * (n * n)
-        for a in range(n):
-            ent[group.mul(g, a) * n + a] = one
-        mats.append(Matrix(n, n, ring, tuple(ent)))
-    return Atom(name, n, tuple(mats))
+    return Atom(name, n, tuple(Matrix.from_table(ring, group.table[g], n) for g in range(n)))
 
 
 def dy_backend(base_atom, other_atoms, ring=RATIONAL):

@@ -62,13 +62,9 @@ def group_like_comonoid(backend, obj, name=""):
     from .linalg import Matrix
     n = backend.obj_size(obj)
     ring = backend.ring
-    zero, one = ring.zero(), ring.one()
-    ent = [zero] * (n * n * n)
-    for i in range(n):
-        ent[(i * n + i) * n + i] = one
-    delta = backend.mor_from_matrix(obj, obj.tensor(obj), Matrix(n * n, n, ring, tuple(ent)))
-    eps = backend.mor_from_matrix(obj, backend.unit(),
-                                  Matrix(1, n, ring, (one,) * n))
+    delta = backend.mor_from_matrix(obj, obj.tensor(obj),
+                                    Matrix.from_table(ring, [i * n + i for i in range(n)], n * n))
+    eps = backend.mor_from_matrix(obj, backend.unit(), Matrix.from_table(ring, (0,) * n, 1))
     return Comonoid(obj, delta, eps, name or obj.label())
 
 
@@ -223,24 +219,12 @@ def group_algebra_hopf(backend, obj, group=None):
     if backend.obj_size(obj) != n:
         raise ValueError("object size must equal the group order")
     ring = backend.ring
-    zero, one = ring.zero(), ring.one()
-
-    ent = [zero] * (n * n * n)
-    for g in range(n):
-        for h2 in range(n):
-            ent[group.mul(g, h2) * n * n + (g * n + h2)] = one
-    mult = backend.mor_from_matrix(obj.tensor(obj), obj, Matrix(n, n * n, ring, tuple(ent)))
-
-    unit_ent = [zero] * n
-    unit_ent[0] = one
-    unit = backend.mor_from_matrix(backend.unit(), obj, Matrix(n, 1, ring, tuple(unit_ent)))
-
+    mult = backend.mor_from_matrix(obj.tensor(obj), obj, Matrix.from_table(
+        ring, [group.mul(g, h) for g in range(n) for h in range(n)], n))
+    unit = backend.mor_from_matrix(backend.unit(), obj, Matrix.from_table(ring, (0,), n))
     glike = group_like_comonoid(backend, obj)
-
-    anti_ent = [zero] * (n * n)
-    for g in range(n):
-        anti_ent[group.inv(g) * n + g] = one
-    antipode = backend.mor_from_matrix(obj, obj, Matrix(n, n, ring, tuple(anti_ent)))
+    antipode = backend.mor_from_matrix(obj, obj, Matrix.from_table(
+        ring, [group.inv(g) for g in range(n)], n))
 
     return HopfMonoidData(obj, mult, unit, glike.delta, glike.eps, antipode,
                           name=f"k[{obj.label()}]")

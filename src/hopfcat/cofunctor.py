@@ -138,7 +138,8 @@ class OrbitFunctor(ComonoidalFunctor):
         group = source.group
         self._inv = tuple(row.index(0) for row in group.table)
         # the empty word: one orbit, fixed by the whole group
-        self._orbits = {(): ((0,), (0,), (0,), (tuple(group.elements()),))}
+        self._orbits = {(): ((0,), (0,), (tuple(group.elements()),), None)}
+        self._trans = {(): (0,)}
 
     def _orbit_data(self, factors):
         """(reps, orbit_of, trans, stabs) of a tensor word: the smallest
@@ -146,17 +147,24 @@ class OrbitFunctor(ComonoidalFunctor):
         trans[p] of the group taking p to its representative; and the
         stabilizer of each representative, as a tuple of elements.
         """
+        reps, orbit_of, stabs, _ = self._orbits_of(factors)
+        return reps, orbit_of, self._transversal(factors), stabs
+
+    def _orbits_of(self, factors):
+        """(reps, orbit_of, stabs, fibres) of a tensor word, kept for every
+        word met; fibres[k] is (lab, sel) on the last factor over the k-th
+        representative of the prefix: lab[a] is the orbit of (r, a), and
+        sel[a] in Stab(r) takes a to the smallest point of its Stab(r)-orbit.
+        """
         data = self._orbits.get(factors)
         if data is not None:
             return data
-        p_reps, p_orbit, p_trans, p_stabs = self._orbit_data(factors[:-1])
+        p_reps, p_orbit, p_stabs, _ = self._orbits_of(factors[:-1])
         m = self.source.atom_size(factors[-1])
         action = self.source.atoms[factors[-1]].action
-        table, inv = self.source.group.table, self._inv
+        inv = self._inv
         reps, stabs, fibres = [], [], []
         for r, stab in zip(p_reps, p_stabs):
-            # the fibre over r splits into stab-orbits; sel[a] in stab
-            # takes a to the smallest point of its stab-orbit
             lab, sel = [-1] * m, [0] * m
             for a in range(m):
                 if lab[a] >= 0:
@@ -173,22 +181,38 @@ class OrbitFunctor(ComonoidalFunctor):
                         sel[b] = inv[h]
                 stabs.append(tuple(fixing))
             fibres.append((lab, sel))
-        orbit_of, trans = [], []
-        for p, g in enumerate(p_trans):
-            # g takes (p, x) to (r, g.x); sel then fixes r and moves g.x
-            lab, sel = fibres[p_orbit[p]]
-            row = action[g]
-            orbit_of += [lab[x] for x in row]
-            trans += [table[sel[x]][g] for x in row]
-        data = (tuple(reps), tuple(orbit_of), tuple(trans), tuple(stabs))
+        orbit_of = []
+        for p, g in enumerate(self._transversal(factors[:-1])):
+            # g takes (p, x) to (r, g.x), in the orbit labelled lab[g.x]
+            lab = fibres[p_orbit[p]][0]
+            orbit_of += [lab[x] for x in action[g]]
+        data = (tuple(reps), tuple(orbit_of), tuple(stabs), tuple(fibres))
         self._orbits[factors] = data
         return data
+
+    def _transversal(self, factors):
+        """trans of a tensor word, built when the word is first extended
+        (or asked for), never for the longest words of a verify, which hold
+        most of the points."""
+        trans = self._trans.get(factors)
+        if trans is None:
+            p_orbit = self._orbits_of(factors[:-1])[1]
+            fibres = self._orbits_of(factors)[3]
+            action = self.source.atoms[factors[-1]].action
+            table = self.source.group.table
+            out = []
+            for p, g in enumerate(self._transversal(factors[:-1])):
+                # sel fixes r and moves g.x to the representative's point
+                sel = fibres[p_orbit[p]][1]
+                out += [table[sel[x]][g] for x in action[g]]
+            trans = self._trans[factors] = tuple(out)
+        return trans
 
     def _image(self, obj: ObjectRef):
         key = obj.factors
         if key in self._images:
             return self._images[key]
-        reps, orbit_of, _, _ = self._orbit_data(key)
+        reps, orbit_of, _, _ = self._orbits_of(key)
         if not key:
             image = self.target.unit()
         else:
@@ -291,18 +315,11 @@ class CoinvariantsFunctor(ComonoidalFunctor):
 
 def group_coinvariants_relations(source, obj):
     n = source.obj_size(obj)
-    blocks = []
+    ident = Matrix.identity(n, RATIONAL)
     # gh - 1 = (g - 1)h + (h - 1): the generators' blocks span the same
     # subspace as every element's, so the unique RREF is the same
-    for g in source.group.generators:
-        # act(g) - identity, subtracting on the diagonal only
-        entries = list(source.as_matrix(source.act(g, obj)).entries)
-        for d in range(0, n * n, n + 1):
-            entries[d] -= 1
-        blocks.append(Matrix(n, n, RATIONAL, tuple(entries)))
-    if not blocks:
-        return Matrix.zeros(n, 0, RATIONAL)
-    return hstack(blocks)
+    blocks = [source.as_matrix(source.act(g, obj)) - ident for g in source.group.generators]
+    return hstack(blocks) if blocks else Matrix.zeros(n, 0, RATIONAL)
 
 
 def group_coinvariants_functor(source):

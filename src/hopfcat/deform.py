@@ -140,10 +140,10 @@ def casimir_t(backend, r: Matrix) -> PreCartierData:
         raise BackendError("2-tensor must be square over the base dimension")
 
     def generator_action(name, a):
-        atom = backend.atoms[name]
-        d = atom.size
-        ent = [atom.pi[i, a * d + j] for i in range(d) for j in range(d)]
-        return Matrix(d, d, RATIONAL, tuple(ent))
+        d = backend.atoms[name].size
+        lo = a * d
+        return Matrix.sparse(d, d, RATIONAL, [{j - lo: x for j, x in r.items() if lo <= j < lo + d}
+                                              for r in backend.atoms[name].pi.nz])
 
     table = {}
     names = sorted(backend.atoms)
@@ -323,11 +323,10 @@ def deformed_braiding(pc: PreCartierData, x: ObjectRef, y: ObjectRef,
     powers = [Matrix.identity(n, RATIONAL)]
     for m in range(1, order + 1):
         powers.append((powers[-1] * t).scale(Fraction(1, m)))
-    ent = []
-    for i in range(n):
-        for j in range(n):
-            ent.append(HSeries.from_coeffs([p[i, j] for p in powers], order))
-    exp = Matrix(n, n, ring, tuple(ent))
+    exp = Matrix.sparse(n, n, ring, [
+        {j: HSeries.from_coeffs([p.nz[i].get(j, 0) for p in powers], order)
+         for j in set().union(*(p.nz[i] for p in powers))}
+        for i in range(n)])
     sig = lift_matrix(be.braiding(x, y).matrix, ring)
     return MorphismRep(x.tensor(y), y.tensor(x), matrix=sig * exp)
 

@@ -137,8 +137,14 @@ def parse_group(doc) -> GroupTable:
         return trivial_group()
     _check_keys(doc, {"kind", "n", "table", "names"}, "group")
     if "table" in doc:
-        table = tuple(tuple(row) for row in doc["table"])
-        names = tuple(doc["names"]) if "names" in doc else None
+        rows, names = doc["table"], doc.get("names")
+        _require(isinstance(rows, list) and rows and all(
+            isinstance(row, list) and all(isinstance(x, int) for x in row) for row in rows),
+            "group.table: expected a nonempty list of integer rows")
+        _require(names is None or isinstance(names, list) and len(names) == len(rows),
+                 "group.names: expected a list of one name per element")
+        table = tuple(tuple(row) for row in rows)
+        names = tuple(names) if names is not None else None
         try:
             return GroupTable(table, names)
         except BackendError as exc:
@@ -200,6 +206,9 @@ def _parse_atom(doc, kind, group, ring, base_dim):
             _require(isinstance(action, list) and len(action) == n,
                      f"{where}: action must list one entry per group element")
             if kind == "finset":
+                for g, entry in enumerate(action):
+                    _require(isinstance(entry, list) and all(isinstance(x, int) for x in entry),
+                             f"{where}.action[{g}]: expected a list of point indices")
                 mats = tuple(tuple(entry) for entry in action)
             else:
                 mats = tuple(_parse_matrix(ring, entry, where, (size, size))
@@ -237,7 +246,8 @@ def parse_backend(doc) -> Backend:
     base_dim = 0
     if kind == "dy":
         _require(isinstance(base, str) and base, "backend: dy needs a base atom name")
-        sizes = {a.get("name"): a.get("size") for a in atom_docs if isinstance(a, dict)}
+        sizes = {a.get("name"): a.get("size") for a in atom_docs
+                 if isinstance(a, dict) and isinstance(a.get("name"), str)}
         _require(base in sizes, f"backend: base atom {base!r} is not declared")
         base_dim = sizes[base]
         _require(isinstance(base_dim, int) and base_dim >= 1,
@@ -303,8 +313,7 @@ def parse_comonoid(backend, doc) -> Comonoid:
     elif eps == "ones" and backend.kind != "finset":
         emor = backend.mor_from_matrix(
             obj, backend.unit(),
-            Matrix(1, backend.obj_size(obj), backend.ring,
-                   (backend.ring.one(),) * backend.obj_size(obj)))
+            Matrix.from_table(backend.ring, (0,) * backend.obj_size(obj), 1))
     else:
         emor = _parse_mor(backend, eps, obj, backend.unit(), f"{where}.eps")
     return Comonoid(obj, dmor, emor, name)
@@ -328,19 +337,22 @@ def make_functor(backend, name):
 def _constants_matrix(entries, rows, cols, pos, where):
     """Structure constants [i, j, k, c] accumulated into a rows x cols
     matrix; pos maps (i, j, k) to the (row, col) slot."""
-    acc = {}
+    nz = [{} for _ in range(rows)]
     _require(isinstance(entries, list), f"{where}: expected a list of constants")
-    for entry in entries:
+    for at, entry in enumerate(entries):
         _require(isinstance(entry, list) and len(entry) == 4,
                  f"{where}: constants are [i, j, k, value] quadruples")
         i, j, k, val = entry
         slot = pos(i, j, k)
         _require(slot is not None, f"{where}: index out of range in {entry[:3]}")
-        acc[slot] = acc.get(slot, RATIONAL.zero()) + RATIONAL.coerce(val)
-    ent = [RATIONAL.zero()] * (rows * cols)
-    for (r, c), v in acc.items():
-        ent[r * cols + c] = v
-    return Matrix(rows, cols, RATIONAL, tuple(ent))
+        try:
+            val = RATIONAL.coerce(val)
+        except (TypeError, ValueError) as exc:
+            raise InstanceError(f"{where}[{at}]: {exc}") from None
+        r, c = slot
+        nz[r][c] = nz[r].get(c, RATIONAL.zero()) + val
+    return Matrix.sparse(rows, cols, RATIONAL,
+                         [{c: v for c, v in row.items() if v} for row in nz])
 
 
 @dataclass(frozen=True)
@@ -402,8 +414,8 @@ def parse_lie(doc, backend=None):
         d = mdoc.get("dim")
         _require(isinstance(d, int) and d >= 1,
                  f"module {label!r}: needs an integer dim >= 1")
-        pi = _parse_matrix(RATIONAL, mdoc["pi"], f"module {label!r}.pi", (d, n * d))
-        pistar = _parse_matrix(RATIONAL, mdoc["pistar"], f"module {label!r}.pistar",
+        pi = _parse_matrix(RATIONAL, mdoc.get("pi"), f"module {label!r}.pi", (d, n * d))
+        pistar = _parse_matrix(RATIONAL, mdoc.get("pistar"), f"module {label!r}.pistar",
                                (n * d, d))
         modules.append(LieModule(label, pi, pistar))
 
@@ -443,7 +455,7 @@ def parse_deformation(backend, doc):
             d *= backend.atoms[name].size
         key = (wx, wy)
         _require(key not in table, f"deformation.t: duplicate entry for {key}")
-        table[key] = _parse_matrix(RATIONAL, entry["matrix"], "deformation.t.matrix",
+        table[key] = _parse_matrix(RATIONAL, entry.get("matrix"), "deformation.t.matrix",
                                    (d, d))
     try:
         pc = PreCartierData(backend, table)

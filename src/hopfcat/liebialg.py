@@ -50,26 +50,13 @@ class DegreeOverflow(Exception):
 
 def swap_matrix(n):
     """tau: V (x) V -> V (x) V, e_i (x) e_j -> e_j (x) e_i."""
-    zero, one = Fraction(0), Fraction(1)
-    ent = [zero] * (n * n * n * n)
-    for i in range(n):
-        for j in range(n):
-            ent[(j * n + i) * n * n + (i * n + j)] = one
-    return Matrix(n * n, n * n, RATIONAL, tuple(ent))
+    return Matrix.from_table(RATIONAL, [j * n + i for i in range(n) for j in range(n)], n * n)
 
 
 def cycle_matrix(n):
     """C: V^3 -> V^3, e_i (x) e_j (x) e_k -> e_j (x) e_k (x) e_i."""
-    m = n ** 3
-    zero, one = Fraction(0), Fraction(1)
-    ent = [zero] * (m * m)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                src = (i * n + j) * n + k
-                dst = (j * n + k) * n + i
-                ent[dst * m + src] = one
-    return Matrix(m, m, RATIONAL, tuple(ent))
+    return Matrix.from_table(RATIONAL, [(j * n + k) * n + i for i in range(n)
+                                        for j in range(n) for k in range(n)], n ** 3)
 
 
 def alt_matrix(n):
@@ -155,8 +142,8 @@ def vec_twist(j: Matrix) -> Matrix:
     """Flatten an antisymmetric coefficient matrix to a tensor-square
     column vector."""
     n = j.rows
-    return Matrix(n * n, 1, RATIONAL,
-                  tuple(j[a, b] for a in range(n) for b in range(n)))
+    return Matrix.sparse(n * n, 1, RATIONAL, [{0: j.nz[a][b]} if b in j.nz[a] else {}
+                                              for a in range(n) for b in range(n)])
 
 
 def double_bracket(lb: LieBialgebra, j: Matrix) -> Matrix:
@@ -175,7 +162,7 @@ def double_bracket(lb: LieBialgebra, j: Matrix) -> Matrix:
                 out[(a * n + k) * n + d] += coef * br
             for k, br in lb.bracket_of(b, d):   # shared last slot
                 out[(a * n + c) * n + k] += coef * br
-    return Matrix(n ** 3, 1, RATIONAL, tuple(out))
+    return Matrix.sparse(n ** 3, 1, RATIONAL, [{0: x} if x else {} for x in out])
 
 
 def check_twist(lb: LieBialgebra, j: Matrix):
@@ -536,13 +523,15 @@ class TruncatedUEA:
     def dim(self):
         return len(self.basis)
 
-    def vector_of(self, elem):
-        col = [Fraction(0)] * self.dim
-        for w, c in elem.items():
+    def _coords(self, elem):
+        """{basis index: coefficient} of an element's nonzero terms."""
+        for w in elem:
             if len(w) > self.order:
                 raise DegreeOverflow(f"word of degree {len(w)} exceeds order {self.order}")
-            col[self.index[w]] = c
-        return Matrix(self.dim, 1, RATIONAL, tuple(col))
+        return {self.index[w]: c for w, c in elem.items() if c}
+
+    def vector_of(self, elem):
+        return Matrix.sparse(1, self.dim, RATIONAL, [self._coords(elem)]).transpose()
 
     @property
     def pi_overflow(self):
@@ -558,25 +547,21 @@ class TruncatedUEA:
     def pi_matrix(self):
         """b (x) U_{order-1} -> U_order; the full domain would overflow."""
         sub = self._sub_basis(self.order - 1)
-        n = self.lb.dim
-        cols = []
-        for i in range(n):
-            for w in sub:
-                cols.append(self.vector_of(self.engine.act(i, {w: Fraction(1)})))
-        return _cols_to_matrix(cols, self.dim)
+        cols = [self._coords(self.engine.act(i, {w: Fraction(1)}))
+                for i in range(self.lb.dim) for w in sub]
+        return Matrix.sparse(len(cols), self.dim, RATIONAL, cols).transpose()
 
     def pistar_matrix(self):
         """U -> b (x) U.  Untwisted this preserves degree and is total;
         twisted it raises degree, so the domain shrinks by one degree."""
         sub = self.basis if self.twist is None else self._sub_basis(self.order - 1)
-        rows, cols = self.lb.dim * self.dim, len(sub)
-        ent = [Fraction(0)] * (rows * cols)
-        for j, w in enumerate(sub):
-            for (a, w2), c in self.engine.coact({w: Fraction(1)}, self.twist).items():
-                if len(w2) > self.order:
-                    raise DegreeOverflow("coaction output exceeds the truncation")
-                ent[(a * self.dim + self.index[w2]) * cols + j] = c
-        return Matrix(rows, cols, RATIONAL, tuple(ent))
+        cols = []
+        for w in sub:
+            img = self.engine.coact({w: Fraction(1)}, self.twist)
+            if any(len(w2) > self.order for _, w2 in img):
+                raise DegreeOverflow("coaction output exceeds the truncation")
+            cols.append({a * self.dim + self.index[w2]: c for (a, w2), c in img.items() if c})
+        return Matrix.sparse(len(cols), self.lb.dim * self.dim, RATIONAL, cols).transpose()
 
     def delta_images(self):
         """Delta of each basis word, in basis order, as a sparse dict
@@ -585,24 +570,10 @@ class TruncatedUEA:
 
     def delta_matrix(self):
         """U_order -> U_order (x) U_order; degree is preserved, total."""
-        cols = []
-        for w in self.basis:
-            img = self.engine.coproduct({w: Fraction(1)})
-            col = [Fraction(0)] * (self.dim * self.dim)
-            for (w1, w2), c in img.items():
-                col[self.index[w1] * self.dim + self.index[w2]] = c
-            cols.append(Matrix(self.dim * self.dim, 1, RATIONAL, tuple(col)))
-        return _cols_to_matrix(cols, self.dim * self.dim)
+        ix, d = self.index, self.dim
+        cols = [{ix[w1] * d + ix[w2]: c for (w1, w2), c in img.items()}
+                for img in self.delta_images()]
+        return Matrix.sparse(len(cols), d * d, RATIONAL, cols).transpose()
 
     def eps_matrix(self):
-        row = [Fraction(0)] * self.dim
-        row[self.index[()]] = Fraction(1)
-        return Matrix(1, self.dim, RATIONAL, tuple(row))
-
-
-def _cols_to_matrix(cols, rows):
-    ent = []
-    for r in range(rows):
-        for col in cols:
-            ent.append(col[r, 0])
-    return Matrix(rows, len(cols), RATIONAL, tuple(ent))
+        return Matrix.sparse(1, self.dim, RATIONAL, [{self.index[()]: Fraction(1)}])

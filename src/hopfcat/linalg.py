@@ -1,16 +1,22 @@
 """Exact matrices over the scalar rings, with the eliminations the rest of
 the package leans on.
 
-Rational elimination is sparse and exact: rows are {col: Fraction} dicts
-of their nonzeros.  Its results are deterministic because the reduced row
-echelon form with leftmost pivots is unique to the row space.  Inversion is
-dense; over the truncated series ring its pivots must be units (nonzero
-constant term), so it succeeds exactly when the degree-0 part is invertible.
+A matrix is stored by rows, each a {col: entry} dict of its nonzeros
+(compressed-row storage; T. A. Davis, Direct Methods for Sparse Linear
+Systems, SIAM 2006, ch. 2).  No zero is ever stored, so equality is
+structural, and every operation costs the nonzeros it touches: a
+permutation matrix costs n entries, not n^2.  Entries are Fraction or
+HSeries, never int; a series is zero when all its coefficients vanish.
+
+Rational elimination is sparse and exact, and deterministic: the reduced
+row echelon form with leftmost pivots is unique to the row space.
+Inversion is dense; over the truncated series ring its pivots must be
+units, so it succeeds exactly when the degree-0 part is invertible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
 from fractions import Fraction
 
 from .scalars import RATIONAL, HSeries, Ring, RingMismatch
@@ -24,45 +30,88 @@ class Singular(Exception):
         self.witness = witness
 
 
-@dataclass(frozen=True)
 class Matrix:
-    rows: int
-    cols: int
-    ring: Ring
-    entries: tuple  # row-major, length rows * cols
+    """Immutable, hashable matrix; nz[i] holds row i's nonzeros, {col: entry}.
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+    Matrix(rows, cols, ring, entries) reads a dense row-major tuple and
+    keeps its nonzeros; Matrix.sparse takes rows of nonzeros as they are.
+    Row dicts may be shared between matrices, so they are never mutated.
+    """
+
+    __slots__ = ("rows", "cols", "ring", "nz", "_hash")
+
+    def __init__(self, rows, cols, ring, entries):
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
+        self._fill(rows, cols, ring, tuple(
+            {j: x for j, x in enumerate(entries[i * cols:(i + 1) * cols]) if x}
+            for i in range(rows)))
+
+    def _fill(self, rows, cols, ring, nz):
+        put = object.__setattr__
+        put(self, "rows", rows)
+        put(self, "cols", cols)
+        put(self, "ring", ring)
+        put(self, "nz", nz)
+        put(self, "_hash", None)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Matrix is immutable")
+
+    @classmethod
+    def sparse(cls, rows, cols, ring, nz):
+        """From rows of nonzeros, taken as they are: none may store a zero."""
+        return cls.__new__(cls)._fill(rows, cols, ring, tuple(nz))
 
     @classmethod
     def from_rows(cls, ring, rows):
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(ring.coerce(x) for x in row)
-        return cls(r, c, ring, tuple(flat))
+        c = len(rows[0]) if rows else 0
+        if any(len(row) != c for row in rows):
+            raise ValueError("ragged rows")
+        return cls.sparse(len(rows), c, ring, [
+            {j: x for j, x in enumerate(map(ring.coerce, row)) if x} for row in rows])
+
+    from_json = from_rows
+
+    @classmethod
+    def from_table(cls, ring, table, rows):
+        """0/1 matrix of a function: column j has its one in row table[j]."""
+        one, nz = ring.one(), [{} for _ in range(rows)]
+        for j, i in enumerate(table):
+            nz[i][j] = one
+        return cls.sparse(rows, len(table), ring, nz)
 
     @classmethod
     def identity(cls, n, ring):
-        ent = [ring.zero()] * (n * n)
-        ent[::n + 1] = [ring.one()] * n
-        return cls(n, n, ring, tuple(ent))
+        return cls.from_table(ring, range(n), n)
 
     @classmethod
     def zeros(cls, rows, cols, ring):
-        z = ring.zero()
-        return cls(rows, cols, ring, (z,) * (rows * cols))
+        return cls.sparse(rows, cols, ring, ({},) * rows)
+
+    @property
+    def entries(self):
+        """Dense row-major view, built on each call."""
+        return tuple(x for i in range(self.rows) for x in self.row(i))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return self.nz[i].get(j, self.ring.zero())
 
     def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        r, zero = self.nz[i], self.ring.zero()
+        return tuple(r.get(j, zero) for j in range(self.cols))
+
+    def __eq__(self, other):
+        return isinstance(other, Matrix) and ((self.rows, self.cols, self.ring, self.nz)
+                                              == (other.rows, other.cols, other.ring, other.nz))
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.rows, self.cols, self.ring, tuple(
+                frozenset(r.items()) for r in self.nz))))
+        return self._hash
 
     def _check_ring(self, other):
         if self.ring != other.ring:
@@ -72,167 +121,147 @@ class Matrix:
         self._check_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        zero = self.ring.zero()
-        return Matrix(self.rows, self.cols, self.ring,
-                      tuple(a if b is zero or not b else b if a is zero or not a else a + b
-                            for a, b in zip(self.entries, other.entries)))
+        return Matrix.sparse(self.rows, self.cols, self.ring,
+                             map(_add_rows, self.nz, other.nz))
 
     def __sub__(self, other):
-        self._check_ring(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in subtraction")
-        return Matrix(self.rows, self.cols, self.ring,
-                      tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self + -other
 
     def __neg__(self):
-        return Matrix(self.rows, self.cols, self.ring, tuple(-a for a in self.entries))
+        return Matrix.sparse(self.rows, self.cols, self.ring,
+                             [{j: -x for j, x in r.items()} for r in self.nz])
 
     def scale(self, c):
         c = self.ring.coerce(c)
-        return Matrix(self.rows, self.cols, self.ring, tuple(c * a for a in self.entries))
+        return Matrix.sparse(self.rows, self.cols, self.ring,
+                             [{j: p for j, x in r.items() if (p := c * x)} for r in self.nz])
 
     def __mul__(self, other):
-        """Matrix product self @ other."""
+        """Matrix product self @ other, over the nonzeros of both."""
         self._check_ring(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        n, m, k = self.rows, other.cols, self.cols
-        a, b = self.entries, other.entries
-        zero, one = self.ring.zero(), self.ring.one()
-        # the nonzeros of a row of other are found once, when first
-        # needed; a sum starts at its first product, not at zero
-        brows = [None] * k
+        b = other.nz
         out = []
-        for i in range(n):
-            acc = [zero] * m
-            for t, x in enumerate(a[i * k:(i + 1) * k]):
-                if x is zero or not x:
-                    continue
-                brow = brows[t]
-                if brow is None:
-                    brow = brows[t] = [(j, y) for j, y in enumerate(b[t * m:(t + 1) * m])
-                                       if y is not zero and y]
-                for j, y in brow:
-                    p = y if x is one else x * y
-                    s = acc[j]
-                    acc[j] = p if s is zero else s + p
-            out.extend(acc)
-        return Matrix(n, m, self.ring, tuple(out))
+        for arow in self.nz:
+            acc = {}
+            for t, x in arow.items():
+                unit = x == 1
+                for j, y in b[t].items():
+                    p = y if unit else x * y
+                    s = acc.get(j)
+                    acc[j] = p if s is None else s + p
+            out.append({j: s for j, s in acc.items() if s})
+        return Matrix.sparse(self.rows, other.cols, self.ring, out)
 
     def transpose(self):
-        e = self.entries
-        c = self.cols
-        return Matrix(c, self.rows, self.ring,
-                      tuple(e[i * c + j] for j in range(c) for i in range(self.rows)))
+        nz = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.nz):
+            for j, x in r.items():
+                nz[j][i] = x
+        return Matrix.sparse(self.cols, self.rows, self.ring, nz)
 
     def is_zero(self):
-        is_zero = self.ring.is_zero
-        return all(is_zero(x) for x in self.entries)
+        return not any(self.nz)
 
     def to_json(self):
         enc = self.ring.to_json
-        return [[enc(self[i, j]) for j in range(self.cols)] for i in range(self.rows)]
-
-    @classmethod
-    def from_json(cls, ring, data):
-        return cls.from_rows(ring, data)
+        return [[enc(x) for x in self.row(i)] for i in range(self.rows)]
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.ring.kind})"
 
 
-def mat_kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product in the row-major index convention.
+def _add_rows(a, b):
+    """Sum of two sparse rows, dropping entries that cancel."""
+    if not (a and b):
+        return a or b
+    out = dict(a)
+    for j, y in b.items():
+        if s := (out[j] + y if j in out else y):
+            out[j] = s
+        else:
+            del out[j]
+    return out
 
-    Entry ((ra*b.rows + rb), (ca*b.cols + cb)) = a[ra,ca] * b[rb,cb], so
-    kron is strictly associative with the composite-index convention used
-    for tensor products of objects.
-    """
+
+def mat_kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product in the row-major index convention: entry
+    ((ra*b.rows + rb), (ca*b.cols + cb)) = a[ra,ca] * b[rb,cb], strictly
+    associative with the composite index of tensor products of objects."""
     a._check_ring(b)
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    zero, one = a.ring.zero(), a.ring.one()
-    out = [zero] * (rows * cols)
-    # the nonzeros of b with their offsets in the output, found once
-    bnz = [(rb * cols + cb, y)
-           for rb in range(b.rows)
-           for cb, y in enumerate(b.entries[rb * b.cols:(rb + 1) * b.cols])
-           if y is not zero and y]
-    for idx, x in enumerate(a.entries):
-        if x is zero or not x:
-            continue
-        ra, ca = divmod(idx, a.cols)
-        base = ra * b.rows * cols + ca * b.cols
-        for off, y in bnz:
-            out[base + off] = y if x is one else x if y is one else x * y
-    return Matrix(rows, cols, a.ring, tuple(out))
+    bc = b.cols
+    nz = [{ca * bc + cb: p for ca, x in ra.items() for cb, y in rb.items()
+           if (p := y if x == 1 else x * y)} for ra in a.nz for rb in b.nz]
+    return Matrix.sparse(a.rows * b.rows, a.cols * bc, a.ring, nz)
 
 
 def hstack(mats):
     if not mats:
         raise ValueError("nothing to stack")
-    rows = mats[0].rows
-    ring = mats[0].ring
-    for m in mats[1:]:
-        if m.rows != rows:
-            raise ValueError("row count mismatch in hstack")
-        if m.ring != ring:
-            raise RingMismatch("hstack over mixed rings")
-    out = []
-    for i in range(rows):
-        for m in mats:
-            out.extend(m.row(i))
-    return Matrix(rows, sum(m.cols for m in mats), ring, tuple(out))
+    rows, ring = mats[0].rows, mats[0].ring
+    if any(m.rows != rows for m in mats):
+        raise ValueError("row count mismatch in hstack")
+    if any(m.ring != ring for m in mats):
+        raise RingMismatch("hstack over mixed rings")
+    nz = [{} for _ in range(rows)]
+    off = 0
+    for m in mats:
+        for r, mr in zip(nz, m.nz):
+            r.update({off + j: x for j, x in mr.items()})
+        off += m.cols
+    return Matrix.sparse(rows, off, ring, nz)
 
 
 def _rref(vectors):
-    """Reduced row echelon form, leftmost pivots, of the span of vectors.
-
-    vectors: {col: Fraction} dicts of nonzeros, consumed.  Each is reduced
-    against the pivot rows so far, normalised on its leftmost entry and
-    back-substituted into them.  Returns (rows, pivot_cols), pivots
-    ascending, rows[k] the sparse pivot row of pivot_cols[k].
+    """Reduced row echelon form, leftmost pivots, of the span of vectors,
+    {col: Fraction} dicts of nonzeros, which it consumes: (rows, pivots),
+    pivots ascending, rows[k] the sparse row of pivots[k].  Each vector is
+    reduced against the pivot rows so far, leftmost first; a pivot row has
+    no column left of its pivot, so one pass from the right back-substitutes.
     """
     pivot_rows = {}
     for v in vectors:
-        # Pivot rows are zero on every other pivot column, so one pass over
-        # the pivot columns v starts with clears them all.
-        for c in [c for c in v if c in pivot_rows]:
-            _axpy(v, -v[c], pivot_rows[c])
-        if not v:
-            continue
-        lead = min(v)
-        pv = v[lead]
-        if pv != 1:
-            inv = 1 / pv
-            v = {k: x * inv for k, x in v.items()}
-        for row in pivot_rows.values():
-            f = row.get(lead)
-            if f:
-                _axpy(row, -f, v)
-        pivot_rows[lead] = v
+        todo = [c for c in v if c in pivot_rows]
+        queued = set(todo)
+        heapq.heapify(todo)
+        while todo:
+            c = heapq.heappop(todo)
+            if c in v:
+                row = pivot_rows[c]
+                _axpy(v, -v[c], row)
+                # clearing c brings in columns right of it only
+                for k in row:
+                    if k in pivot_rows and k not in queued:
+                        queued.add(k)
+                        heapq.heappush(todo, k)
+        if v:
+            lead = min(v)
+            inv = 1 / v[lead]
+            pivot_rows[lead] = {k: x * inv for k, x in v.items()} if inv != 1 else v
     pivots = sorted(pivot_rows)
+    for c in reversed(pivots):
+        row = pivot_rows[c]
+        for k in [k for k in row if k != c and k in pivot_rows]:
+            _axpy(row, -row[k], pivot_rows[k])
     return [pivot_rows[c] for c in pivots], pivots
 
 
 def _axpy(y, a, x):
     """y += a * x on sparse rows, dropping entries that cancel."""
     for k, xk in x.items():
-        t = y.get(k, 0) + a * xk
-        if t:
+        if t := y.get(k, 0) + a * xk:
             y[k] = t
         else:
             del y[k]
 
 
 def rational_kernel_vector(m: Matrix):
-    """Some nonzero v with m @ v = 0, or None if the columns are independent.
-
-    Deterministic: the free column chosen is the leftmost one.
-    """
+    """Some nonzero v with m @ v = 0, or None if the columns are independent;
+    deterministic, with 1 at the leftmost free column."""
     if m.ring != RATIONAL:
         raise RingMismatch("kernel search is rational-only")
-    rows, pivots = _rref({j: x for j, x in enumerate(m.row(i)) if x}
-                         for i in range(m.rows))
+    rows, pivots = _rref(dict(r) for r in m.nz)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     if not free:
@@ -246,54 +275,34 @@ def rational_kernel_vector(m: Matrix):
 
 
 def mat_invert(m: Matrix) -> Matrix:
-    """Exact inverse; raises Singular with a nonzero kernel-vector witness.
-
-    Over the truncated series ring the pivots must be units, so inversion
-    succeeds iff the degree-0 part is invertible; the witness in that case
-    is a degree-0 kernel vector placed at top degree, which multiplies the
-    matrix to zero exactly in the truncated ring.
-    """
+    """Exact inverse; raises Singular with a nonzero kernel-vector witness,
+    over a series ring a kernel vector of the degree-0 part put at top degree."""
     if m.rows != m.cols:
         raise ValueError("inverse needs a square matrix")
-    n = m.rows
-    ring = m.ring
-    aug = [list(m.row(i)) + [ring.one() if i == j else ring.zero() for j in range(n)]
-           for i in range(n)]
+    n, ring = m.rows, m.ring
+    both = hstack([m, Matrix.identity(n, ring)])
+    aug = [list(both.row(i)) for i in range(n)]
     for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if ring.is_unit(aug[i][c]):
-                pr = i
-                break
+        pr = next((i for i in range(c, n) if ring.is_unit(aug[i][c])), None)
         if pr is None:
             return _raise_singular(m)
         aug[c], aug[pr] = aug[pr], aug[c]
         inv = ring.inv(aug[c][c])
-        aug[c] = [x * inv for x in aug[c]]
+        rc = aug[c] = [x * inv for x in aug[c]]
         for i in range(n):
-            if i != c:
-                f = aug[i][c]
-                if not ring.is_zero(f):
-                    rc = aug[c]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], rc)]
-    out = []
-    for i in range(n):
-        out.extend(aug[i][n:])
-    return Matrix(n, n, ring, tuple(out))
+            if i != c and not ring.is_zero(f := aug[i][c]):
+                aug[i] = [a - f * b for a, b in zip(aug[i], rc)]
+    return Matrix.sparse(n, n, ring, [{j: x for j, x in enumerate(r[n:]) if x} for r in aug])
 
 
 def _raise_singular(m: Matrix):
     if m.ring == RATIONAL:
-        w = rational_kernel_vector(m)
-        raise Singular("matrix is singular", w)
+        raise Singular("matrix is singular", rational_kernel_vector(m))
     k = m.ring.order
-    m0 = Matrix(m.rows, m.cols, RATIONAL, tuple(x.constant_term() for x in m.entries))
-    w0 = rational_kernel_vector(m0)
     # v * hbar^K is a genuine kernel vector in the truncated ring: every
     # product entry is (degree-0 part @ v) * hbar^K = 0.
-    witness = tuple(
-        HSeries(k, tuple(Fraction(0) for _ in range(k)) + (x,)) for x in w0
-    )
+    witness = tuple(HSeries(k, (Fraction(0),) * k + (x,))
+                    for x in rational_kernel_vector(reduce_matrix(m)))
     raise Singular("degree-0 part is singular", witness)
 
 
@@ -307,32 +316,23 @@ def cokernel_projection(relations: Matrix, ambient_dim=None):
     """
     if relations.ring != RATIONAL:
         raise RingMismatch("cokernel_projection is rational-only")
-    n, m = relations.rows, relations.cols
+    n = relations.rows
     if ambient_dim is not None and ambient_dim != n:
         raise ValueError("ambient dimension disagrees with relation rows")
-    # Echelonize the span of the columns, viewed as sparse vectors in Q^n.
-    cols = [{} for _ in range(m)]
-    for idx, x in enumerate(relations.entries):
-        if x:
-            i, j = divmod(idx, m)
-            cols[j][i] = x
-    rows, pivots = _rref(cols)
+    # echelonize the columns: rows of the transpose, fresh dicts to consume
+    rows, pivots = _rref(relations.transpose().nz)
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
-    r = len(free)
-    zero, one = RATIONAL.zero(), RATIONAL.one()
     slot = {f: t for t, f in enumerate(free)}
-    p = [zero] * (r * n)
-    s = [zero] * (n * r)
-    for t, f in enumerate(free):
-        p[t * n + f] = one
-        s[f * r + t] = one
+    one = RATIONAL.one()
+    p = [{f: one} for f in free]
     # e_pivot = -sum(R[row, free] e_free) modulo the relation span
     for row, c in zip(rows, pivots):
         for f, x in row.items():
             if f != c:
-                p[slot[f] * n + c] = -x
-    return Matrix(r, n, RATIONAL, tuple(p)), Matrix(n, r, RATIONAL, tuple(s))
+                p[slot[f]][c] = -x
+    s = [{slot[f]: one} if f in slot else {} for f in range(n)]
+    return Matrix.sparse(len(free), n, RATIONAL, p), Matrix.sparse(n, len(free), RATIONAL, s)
 
 
 def lift_matrix(m: Matrix, ring: Ring) -> Matrix:
@@ -341,14 +341,13 @@ def lift_matrix(m: Matrix, ring: Ring) -> Matrix:
         raise RingMismatch("can only lift rational matrices")
     if ring.kind == "rational":
         return m
-    zero = ring.zero()
-    return Matrix(m.rows, m.cols, ring,
-                  tuple(HSeries.from_rational(x, ring.order) if x else zero
-                        for x in m.entries))
+    return Matrix.sparse(m.rows, m.cols, ring, [
+        {j: HSeries.from_rational(x, ring.order) for j, x in r.items()} for r in m.nz])
 
 
 def reduce_matrix(m: Matrix) -> Matrix:
     """Degree-0 reduction of a series matrix back to the rationals."""
     if m.ring.kind == "rational":
         return m
-    return Matrix(m.rows, m.cols, RATIONAL, tuple(x.constant_term() for x in m.entries))
+    return Matrix.sparse(m.rows, m.cols, RATIONAL, [
+        {j: c for j, x in r.items() if (c := x.constant_term())} for r in m.nz])

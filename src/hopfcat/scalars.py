@@ -138,9 +138,8 @@ class HSeries:
         return "HSeries(%s)" % ", ".join(str(c) for c in self.coeffs)
 
 
-# Zero and one are shared objects of each ring: scalars are immutable, so
-# matrix code may pass over a zero or a unit entry by identity, before any
-# arithmetic.
+# Zero and one are shared objects of each ring (scalars are immutable), so
+# reading an unstored matrix entry or filling a 0/1 matrix allocates nothing.
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from hopfcat.backends import Atom, finset_backend, group_from_generators, regular_atom
 from hopfcat.linalg import Matrix, hstack
-from hopfcat.scalars import RATIONAL
+from hopfcat.scalars import RATIONAL, HSeries
 
 
 def torsor_backend(group, names=("S", "T")):
@@ -199,3 +199,82 @@ def letter_by_letter_coproduct(engine, elem):
         for key, c in term.items():
             out[key] = out.get(key, 0) + c * coef
     return {key: c for key, c in out.items() if c}
+
+
+class DenseMatrix:
+    """A matrix stored densely, row-major, zeros included, with textbook
+    operations: the storage linalg.Matrix had before it kept only its
+    nonzeros, kept as the oracle for the sparse one."""
+
+    def __init__(self, rows, cols, ring, entries):
+        assert len(entries) == rows * cols
+        self.rows, self.cols, self.ring, self.entries = rows, cols, ring, tuple(entries)
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.entries[i * self.cols + j]
+
+    def _like(self, entries):
+        return DenseMatrix(self.rows, self.cols, self.ring, entries)
+
+    def __add__(self, other):
+        return self._like([a + b for a, b in zip(self.entries, other.entries)])
+
+    def __sub__(self, other):
+        return self._like([a - b for a, b in zip(self.entries, other.entries)])
+
+    def __neg__(self):
+        return self._like([-a for a in self.entries])
+
+    def scale(self, c):
+        return self._like([c * a for a in self.entries])
+
+    def __mul__(self, other):
+        ent = []
+        for i in range(self.rows):
+            for j in range(other.cols):
+                s = self.ring.zero()
+                for t in range(self.cols):
+                    s = s + self[i, t] * other[t, j]
+                ent.append(s)
+        return DenseMatrix(self.rows, other.cols, self.ring, ent)
+
+    def kron(self, other):
+        return DenseMatrix(self.rows * other.rows, self.cols * other.cols, self.ring, [
+            self[ra, ca] * other[rb, cb]
+            for ra in range(self.rows) for rb in range(other.rows)
+            for ca in range(self.cols) for cb in range(other.cols)])
+
+    def transpose(self):
+        return DenseMatrix(self.cols, self.rows, self.ring, [
+            self[i, j] for j in range(self.cols) for i in range(self.rows)])
+
+    def is_zero(self):
+        return all(self.ring.is_zero(x) for x in self.entries)
+
+    def lift(self, ring):
+        return DenseMatrix(self.rows, self.cols, ring, [
+            HSeries.from_rational(x, ring.order) for x in self.entries])
+
+    def reduce(self):
+        return DenseMatrix(self.rows, self.cols, RATIONAL, [
+            x.constant_term() for x in self.entries])
+
+
+def dense_hstack(mats):
+    rows = mats[0].rows
+    return DenseMatrix(rows, sum(m.cols for m in mats), mats[0].ring, [
+        m[i, j] for i in range(rows) for m in mats for j in range(m.cols)])
+
+
+def agrees(m, dense):
+    """m, a linalg.Matrix, equals the dense oracle: same shape and ring, and
+    it stores exactly the oracle's nonzero entries, each a ring element of
+    the ring's own type (Fraction or HSeries, never int)."""
+    stored = {(i, j): x for i, row in enumerate(m.nz) for j, x in row.items()}
+    expect = {(i, j): dense[i, j] for i in range(dense.rows) for j in range(dense.cols)
+              if not dense.ring.is_zero(dense[i, j])}
+    kind = Fraction if dense.ring == RATIONAL else HSeries
+    return ((m.rows, m.cols, m.ring) == (dense.rows, dense.cols, dense.ring)
+            and len(m.nz) == m.rows and stored == expect
+            and all(type(x) is kind for x in stored.values()))

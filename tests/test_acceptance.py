@@ -43,8 +43,8 @@ from hopfcat.deform import (
 )
 from hopfcat.linalg import Matrix, mat_invert, mat_kron
 from hopfcat.scalars import RATIONAL, hseries_ring
-from hopfcat.corpus import corpus_path, CORPUS_NAMES
-from hopfcat.instances import load_instance
+from hopfcat.corpus import _group_algebra_doc, corpus_path, CORPUS_NAMES
+from hopfcat.instances import dump_document, load_instance
 from hopfcat.cli import run_verify
 
 
@@ -638,3 +638,20 @@ class TestWholeCorpus:
                 assert code == 0
                 report.pop("timing")
                 assert json.dumps(report, sort_keys=True) == first[name]
+
+
+# ---------------------------------------------------------------------------
+# criterion 10: a group algebra at scale, in budget
+
+
+class TestGroupAlgebraAtScale:
+    def test_z8_group_algebra_verifies_in_budget(self, tmp_path):
+        with criterion(10, "z8 group algebra verify"):
+            path = tmp_path / "z8_group_algebra.json"
+            path.write_text(dump_document(_group_algebra_doc("z8_group_algebra", 8)))
+            started = time.monotonic()
+            report, code = run_verify(str(path))
+            elapsed = time.monotonic() - started
+            assert code == 0, [r for r in report["checks"] if not r["holds"]]
+            assert report["verdict"] == "pass"
+            assert elapsed < 5.0, f"z8 verify took {elapsed:.1f}s"

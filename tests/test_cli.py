@@ -1,11 +1,15 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopfcat
 from hopfcat import cli
@@ -112,6 +116,47 @@ class TestVerifyOutcomes:
         assert code == 2
         assert report["verdict"] == "error"
         assert f"{section}.{field}" in report["error"]
+
+    @pytest.mark.parametrize("entry", [5, None, ["x", 1, 2], [[0], 1, 2]])
+    def test_malformed_finset_action_entry_exits_2(self, tmp_path, entry):
+        doc = load_corpus_document("z3_torsors")
+        doc["atoms"][1]["action"][1] = entry
+        report, code = run_verify(write_doc(tmp_path, doc))
+        assert code == 2
+        assert report["verdict"] == "error"
+        assert "atom 'T'.action[1]" in report["error"]
+
+    @pytest.mark.parametrize("field", ["bracket", "cobracket"])
+    @pytest.mark.parametrize("value", [1.5, [1], "x", "1/0", None])
+    def test_malformed_structure_constant_exits_2(self, tmp_path, field, value):
+        doc = load_corpus_document("b2_lie_bialgebra")
+        doc["lie_bialgebra"][field][1][3] = value
+        report, code = run_verify(write_doc(tmp_path, doc))
+        assert code == 2
+        assert report["verdict"] == "error"
+        assert f"lie_bialgebra.{field}[1]" in report["error"]
+
+    @pytest.mark.parametrize("name, edit, where", [
+        ("abelian_precartier", lambda d: d["atoms"][-1].update(name=[]), "atom"),
+        ("b2_lie_bialgebra", lambda d: d["lie_bialgebra"]["modules"][0].pop("pi"),
+         "module 'V'.pi"),
+        ("abelian_precartier", lambda d: d["deformation"]["t"][0].pop("matrix"),
+         "deformation.t.matrix"),
+        ("z2_torsors", lambda d: d.update(group={"table": 5}), "group.table"),
+        ("z2_torsors", lambda d: d.update(group={"table": [[0, 1], [1, "x"]]}), "group.table"),
+        ("z2_torsors", lambda d: d.update(group={"table": [[0, 1], [1, 0]], "names": 5}),
+         "group.names"),
+        ("z2_torsors", lambda d: d.update(group={"table": [[0, 1], [1, 0]], "names": ["e"]}),
+         "group.names"),
+    ], ids=["dy-atom-name", "module-pi", "t-matrix", "group-table", "group-table-entry",
+            "group-names", "group-names-length"])
+    def test_malformed_field_exits_2(self, tmp_path, name, edit, where):
+        doc = load_corpus_document(name)
+        edit(doc)
+        report, code = run_verify(write_doc(tmp_path, doc))
+        assert code == 2
+        assert report["verdict"] == "error"
+        assert report["error"].startswith(where)
 
     def test_seed_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOPFCAT_SEED", "7")
@@ -281,3 +326,59 @@ class TestUeaCoproductMutation:
         failing = self.failing_rules(tmp_path, monkeypatch, perturb_twisted=False)
         assert "uea.coassoc[j=0]" in failing
         assert "uea.comonoid_unchanged[j0]" in failing
+
+
+# ---------------------------------------------------------------------------
+# the exit contract under malformed input
+
+
+JUNK = [0, 1, -1, 2, 1.5, None, True, "x", "1/0", "-2/3", "regular", [], [0],
+        [1, 0], ["x", 1, 2], [[0], 1, 2], {}, {"n": 2}]
+DELETE = object()
+
+
+def json_paths(node, prefix=()):
+    """Paths to every value below the root of a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+def mutate(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    if value is DELETE:
+        del doc[last]
+    else:
+        doc[last] = copy.deepcopy(value)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A corpus document with one or two of its values replaced by junk or
+    deleted; the second mutation may land inside the first."""
+    doc = load_corpus_document(draw(st.sampled_from(CORPUS_NAMES)))
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(json_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        mutate(doc, path, draw(st.sampled_from(JUNK + [DELETE])))
+    return doc
+
+
+class TestExitContract:
+    @settings(max_examples=100, deadline=None)
+    @given(mutated_documents())
+    def test_mutated_corpus_documents_keep_the_exit_contract(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "inst.json")
+            out = os.path.join(tmp, "report.json")
+            Path(path).write_text(dump_document(doc))
+            code = main(["verify", path, "--out", out])
+            verdict = json.loads(Path(out).read_text())["verdict"]
+        expected = {0: ("pass", "vacuous"), 1: ("fail",), 2: ("error",)}
+        assert code in expected and verdict in expected[code], (code, verdict)

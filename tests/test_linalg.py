@@ -18,6 +18,8 @@ from hopfcat.linalg import (
 )
 from hopfcat.scalars import RATIONAL, HSeries, hseries_ring
 
+from conftest import DenseMatrix, agrees, dense_hstack
+
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 
 
@@ -375,3 +377,141 @@ class TestEntrywiseOperations:
             for n in range(4):
                 assert Matrix.identity(n, ring) == Matrix(n, n, ring, tuple(
                     ring.one() if i == j else ring.zero() for i in range(n) for j in range(n)))
+
+
+# ---------------------------------------------------------------------------
+# the sparse matrix against the dense oracle in conftest
+
+
+SERIES = hseries_ring(2)
+
+
+def oracle_entries(ring):
+    """Mostly zeros, shared and fresh; units and small integers, so sums
+    cancel; other values; over the series ring also powers of hbar, whose
+    products truncate to zero."""
+    if ring == RATIONAL:
+        return st.one_of(st.just(ring.zero()), st.sampled_from([0, 1, -1, 2]).map(Fraction),
+                         rationals)
+    k = ring.order
+    return st.one_of(
+        st.just(ring.zero()),
+        st.sampled_from([0, 1, -1]).map(lambda c: HSeries.from_rational(c, k)),
+        st.integers(1, k).map(lambda d: HSeries(k, tuple(Fraction(int(i == d))
+                                                         for i in range(k + 1)))),
+        st.lists(rationals, min_size=k + 1, max_size=k + 1).map(lambda c: HSeries(k, tuple(c))))
+
+
+sides = st.integers(0, 3)
+
+
+def matrix_and_oracle(draw, ring, rows, cols):
+    """The same entries, explicit zeros included, as a Matrix (read by rows
+    or from the dense tuple) and as the dense oracle."""
+    ent = draw(st.lists(oracle_entries(ring), min_size=rows * cols, max_size=rows * cols))
+    if rows and draw(st.booleans()):
+        m = Matrix.from_rows(ring, [ent[i * cols:(i + 1) * cols] for i in range(rows)])
+    else:
+        m = Matrix(rows, cols, ring, tuple(ent))
+    return m, DenseMatrix(rows, cols, ring, ent)
+
+
+rings = st.sampled_from([RATIONAL, SERIES])
+
+
+class TestSparseAgainstDense:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), rings, sides, sides)
+    def test_constructors_and_reads(self, data, ring, r, c):
+        m, d = matrix_and_oracle(data.draw, ring, r, c)
+        assert agrees(m, d)
+        kind = Fraction if ring == RATIONAL else HSeries
+        for i in range(r):
+            assert m.row(i) == tuple(d[i, j] for j in range(c))
+            assert all(type(m[i, j]) is kind for j in range(c))
+        assert m.entries == d.entries
+        assert agrees(Matrix.zeros(r, c, ring), DenseMatrix(r, c, ring, [ring.zero()] * (r * c)))
+        assert agrees(Matrix.identity(r, ring), DenseMatrix(r, r, ring, [
+            ring.one() if i == j else ring.zero() for i in range(r) for j in range(r)]))
+        table = data.draw(st.lists(st.integers(0, r - 1), max_size=3)) if r else []
+        assert agrees(Matrix.from_table(ring, table, r), DenseMatrix(r, len(table), ring, [
+            ring.one() if table[j] == i else ring.zero()
+            for i in range(r) for j in range(len(table))]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), rings, sides, sides, sides)
+    def test_product_and_kron(self, data, ring, n, k, m):
+        a, da = matrix_and_oracle(data.draw, ring, n, k)
+        b, db = matrix_and_oracle(data.draw, ring, k, m)
+        assert agrees(a * b, da * db)
+        assert agrees(mat_kron(a, b), da.kron(db))
+        assert agrees(mat_kron(b, a), db.kron(da))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), rings, sides, sides)
+    def test_sums_negation_and_scaling(self, data, ring, r, c):
+        a, da = matrix_and_oracle(data.draw, ring, r, c)
+        b, db = matrix_and_oracle(data.draw, ring, r, c)
+        x = data.draw(oracle_entries(ring))
+        assert agrees(a + b, da + db)
+        assert agrees(a - b, da - db)
+        assert agrees(-a, -da)
+        assert agrees(a.scale(x), da.scale(x))
+        assert a.is_zero() == da.is_zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), rings, sides, sides)
+    def test_cancelling_sums_are_the_zero_matrix(self, data, ring, r, c):
+        a, _ = matrix_and_oracle(data.draw, ring, r, c)
+        zero = Matrix.zeros(r, c, ring)
+        for total in (a + -a, a - a, -a + a, a.scale(0)):
+            assert total == zero and hash(total) == hash(zero)
+            assert total.is_zero() and not any(total.nz)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data(), rings, sides, st.lists(sides, min_size=1, max_size=3))
+    def test_hstack_and_transpose(self, data, ring, r, widths):
+        pairs = [matrix_and_oracle(data.draw, ring, r, w) for w in widths]
+        assert agrees(hstack([m for m, _ in pairs]), dense_hstack([d for _, d in pairs]))
+        for m, d in pairs:
+            assert agrees(m.transpose(), d.transpose())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), sides, sides)
+    def test_lift_and_reduce(self, data, r, c):
+        a, da = matrix_and_oracle(data.draw, RATIONAL, r, c)
+        assert agrees(lift_matrix(a, SERIES), da.lift(SERIES))
+        s, ds = matrix_and_oracle(data.draw, SERIES, r, c)
+        assert agrees(reduce_matrix(s), ds.reduce())
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data(), rings, sides, sides)
+    def test_equality_and_hash(self, data, ring, r, c):
+        a, da = matrix_and_oracle(data.draw, ring, r, c)
+        b, db = matrix_and_oracle(data.draw, ring, r, c)
+        assert (a == b) == (da.entries == db.entries)
+        same = [Matrix(r, c, ring, da.entries), a.transpose().transpose(),
+                a + Matrix.zeros(r, c, ring), Matrix.identity(r, ring) * a,
+                Matrix.from_rows(ring, [list(a.row(i)) for i in range(r)]) if r else a]
+        for m in same:
+            assert m == a and hash(m) == hash(a)
+        assert {a: 1}[same[0]] == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(rational_matrices())
+    def test_elimination_results_are_fractions(self, m):
+        p, s = cokernel_projection(m)
+        assert agrees(p, DenseMatrix(p.rows, p.cols, RATIONAL, p.entries))
+        assert agrees(s, DenseMatrix(s.rows, s.cols, RATIONAL, s.entries))
+        v = rational_kernel_vector(m)
+        assert v is None or all(type(x) is Fraction for x in v)
+
+    def test_empty_shapes(self):
+        for ring in (RATIONAL, SERIES):
+            wide, tall = Matrix.zeros(0, 3, ring), Matrix.zeros(3, 0, ring)
+            assert agrees(wide * Matrix.identity(3, ring), DenseMatrix(0, 3, ring, []))
+            assert tall * wide == Matrix.zeros(3, 3, ring)
+            assert wide * tall == Matrix.zeros(0, 0, ring)
+            assert hstack([tall, Matrix.identity(3, ring)]) == Matrix.identity(3, ring)
+            assert mat_kron(wide, Matrix.identity(2, ring)) == Matrix.zeros(0, 6, ring)
+            assert wide.transpose() == tall and wide.to_json() == []
