@@ -317,21 +317,6 @@ class Backend:
             self.atom_size(name)
         return ObjectRef(tuple(names))
 
-    def index_of(self, obj, coords):
-        """Row-major composite index of per-factor coordinates."""
-        idx = 0
-        for name, c in zip(obj.factors, coords):
-            idx = idx * self.atom_size(name) + c
-        return idx
-
-    def coords_of(self, obj, index):
-        sizes = [self.atom_size(name) for name in obj.factors]
-        coords = [0] * len(sizes)
-        for pos in range(len(sizes) - 1, -1, -1):
-            coords[pos] = index % sizes[pos]
-            index //= sizes[pos]
-        return tuple(coords)
-
     # -- morphism constructors
 
     def identity_mor(self, obj):

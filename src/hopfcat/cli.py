@@ -246,21 +246,13 @@ def _uea_comonoid_records(uea, tag):
             LawRecord(f"uea.cocommutative[{tag}]", cocomm)]
 
 
-def _uea_seed_record(uea, j, tag):
+def _uea_seed_record(uea, tag):
     """The coaction of the empty word must be the twist, nothing else."""
-    ps = uea.pistar_matrix()
-    n = uea.lb.dim
-    col = uea.index[()]
-    ok = True
-    for a in range(n):
-        for k in range(uea.dim):
-            expect = Fraction(0)
-            word = uea.basis[k]
-            if j is not None and len(word) == 1:
-                expect = j[a, word[0]]
-            if ps[a * uea.dim + k, col] != expect:
-                ok = False
-    return LawRecord(f"uea.seed[{tag}]", ok)
+    j = uea.twist
+    expect = {} if j is None else {
+        (a, (b,)): c for a, row in enumerate(j.nz) for b, c in row.items()}
+    return LawRecord(f"uea.seed[{tag}]",
+                     uea.engine.coact({(): Fraction(1)}, j) == expect)
 
 
 def _check_uea(inst, rng):
@@ -273,12 +265,12 @@ def _check_uea(inst, rng):
     plain = TruncatedUEA(lb, order)
     plain_delta = plain.delta_images()
     records.extend(_uea_comonoid_records(plain, "j=0"))
-    records.append(_uea_seed_record(plain, None, "j=0"))
+    records.append(_uea_seed_record(plain, "j=0"))
     for i, j in enumerate(inst.twists):
         tag = f"j{i}"
         records.extend(_suffix(check_uea_dy_identities(lb, deg, twist=j), tag))
         twisted = TruncatedUEA(lb, order, twist=j)
-        records.append(_uea_seed_record(twisted, j, tag))
+        records.append(_uea_seed_record(twisted, tag))
         records.append(LawRecord(
             f"uea.comonoid_unchanged[{tag}]",
             twisted.delta_images() == plain_delta
@@ -303,30 +295,28 @@ def _check_precartier(inst, rng):
         inf_braided=functor)
 
 
-def _build_deformed(inst, order=None):
+def _build_deformed(inst, order):
+    """The deformed structure at order, its Hopf-category records, and the
+    record that its degree-0 reduction is the plain build."""
     block = inst.deformation or {}
-    if order is None:
-        order = block.get("order", 0)
-    pc = block.get("pc")
-    convention = block.get("convention", "t_delta_zero")
     data = build_deformed_hopf_category(
-        inst.functor, inst.comonoids, order, pc, convention=convention)
-    return data, order
+        inst.functor, inst.comonoids, order, block.get("pc"),
+        convention=block.get("convention", "t_delta_zero"))
+    plain = _plain_build(inst)
+    reduced = reduce_order0(data) if order > 0 else data
+    return (data, check_hopf_category(data.backend, data),
+            LawRecord("deformed.reduction", hopf_data_equal(reduced, plain)))
 
 
 def _check_deformed(inst, rng):
     if inst.deformation is None or inst.functor is None or not inst.comonoids:
         return []
+    order = inst.deformation["order"]
     try:
-        data, order = _build_deformed(inst)
-        plain = _plain_build(inst)
+        _, records, reduction = _build_deformed(inst, order)
     except CONSTRUCTION_ERRORS as exc:
         return [LawRecord("deformed.constructor", False, str(exc))]
-    records = _suffix(check_hopf_category(data.backend, data), f"order{order}")
-    reduced = reduce_order0(data) if order > 0 else data
-    records.append(LawRecord("deformed.reduction",
-                             hopf_data_equal(reduced, plain)))
-    return records
+    return _suffix(records, f"order{order}") + [reduction]
 
 
 CHECKS = {
@@ -421,6 +411,10 @@ def run_build(path, target, order=None, seed=None):
             raise InstanceError("groupoid extraction needs a finset-gset backend")
         if target == "deformed" and inst.backend.kind == "finset":
             raise InstanceError("deformation needs a linear backend, not finset")
+        if order is not None and order < 0:
+            raise InstanceError(f"--order must be >= 0, got {order}")
+        if target == "deformed" and order is None:
+            order = inst.deformation["order"] if inst.deformation else 0
     except (InstanceError, OSError) as exc:
         return {"error": str(exc), "verdict": "error"}, 2
 
@@ -431,20 +425,15 @@ def run_build(path, target, order=None, seed=None):
             records = check_hopf_monoid(inst.functor.target, h)
             structure = hopf_monoid_to_json(h)
         elif target == "hopf-category":
-            data = build_hopf_category(inst.functor, inst.comonoids)
+            data = _plain_build(inst)
             records = check_hopf_category(data.backend, data)
             structure = hopf_category_to_json(data)
         elif target == "groupoid":
-            data = build_hopf_category(inst.functor, inst.comonoids)
-            gt, records = extract_set_groupoid(inst.functor.target, data)
+            gt, records = extract_set_groupoid(inst.functor.target, _plain_build(inst))
             structure = groupoid_to_json(gt)
         else:
-            data, built_order = _build_deformed(inst, order)
-            records = check_hopf_category(data.backend, data)
-            plain = build_hopf_category(inst.functor, inst.comonoids)
-            reduced = reduce_order0(data) if built_order > 0 else data
-            records.append(LawRecord("deformed.reduction",
-                                     hopf_data_equal(reduced, plain)))
+            data, records, reduction = _build_deformed(inst, order)
+            records.append(reduction)
             structure = hopf_category_to_json(data)
     except CONSTRUCTION_ERRORS as exc:
         records = [LawRecord(f"{target}.constructor", False, str(exc))]
@@ -452,8 +441,7 @@ def run_build(path, target, order=None, seed=None):
     report, code = _report(inst, [(target, r) for r in records], started)
     report["target"] = target
     if target == "deformed":
-        report["order"] = order if order is not None else (
-            inst.deformation["order"] if inst.deformation else 0)
+        report["order"] = order
     if code == 0:
         report["structure"] = structure
     return report, code

@@ -141,20 +141,14 @@ class OrbitFunctor(ComonoidalFunctor):
         self._orbits = {(): ((0,), (0,), (tuple(group.elements()),), None)}
         self._trans = {(): (0,)}
 
-    def _orbit_data(self, factors):
-        """(reps, orbit_of, trans, stabs) of a tensor word: the smallest
-        member of each orbit, ascending; each element's orbit; an element
-        trans[p] of the group taking p to its representative; and the
-        stabilizer of each representative, as a tuple of elements.
-        """
-        reps, orbit_of, stabs, _ = self._orbits_of(factors)
-        return reps, orbit_of, self._transversal(factors), stabs
-
     def _orbits_of(self, factors):
         """(reps, orbit_of, stabs, fibres) of a tensor word, kept for every
-        word met; fibres[k] is (lab, sel) on the last factor over the k-th
-        representative of the prefix: lab[a] is the orbit of (r, a), and
-        sel[a] in Stab(r) takes a to the smallest point of its Stab(r)-orbit.
+        word met: the smallest member of each orbit, ascending; each
+        element's orbit; the stabilizer of each representative, as a tuple
+        of elements; and fibres[k], (lab, sel) on the last factor over the
+        k-th representative r of the prefix: lab[a] is the orbit of (r, a),
+        and sel[a] in Stab(r) takes a to the smallest point of its
+        Stab(r)-orbit.
         """
         data = self._orbits.get(factors)
         if data is not None:
@@ -191,9 +185,10 @@ class OrbitFunctor(ComonoidalFunctor):
         return data
 
     def _transversal(self, factors):
-        """trans of a tensor word, built when the word is first extended
-        (or asked for), never for the longest words of a verify, which hold
-        most of the points."""
+        """trans of a tensor word: an element trans[p] of the group taking
+        p to its representative.  Built when the word is first extended (or
+        asked for), never for the longest words of a verify, which hold most
+        of the points."""
         trans = self._trans.get(factors)
         if trans is None:
             p_orbit = self._orbits_of(factors[:-1])[1]
@@ -494,11 +489,3 @@ def mult_along(functor, cert: AdaptednessCertificate, x: ObjectRef, z: ObjectRef
         cert.gamma_inverse(x, z),
         functor.apply_mor(collapse))
 
-
-def pushforward_comonoid(functor, m: Comonoid) -> Comonoid:
-    """The image comonoid on F(M): split through F2, counit through F0."""
-    delta = functor.target.compose(functor.apply_mor(m.delta),
-                                   functor.f2(m.obj, m.obj))
-    eps = functor.target.compose(functor.apply_mor(m.eps), functor.f0())
-    return Comonoid(functor.apply_obj(m.obj), delta, eps,
-                    name=f"F({m.name})" if m.name else "")

@@ -63,7 +63,6 @@ from .backends import (
     BackendError,
     GroupTable,
     cyclic_group,
-    group_to_json,
     regular_atom,
     regular_linear_atom,
     symmetric_group,
@@ -86,7 +85,6 @@ class InstanceError(ValueError):
 
 
 BACKEND_KINDS = {"finset-gset": "finset", "linrep": "linear", "dy": "dy"}
-KIND_NAMES = {v: k for k, v in BACKEND_KINDS.items()}
 
 FUNCTOR_NAMES = ("identity", "orbits", "group-coinvariants", "dy-coinvariants")
 
@@ -556,47 +554,12 @@ def ring_to_json(ring: Ring):
     return {"kind": "hseries", "order": ring.order}
 
 
-def atom_to_json(backend, atom: Atom):
-    doc = {"name": atom.name, "size": atom.size}
-    if backend.kind == "finset":
-        doc["action"] = [list(t) for t in atom.action]
-    else:
-        doc["action"] = [m.to_json() for m in atom.action]
-    if atom.pi is not None:
-        doc["pi"] = atom.pi.to_json()
-        doc["pistar"] = atom.pistar.to_json()
-    return doc
-
-
-def backend_to_json(backend: Backend):
-    doc = {"backend": KIND_NAMES[backend.kind],
-           "group": group_to_json(backend.group),
-           "atoms": [atom_to_json(backend, backend.atoms[n])
-                     for n in sorted(backend.atoms)]}
-    if backend.kind != "finset":
-        doc["scalar_ring"] = ring_to_json(backend.ring)
-    if backend.base is not None:
-        doc["base"] = backend.base
-    return doc
-
-
 def mor_to_json(f):
     doc = {"dom": list(f.dom.factors), "cod": list(f.cod.factors)}
     if f.table is not None:
         doc["table"] = list(f.table)
     else:
         doc["matrix"] = f.matrix.to_json()
-    return doc
-
-
-def comonoid_to_json(backend, c: Comonoid):
-    doc = {"obj": list(c.obj.factors),
-           "delta": (list(c.delta.table) if c.delta.table is not None
-                     else c.delta.matrix.to_json()),
-           "eps": (list(c.eps.table) if c.eps.table is not None
-                   else c.eps.matrix.to_json())}
-    if c.name:
-        doc["name"] = c.name
     return doc
 
 

@@ -40,10 +40,6 @@ from .linalg import Matrix, mat_kron
 from .scalars import RATIONAL
 
 
-class DegreeOverflow(Exception):
-    """A computation left the chosen truncation of the enveloping algebra."""
-
-
 # ---------------------------------------------------------------------------
 # permutation matrices on tensor powers
 
@@ -365,9 +361,6 @@ class EnvelopingEngine:
             _acc(out, self._delta_word(word).items(), coef)
         return out
 
-    def counit(self, e):
-        return e.get((), Fraction(0))
-
     def antipode(self, e):
         """Reverse each word with a sign, then renormalize."""
         out = {}
@@ -498,13 +491,10 @@ def pbw_words(n, max_degree):
 
 @dataclass
 class TruncatedUEA:
-    """Matrices of the enveloping structure on words of bounded degree.
+    """The enveloping coproduct and counit on words of bounded degree.
 
-    Maps that can leave the truncation (multiplication, and the coaction
-    when twisted) are materialized on the sub-basis of words short enough
-    to stay inside; the *_overflow flags say whether anything was cut.
-    Asking for the unrestricted matrix of an overflowing map raises
-    DegreeOverflow.
+    The coproduct preserves degree, so nothing is cut; the coaction, which
+    raises degree when twisted, is read through the engine.
     """
 
     lb: LieBialgebra
@@ -523,57 +513,10 @@ class TruncatedUEA:
     def dim(self):
         return len(self.basis)
 
-    def _coords(self, elem):
-        """{basis index: coefficient} of an element's nonzero terms."""
-        for w in elem:
-            if len(w) > self.order:
-                raise DegreeOverflow(f"word of degree {len(w)} exceeds order {self.order}")
-        return {self.index[w]: c for w, c in elem.items() if c}
-
-    def vector_of(self, elem):
-        return Matrix.sparse(1, self.dim, RATIONAL, [self._coords(elem)]).transpose()
-
-    @property
-    def pi_overflow(self):
-        return True  # left multiplication always raises the degree
-
-    @property
-    def pistar_overflow(self):
-        return self.twist is not None
-
-    def _sub_basis(self, max_deg):
-        return [w for w in self.basis if len(w) <= max_deg]
-
-    def pi_matrix(self):
-        """b (x) U_{order-1} -> U_order; the full domain would overflow."""
-        sub = self._sub_basis(self.order - 1)
-        cols = [self._coords(self.engine.act(i, {w: Fraction(1)}))
-                for i in range(self.lb.dim) for w in sub]
-        return Matrix.sparse(len(cols), self.dim, RATIONAL, cols).transpose()
-
-    def pistar_matrix(self):
-        """U -> b (x) U.  Untwisted this preserves degree and is total;
-        twisted it raises degree, so the domain shrinks by one degree."""
-        sub = self.basis if self.twist is None else self._sub_basis(self.order - 1)
-        cols = []
-        for w in sub:
-            img = self.engine.coact({w: Fraction(1)}, self.twist)
-            if any(len(w2) > self.order for _, w2 in img):
-                raise DegreeOverflow("coaction output exceeds the truncation")
-            cols.append({a * self.dim + self.index[w2]: c for (a, w2), c in img.items() if c})
-        return Matrix.sparse(len(cols), self.lb.dim * self.dim, RATIONAL, cols).transpose()
-
     def delta_images(self):
         """Delta of each basis word, in basis order, as a sparse dict
         (word, word) -> Fraction; degree is preserved, so nothing is cut."""
         return [self.engine.coproduct({w: Fraction(1)}) for w in self.basis]
-
-    def delta_matrix(self):
-        """U_order -> U_order (x) U_order; degree is preserved, total."""
-        ix, d = self.index, self.dim
-        cols = [{ix[w1] * d + ix[w2]: c for (w1, w2), c in img.items()}
-                for img in self.delta_images()]
-        return Matrix.sparse(len(cols), d * d, RATIONAL, cols).transpose()
 
     def eps_matrix(self):
         return Matrix.sparse(1, self.dim, RATIONAL, [{self.index[()]: Fraction(1)}])

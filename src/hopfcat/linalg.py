@@ -72,8 +72,6 @@ class Matrix:
         return cls.sparse(len(rows), c, ring, [
             {j: x for j, x in enumerate(map(ring.coerce, row)) if x} for row in rows])
 
-    from_json = from_rows
-
     @classmethod
     def from_table(cls, ring, table, rows):
         """0/1 matrix of a function: column j has its one in row table[j]."""

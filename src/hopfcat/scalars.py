@@ -205,9 +205,6 @@ class Ring:
             return str(v)
         return [str(c) for c in v.coeffs]
 
-    def from_json(self, x):
-        return self.coerce(x)
-
 
 RATIONAL = Ring("rational")
 

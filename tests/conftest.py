@@ -80,6 +80,23 @@ def point_atom(name, group):
     return Atom(name, len(perms[0]), perms)
 
 
+def index_of(backend, obj, coords):
+    """Row-major composite index of per-factor coordinates of obj."""
+    idx = 0
+    for name, c in zip(obj.factors, coords):
+        idx = idx * backend.atom_size(name) + c
+    return idx
+
+
+def coords_of(backend, obj, index):
+    """Per-factor coordinates of a row-major composite index of obj."""
+    coords = []
+    for name in reversed(obj.factors):
+        index, c = divmod(index, backend.atom_size(name))
+        coords.append(c)
+    return tuple(reversed(coords))
+
+
 def naive_orbit_info(backend, obj):
     """(representatives, orbit label of each element) of a finset object,
     as naive_orbit_data finds them."""

@@ -25,7 +25,14 @@ from hopfcat.backends import (
 from hopfcat.linalg import Matrix
 from hopfcat.scalars import RATIONAL
 
-from conftest import dihedral_group, gset_backend, naive_equivariance_failures, subgroup_closure
+from conftest import (
+    coords_of,
+    dihedral_group,
+    gset_backend,
+    index_of,
+    naive_equivariance_failures,
+    subgroup_closure,
+)
 
 
 class TestGroups:
@@ -92,12 +99,6 @@ class TestFinsetBackend:
     def test_regular_atom_action(self):
         b = z2_finset()
         assert b.atoms["S"].action == ((0, 1), (1, 0))
-
-    def test_object_indexing_roundtrip(self):
-        b = z2_finset()
-        ss = b.obj("S", "S")
-        for i in range(4):
-            assert b.index_of(ss, b.coords_of(ss, i)) == i
 
     def test_compose_is_left_to_right(self):
         b = z2_finset()
@@ -205,7 +206,7 @@ def finset_maps(draw):
         # coordinate selections commute with the diagonal action
         picks = draw(st.lists(st.integers(0, len(dom) - 1), max_size=2))
         cod = b.obj(*(dom.factors[j] for j in picks))
-        table = [b.index_of(cod, [b.coords_of(dom, i)[j] for j in picks]) for i in range(n)]
+        table = [index_of(b, cod, [coords_of(b, dom, i)[j] for j in picks]) for i in range(n)]
     elif kind == "act":
         cod = dom
         table = list(b.act(draw(st.sampled_from(b.group.elements())), dom).table)

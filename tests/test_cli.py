@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import hopfcat
 from hopfcat import cli
-from hopfcat.cli import CHECK_ORDER, main, run_build, run_verify
+from hopfcat.cli import CHECK_ORDER, TARGETS, main, run_build, run_verify
 from hopfcat.corpus import CORPUS_NAMES, corpus_path, load_corpus_document
 from hopfcat.instances import dump_document
 
@@ -226,6 +226,13 @@ class TestBuild:
     def test_unknown_target(self):
         assert run_build(corpus_path("z2_torsors"), "monoid")[1] == 2
 
+    def test_negative_order_is_an_input_error(self, capsys):
+        path = str(corpus_path("abelian_precartier"))
+        report, code = run_build(path, "deformed", order=-1)
+        assert (code, report["verdict"]) == (2, "error")
+        assert "--order" in report["error"]
+        assert main(["build", path, "--target", "deformed", "--order", "-1"]) == 2
+
     def test_unverified_structures_are_withheld(self, tmp_path):
         doc = load_corpus_document("z2_group_algebra")
         # make the splitting non-cocommutative so the constructor refuses
@@ -237,6 +244,51 @@ class TestBuild:
         report, code = run_build(write_doc(tmp_path, doc), "hopf-monoid")
         assert code == 1
         assert "structure" not in report
+
+
+class TestOneBuildPath:
+    """verify and build take the plain structure from one construction per
+    loaded instance, and each names a construction error its own way."""
+
+    @pytest.mark.parametrize("name, target", [
+        ("s3_torsors", None), ("s3_torsors", "hopf-category"), ("s3_torsors", "groupoid"),
+        ("abelian_precartier", None), ("abelian_precartier", "deformed")])
+    def test_one_plain_construction(self, monkeypatch, name, target):
+        real, calls = cli.build_hopf_category, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_hopf_category", counted)
+        path = corpus_path(name)
+        _, code = run_verify(path) if target is None else run_build(path, target)
+        assert (code, len(calls)) == (0, 1)
+
+    def test_construction_errors_keep_their_rule_names(self, tmp_path):
+        doc = load_corpus_document("z2_group_algebra")
+        doc["comonoids"] = [{
+            "obj": ["R"], "name": "M",
+            "delta": [["1", "0"], ["0", "0"], ["0", "1"], ["0", "1"]],
+            "eps": "ones",
+        }]
+        doc["deformation"] = {"order": 1}
+        path = write_doc(tmp_path, doc)
+
+        def failing(report):
+            return [r["rule"] for r in report["checks"] if not r["holds"]]
+
+        assert failing(run_verify(path, checks="build,deformed")[0]) == [
+            "build.constructor", "deformed.constructor"]
+        assert failing(run_build(path, "hopf-category")[0]) == ["hopf-category.constructor"]
+        assert failing(run_build(path, "deformed")[0]) == ["deformed.constructor"]
+
+    def test_order_suffix_only_on_verify(self):
+        path = corpus_path("abelian_precartier")
+        verify = [r["rule"] for r in run_verify(path, checks="deformed")[0]["checks"]]
+        build = [r["rule"] for r in run_build(path, "deformed")[0]["checks"]]
+        assert verify[-1] == build[-1] == "deformed.reduction"
+        assert verify[:-1] == [f"{rule}[order2]" for rule in build[:-1]]
 
 
 class TestMain:
@@ -293,15 +345,24 @@ class TestUeaCoproductMutation:
     enveloping algebra inside the uea check group: the plain and twisted
     algebras must each derive their own, and the checks must see it."""
 
-    def failing_rules(self, tmp_path, monkeypatch, perturb_twisted):
+    @staticmethod
+    def perturb_delta(uea):
+        x = (0,)
+        uea.engine.coproduct({x: Fraction(1)})
+        uea.engine._delta_cache[x][(x, ())] = Fraction(2)
+
+    @staticmethod
+    def perturb_seed(uea):
+        uea.engine.coact({(): Fraction(1)}, uea.twist)
+        uea.engine._coact_cache[((), uea.twist)][(0, (1,))] = Fraction(2)
+
+    def failing_rules(self, tmp_path, monkeypatch, perturb_twisted, perturb=perturb_delta):
         real = cli.TruncatedUEA
 
         def perturbed(lb, order, twist=None):
             uea = real(lb, order, twist=twist)
             if (twist is not None) == perturb_twisted:
-                x = (0,)
-                uea.engine.coproduct({x: Fraction(1)})
-                uea.engine._delta_cache[x][(x, ())] = Fraction(2)
+                perturb(uea)
             return uea
 
         monkeypatch.setattr(cli, "TruncatedUEA", perturbed)
@@ -326,6 +387,11 @@ class TestUeaCoproductMutation:
         failing = self.failing_rules(tmp_path, monkeypatch, perturb_twisted=False)
         assert "uea.coassoc[j=0]" in failing
         assert "uea.comonoid_unchanged[j0]" in failing
+
+    def test_twisted_seed_fails_only_the_seed(self, tmp_path, monkeypatch):
+        failing = self.failing_rules(tmp_path, monkeypatch, perturb_twisted=True,
+                                     perturb=self.perturb_seed)
+        assert failing == {"uea.seed[j0]"}
 
 
 # ---------------------------------------------------------------------------
@@ -381,4 +447,20 @@ class TestExitContract:
             code = main(["verify", path, "--out", out])
             verdict = json.loads(Path(out).read_text())["verdict"]
         expected = {0: ("pass", "vacuous"), 1: ("fail",), 2: ("error",)}
+        assert code in expected and verdict in expected[code], (code, verdict)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mutated_documents(), st.sampled_from(TARGETS),
+           st.sampled_from([None, -1, 0, 1, 2]))
+    def test_mutated_corpus_documents_keep_the_build_exit_contract(self, doc, target, order):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "inst.json")
+            out = os.path.join(tmp, "report.json")
+            Path(path).write_text(dump_document(doc))
+            argv = ["build", path, "--target", target, "--out", out]
+            if target == "deformed" and order is not None:
+                argv += ["--order", str(order)]
+            code = main(argv)
+            verdict = json.loads(Path(out).read_text())["verdict"]
+        expected = {0: ("pass",), 1: ("fail",), 2: ("error",)}
         assert code in expected and verdict in expected[code], (code, verdict)

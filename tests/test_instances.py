@@ -6,9 +6,7 @@ from hopfcat.backends import cyclic_group, regular_atom, symmetric_group
 from hopfcat.coalg import diagonal_comonoid
 from hopfcat.instances import (
     InstanceError,
-    backend_to_json,
     canonical_json,
-    comonoid_to_json,
     dump_document,
     instance_digest,
     load_instance,
@@ -328,23 +326,6 @@ class TestDigests:
 
 
 class TestSerializers:
-    def test_backend_roundtrip(self):
-        for doc in (finset_doc(), linrep_doc(), dy_doc()):
-            be = parse_backend(doc)
-            be2 = parse_backend(backend_to_json(be))
-            assert be2.kind == be.kind
-            assert set(be2.atoms) == set(be.atoms)
-            for name, atom in be.atoms.items():
-                assert be2.atoms[name].action == atom.action
-                assert be2.atoms[name].pi == atom.pi
-
-    def test_comonoid_roundtrip(self):
-        be = parse_backend(linrep_doc())
-        c = parse_comonoid(be, {"obj": ["R"], "delta": "group-like", "name": "M"})
-        c2 = parse_comonoid(be, comonoid_to_json(be, c))
-        assert c2.delta.matrix == c.delta.matrix
-        assert c2.eps.matrix == c.eps.matrix
-
     def test_mor_to_json_flavors(self):
         fe = parse_backend(finset_doc())
         f = fe.identity_mor(fe.obj("S"))

@@ -143,7 +143,7 @@ class TestMatrixBasics:
 
     def test_json_roundtrip(self):
         a = qm([[Fraction(1, 3), -2], [0, 5]])
-        assert Matrix.from_json(RATIONAL, a.to_json()) == a
+        assert Matrix.from_rows(RATIONAL, a.to_json()) == a
 
 
 class TestInverse:
