@@ -49,6 +49,7 @@ from .deform import (
     build_deformed_hopf_category,
     check_pre_cartier,
     reduce_order0,
+    require_pre_cartier,
 )
 from .linalg import Singular
 from .instances import (
@@ -297,11 +298,16 @@ def _check_precartier(inst, rng):
 
 def _build_deformed(inst, order):
     """The deformed structure at order, its Hopf-category records, and the
-    record that its degree-0 reduction is the plain build."""
+    record that its degree-0 reduction is the plain build, which is the
+    deformed structure itself at order 0."""
     block = inst.deformation or {}
-    data = build_deformed_hopf_category(
-        inst.functor, inst.comonoids, order, block.get("pc"),
-        convention=block.get("convention", "t_delta_zero"))
+    pc, convention = block.get("pc"), block.get("convention", "t_delta_zero")
+    if order:
+        data = build_deformed_hopf_category(inst.functor, inst.comonoids, order, pc,
+                                            convention=convention)
+    else:
+        require_pre_cartier(inst.functor, inst.comonoids, pc, convention)
+        data = _plain_build(inst)
     plain = _plain_build(inst)
     reduced = reduce_order0(data) if order > 0 else data
     return (data, check_hopf_category(data.backend, data),

@@ -334,7 +334,7 @@ def dy_coinvariants_functor(source):
 # law checking
 
 
-def check_comonoidal(functor, objects, morphisms=(), tag=""):
+def check_comonoidal(functor, objects, morphisms=()):
     """Coassociativity and symmetry squares, unit strictness, and
     functoriality/naturality on the samples supplied.
 
@@ -342,14 +342,13 @@ def check_comonoidal(functor, objects, morphisms=(), tag=""):
     three.  morphisms: list of source morphisms for the naturality and
     functoriality samples.
     """
-    prefix = f"cofunctor{'.' + tag if tag else ''}"
     src, dst = functor.source, functor.target
     records = []
 
     unit = src.unit()
     f0 = functor.f0()
     records.append(LawRecord(
-        prefix + ".unit.strict",
+        "cofunctor.unit.strict",
         functor.apply_obj(unit) == dst.unit()
         and dst.equal_mor(f0, dst.identity_mor(dst.unit()))))
 
@@ -358,10 +357,10 @@ def check_comonoidal(functor, objects, morphisms=(), tag=""):
         right = functor.f2(x, unit)
         ident = dst.identity_mor(functor.apply_obj(x))
         records.append(LawRecord(
-            prefix + ".unit.left", dst.equal_mor(left, ident),
+            "cofunctor.unit.left", dst.equal_mor(left, ident),
             f"at {x.label()}"))
         records.append(LawRecord(
-            prefix + ".unit.right", dst.equal_mor(right, ident),
+            "cofunctor.unit.right", dst.equal_mor(right, ident),
             f"at {x.label()}"))
 
     for x in objects:
@@ -376,7 +375,7 @@ def check_comonoidal(functor, objects, morphisms=(), tag=""):
                     functor.f2(x.tensor(y), z),
                     dst.tensor_mor(functor.f2(x, y), dst.identity_mor(fz)))
                 records.append(LawRecord(
-                    prefix + ".coassoc",
+                    "cofunctor.coassoc",
                     dst.equal_mor(lhs, rhs),
                     f"at {x.label()},{y.label()},{z.label()}"))
 
@@ -387,7 +386,7 @@ def check_comonoidal(functor, objects, morphisms=(), tag=""):
             lhs = dst.compose(functor.apply_mor(src.braiding(x, y)), functor.f2(y, x))
             rhs = dst.compose(functor.f2(x, y), dst.braiding(fx, fy))
             records.append(LawRecord(
-                prefix + ".symmetry",
+                "cofunctor.symmetry",
                 dst.equal_mor(lhs, rhs),
                 f"at {x.label()},{y.label()}"))
 
@@ -395,14 +394,14 @@ def check_comonoidal(functor, objects, morphisms=(), tag=""):
         ident_laws = dst.equal_mor(
             functor.apply_mor(src.identity_mor(f.dom)),
             dst.identity_mor(functor.apply_obj(f.dom)))
-        records.append(LawRecord(prefix + ".identity", ident_laws,
+        records.append(LawRecord("cofunctor.identity", ident_laws,
                                  f"at {f.dom.label()}"))
     for f in morphisms:
         for g in morphisms:
             if f.cod != g.dom:
                 continue
             records.append(LawRecord(
-                prefix + ".compose",
+                "cofunctor.compose",
                 dst.equal_mor(functor.apply_mor(src.compose(f, g)),
                               dst.compose(functor.apply_mor(f), functor.apply_mor(g))),
                 f"at {f.dom.label()} -> {g.cod.label()}"))
@@ -413,7 +412,7 @@ def check_comonoidal(functor, objects, morphisms=(), tag=""):
             rhs = dst.compose(functor.apply_mor(src.tensor_mor(f, g)),
                               functor.f2(f.cod, g.cod))
             records.append(LawRecord(
-                prefix + ".naturality",
+                "cofunctor.naturality",
                 dst.equal_mor(lhs, rhs),
                 f"at {f.dom.label()},{g.dom.label()}"))
     return records

@@ -170,7 +170,7 @@ def casimir_t(backend, r: Matrix) -> PreCartierData:
 def check_pre_cartier(pc: PreCartierData, sample, *, commutation=True,
                       antisymmetry=True, inf_cocommutative=(),
                       convention="t_delta_zero", inf_braided=None,
-                      target_t=None, morphisms=()):
+                      morphisms=()):
     """Check the requested laws exactly on the sampled objects.
 
     sample: nonempty list of ObjectRef; pairs and triples are drawn from
@@ -178,8 +178,8 @@ def check_pre_cartier(pc: PreCartierData, sample, *, commutation=True,
     interior cuts.  inf_cocommutative comonoids are checked per the
     convention: "literal" asks t.delta = delta, "t_delta_zero" asks
     t.delta = 0 (sigma.delta = delta either way).  inf_braided takes a
-    functor out of pc.backend; target_t supplies the target's datum
-    (zero when omitted).  morphisms: extra (f, g) pairs for naturality.
+    functor out of pc.backend and asks F(t) F2 = 0, since the target's
+    datum is zero.  morphisms: extra (f, g) pairs for naturality.
     """
     if not sample:
         raise BackendError("need at least one sampled object")
@@ -288,18 +288,8 @@ def check_pre_cartier(pc: PreCartierData, sample, *, commutation=True,
         bad = []
         for x in sample:
             for y in sample:
-                split = fun.f2(x, y)
-                lhs = fun.target.compose(fun.apply_mor(pc.t(x, y)), split)
-                fx, fy = fun.apply_obj(x), fun.apply_obj(y)
-                if target_t is None:
-                    n = fun.target.obj_size(fx.tensor(fy))
-                    tgt = fun.target.mor_from_matrix(
-                        fx.tensor(fy), fx.tensor(fy),
-                        Matrix.zeros(n, n, fun.target.ring))
-                else:
-                    tgt = target_t.t(fx, fy)
-                rhs = fun.target.compose(split, tgt)
-                if not fun.target.equal_mor(lhs, rhs):
+                lhs = fun.target.compose(fun.apply_mor(pc.t(x, y)), fun.f2(x, y))
+                if not lhs.matrix.is_zero():
                     bad.append(f"({x.label()},{y.label()})")
         records.append(LawRecord("precartier.inf_braided", not bad, "; ".join(bad)))
 
@@ -414,33 +404,36 @@ class LiftedFunctor(ComonoidalFunctor):
 # the deformed constructor
 
 
-def build_deformed_hopf_category(functor, comonoids, order, pc=None, *,
-                                 convention="t_delta_zero", sample=None,
-                                 certificates=None) -> HopfCategoryData:
-    """The usual constructor with the deformed braiding in the comonoid
-    split and the antipode, everything else embedded in the series ring.
-
-    pc omitted means the zero datum.  The deformation laws (commutation,
-    antisymmetry, the configured cocommutativity per comonoid, and
-    compatibility with the functor) are verified first and a violation
-    raises; adaptedness is re-certified over the series ring, where a
-    map is invertible exactly when its degree-zero part is.  Order 0
-    returns the undeformed rational build.
-    """
+def require_pre_cartier(functor, comonoids, pc=None, convention="t_delta_zero"):
+    """pc (the zero datum when omitted), once the deformation laws hold on
+    the comonoids' objects; raises PreCartierViolation otherwise."""
     if pc is None:
         pc = PreCartierData(functor.source)
     if pc.backend is not functor.source:
         raise BackendError("deformation data lives on a different backend")
     records = check_pre_cartier(
-        pc, sample if sample else [c.obj for c in comonoids],
+        pc, [c.obj for c in comonoids],
         commutation=True, antisymmetry=True,
         inf_cocommutative=comonoids, convention=convention,
         inf_braided=functor)
     if not all_hold(records):
         raise PreCartierViolation("; ".join(str(r) for r in failures(records)))
+    return pc
 
+
+def build_deformed_hopf_category(functor, comonoids, order, pc=None, *,
+                                 convention="t_delta_zero") -> HopfCategoryData:
+    """The usual constructor with the deformed braiding in the comonoid
+    split and the antipode, everything else embedded in the series ring.
+
+    The deformation laws are verified first (require_pre_cartier);
+    adaptedness is re-certified over the series ring, where a map is
+    invertible exactly when its degree-zero part is.  Order 0 returns the
+    undeformed rational build.
+    """
+    pc = require_pre_cartier(functor, comonoids, pc, convention)
     if order == 0:
-        return build_hopf_category(functor, comonoids, certificates)
+        return build_hopf_category(functor, comonoids)
 
     ring = hseries_ring(order)
     lifted = LiftedFunctor(functor, ring)

@@ -89,10 +89,9 @@ def require_cocommutative(backend, comonoids):
             raise NotCocommutative(f"comonoid {c.name or c.obj.label()} is not cocommutative")
 
 
-def build_hopf_category(functor, comonoids, certificates=None, braiding_fn=None):
+def build_hopf_category(functor, comonoids, braiding_fn=None):
     """Construct the structure; raises NotCocommutative / NotAdapted when
-    the inputs do not qualify.  certificates may carry preverified
-    adaptedness data keyed by position (it is extended as needed).
+    the inputs do not qualify.
 
     braiding_fn(x, y) overrides the source symmetry used in the comonoid
     split and the antipode; deformations pass their corrected braiding
@@ -105,11 +104,8 @@ def build_hopf_category(functor, comonoids, certificates=None, braiding_fn=None)
     n = len(comonoids)
     labels = tuple(c.name or c.obj.label() for c in comonoids)
 
-    certs = dict(certificates or {})
     all_pairs = [(a.obj, b.obj) for a in comonoids for b in comonoids]
-    for j, m in enumerate(comonoids):
-        if j not in certs:
-            certs[j] = certify_adapted(functor, m, all_pairs)
+    certs = [certify_adapted(functor, m, all_pairs) for m in comonoids]
 
     data = HopfCategoryData(labels, dst)
     for i, x in enumerate(comonoids):
@@ -231,10 +227,9 @@ def check_hopf_category(backend, data: HopfCategoryData):
 # one-object case
 
 
-def build_hopf_monoid(functor, m: Comonoid, certificate=None):
+def build_hopf_monoid(functor, m: Comonoid):
     """The one-object structure on F(M (x) M), packaged as a Hopf monoid."""
-    certs = {0: certificate} if certificate is not None else None
-    data = build_hopf_category(functor, [m], certs)
+    data = build_hopf_category(functor, [m])
     return HopfMonoidData(
         obj=data.hom[(0, 0)],
         mult=data.mult[(0, 0, 0)],

@@ -8,10 +8,10 @@ structural, and every operation costs the nonzeros it touches: a
 permutation matrix costs n entries, not n^2.  Entries are Fraction or
 HSeries, never int; a series is zero when all its coefficients vanish.
 
-Rational elimination is sparse and exact, and deterministic: the reduced
-row echelon form with leftmost pivots is unique to the row space.
-Inversion is dense; over the truncated series ring its pivots must be
-units, so it succeeds exactly when the degree-0 part is invertible.
+One sparse exact elimination, _rref, serves kernels, cokernels and
+inverses; it is deterministic, since the reduced row echelon form with
+leftmost pivots is unique to the row space.  A series matrix is inverted
+through its degree-0 part, so it is invertible exactly when that part is.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .scalars import RATIONAL, HSeries, Ring, RingMismatch
 
 
 class Singular(Exception):
-    """Matrix has no inverse; carries a nonzero kernel vector as witness."""
+    """Matrix has no inverse; carries a nonzero kernel vector as witness,
+    over a series ring one of the degree-0 part times hbar^K."""
 
     def __init__(self, message, witness):
         super().__init__(message)
@@ -272,39 +273,45 @@ def rational_kernel_vector(m: Matrix):
     return tuple(v)
 
 
+def _rational_inverse(m: Matrix):
+    """Inverse of a square rational matrix, the right half of the reduced
+    rows of [m | 1]; None if m is singular, when a pivot falls right of m."""
+    n, one = m.rows, RATIONAL.one()
+    rows, pivots = _rref({**r, n + i: one} for i, r in enumerate(m.nz))
+    if pivots and pivots[-1] >= n:
+        return None
+    return Matrix.sparse(n, n, RATIONAL, [{j - n: x for j, x in r.items() if j >= n}
+                                          for r in rows])
+
+
 def mat_invert(m: Matrix) -> Matrix:
-    """Exact inverse; raises Singular with a nonzero kernel-vector witness,
-    over a series ring a kernel vector of the degree-0 part put at top degree."""
+    """Exact inverse, or Singular.  Over the series ring m = m0 + N with m0
+    the degree-0 part and N^(K+1) = 0, so m^-1 = sum_{k<=K} (-m0^-1 N)^k m0^-1."""
     if m.rows != m.cols:
         raise ValueError("inverse needs a square matrix")
-    n, ring = m.rows, m.ring
-    both = hstack([m, Matrix.identity(n, ring)])
-    aug = [list(both.row(i)) for i in range(n)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if ring.is_unit(aug[i][c])), None)
-        if pr is None:
-            return _raise_singular(m)
-        aug[c], aug[pr] = aug[pr], aug[c]
-        inv = ring.inv(aug[c][c])
-        rc = aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and not ring.is_zero(f := aug[i][c]):
-                aug[i] = [a - f * b for a, b in zip(aug[i], rc)]
-    return Matrix.sparse(n, n, ring, [{j: x for j, x in enumerate(r[n:]) if x} for r in aug])
+    ring = m.ring
+    m0 = reduce_matrix(m)
+    inv0 = _rational_inverse(m0)
+    if inv0 is None:
+        v = rational_kernel_vector(m0)
+        if ring == RATIONAL:
+            raise Singular("matrix is singular", v)
+        # v * hbar^K is a genuine kernel vector in the truncated ring: every
+        # product entry is (degree-0 part @ v) * hbar^K = 0.
+        top = (Fraction(0),) * ring.order
+        raise Singular("degree-0 part is singular",
+                       tuple(HSeries(ring.order, top + (x,)) for x in v))
+    if ring == RATIONAL:
+        return inv0
+    term = total = lift_matrix(inv0, ring)
+    step = -(term * (m - lift_matrix(m0, ring)))
+    for _ in range(ring.order):
+        term = step * term
+        total = total + term
+    return total
 
 
-def _raise_singular(m: Matrix):
-    if m.ring == RATIONAL:
-        raise Singular("matrix is singular", rational_kernel_vector(m))
-    k = m.ring.order
-    # v * hbar^K is a genuine kernel vector in the truncated ring: every
-    # product entry is (degree-0 part @ v) * hbar^K = 0.
-    witness = tuple(HSeries(k, (Fraction(0),) * k + (x,))
-                    for x in rational_kernel_vector(reduce_matrix(m)))
-    raise Singular("degree-0 part is singular", witness)
-
-
-def cokernel_projection(relations: Matrix, ambient_dim=None):
+def cokernel_projection(relations: Matrix):
     """Quotient data for span(columns of relations) inside Q^n.
 
     Returns (p, s): p is r x n with p @ relations = 0 and p @ s = identity,
@@ -315,8 +322,6 @@ def cokernel_projection(relations: Matrix, ambient_dim=None):
     if relations.ring != RATIONAL:
         raise RingMismatch("cokernel_projection is rational-only")
     n = relations.rows
-    if ambient_dim is not None and ambient_dim != n:
-        raise ValueError("ambient dimension disagrees with relation rows")
     # echelonize the columns: rows of the transpose, fresh dicts to consume
     rows, pivots = _rref(relations.transpose().nz)
     pivot_set = set(pivots)

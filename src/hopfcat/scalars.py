@@ -3,10 +3,12 @@
 Every linear computation in this package happens over one of two rings:
 arbitrary-precision rationals (fractions.Fraction) or the ring of
 polynomials in a formal parameter hbar truncated at a fixed degree K.
-Truncated series multiply by dropping all terms of degree > K; a series is
-a unit exactly when its constant coefficient is nonzero.  Values from
-different rings never mix silently: matrix-level operations compare ring
-tags and raise RingMismatch instead of coercing.
+Truncated series multiply by dropping all terms of degree > K, and a
+series is zero (falsy) when all its coefficients vanish.  Scalars only add,
+subtract and multiply: division happens in linalg, which inverts a series
+matrix through its rational degree-0 part.  Values from different rings
+never mix silently: matrix-level operations compare ring tags and raise
+RingMismatch instead of coercing.
 """
 
 from __future__ import annotations
@@ -108,31 +110,8 @@ class HSeries:
     def __bool__(self):
         return any(self.coeffs)
 
-    def is_zero(self):
-        return not any(self.coeffs)
-
-    def is_unit(self):
-        return self.coeffs[0] != 0
-
     def constant_term(self) -> Fraction:
         return self.coeffs[0]
-
-    def inverse(self):
-        """Multiplicative inverse in the truncated ring; needs a unit."""
-        a = self.coeffs
-        if a[0] == 0:
-            raise ZeroDivisionError("constant term vanishes; no inverse in the truncated ring")
-        n = self.order + 1
-        inv0 = 1 / a[0]
-        out = [Fraction(0)] * n
-        out[0] = inv0
-        for k in range(1, n):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                if a[i]:
-                    acc += a[i] * out[k - i]
-            out[k] = -acc * inv0
-        return HSeries(self.order, tuple(out))
 
     def __repr__(self):
         return "HSeries(%s)" % ", ".join(str(c) for c in self.coeffs)
@@ -182,23 +161,6 @@ class Ring:
         if isinstance(x, (list, tuple)):
             return HSeries.from_coeffs(x, self.order)
         return HSeries.from_rational(as_fraction(x), self.order)
-
-    def is_zero(self, v):
-        if self.kind == "rational":
-            return v == 0
-        return v.is_zero()
-
-    def is_unit(self, v):
-        if self.kind == "rational":
-            return v != 0
-        return v.is_unit()
-
-    def inv(self, v):
-        if self.kind == "rational":
-            if v == 0:
-                raise ZeroDivisionError("zero has no inverse")
-            return 1 / v
-        return v.inverse()
 
     def to_json(self, v):
         if self.kind == "rational":

@@ -267,7 +267,7 @@ class DenseMatrix:
             self[i, j] for j in range(self.cols) for i in range(self.rows)])
 
     def is_zero(self):
-        return all(self.ring.is_zero(x) for x in self.entries)
+        return not any(self.entries)
 
     def lift(self, ring):
         return DenseMatrix(self.rows, self.cols, ring, [
@@ -290,7 +290,7 @@ def agrees(m, dense):
     the ring's own type (Fraction or HSeries, never int)."""
     stored = {(i, j): x for i, row in enumerate(m.nz) for j, x in row.items()}
     expect = {(i, j): dense[i, j] for i in range(dense.rows) for j in range(dense.cols)
-              if not dense.ring.is_zero(dense[i, j])}
+              if dense[i, j]}
     kind = Fraction if dense.ring == RATIONAL else HSeries
     return ((m.rows, m.cols, m.ring) == (dense.rows, dense.cols, dense.ring)
             and len(m.nz) == m.rows and stored == expect

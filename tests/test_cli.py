@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfcat
-from hopfcat import cli
+from hopfcat import cli, deform
 from hopfcat.cli import CHECK_ORDER, TARGETS, main, run_build, run_verify
 from hopfcat.corpus import CORPUS_NAMES, corpus_path, load_corpus_document
+from hopfcat.deform import LiftedFunctor
 from hopfcat.instances import dump_document
 
 
@@ -250,19 +251,31 @@ class TestOneBuildPath:
     """verify and build take the plain structure from one construction per
     loaded instance, and each names a construction error its own way."""
 
-    @pytest.mark.parametrize("name, target", [
-        ("s3_torsors", None), ("s3_torsors", "hopf-category"), ("s3_torsors", "groupoid"),
-        ("abelian_precartier", None), ("abelian_precartier", "deformed")])
-    def test_one_plain_construction(self, monkeypatch, name, target):
-        real, calls = cli.build_hopf_category, []
+    CASES = [("s3_torsors", None, None), ("s3_torsors", "hopf-category", None),
+             ("s3_torsors", "groupoid", None), ("abelian_precartier", None, None),
+             ("abelian_precartier", "deformed", None), ("abelian_precartier", "deformed", 0),
+             ("abelian_precartier", None, 0)]
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+    @pytest.mark.parametrize("name, target, order", CASES, ids=[
+        f"{n}-{t}" + ("" if o is None else f"-order{o}") for n, t, o in CASES])
+    def test_one_plain_construction(self, monkeypatch, tmp_path, name, target, order):
+        """Plain constructions from cli and deform together; a lifted one
+        (deform at positive order) is not plain.  A verify at order 0 reads
+        the order from the document."""
+        calls = []
+        for module in (cli, deform):
+            def counted(functor, *args, real=module.build_hopf_category, **kwargs):
+                if not isinstance(functor, LiftedFunctor):
+                    calls.append(functor)
+                return real(functor, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "build_hopf_category", counted)
+            monkeypatch.setattr(module, "build_hopf_category", counted)
         path = corpus_path(name)
-        _, code = run_verify(path) if target is None else run_build(path, target)
+        if target is None and order is not None:
+            doc = load_corpus_document(name)
+            doc["deformation"]["order"] = order
+            path = write_doc(tmp_path, doc)
+        _, code = run_verify(path) if target is None else run_build(path, target, order)
         assert (code, len(calls)) == (0, 1)
 
     def test_construction_errors_keep_their_rule_names(self, tmp_path):
