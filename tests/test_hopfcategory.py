@@ -1,9 +1,31 @@
-import pytest
+import re
+from dataclasses import replace
+from functools import lru_cache
 
-from conftest import bijection_groupoid, equivariant_bijections, torsor_backend
-from hopfcat.backends import Atom, cyclic_group, finset_backend, linear_backend, regular_atom, symmetric_group
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    bijection_groupoid,
+    brute_force_groupoid_records,
+    equivariant_bijections,
+    torsor_backend,
+)
+from hopfcat import corpus
+from hopfcat.backends import (
+    Atom,
+    cyclic_group,
+    finset_backend,
+    group_from_generators,
+    group_to_json,
+    linear_backend,
+    regular_atom,
+    symmetric_group,
+)
 from hopfcat.coalg import (
     HopfMonoidData,
+    LawRecord,
     all_hold,
     check_hopf_monoid,
     diagonal_comonoid,
@@ -13,6 +35,7 @@ from hopfcat.cofunctor import NotAdapted, OrbitFunctor
 from hopfcat.hopfcategory import (
     GroupoidTable,
     NotCocommutative,
+    _arrow_generators,
     build_hopf_category,
     build_hopf_monoid,
     check_hopf_category,
@@ -20,6 +43,7 @@ from hopfcat.hopfcategory import (
     require_cocommutative,
     verify_groupoid,
 )
+from hopfcat.instances import load_instance, parse_instance
 from hopfcat.linalg import Matrix
 from hopfcat.scalars import RATIONAL
 
@@ -214,3 +238,179 @@ class TestGroupoidVerifier:
         )
         recs = verify_groupoid(bad)
         assert not all_hold(recs)
+
+
+# ---------------------------------------------------------------------------
+# Light's associativity test against the brute-force checker
+
+# (degree, permutation generators) of every group of order 1 to 6
+SMALL_GROUPS = [(1, [(0,)]), (2, [(1, 0)]), (3, [(1, 2, 0)]), (4, [(1, 2, 3, 0)]),
+                (4, [(1, 0, 3, 2), (2, 3, 0, 1)]), (5, [(1, 2, 3, 4, 0)]),
+                (5, [(1, 0, 3, 4, 2)]), (3, [(1, 0, 2), (1, 2, 0)])]
+
+
+@st.composite
+def groupoid_tables(draw):
+    """A GroupoidTable on 1 to 3 objects: a connected groupoid over a group
+    of order 1 to 6 with its arrows relabelled hom by hom, the same with
+    one or two entries changed, or an arbitrary magma table with homs of
+    1 to 6 arrows."""
+    n = draw(st.integers(1, 3))
+    rng = range(n)
+    kind = draw(st.sampled_from(["groupoid", "mutated", "magma"]))
+    labels = tuple("abc"[:n])
+    if kind == "magma":
+        hs = {(i, j): draw(st.integers(1, 6)) for i in rng for j in rng}
+        return GroupoidTable(
+            labels, hs,
+            comp={(i, j, k): tuple(draw(st.lists(
+                st.integers(0, hs[(i, k)] - 1),
+                min_size=hs[(i, j)] * hs[(j, k)], max_size=hs[(i, j)] * hs[(j, k)])))
+                for i in rng for j in rng for k in rng},
+            identity={i: draw(st.integers(0, hs[(i, i)] - 1)) for i in rng},
+            inverse={(i, j): tuple(draw(st.lists(
+                st.integers(0, hs[(j, i)] - 1), min_size=hs[(i, j)], max_size=hs[(i, j)])))
+                for i in rng for j in rng})
+    g = group_from_generators(*draw(st.sampled_from(SMALL_GROUPS)))
+    h = g.order
+    elem = {(i, j): draw(st.permutations(range(h))) for i in rng for j in rng}
+    label = {key: {x: a for a, x in enumerate(perm)} for key, perm in elem.items()}
+    gt = GroupoidTable(
+        labels, {(i, j): h for i in rng for j in rng},
+        comp={(i, j, k): tuple(label[(i, k)][g.mul(elem[(i, j)][a], elem[(j, k)][b])]
+                               for a in range(h) for b in range(h))
+              for i in rng for j in rng for k in rng},
+        identity={i: label[(i, i)][0] for i in rng},
+        inverse={(i, j): tuple(label[(j, i)][g.inv(x)] for x in elem[(i, j)])
+                 for i in rng for j in rng})
+    if kind == "mutated":
+        for _ in range(draw(st.integers(1, 2))):
+            field = draw(st.sampled_from(["comp", "comp", "identity", "inverse"]))
+            table = dict(getattr(gt, field))
+            key = draw(st.sampled_from(sorted(table)))
+            value = draw(st.integers(0, h - 1))
+            if field == "identity":
+                table[key] = value
+            else:
+                pos = draw(st.integers(0, len(table[key]) - 1))
+                table[key] = table[key][:pos] + (value,) + table[key][pos + 1:]
+            gt = replace(gt, **{field: table})
+    return gt
+
+
+def compose(gt, i, j, k, a, b):
+    return gt.comp[(i, j, k)][a * gt.hom_size[(j, k)] + b]
+
+
+def assert_witness(gt, rec):
+    """The failing record's detail names a place where the law really
+    fails, with the composites that are really there."""
+    nums = [int(v) for v in re.findall(r"-?\d+", rec.detail.replace("^-1", ""))]
+    if rec.rule == "groupoid.assoc":
+        lhs, rhs, i, j, k, l, x, s, y = nums
+        assert lhs == compose(gt, i, k, l, compose(gt, i, j, k, x, s), y)
+        assert rhs == compose(gt, i, j, l, x, compose(gt, j, k, l, s, y))
+        assert lhs != rhs
+    elif rec.rule == "groupoid.identity":
+        value, i, j, a = nums
+        if rec.detail.startswith("e*a"):
+            assert value == compose(gt, i, i, j, gt.identity[i], a)
+        else:
+            assert value == compose(gt, i, j, j, a, gt.identity[j])
+        assert value != a
+    else:
+        ab, ba, i, j, a = nums
+        b = gt.inverse[(i, j)][a]
+        assert (ab, ba) == (compose(gt, i, j, i, a, b), compose(gt, j, i, j, b, a))
+        assert (ab, ba) != (gt.identity[i], gt.identity[j])
+
+
+def verdicts(records):
+    return [(r.rule, r.holds) for r in records]
+
+
+def groupoid_of(inst):
+    data = build_hopf_category(inst.functor, inst.comonoids)
+    return extract_set_groupoid(inst.functor.target, data)
+
+
+def corpus_groupoid(name):
+    return groupoid_of(load_instance(corpus.corpus_path(name)))[0]
+
+
+def one_entry_changes(gt, new_values):
+    """Each table with one comp entry changed, for every entry and every
+    value new_values(old, size) offers."""
+    for key in sorted(gt.comp):
+        size = gt.hom_size[(key[0], key[2])]
+        for pos, old in enumerate(gt.comp[key]):
+            for value in new_values(old, size):
+                row = gt.comp[key][:pos] + (value,) + gt.comp[key][pos + 1:]
+                yield replace(gt, comp={**gt.comp, key: row})
+
+
+@lru_cache(maxsize=None)
+def ladder_groupoid(name):
+    """The groupoid of the benchmark's set-ladder torsor documents."""
+    rotation, reflection = (1, 2, 3, 4, 5, 6, 7, 0), (0, 7, 6, 5, 4, 3, 2, 1)
+    d8 = group_from_generators(8, [rotation, reflection])
+    group_doc, group = {
+        "z8_torsors": ({"kind": "cyclic", "n": 8}, cyclic_group(8)),
+        "d8_torsors": (group_to_json(d8), d8),
+        "s4_torsors": ({"kind": "symmetric", "n": 4}, symmetric_group(4)),
+    }[name]
+    return groupoid_of(parse_instance(corpus._torsor_doc(name, group_doc, group)))
+
+
+class TestLightsTest:
+    @settings(max_examples=150, deadline=None)
+    @given(groupoid_tables())
+    def test_verdicts_match_brute_force(self, gt):
+        records = verify_groupoid(gt)
+        assert verdicts(records) == verdicts(brute_force_groupoid_records(gt))
+        for rec in records:
+            if rec.holds:
+                assert rec.detail == ""
+            else:
+                assert_witness(gt, rec)
+
+    def test_every_z3_entry_change_is_caught(self):
+        gt = corpus_groupoid("z3_torsors")
+        changes = list(one_entry_changes(
+            gt, lambda old, size: [v for v in range(size) if v != old]))
+        assert len(changes) == 144
+        for bad in changes:
+            records = verify_groupoid(bad)
+            assert not all_hold(records)
+            assert verdicts(records) == verdicts(brute_force_groupoid_records(bad))
+
+    def test_every_s3_entry_change_is_caught(self):
+        gt = corpus_groupoid("s3_torsors")
+        changes = list(one_entry_changes(gt, lambda old, size: [(old + 1) % size]))
+        assert len(changes) == 288
+        for n, bad in enumerate(changes):
+            records = verify_groupoid(bad)
+            assert not all_hold(records)
+            for rec in failures(records):
+                assert_witness(bad, rec)
+            if n % 10 == 0:
+                assert verdicts(records) == verdicts(brute_force_groupoid_records(bad))
+
+    @pytest.mark.parametrize("name, size", [("z8_torsors", 4), ("d8_torsors", 5),
+                                            ("s4_torsors", 6)])
+    def test_generating_set_size(self, name, size):
+        gt, records = ladder_groupoid(name)
+        assert all_hold(records), failures(records)
+        assert len(_arrow_generators(gt)) == size
+
+    def test_s4_records_match_brute_force(self):
+        gt, records = ladder_groupoid("s4_torsors")
+        assert set(gt.hom_size.values()) == {24}
+        assert records[1:] == brute_force_groupoid_records(gt)
+
+    def test_diagonal_splitting_names_its_hom(self):
+        b, fn, data = torsor_category(cyclic_group(3))
+        delta = data.delta[(1, 0)]
+        data.delta[(1, 0)] = replace(delta, table=tuple(reversed(delta.table)))
+        _, records = extract_set_groupoid(fn.target, data)
+        assert records[0] == LawRecord("groupoid.diagonal_splitting", False, "at 1,0")
