@@ -25,7 +25,7 @@ tensor product.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .linalg import Matrix, mat_kron
 from .scalars import RATIONAL, Ring
@@ -250,6 +250,7 @@ class Backend:
     atoms: dict  # name -> Atom
     ring: Ring = RATIONAL
     base: str = None  # dy only: name of the acting/coacting atom
+    _braidings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("finset", "linear", "dy"):
@@ -385,15 +386,43 @@ class Backend:
             cur = self.tensor_mor(cur, f)
         return cur
 
+    def compose_tensor(self, f, gs):
+        """compose(f, tensor_all(gs)).  On finset the tensor product is
+        evaluated only at f's values: each value is split into mixed-radix
+        digits over the domain sizes of gs, digit i goes through gs[i], and
+        the images are recombined over the codomain sizes; |f.dom|*len(gs)
+        lookups instead of a table of the product of the domain sizes.
+        """
+        if self.kind != "finset":
+            return self.compose(f, self.tensor_all(gs))
+        dom = ObjectRef(tuple(x for g in gs for x in g.dom.factors))
+        if f.cod != dom:
+            raise BackendError(f"composition mismatch: {f.cod.label()} vs {dom.label()}")
+        vals, out, scale = f.table, [0] * len(f.table), 1
+        for g in reversed(gs):
+            n, t = len(g.table), g.table
+            out = [o + t[v % n] * scale for o, v in zip(out, vals)]
+            vals = [v // n for v in vals]
+            scale *= self.obj_size(g.cod)
+        cod = ObjectRef(tuple(x for g in gs for x in g.cod.factors))
+        return MorphismRep(f.dom, cod, table=tuple(out))
+
     def braiding(self, x: ObjectRef, y: ObjectRef):
-        """The symmetry x (x) y -> y (x) x as a block transposition."""
-        nx, ny = self.obj_size(x), self.obj_size(y)
-        dom = x.tensor(y)
-        cod = y.tensor(x)
-        table = tuple((k % ny) * nx + (k // ny) for k in range(nx * ny))
-        if self.kind == "finset":
-            return MorphismRep(dom, cod, table=table)
-        return self.mor_from_matrix(dom, cod, Matrix.from_table(self.ring, table, nx * ny))
+        """The symmetry x (x) y -> y (x) x as a block transposition,
+        built once per pair of words and kept for this backend's lifetime."""
+        key = (x.factors, y.factors)
+        sw = self._braidings.get(key)
+        if sw is None:
+            nx, ny = self.obj_size(x), self.obj_size(y)
+            dom = x.tensor(y)
+            cod = y.tensor(x)
+            table = tuple((k % ny) * nx + (k // ny) for k in range(nx * ny))
+            if self.kind == "finset":
+                sw = MorphismRep(dom, cod, table=table)
+            else:
+                sw = self.mor_from_matrix(dom, cod, Matrix.from_table(self.ring, table, nx * ny))
+            self._braidings[key] = sw
+        return sw
 
     # -- group action on objects
 

@@ -30,6 +30,22 @@ def failures(records):
     return [r for r in records if not r.holds]
 
 
+def equal_record(backend, rule, lhs, rhs):
+    """The record that lhs = rhs, two maps with the same endpoints.  A
+    failing one names the first difference: `lhs[i] = a, rhs[i] = b` at the
+    first domain point i of two tables, `lhs[r,c] = a, rhs[r,c] = b` at the
+    first entry (r, c) of two matrices in row-major order."""
+    if backend.equal_mor(lhs, rhs):
+        return LawRecord(rule, True)
+    if lhs.table is not None:
+        i = next(i for i, (a, b) in enumerate(zip(lhs.table, rhs.table)) if a != b)
+        return LawRecord(rule, False, f"lhs[{i}] = {lhs.table[i]}, rhs[{i}] = {rhs.table[i]}")
+    a, b = lhs.matrix, rhs.matrix
+    r = next(r for r in range(a.rows) if a.nz[r] != b.nz[r])
+    c = min(j for j in a.nz[r].keys() | b.nz[r].keys() if a[r, j] != b[r, j])
+    return LawRecord(rule, False, f"lhs[{r},{c}] = {a[r, c]}, rhs[{r},{c}] = {b[r, c]}")
+
+
 @dataclass(frozen=True)
 class Comonoid:
     obj: ObjectRef
@@ -88,14 +104,13 @@ def check_comonoid(backend, c: Comonoid, cocommutative=None):
     if c.eps.dom != obj or c.eps.cod != backend.unit():
         return [LawRecord("comonoid.shape", False, "counit has wrong endpoints")]
 
-    lhs = backend.compose(c.delta, backend.tensor_mor(c.delta, ident))
-    rhs = backend.compose(c.delta, backend.tensor_mor(ident, c.delta))
-    records.append(LawRecord("comonoid.coassoc", backend.equal_mor(lhs, rhs)))
-
-    left_counit = backend.compose(c.delta, backend.tensor_mor(c.eps, ident))
-    right_counit = backend.compose(c.delta, backend.tensor_mor(ident, c.eps))
-    records.append(LawRecord("comonoid.counit.left", backend.equal_mor(left_counit, ident)))
-    records.append(LawRecord("comonoid.counit.right", backend.equal_mor(right_counit, ident)))
+    records.append(equal_record(backend, "comonoid.coassoc",
+                                backend.compose_tensor(c.delta, [c.delta, ident]),
+                                backend.compose_tensor(c.delta, [ident, c.delta])))
+    records.append(equal_record(backend, "comonoid.counit.left",
+                                backend.compose_tensor(c.delta, [c.eps, ident]), ident))
+    records.append(equal_record(backend, "comonoid.counit.right",
+                                backend.compose_tensor(c.delta, [ident, c.eps]), ident))
 
     for tag, f in (("split", c.delta), ("counit", c.eps)):
         bad = backend.check_equivariant(f)
@@ -117,8 +132,7 @@ def tensor_comonoid(backend, c1: Comonoid, c2: Comonoid):
     ident_x = backend.identity_mor(x)
     ident_y = backend.identity_mor(y)
     both = backend.tensor_mor(c1.delta, c2.delta)  # xy -> x x y y
-    shuffle = backend.tensor_all([ident_x, backend.braiding(x, y), ident_y])
-    delta = backend.compose(both, shuffle)
+    delta = backend.compose_tensor(both, [ident_x, backend.braiding(x, y), ident_y])
     eps = backend.tensor_mor(c1.eps, c2.eps)  # -> unit (x) unit = unit
     name = f"{c1.name}(x){c2.name}" if (c1.name and c2.name) else ""
     return Comonoid(x.tensor(y), delta, eps, name)
@@ -127,16 +141,11 @@ def tensor_comonoid(backend, c1: Comonoid, c2: Comonoid):
 def check_comonoid_morphism(backend, f: MorphismRep, src: Comonoid, dst: Comonoid, tag=""):
     """f respects the splitting maps and counits of src and dst."""
     prefix = f"comorphism{'.' + tag if tag else ''}"
-    records = []
     if f.dom != src.obj or f.cod != dst.obj:
         return [LawRecord(prefix + ".shape", False, "endpoints disagree with comonoids")]
-    lhs = backend.compose(f, dst.delta)
-    rhs = backend.compose(src.delta, backend.tensor_mor(f, f))
-    records.append(LawRecord(prefix + ".split", backend.equal_mor(lhs, rhs)))
-    records.append(LawRecord(
-        prefix + ".counit",
-        backend.equal_mor(backend.compose(f, dst.eps), src.eps)))
-    return records
+    return [equal_record(backend, prefix + ".split", backend.compose(f, dst.delta),
+                         backend.compose_tensor(src.delta, [f, f])),
+            equal_record(backend, prefix + ".counit", backend.compose(f, dst.eps), src.eps)]
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +200,10 @@ def check_hopf_monoid(backend, h: HopfMonoidData, check_equivariance=True):
 
     # antipode: split, hit one side, multiply; both orders land on eps-then-unit
     absorb = backend.compose(h.eps, h.unit)
-    left = backend.compose(h.delta, backend.tensor_mor(h.antipode, ident), h.mult)
-    right = backend.compose(h.delta, backend.tensor_mor(ident, h.antipode), h.mult)
-    records.append(LawRecord("hopf.antipode.left", backend.equal_mor(left, absorb)))
-    records.append(LawRecord("hopf.antipode.right", backend.equal_mor(right, absorb)))
+    left = backend.compose(backend.compose_tensor(h.delta, [h.antipode, ident]), h.mult)
+    right = backend.compose(backend.compose_tensor(h.delta, [ident, h.antipode]), h.mult)
+    records.append(equal_record(backend, "hopf.antipode.left", left, absorb))
+    records.append(equal_record(backend, "hopf.antipode.right", right, absorb))
 
     if check_equivariance:
         for tag, f in (("mult", h.mult), ("unit", h.unit), ("antipode", h.antipode)):

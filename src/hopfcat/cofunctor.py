@@ -368,12 +368,10 @@ def check_comonoidal(functor, objects, morphisms=()):
             for z in objects:
                 fx = functor.apply_obj(x)
                 fz = functor.apply_obj(z)
-                lhs = dst.compose(
-                    functor.f2(x, y.tensor(z)),
-                    dst.tensor_mor(dst.identity_mor(fx), functor.f2(y, z)))
-                rhs = dst.compose(
-                    functor.f2(x.tensor(y), z),
-                    dst.tensor_mor(functor.f2(x, y), dst.identity_mor(fz)))
+                lhs = dst.compose_tensor(functor.f2(x, y.tensor(z)),
+                                         [dst.identity_mor(fx), functor.f2(y, z)])
+                rhs = dst.compose_tensor(functor.f2(x.tensor(y), z),
+                                         [functor.f2(x, y), dst.identity_mor(fz)])
                 records.append(LawRecord(
                     "cofunctor.coassoc",
                     dst.equal_mor(lhs, rhs),
@@ -407,8 +405,8 @@ def check_comonoidal(functor, objects, morphisms=()):
                 f"at {f.dom.label()} -> {g.cod.label()}"))
     for f in morphisms:
         for g in morphisms:
-            lhs = dst.compose(functor.f2(f.dom, g.dom),
-                              dst.tensor_mor(functor.apply_mor(f), functor.apply_mor(g)))
+            lhs = dst.compose_tensor(functor.f2(f.dom, g.dom),
+                                     [functor.apply_mor(f), functor.apply_mor(g)])
             rhs = dst.compose(functor.apply_mor(src.tensor_mor(f, g)),
                               functor.f2(f.cod, g.cod))
             records.append(LawRecord(

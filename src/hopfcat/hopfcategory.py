@@ -24,6 +24,7 @@ from .coalg import (
     LawRecord,
     check_comonoid,
     check_comonoid_morphism,
+    equal_record,
     tensor_comonoid,
     unit_comonoid,
 )
@@ -113,11 +114,9 @@ def build_hopf_category(functor, comonoids, braiding_fn=None):
             xy = x.obj.tensor(y.obj)
             data.hom[(i, j)] = functor.apply_obj(xy)
 
-            split_double = src.compose(
+            split_double = src.compose_tensor(
                 src.tensor_mor(x.delta, y.delta),
-                src.tensor_all([src.identity_mor(x.obj),
-                                braid(x.obj, y.obj),
-                                src.identity_mor(y.obj)]))
+                [src.identity_mor(x.obj), braid(x.obj, y.obj), src.identity_mor(y.obj)])
             data.delta[(i, j)] = dst.compose(functor.apply_mor(split_double),
                                              functor.f2(xy, xy))
             data.eps[(i, j)] = dst.compose(
@@ -134,6 +133,11 @@ def build_hopf_category(functor, comonoids, braiding_fn=None):
                 data.mult[(i, j, k)] = mult_along(functor, certs[j], x.obj, z.obj)
 
     return data
+
+
+def _at(rec, where):
+    """rec with the position it was checked at appended to its detail."""
+    return LawRecord(rec.rule, rec.holds, (rec.detail + " " if rec.detail else "") + f"at {where}")
 
 
 def check_hopf_category(backend, data: HopfCategoryData):
@@ -175,8 +179,7 @@ def check_hopf_category(backend, data: HopfCategoryData):
         for j in rng:
             com = data.hom_comonoid(i, j)
             for rec in check_comonoid(backend, com, cocommutative=None):
-                records.append(LawRecord(rec.rule, rec.holds,
-                                         (rec.detail + " " if rec.detail else "") + f"at {i},{j}"))
+                records.append(_at(rec, f"{i},{j}"))
 
     for i in rng:
         for j in rng:
@@ -186,13 +189,13 @@ def check_hopf_category(backend, data: HopfCategoryData):
                 for rec in check_comonoid_morphism(
                         backend, data.mult[(i, j, k)], square,
                         data.hom_comonoid(i, k), "mult"):
-                    records.append(LawRecord(rec.rule, rec.holds, f"at {i},{j},{k}"))
+                    records.append(_at(rec, f"{i},{j},{k}"))
 
     for i in rng:
         for rec in check_comonoid_morphism(
                 backend, data.unit[i], unit_comonoid(backend),
                 data.hom_comonoid(i, i), "unit"):
-            records.append(LawRecord(rec.rule, rec.holds, f"at {i}"))
+            records.append(_at(rec, f"{i}"))
 
     for i in rng:
         for j in rng:
@@ -200,17 +203,15 @@ def check_hopf_category(backend, data: HopfCategoryData):
             absorb_j = backend.compose(data.eps[(i, j)], data.unit[j])
             absorb_i = backend.compose(data.eps[(i, j)], data.unit[i])
             left = backend.compose(
-                data.delta[(i, j)],
-                backend.tensor_mor(data.antipode[(i, j)], ident),
+                backend.compose_tensor(data.delta[(i, j)], [data.antipode[(i, j)], ident]),
                 data.mult[(j, i, j)])
-            records.append(LawRecord(
-                "hopfcat.antipode.left", backend.equal_mor(left, absorb_j), f"at {i},{j}"))
+            records.append(_at(equal_record(
+                backend, "hopfcat.antipode.left", left, absorb_j), f"{i},{j}"))
             right = backend.compose(
-                data.delta[(i, j)],
-                backend.tensor_mor(ident, data.antipode[(i, j)]),
+                backend.compose_tensor(data.delta[(i, j)], [ident, data.antipode[(i, j)]]),
                 data.mult[(i, j, i)])
-            records.append(LawRecord(
-                "hopfcat.antipode.right", backend.equal_mor(right, absorb_i), f"at {i},{j}"))
+            records.append(_at(equal_record(
+                backend, "hopfcat.antipode.right", right, absorb_i), f"{i},{j}"))
 
     for i in rng:
         for j in rng:

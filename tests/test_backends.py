@@ -298,6 +298,51 @@ class TestFinsetTensorKernel:
                     assert (got.dom, got.cod, got.table) == (obj, obj, expected.table)
 
 
+@st.composite
+def composable_tensors(draw):
+    """(backend, f, gs): 1-3 factors gs between words of at most one atom,
+    the unit word included, and f into the tensor of their domains, on a
+    finset or linear backend over 1-3 atoms of sizes 1-5."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    names = [f"A{k}" for k in range(len(sizes))]
+    g = cyclic_group(1)
+    if draw(st.booleans()):
+        b = finset_backend(g, [Atom(n, k, (tuple(range(k)),)) for n, k in zip(names, sizes)])
+    else:
+        b = linear_backend(g, [Atom(n, k, (Matrix.identity(k, RATIONAL),))
+                               for n, k in zip(names, sizes)])
+    word = st.lists(st.sampled_from(names), max_size=1).map(lambda w: b.obj(*w))
+
+    def random_mor(dom, cod):
+        n, m = b.obj_size(dom), b.obj_size(cod)
+        if b.kind == "finset":
+            return b.mor_from_table(dom, cod, draw(
+                st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+        ent = draw(st.lists(st.integers(-2, 2), min_size=n * m, max_size=n * m))
+        return b.mor_from_matrix(dom, cod, Matrix(m, n, RATIONAL, tuple(map(Fraction, ent))))
+
+    gs = [random_mor(draw(word), draw(word)) for _ in range(draw(st.integers(1, 3)))]
+    f = random_mor(draw(word), ObjectRef(sum((h.dom.factors for h in gs), ())))
+    return b, f, gs
+
+
+class TestComposeTensor:
+    @settings(max_examples=200, deadline=None)
+    @given(composable_tensors())
+    def test_equals_compose_after_tensor_all(self, bfg):
+        b, f, gs = bfg
+        got, expected = b.compose_tensor(f, gs), b.compose(f, b.tensor_all(gs))
+        assert (got.dom, got.cod, got.table, got.matrix) == (
+            expected.dom, expected.cod, expected.table, expected.matrix)
+
+    @settings(max_examples=50, deadline=None)
+    @given(composable_tensors())
+    def test_codomain_mismatch_is_refused(self, bfg):
+        b, f, gs = bfg
+        with pytest.raises(BackendError, match="composition mismatch"):
+            b.compose_tensor(f, gs + [b.identity_mor(b.obj("A0"))])
+
+
 def toy_dy():
     """Base b = Q^2 with zero self-action; V = Q^2 with pi(x) = E21, pi(y) = 0,
     pistar(v) = x (x) E21 v."""

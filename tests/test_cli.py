@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfcat
-from hopfcat import cli, deform
+from hopfcat import backends, cli, deform
 from hopfcat.cli import CHECK_ORDER, TARGETS, main, run_build, run_verify
 from hopfcat.corpus import CORPUS_NAMES, corpus_path, load_corpus_document
 from hopfcat.deform import LiftedFunctor
@@ -302,6 +303,37 @@ class TestOneBuildPath:
         build = [r["rule"] for r in run_build(path, "deformed")[0]["checks"]]
         assert verify[-1] == build[-1] == "deformed.reduction"
         assert verify[:-1] == [f"{rule}[order2]" for rule in build[:-1]]
+
+
+def set_ladder_documents():
+    """The set-ladder documents of the benchmark at seed 0."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.generate("set-ladder", 0)[0]
+
+
+class TestTensorTableSizes:
+    """Composites that read a tensor product at a few points never build
+    its whole table: the longest finset tensor table a call makes is |M|^3
+    for S4 (|M| = 24) and |T|^3 for D8 (|T| = 16), not the fourth power."""
+
+    @pytest.mark.parametrize("name, target, longest", [
+        ("s4_torsors", "hopf-monoid", 24 ** 3), ("d8_torsors", None, 16 ** 3)])
+    def test_longest_table(self, monkeypatch, tmp_path, name, target, longest):
+        lengths = [0]
+
+        def recorded(f, g, gc, real=backends._tensor_tables):
+            out = real(f, g, gc)
+            lengths.append(len(out))
+            return out
+
+        monkeypatch.setattr(backends, "_tensor_tables", recorded)
+        path = write_doc(tmp_path, set_ladder_documents()[name])
+        _, code = run_verify(path) if target is None else run_build(path, target)
+        assert code == 0
+        assert max(lengths) <= longest
 
 
 class TestMain:

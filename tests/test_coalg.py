@@ -1,7 +1,11 @@
+import re
+from fractions import Fraction
+
 import pytest
 
 from hopfcat.backends import (
     Atom,
+    MorphismRep,
     cyclic_group,
     finset_backend,
     linear_backend,
@@ -10,6 +14,7 @@ from hopfcat.backends import (
     symmetric_group,
 )
 from hopfcat.coalg import (
+    Comonoid,
     HopfMonoidData,
     all_hold,
     check_comonoid,
@@ -22,7 +27,10 @@ from hopfcat.coalg import (
     tensor_comonoid,
     unit_comonoid,
 )
-from hopfcat.linalg import Matrix
+from hopfcat.corpus import corpus_path
+from hopfcat.hopfcategory import build_hopf_category, check_hopf_category
+from hopfcat.instances import load_instance
+from hopfcat.linalg import Matrix, mat_kron
 from hopfcat.scalars import RATIONAL
 
 
@@ -147,3 +155,85 @@ class TestGroupAlgebra:
         recs = check_hopf_monoid(b, mutated)
         assert any(r.rule == "hopf.assoc" and r.holds for r in recs)
         assert any(r.rule == "comorphism.mult.split" and not r.holds for r in recs)
+
+
+# ---------------------------------------------------------------------------
+# witnesses: a failing law names the first place its two sides differ
+
+
+def table_witnesses(records):
+    """{rule: (point, lhs value, rhs value, position)} of failing records
+    with a table witness."""
+    out = {}
+    for r in failures(records):
+        m = re.fullmatch(r"lhs\[(\d+)\] = (\d+), rhs\[\1\] = (\d+) at ([\d,]+)", r.detail)
+        assert m, r
+        out.setdefault(r.rule, []).append((*map(int, m.groups()[:3]), m.group(4)))
+    return out
+
+
+def first_difference(lhs, rhs):
+    k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    return k, lhs[k], rhs[k]
+
+
+class TestWitnesses:
+    def test_finset_hom_delta_entry(self):
+        inst = load_instance(corpus_path("z3_torsors"))
+        data = build_hopf_category(inst.functor, inst.comonoids)
+        b = data.backend
+        assert all(r.detail.startswith("at ") for r in check_hopf_category(b, data))
+        key = (0, 1)
+        n = b.obj_size(data.hom[key])
+        d = list(data.delta[key].table)
+        d[1] = 2 * n  # point 1 now splits into (2, 0)
+        data.delta[key] = MorphismRep(data.delta[key].dom, data.delta[key].cod, table=tuple(d))
+        found = table_witnesses(check_hopf_category(b, data))
+        # the two sides of each comonoid law, point by point from the table
+        pairs = [divmod(q, n) for q in d]
+        sides = {
+            "comonoid.coassoc": ([d[q1] * n + q2 for q1, q2 in pairs],
+                                 [q1 * n * n + d[q2] for q1, q2 in pairs]),
+            "comonoid.counit.left": ([q2 for _, q2 in pairs], list(range(n))),
+            "comonoid.counit.right": ([q1 for q1, _ in pairs], list(range(n))),
+        }
+        for rule, (lhs, rhs) in sides.items():
+            if lhs == rhs:
+                assert rule not in found
+            else:
+                assert found[rule] == [(*first_difference(lhs, rhs), "0,1")]
+        assert "comonoid.coassoc" in found
+        # the comorphism records built on that hom keep their witness
+        square = tensor_comonoid(b, data.hom_comonoid(0, 1), data.hom_comonoid(1, 0))
+        mult = data.mult[(0, 1, 0)]
+        lhs = b.compose(mult, data.delta[(0, 0)]).table
+        rhs = b.compose(square.delta, b.tensor_all([mult, mult])).table
+        assert (*first_difference(lhs, rhs), "0,1,0") in found["comorphism.mult.split"]
+
+    def test_linear_comonoid_matrix_entry(self):
+        inst = load_instance(corpus_path("z2_group_algebra"))
+        b, c = inst.backend, inst.comonoids[0]
+        assert all(r.detail == "" for r in check_comonoid(b, c))
+        m = c.delta.matrix
+        ent = list(m.entries)
+        ent[2] += 1
+        d = Matrix(m.rows, m.cols, RATIONAL, tuple(ent))
+        bad = Comonoid(c.obj, MorphismRep(c.delta.dom, c.delta.cod, matrix=d), c.eps)
+        ident = Matrix.identity(m.cols, RATIONAL)
+        e = c.eps.matrix
+        sides = {
+            "comonoid.coassoc": (mat_kron(d, ident) * d, mat_kron(ident, d) * d),
+            "comonoid.counit.left": (mat_kron(e, ident) * d, ident),
+            "comonoid.counit.right": (mat_kron(ident, e) * d, ident),
+        }
+        found = {r.rule: r.detail for r in failures(check_comonoid(b, bad))}
+        for rule, (lhs, rhs) in sides.items():
+            if lhs == rhs:
+                assert rule not in found
+                continue
+            m = re.fullmatch(r"lhs\[(\d+),(\d+)\] = (\S+), rhs\[\1,\2\] = (\S+)", found[rule])
+            assert m, found[rule]
+            k, a, x = first_difference(lhs.entries, rhs.entries)
+            assert (int(m[1]), int(m[2])) == divmod(k, lhs.cols)
+            assert (Fraction(m[3]), Fraction(m[4])) == (a, x)
+        assert "comonoid.coassoc" in found
