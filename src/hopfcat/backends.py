@@ -364,7 +364,7 @@ class Backend:
                     f"composition mismatch: {cur.cod.label()} vs {nxt.dom.label()}")
             if self.kind == "finset":
                 cur = MorphismRep(cur.dom, nxt.cod,
-                                  table=tuple(nxt.table[x] for x in cur.table))
+                                  table=tuple(map(nxt.table.__getitem__, cur.table)))
             else:
                 cur = MorphismRep(cur.dom, nxt.cod, matrix=nxt.matrix * cur.matrix)
         return cur
@@ -416,7 +416,11 @@ class Backend:
             nx, ny = self.obj_size(x), self.obj_size(y)
             dom = x.tensor(y)
             cod = y.tensor(x)
-            table = tuple((k % ny) * nx + (k // ny) for k in range(nx * ny))
+            # (a, b) at a * ny + b goes to (b, a) at b * nx + a
+            table = []
+            for a in range(nx):
+                table += range(a, nx * ny, nx)
+            table = tuple(table)
             if self.kind == "finset":
                 sw = MorphismRep(dom, cod, table=table)
             else:

@@ -9,16 +9,13 @@ input could not be parsed.
 
 Reports are JSON with sorted keys, so two runs on the same file are
 byte-identical except for the "timing" field.  An instance with nothing
-to check gets the verdict "vacuous".  HOPFCAT_SEED picks the subsample
-used when an instance has more objects than a check wants to touch; the
-default of 0 keeps runs reproducible.
+to check gets the verdict "vacuous".  The functor and pre-Cartier
+suites take every comonoid carrier and every atom (the dy base aside).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import random
 import sys
 import time
 from fractions import Fraction
@@ -63,8 +60,6 @@ from .instances import (
 
 TARGETS = ("hopf-monoid", "hopf-category", "deformed", "groupoid")
 
-SAMPLE_CAP = 4  # objects per sampled law suite; keeps tensor cubes small
-
 CONSTRUCTION_ERRORS = (NotAdapted, NotCocommutative, PreCartierViolation,
                        Singular, BackendError)
 
@@ -73,30 +68,20 @@ def _suffix(records, tag):
     return [LawRecord(f"{r.rule}[{tag}]", r.holds, r.detail) for r in records]
 
 
-def _sample_objects(inst, rng):
-    """Comonoid carriers first, then atoms to fill the cap."""
+def _law_objects(inst):
+    """Comonoid carriers first, then every other atom but the dy base."""
     backend = inst.backend
-    objects = []
-    seen = set()
-    for c in inst.comonoids:
-        if c.obj.factors not in seen:
-            seen.add(c.obj.factors)
-            objects.append(c.obj)
-    pool = [name for name in sorted(backend.atoms)
-            if backend.kind != "dy" or name != backend.base]
-    pool = [name for name in pool if (name,) not in seen]
-    room = max(0, SAMPLE_CAP - len(objects))
-    if len(pool) > room:
-        pool = sorted(rng.sample(pool, room))
-    objects.extend(ObjectRef.atom(name) for name in pool)
-    return objects[:SAMPLE_CAP] if objects else objects
+    carriers = {c.obj.factors: c.obj for c in inst.comonoids}
+    return list(carriers.values()) + [
+        ObjectRef.atom(name) for name in sorted(backend.atoms)
+        if (name,) not in carriers and (backend.kind != "dy" or name != backend.base)]
 
 
 # ---------------------------------------------------------------------------
 # the check registry; each entry returns LawRecords (empty = not applicable)
 
 
-def _check_braiding(inst, rng):
+def _check_braiding(inst):
     backend = inst.backend
     if backend is None or not backend.atoms:
         return []
@@ -108,7 +93,7 @@ def _check_braiding(inst, rng):
     return records
 
 
-def _check_comonoids(inst, rng):
+def _check_comonoids(inst):
     records = []
     for i, c in enumerate(inst.comonoids):
         tag = c.name or f"#{i}"
@@ -117,10 +102,10 @@ def _check_comonoids(inst, rng):
     return records
 
 
-def _check_functor(inst, rng):
+def _check_functor(inst):
     if inst.functor is None:
         return []
-    objects = _sample_objects(inst, rng)
+    objects = _law_objects(inst)
     if not objects:
         return []
     return check_comonoidal(inst.functor, objects)
@@ -135,7 +120,7 @@ def _adapted_pairs(inst):
     return [(x, z) for x in uniq for z in uniq]
 
 
-def _check_adapted(inst, rng):
+def _check_adapted(inst):
     if inst.functor is None or not inst.comonoids:
         return []
     records = []
@@ -164,7 +149,7 @@ def _plain_build(inst):
     return inst.built
 
 
-def _check_build(inst, rng):
+def _check_build(inst):
     if inst.functor is None or not inst.comonoids:
         return []
     try:
@@ -174,7 +159,7 @@ def _check_build(inst, rng):
     return check_hopf_category(data.backend, data)
 
 
-def _check_groupoid(inst, rng):
+def _check_groupoid(inst):
     if (inst.functor is None or not inst.comonoids
             or inst.backend.kind != "finset"):
         return []
@@ -186,13 +171,13 @@ def _check_groupoid(inst, rng):
     return records
 
 
-def _check_lie(inst, rng):
+def _check_lie(inst):
     if inst.lie is None:
         return []
     return check_lie_bialgebra(inst.lie)
 
 
-def _check_twists(inst, rng):
+def _check_twists(inst):
     if inst.lie is None or not inst.twists:
         return []
     lb = inst.lie
@@ -214,7 +199,7 @@ def _check_twists(inst, rng):
     return records
 
 
-def _check_dy_modules(inst, rng):
+def _check_dy_modules(inst):
     if inst.lie is None or not inst.modules:
         return []
     records = []
@@ -256,7 +241,7 @@ def _uea_seed_record(uea, tag):
                      uea.engine.coact({(): Fraction(1)}, j) == expect)
 
 
-def _check_uea(inst, rng):
+def _check_uea(inst):
     if inst.lie is None or inst.uea is None:
         return []
     lb = inst.lie
@@ -279,10 +264,10 @@ def _check_uea(inst, rng):
     return records
 
 
-def _check_precartier(inst, rng):
+def _check_precartier(inst):
     if inst.deformation is None:
         return []
-    sample = _sample_objects(inst, rng)
+    sample = _law_objects(inst)
     if not sample:
         return []
     functor = None
@@ -314,7 +299,7 @@ def _build_deformed(inst, order):
             LawRecord("deformed.reduction", hopf_data_equal(reduced, plain)))
 
 
-def _check_deformed(inst, rng):
+def _check_deformed(inst):
     if inst.deformation is None or inst.functor is None or not inst.comonoids:
         return []
     order = inst.deformation["order"]
@@ -355,14 +340,6 @@ def _parse_selector(checks):
     return tuple(c for c in CHECK_ORDER if c in set(checks))
 
 
-def _seed():
-    raw = os.environ.get("HOPFCAT_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise InstanceError(f"HOPFCAT_SEED must be an integer, got {raw!r}")
-
-
 def _report(inst, results, started):
     failed = sum(1 for _, r in results if not r.holds)
     report = {
@@ -379,7 +356,7 @@ def _report(inst, results, started):
     return report, (0 if failed == 0 else 1)
 
 
-def run_verify(path, checks="all", seed=None):
+def run_verify(path, checks="all"):
     """Run the selected law suites on one instance file.
 
     Returns (report, exit_code); schema problems give an error report and
@@ -388,17 +365,16 @@ def run_verify(path, checks="all", seed=None):
     started = time.monotonic()
     try:
         selected = _parse_selector(checks)
-        rng = random.Random(_seed() if seed is None else seed)
         inst = load_instance(path)
         results = []
         for name in selected:
-            results.extend((name, r) for r in CHECKS[name](inst, rng))
+            results.extend((name, r) for r in CHECKS[name](inst))
     except (InstanceError, OSError) as exc:
         return {"error": str(exc), "verdict": "error"}, 2
     return _report(inst, results, started)
 
 
-def run_build(path, target, order=None, seed=None):
+def run_build(path, target, order=None):
     """Run one constructor and re-verify its output.
 
     The structure maps appear in the report only when every verification

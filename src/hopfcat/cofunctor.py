@@ -124,7 +124,14 @@ class OrbitFunctor(ComonoidalFunctor):
     every orbit meets the fibre over some representative r of P, and meets
     it in one orbit of the stabilizer of r on the atom A.  So only the
     atoms' permutations and the group table are read, never a diagonal
-    action table.
+    action table.  When Stab(r) is trivial the fibre is |A| orbits of one
+    point each, and is numbered without a sweep.
+    Labels are kept per fibre, and a transversal only implicitly, as a
+    Schreier vector is (ibid., 4.1): the label of a point (p, a) is read
+    from p's transversal element and the fibre of p's orbit.  So a word
+    gets a label for every point only when it is extended or read whole
+    by orbit_info, never the longest words of a verify, which hold most
+    of the points.
     Equivariant maps descend to orbit maps; the splitting sends the orbit
     of a pair to the pair of orbits.
     """
@@ -138,27 +145,34 @@ class OrbitFunctor(ComonoidalFunctor):
         group = source.group
         self._inv = tuple(row.index(0) for row in group.table)
         # the empty word: one orbit, fixed by the whole group
-        self._orbits = {(): ((0,), (0,), (tuple(group.elements()),), None)}
-        self._trans = {(): (0,)}
+        self._orbits = {(): ((0,), (tuple(group.elements()),), None)}
+        self._points = {(): ((0,), (0,))}
 
     def _orbits_of(self, factors):
-        """(reps, orbit_of, stabs, fibres) of a tensor word, kept for every
-        word met: the smallest member of each orbit, ascending; each
-        element's orbit; the stabilizer of each representative, as a tuple
-        of elements; and fibres[k], (lab, sel) on the last factor over the
-        k-th representative r of the prefix: lab[a] is the orbit of (r, a),
-        and sel[a] in Stab(r) takes a to the smallest point of its
-        Stab(r)-orbit.
+        """(reps, stabs, fibres) of a tensor word, kept for every word met:
+        the smallest member of each orbit, ascending; the stabilizer of
+        each representative, as a tuple of elements; and fibres[k],
+        (lab, sel) on the last factor over the k-th representative r of
+        the prefix: lab[a] is the orbit of (r, a), and sel[a] in Stab(r)
+        takes a to the smallest point of its Stab(r)-orbit.  A trivial
+        Stab(r) gives lab = range(base, base + m) and sel all identity.
         """
         data = self._orbits.get(factors)
         if data is not None:
             return data
-        p_reps, p_orbit, p_stabs, _ = self._orbits_of(factors[:-1])
+        p_reps, p_stabs, _ = self._orbits_of(factors[:-1])
         m = self.source.atom_size(factors[-1])
         action = self.source.atoms[factors[-1]].action
         inv = self._inv
         reps, stabs, fibres = [], [], []
+        identity = (0,) * m
         for r, stab in zip(p_reps, p_stabs):
+            if len(stab) == 1:
+                base = len(reps)
+                reps += range(r * m, r * m + m)
+                stabs += [stab] * m
+                fibres.append((range(base, base + m), identity))
+                continue
             lab, sel = [-1] * m, [0] * m
             for a in range(m):
                 if lab[a] >= 0:
@@ -175,71 +189,79 @@ class OrbitFunctor(ComonoidalFunctor):
                         sel[b] = inv[h]
                 stabs.append(tuple(fixing))
             fibres.append((lab, sel))
-        orbit_of = []
-        for p, g in enumerate(self._transversal(factors[:-1])):
-            # g takes (p, x) to (r, g.x), in the orbit labelled lab[g.x]
-            lab = fibres[p_orbit[p]][0]
-            orbit_of += [lab[x] for x in action[g]]
-        data = (tuple(reps), tuple(orbit_of), tuple(stabs), tuple(fibres))
+        data = (tuple(reps), tuple(stabs), tuple(fibres))
         self._orbits[factors] = data
         return data
 
-    def _transversal(self, factors):
-        """trans of a tensor word: an element trans[p] of the group taking
-        p to its representative.  Built when the word is first extended (or
-        asked for), never for the longest words of a verify, which hold most
-        of the points."""
-        trans = self._trans.get(factors)
-        if trans is None:
-            p_orbit = self._orbits_of(factors[:-1])[1]
-            fibres = self._orbits_of(factors)[3]
+    def _per_point(self, factors):
+        """(orbit_of, trans) of a tensor word: each element's orbit, and an
+        element trans[p] of the group taking p to its representative."""
+        data = self._points.get(factors)
+        if data is None:
+            p_orbit, p_trans = self._per_point(factors[:-1])
+            fibres = self._orbits_of(factors)[2]
             action = self.source.atoms[factors[-1]].action
             table = self.source.group.table
-            out = []
-            for p, g in enumerate(self._transversal(factors[:-1])):
-                # sel fixes r and moves g.x to the representative's point
-                sel = fibres[p_orbit[p]][1]
-                out += [table[sel[x]][g] for x in action[g]]
-            trans = self._trans[factors] = tuple(out)
-        return trans
-
-    def _image(self, obj: ObjectRef):
-        key = obj.factors
-        if key in self._images:
-            return self._images[key]
-        reps, orbit_of, _, _ = self._orbits_of(key)
-        if not key:
-            image = self.target.unit()
-        else:
-            name = f"orb[{obj.label()}]"
-            self.target.atoms[name] = Atom(name, len(reps), (tuple(range(len(reps))),))
-            image = self.target.obj(name)
-        data = (image, reps, orbit_of)
-        self._images[key] = data
+            orbit_of, trans = [], []
+            for p, g in enumerate(p_trans):
+                # g takes (p, x) to (r, g.x), in the orbit lab[g.x]; sel
+                # fixes r and moves g.x to the representative's point
+                lab, sel = fibres[p_orbit[p]]
+                row = action[g]
+                orbit_of += map(lab.__getitem__, row)
+                trans += [table[sel[y]][g] for y in row]
+            data = self._points[factors] = (tuple(orbit_of), tuple(trans))
         return data
 
+    def _labels_at(self, factors, points):
+        """Orbit labels of the given points of a word, read from its
+        prefix's per-point data and its own fibres."""
+        data = self._points.get(factors)
+        if data is not None:
+            return list(map(data[0].__getitem__, points))
+        p_orbit, p_trans = self._per_point(factors[:-1])
+        fibres = self._orbits_of(factors)[2]
+        action = self.source.atoms[factors[-1]].action
+        m = self.source.atom_size(factors[-1])
+        out = []
+        for q in points:
+            p, x = divmod(q, m)
+            out.append(fibres[p_orbit[p]][0][action[p_trans[p]][x]])
+        return out
+
     def apply_obj(self, obj):
-        return self._image(obj)[0]
+        key = obj.factors
+        image = self._images.get(key)
+        if image is None:
+            if not key:
+                image = self.target.unit()
+            else:
+                n = len(self._orbits_of(key)[0])
+                name = f"orb[{obj.label()}]"
+                self.target.atoms[name] = Atom(name, n, (tuple(range(n)),))
+                image = self.target.obj(name)
+            self._images[key] = image
+        return image
 
     def orbit_info(self, obj):
         """(representatives, orbit label of each element) for a source object."""
-        _, reps, orbit_of = self._image(obj)
-        return reps, orbit_of
+        return self._orbits_of(obj.factors)[0], self._per_point(obj.factors)[0]
 
     def apply_mor(self, f):
-        dom_img, dom_reps, _ = self._image(f.dom)
-        cod_img, _, cod_orbit = self._image(f.cod)
-        table = tuple(cod_orbit[f.table[r]] for r in dom_reps)
-        return MorphismRep(dom_img, cod_img, table=table)
+        dom_img, cod_img = self.apply_obj(f.dom), self.apply_obj(f.cod)
+        reps = self._orbits_of(f.dom.factors)[0]
+        table = self._labels_at(f.cod.factors, map(f.table.__getitem__, reps))
+        return MorphismRep(dom_img, cod_img, table=tuple(table))
 
     def f2(self, x, y):
         xy = x.tensor(y)
-        dom_img, dom_reps, _ = self._image(xy)
-        x_img, _, x_orbit = self._image(x)
-        y_img, _, y_orbit = self._image(y)
+        dom_img, x_img, y_img = self.apply_obj(xy), self.apply_obj(x), self.apply_obj(y)
+        reps = self._orbits_of(xy.factors)[0]
         ny = self.source.obj_size(y)
         wy = self.target.obj_size(y_img)
-        table = tuple(x_orbit[r // ny] * wy + y_orbit[r % ny] for r in dom_reps)
+        x_orbit = self._labels_at(x.factors, [r // ny for r in reps])
+        y_orbit = self._labels_at(y.factors, [r % ny for r in reps])
+        table = tuple(a * wy + b for a, b in zip(x_orbit, y_orbit))
         return MorphismRep(dom_img, x_img.tensor(y_img), table=table)
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfcat
-from hopfcat import backends, cli, deform
+from hopfcat import backends, cli, cofunctor, deform
 from hopfcat.cli import CHECK_ORDER, TARGETS, main, run_build, run_verify
 from hopfcat.corpus import CORPUS_NAMES, corpus_path, load_corpus_document
 from hopfcat.deform import LiftedFunctor
@@ -160,11 +160,18 @@ class TestVerifyOutcomes:
         assert report["verdict"] == "error"
         assert report["error"].startswith(where)
 
-    def test_seed_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HOPFCAT_SEED", "7")
-        assert run_verify(write_doc(tmp_path, {}))[1] == 0
-        monkeypatch.setenv("HOPFCAT_SEED", "junk")
-        assert run_verify(write_doc(tmp_path, {}))[1] == 2
+    def test_precartier_checks_every_atom(self, tmp_path):
+        # six non-base atoms: two comonoid carriers and E3, E4, V, W; a
+        # sample of four at seed 0 took E4 and W, and missed the bad entry
+        # t(E3, E3) = 1, which breaks antisymmetry on a line
+        doc = load_corpus_document("abelian_precartier")
+        line = next(a for a in doc["atoms"] if a["name"] == "E")
+        doc["atoms"] += [dict(line, name="E3"), dict(line, name="E4")]
+        doc["deformation"]["t"].append({"x": ["E3"], "y": ["E3"], "matrix": [["1"]]})
+        report, code = run_verify(write_doc(tmp_path, doc), checks="precartier")
+        assert code == 1
+        failing = {r["rule"]: r["detail"] for r in report["checks"] if not r["holds"]}
+        assert "(E3,E3)" in failing["precartier.antisym"]
 
     def test_check_order_is_stable(self):
         assert CHECK_ORDER == ("braiding", "comonoids", "functor", "adapted",
@@ -334,6 +341,25 @@ class TestTensorTableSizes:
         _, code = run_verify(path) if target is None else run_build(path, target)
         assert code == 0
         assert max(lengths) <= longest
+
+
+class TestOrbitLabelSizes:
+    """An s4_torsors verify labels every point only of the words the orbit
+    functor extends, at most |G|^3 = 13,824 points, and never the 331,776
+    points of its longest words X (x) M (x) M (x) Z."""
+
+    def test_longest_label_array(self, monkeypatch, tmp_path):
+        lengths = [0]
+
+        def recorded(fn, factors, real=cofunctor.OrbitFunctor._per_point):
+            out = real(fn, factors)
+            lengths.extend(map(len, out))
+            return out
+
+        monkeypatch.setattr(cofunctor.OrbitFunctor, "_per_point", recorded)
+        _, code = run_verify(write_doc(tmp_path, set_ladder_documents()["s4_torsors"]))
+        assert code == 0
+        assert max(lengths) <= 24 ** 3
 
 
 class TestMain:

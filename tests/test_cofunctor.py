@@ -74,8 +74,9 @@ class TestOrbitFunctor:
         b = torsor_backend(g)
         fn = OrbitFunctor(b)
         st = b.obj("S", "T")
-        _, reps, orbit_of = fn._image(st)
+        reps = fn._orbits_of(st.factors)[0]
         n = g.order
+        orbit_of = fn._labels_at(st.factors, range(n * n))
         for a in range(n):
             for c in range(n):
                 label = orbit_of[a * n + c]
@@ -105,7 +106,8 @@ class TestOrbitFunctor:
             b.mor_from_table(b.obj("T"), b.obj("T"),
                              tuple(g.mul(a, 1) for a in range(3))))
         img = fn.apply_mor(shift)
-        _, reps, orbit_of = fn._image(st)
+        reps = fn._orbits_of(st.factors)[0]
+        orbit_of = fn._labels_at(st.factors, range(9))
         # label s goes to s*1
         for lab, rep in enumerate(reps):
             assert img.table[lab] == orbit_of[rep // 3 * 3 + g.mul(rep % 3, 1)]
@@ -158,8 +160,8 @@ class TestOrbitDataAgainstAllElements:
         b, words = case
         fn = OrbitFunctor(b)
         for word in words:
-            reps, orbit_of, stabs, _ = fn._orbits_of(word)
-            trans = fn._transversal(word)
+            reps, stabs, _ = fn._orbits_of(word)
+            orbit_of, trans = fn._per_point(word)
             n_reps, n_orbit_of, n_stabs, acts = naive_orbit_data(b, b.obj(*word))
             assert (reps, orbit_of) == (n_reps, n_orbit_of), word
             assert stabs == n_stabs, word
@@ -168,9 +170,9 @@ class TestOrbitDataAgainstAllElements:
     def test_empty_word_is_one_orbit_fixed_by_the_group(self):
         b = gset_backend(symmetric_group(3))
         fn = OrbitFunctor(b)
-        reps, orbit_of, stabs, _ = fn._orbits_of(())
-        assert (reps, orbit_of, stabs) == ((0,), (0,), (tuple(range(6)),))
-        assert fn._transversal(()) == (0,)
+        reps, stabs, _ = fn._orbits_of(())
+        assert (reps, stabs) == ((0,), (tuple(range(6)),))
+        assert fn._per_point(()) == ((0,), (0,))
         assert fn.orbit_info(b.unit()) == ((0,), (0,))
 
     def test_only_requested_words_get_target_atoms(self):
@@ -180,6 +182,58 @@ class TestOrbitDataAgainstAllElements:
         fn.apply_obj(b.obj("V", "S", "V"))
         assert list(fn.target.atoms) == ["orb[V(x)S(x)V]"]
         assert set(fn._orbits) == {(), ("V",), ("V", "S"), ("V", "S", "V")}
+
+
+def label_cases():
+    """(backend, words) pairs whose labels are read on demand: torsors,
+    where every fibre past the first factor has a trivial stabilizer,
+    and sets whose fibres have nontrivial stabilizers (D4 on the square's
+    corners, the S3 G-sets with fixed points)."""
+    s3 = symmetric_group(3)
+    torsors = finset_backend(s3, [regular_atom("S", s3), coset_atom("T", s3, [{0}], seed=4)])
+    torsor_words = [w for k in range(1, 5) for w in itertools.product("ST", repeat=k)]
+    d4 = dihedral_group()
+    square = finset_backend(d4, [point_atom("V", d4), regular_atom("S", d4)])
+    square_words = ([w for k in range(1, 5) for w in itertools.product("V", repeat=k)]
+                    + [tuple("VS"), tuple("SV"), tuple("VVS"), tuple("VSVV"), tuple("SVVV")])
+    s3_sets = gset_backend(s3)
+    s3_words = ([w for k in (1, 2) for w in itertools.product("STU", repeat=k)]
+                + [tuple("UUU"), tuple("UUUU"), tuple("UTUS"), tuple("SUUU")])
+    return [(torsors, torsor_words), (square, square_words), (s3_sets, s3_words)]
+
+
+class TestLabelsOnDemand:
+    @pytest.mark.parametrize("case", label_cases(), ids=["s3_torsors", "d4_square", "s3_gset"])
+    def test_labels_at_every_point_match_the_full_array(self, case):
+        b, words = case
+        for word in words:
+            n = b.obj_size(b.obj(*word))
+            fn = OrbitFunctor(b)
+            on_demand = fn._labels_at(word, range(n))
+            # read from the prefix and the fibres, not from a label array
+            assert word not in fn._points, word
+            assert tuple(on_demand) == fn.orbit_info(b.obj(*word))[1], word
+            assert tuple(on_demand) == naive_orbit_info(b, b.obj(*word))[1], word
+
+    def test_torsor_fibres_past_the_first_factor_are_not_swept(self):
+        b, words = label_cases()[0]
+        fn = OrbitFunctor(b)
+        for word in words[2:]:
+            fibres = fn._orbits_of(word)[2]
+            base = 0
+            for lab, sel in fibres:
+                assert lab == range(base, base + 6) and set(sel) == {0}, word
+                base += 6
+
+    def test_apply_mor_and_f2_leave_the_longest_word_unlabelled(self):
+        b = torsor_backend(symmetric_group(3))
+        fn = OrbitFunctor(b)
+        s, sss = b.obj("S"), b.obj("S", "S", "S")
+        fn.apply_mor(b.tensor_mor(b.identity_mor(s), b.braiding(s, s.tensor(s))))
+        fn.f2(s.tensor(s), s.tensor(s))
+        assert set(fn._points) == {(), ("S",), ("S", "S"), ("S", "S", "S")}
+        assert ("S", "S", "S", "S") in fn._orbits
+        assert fn.orbit_info(sss) == naive_orbit_info(b, sss)
 
 
 def permutation_linear_backend(group, perms):
@@ -348,7 +402,7 @@ class TestAdaptedness:
         cert = certify_adapted(fn, m, [(s, s)])
         mu = mult_along(fn, cert, s, s)
         ss = s.tensor(s)
-        _, reps, orbit_of = fn._image(ss)
+        orbit_of = fn.orbit_info(ss)[1]
         n = g.order
         wy = fn.target.obj_size(fn.apply_obj(ss))
         for a in range(n):
