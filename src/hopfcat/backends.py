@@ -318,6 +318,17 @@ class Backend:
             self.atom_size(name)
         return ObjectRef(tuple(names))
 
+    def trivial_atom(self, name, size):
+        """The word of the atom `name` of the given size on which the whole
+        group acts as the identity, registered on first use; the one
+        place atoms are added after construction (functors register their
+        images here).  Correct by construction, so not validated."""
+        if name not in self.atoms:
+            one = (tuple(range(size)) if self.kind == "finset"
+                   else Matrix.identity(size, self.ring))
+            self.atoms[name] = Atom(name, size, (one,) * self.group.order)
+        return ObjectRef.atom(name)
+
     # -- morphism constructors
 
     def identity_mor(self, obj):

@@ -33,7 +33,6 @@ from .hopfcategory import (
 )
 from .liebialg import (
     TruncatedUEA,
-    _acc,
     check_dy_module,
     check_lie_bialgebra,
     check_twist,
@@ -48,7 +47,7 @@ from .deform import (
     reduce_order0,
     require_pre_cartier,
 )
-from .linalg import Singular
+from .linalg import Singular, _acc
 from .instances import (
     InstanceError,
     dump_document,
@@ -274,29 +273,25 @@ def _check_precartier(inst):
     if inst.functor is not None and inst.functor.source is inst.backend:
         functor = inst.functor
     return check_pre_cartier(
-        inst.deformation["pc"], sample,
-        commutation=True, antisymmetry=True,
-        inf_cocommutative=inst.comonoids,
-        convention=inst.deformation["convention"],
-        inf_braided=functor)
+        inst.deformation["pc"], sample, inf_cocommutative=inst.comonoids,
+        convention=inst.deformation["convention"], inf_braided=functor)
 
 
 def _build_deformed(inst, order):
     """The deformed structure at order, its Hopf-category records, and the
-    record that its degree-0 reduction is the plain build, which is the
-    deformed structure itself at order 0."""
+    record that its degree-0 reduction is the plain build.  A violated
+    deformation law is reported ahead of a failed plain construction."""
     block = inst.deformation or {}
     pc, convention = block.get("pc"), block.get("convention", "t_delta_zero")
-    if order:
-        data = build_deformed_hopf_category(inst.functor, inst.comonoids, order, pc,
-                                            convention=convention)
-    else:
+    try:
+        plain = _plain_build(inst)
+    except CONSTRUCTION_ERRORS:
         require_pre_cartier(inst.functor, inst.comonoids, pc, convention)
-        data = _plain_build(inst)
-    plain = _plain_build(inst)
-    reduced = reduce_order0(data) if order > 0 else data
+        raise
+    data = build_deformed_hopf_category(plain, inst.functor, inst.comonoids, order, pc,
+                                        convention=convention)
     return (data, check_hopf_category(data.backend, data),
-            LawRecord("deformed.reduction", hopf_data_equal(reduced, plain)))
+            LawRecord("deformed.reduction", hopf_data_equal(reduce_order0(data), plain)))
 
 
 def _check_deformed(inst):

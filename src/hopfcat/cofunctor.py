@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .backends import (
-    Atom,
     Backend,
     BackendError,
     MorphismRep,
@@ -236,10 +235,8 @@ class OrbitFunctor(ComonoidalFunctor):
             if not key:
                 image = self.target.unit()
             else:
-                n = len(self._orbits_of(key)[0])
-                name = f"orb[{obj.label()}]"
-                self.target.atoms[name] = Atom(name, n, (tuple(range(n)),))
-                image = self.target.obj(name)
+                image = self.target.trivial_atom(f"orb[{obj.label()}]",
+                                                 len(self._orbits_of(key)[0]))
             self._images[key] = image
         return image
 
@@ -298,19 +295,10 @@ class CoinvariantsFunctor(ComonoidalFunctor):
                 raise BackendError("relations must vanish on the unit object")
             image = self.target.unit()
         else:
-            name = f"{self.tag}[{obj.label()}]"
-            self.target.atoms[name] = Atom(name, p.rows,
-                                           (Matrix.identity(p.rows, RATIONAL),))
-            image = self.target.obj(name)
+            image = self.target.trivial_atom(f"{self.tag}[{obj.label()}]", p.rows)
         data = (image, p, s)
         self._images[key] = data
         return data
-
-    def projection(self, obj):
-        return self._image(obj)[1]
-
-    def section(self, obj):
-        return self._image(obj)[2]
 
     def apply_obj(self, obj):
         return self._image(obj)[0]

@@ -8,27 +8,29 @@ splits off its first factor, a composite right argument likewise, with
 the far factor carried past the symmetry and back.  The unit word gets
 the zero map.  A datum is only usable once `check_pre_cartier` accepts
 it: the peeling rules must be cut-independent, the maps natural and
-equivariant, and (for deformation) the commutation and antisymmetry
-laws must hold.
+equivariant, and the commutation and antisymmetry laws must hold.
 
 The deformed symmetry on a pair is the plain symmetry composed with
 the truncated exponential of the formal parameter times the extended
-map.  Feeding that braiding into the usual constructor, with all
-functor and comonoid data embedded into the series ring, produces the
-deformed structure; its degree-zero part is the undeformed one.
+map.  In the constructor only each hom's splitting and antipode read
+the symmetry, and both are linear in it.  So the deformed structure is
+the plain one embedded in the series ring, with those two maps rebuilt
+degree by degree from the rational coefficients of the deformed
+symmetry; nothing is inverted or re-certified over the series ring, and
+the degree-zero part is the plain structure itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .backends import Atom, Backend, BackendError, MorphismRep, ObjectRef
-from .coalg import Comonoid, LawRecord, all_hold, failures
-from .cofunctor import ComonoidalFunctor
-from .hopfcategory import HopfCategoryData, build_hopf_category
-from .linalg import Matrix, lift_matrix, mat_kron, reduce_matrix
-from .scalars import RATIONAL, HSeries, hseries_ring
+from .coalg import LawRecord, all_hold, failures
+from .hopfcategory import HopfCategoryData, split_and_antipode
+from .linalg import (Matrix, lift_matrix, mat_kron, reduce_matrix, series_coefficients,
+                     series_matrix)
+from .scalars import RATIONAL, hseries_ring
 
 
 class PreCartierViolation(ValueError):
@@ -99,31 +101,39 @@ class PreCartierData:
                 dom, dom, Matrix.zeros(be.obj_size(dom), be.obj_size(dom), RATIONAL))
         elif len(x.factors) >= 2:
             # peel the first factor of the left argument
-            x0 = ObjectRef.atom(x.factors[0])
-            xr = ObjectRef(x.factors[1:])
-            idx0 = be.identity_mor(x0)
-            near = be.tensor_mor(idx0, self.t(xr, y))
-            far = be.compose(
-                be.tensor_mor(idx0, be.braiding(xr, y)),
-                be.tensor_mor(self.t(x0, y), be.identity_mor(xr)),
-                be.tensor_mor(idx0, be.braiding(y, xr)))
-            mor = be.mor_from_matrix(dom, dom, near.matrix + far.matrix)
+            mor = be.mor_from_matrix(dom, dom, self.t_cut_left(
+                ObjectRef(x.factors[:1]), ObjectRef(x.factors[1:]), y))
         elif len(y.factors) >= 2:
             # peel the first factor of the right argument
-            y0 = ObjectRef.atom(y.factors[0])
-            yr = ObjectRef(y.factors[1:])
-            idyr = be.identity_mor(yr)
-            near = be.tensor_mor(self.t(x, y0), idyr)
-            far = be.compose(
-                be.tensor_mor(be.braiding(x, y0), idyr),
-                be.tensor_mor(be.identity_mor(y0), self.t(x, yr)),
-                be.tensor_mor(be.braiding(y0, x), idyr))
-            mor = be.mor_from_matrix(dom, dom, near.matrix + far.matrix)
+            mor = be.mor_from_matrix(dom, dom, self.t_cut_right(
+                x, ObjectRef(y.factors[:1]), ObjectRef(y.factors[1:])))
         else:
             mor = be.mor_from_matrix(dom, dom,
                                      self.atom_t(x.factors[0], y.factors[0]))
         self._cache[key] = mor
         return mor
+
+    def t_cut_left(self, x: ObjectRef, y: ObjectRef, z: ObjectRef) -> Matrix:
+        """t on (x (x) y, z) by the left rule at the cut x|y: id_x (x) t(y, z)
+        plus t(x, z) with y carried past z and back."""
+        be = self.backend
+        idx = be.identity_mor(x)
+        far = be.compose(
+            be.tensor_mor(idx, be.braiding(y, z)),
+            be.tensor_mor(self.t(x, z), be.identity_mor(y)),
+            be.tensor_mor(idx, be.braiding(z, y)))
+        return be.tensor_mor(idx, self.t(y, z)).matrix + far.matrix
+
+    def t_cut_right(self, x: ObjectRef, y: ObjectRef, z: ObjectRef) -> Matrix:
+        """t on (x, y (x) z) by the right rule at the cut y|z: t(x, y) (x) id_z
+        plus t(x, z) with y carried past x and back."""
+        be = self.backend
+        idz = be.identity_mor(z)
+        far = be.compose(
+            be.tensor_mor(be.braiding(x, y), idz),
+            be.tensor_mor(be.identity_mor(y), self.t(x, z)),
+            be.tensor_mor(be.braiding(y, x), idz))
+        return be.tensor_mor(self.t(x, y), idz).matrix + far.matrix
 
 
 def casimir_t(backend, r: Matrix) -> PreCartierData:
@@ -167,11 +177,10 @@ def casimir_t(backend, r: Matrix) -> PreCartierData:
 # the laws
 
 
-def check_pre_cartier(pc: PreCartierData, sample, *, commutation=True,
-                      antisymmetry=True, inf_cocommutative=(),
+def check_pre_cartier(pc: PreCartierData, sample, *, inf_cocommutative=(),
                       convention="t_delta_zero", inf_braided=None,
                       morphisms=()):
-    """Check the requested laws exactly on the sampled objects.
+    """Check the laws exactly on the sampled objects.
 
     sample: nonempty list of ObjectRef; pairs and triples are drawn from
     it, so include composite words to exercise the peeling rules at
@@ -188,9 +197,6 @@ def check_pre_cartier(pc: PreCartierData, sample, *, commutation=True,
     be = pc.backend
     records = []
 
-    def tmat(x, y):
-        return pc.t(x, y).matrix
-
     # every sampled component must be a morphism of the backend
     bad = []
     for x in sample:
@@ -205,26 +211,9 @@ def check_pre_cartier(pc: PreCartierData, sample, *, commutation=True,
         for y in sample:
             for z in sample:
                 lbl = f"({x.label()},{y.label()},{z.label()})"
-                idx = be.identity_mor(x)
-                idy = be.identity_mor(y)
-                idz = be.identity_mor(z)
-                # right rule: composite second argument split at (y, z)
-                lhs = tmat(x, y.tensor(z))
-                far = be.compose(
-                    be.tensor_mor(be.braiding(x, y), idz),
-                    be.tensor_mor(idy, pc.t(x, z)),
-                    be.tensor_mor(be.braiding(y, x), idz))
-                rhs = be.tensor_mor(pc.t(x, y), idz).matrix + far.matrix
-                if lhs != rhs:
+                if pc.t(x, y.tensor(z)).matrix != pc.t_cut_right(x, y, z):
                     bad_r.append(lbl)
-                # left rule: composite first argument split at (x, y)
-                lhs = tmat(x.tensor(y), z)
-                far = be.compose(
-                    be.tensor_mor(idx, be.braiding(y, z)),
-                    be.tensor_mor(pc.t(x, z), idy),
-                    be.tensor_mor(idx, be.braiding(z, y)))
-                rhs = be.tensor_mor(idx, pc.t(y, z)).matrix + far.matrix
-                if lhs != rhs:
+                if pc.t(x.tensor(y), z).matrix != pc.t_cut_left(x, y, z):
                     bad_l.append(lbl)
     records.append(LawRecord("precartier.extension.right", not bad_r, "; ".join(bad_r)))
     records.append(LawRecord("precartier.extension.left", not bad_l, "; ".join(bad_l)))
@@ -246,27 +235,25 @@ def check_pre_cartier(pc: PreCartierData, sample, *, commutation=True,
                        f"{g.dom.label()}->{g.cod.label()})")
     records.append(LawRecord("precartier.natural", not bad, "; ".join(bad)))
 
-    if commutation:
-        bad = []
-        for x in sample:
-            for y in sample:
-                for z in sample:
-                    left = be.tensor_mor(pc.t(x, y), be.identity_mor(z))
-                    right = be.tensor_mor(be.identity_mor(x), pc.t(y, z))
-                    if left.matrix * right.matrix != right.matrix * left.matrix:
-                        bad.append(f"({x.label()},{y.label()},{z.label()})")
-        records.append(LawRecord("precartier.commutation", not bad, "; ".join(bad)))
+    bad = []
+    for x in sample:
+        for y in sample:
+            for z in sample:
+                left = be.tensor_mor(pc.t(x, y), be.identity_mor(z))
+                right = be.tensor_mor(be.identity_mor(x), pc.t(y, z))
+                if left.matrix * right.matrix != right.matrix * left.matrix:
+                    bad.append(f"({x.label()},{y.label()},{z.label()})")
+    records.append(LawRecord("precartier.commutation", not bad, "; ".join(bad)))
 
-    if antisymmetry:
-        bad = []
-        for x in sample:
-            for y in sample:
-                sw = be.braiding(x, y)
-                lhs = be.compose(sw, pc.t(y, x))
-                rhs = be.compose(pc.t(x, y), sw)
-                if lhs.matrix != -rhs.matrix:
-                    bad.append(f"({x.label()},{y.label()})")
-        records.append(LawRecord("precartier.antisym", not bad, "; ".join(bad)))
+    bad = []
+    for x in sample:
+        for y in sample:
+            sw = be.braiding(x, y)
+            lhs = be.compose(sw, pc.t(y, x))
+            rhs = be.compose(pc.t(x, y), sw)
+            if lhs.matrix != -rhs.matrix:
+                bad.append(f"({x.label()},{y.label()})")
+    records.append(LawRecord("precartier.antisym", not bad, "; ".join(bad)))
 
     for m in inf_cocommutative:
         tag = m.name or m.obj.label()
@@ -303,101 +290,58 @@ def check_pre_cartier(pc: PreCartierData, sample, *, commutation=True,
 def deformed_braiding(pc: PreCartierData, x: ObjectRef, y: ObjectRef,
                       order: int) -> MorphismRep:
     """Symmetry times the exponential of the formal parameter times t,
-    truncated at the given degree; a morphism over the series ring."""
+    truncated at the given degree; a morphism over the series ring whose
+    degree-d coefficient is sigma t^d / d!."""
     if order < 0:
         raise BackendError("truncation order must be nonnegative")
-    be = pc.backend
-    ring = hseries_ring(order)
     t = pc.t(x, y).matrix
-    n = t.rows
-    powers = [Matrix.identity(n, RATIONAL)]
+    terms = [pc.backend.braiding(x, y).matrix]
     for m in range(1, order + 1):
-        powers.append((powers[-1] * t).scale(Fraction(1, m)))
-    exp = Matrix.sparse(n, n, ring, [
-        {j: HSeries.from_coeffs([p.nz[i].get(j, 0) for p in powers], order)
-         for j in set().union(*(p.nz[i] for p in powers))}
-        for i in range(n)])
-    sig = lift_matrix(be.braiding(x, y).matrix, ring)
-    return MorphismRep(x.tensor(y), y.tensor(x), matrix=sig * exp)
+        terms.append((terms[-1] * t).scale(Fraction(1, m)))
+    return MorphismRep(x.tensor(y), y.tensor(x),
+                       matrix=series_matrix(terms, hseries_ring(order)))
 
 
 # ---------------------------------------------------------------------------
-# lifting rational data into the series ring
+# moving rational data between the rationals and the series ring
 
 
-def lift_backend(backend: Backend, ring) -> Backend:
-    """The same backend with every structure matrix embedded in ring."""
+def _matrix_in(m: Matrix, ring) -> Matrix:
+    return reduce_matrix(m) if ring == RATIONAL else lift_matrix(m, ring)
+
+
+def change_ring(backend: Backend, ring) -> Backend:
+    """The same backend with every structure matrix embedded in a series
+    ring, or reduced to its degree-0 part when ring is the rationals."""
     if backend.kind == "finset":
-        raise BackendError("only linear backends lift to series scalars")
-    if ring.kind == "rational":
+        raise BackendError("only linear backends change scalar ring")
+    if backend.ring == ring:
         return backend
 
-    def lm(m):
-        return None if m is None else lift_matrix(m, ring)
+    def move(m):
+        return None if m is None else _matrix_in(m, ring)
 
-    atoms = {name: Atom(name, a.size, tuple(lm(g) for g in a.action),
-                        pi=lm(a.pi), pistar=lm(a.pistar))
+    atoms = {name: Atom(name, a.size, tuple(map(move, a.action)),
+                        pi=move(a.pi), pistar=move(a.pistar))
              for name, a in backend.atoms.items()}
     return Backend(backend.kind, backend.group, atoms, ring=ring,
                    base=backend.base)
 
 
-def lift_mor(f: MorphismRep, ring) -> MorphismRep:
-    return MorphismRep(f.dom, f.cod, matrix=lift_matrix(f.matrix, ring))
+def _structure_in(data: HopfCategoryData, ring) -> HopfCategoryData:
+    """data over its backend moved into ring, every map with it."""
+
+    def move(maps):
+        return {k: replace(f, matrix=_matrix_in(f.matrix, ring)) for k, f in maps.items()}
+
+    return HopfCategoryData(data.labels, change_ring(data.backend, ring), dict(data.hom),
+                            *map(move, (data.mult, data.unit, data.delta, data.eps,
+                                        data.antipode)))
 
 
-class LiftedFunctor(ComonoidalFunctor):
-    """Series-linear extension of a linear functor.
-
-    Objects are unchanged; the inner functor's projection/section data
-    is embedded in the series ring, so morphisms with higher-degree
-    entries can be pushed through.  Inner functors without that data
-    (the identity) pass morphisms unchanged.
-    """
-
-    def __init__(self, inner, ring):
-        if inner.source.kind == "finset":
-            raise BackendError("only linear functors extend to series scalars")
-        super().__init__(lift_backend(inner.source, ring),
-                         lift_backend(inner.target, ring))
-        self.inner = inner
-        self.ring = ring
-
-    def _mirror(self, image: ObjectRef) -> ObjectRef:
-        # quotient functors register target atoms lazily; copy them over
-        for name in image.factors:
-            if name not in self.target.atoms:
-                a = self.inner.target.atoms[name]
-                self.target.atoms[name] = Atom(
-                    name, a.size,
-                    tuple(lift_matrix(g, self.ring) for g in a.action))
-        return image
-
-    def apply_obj(self, obj):
-        return self._mirror(self.inner.apply_obj(obj))
-
-    def _proj(self, obj):
-        if hasattr(self.inner, "projection"):
-            return lift_matrix(self.inner.projection(obj), self.ring)
-        return Matrix.identity(self.source.obj_size(obj), self.ring)
-
-    def _sect(self, obj):
-        if hasattr(self.inner, "section"):
-            return lift_matrix(self.inner.section(obj), self.ring)
-        return Matrix.identity(self.source.obj_size(obj), self.ring)
-
-    def apply_mor(self, f):
-        dom = self.apply_obj(f.dom)
-        cod = self.apply_obj(f.cod)
-        return MorphismRep(dom, cod,
-                           matrix=self._proj(f.cod) * f.matrix * self._sect(f.dom))
-
-    def f2(self, x, y):
-        xy = x.tensor(y)
-        dom = self.apply_obj(xy)
-        cod = self.apply_obj(x).tensor(self.apply_obj(y))
-        return MorphismRep(dom, cod,
-                           matrix=mat_kron(self._proj(x), self._proj(y)) * self._sect(xy))
+def reduce_order0(data: HopfCategoryData) -> HopfCategoryData:
+    """Drop every positive-degree coefficient of a deformed structure."""
+    return _structure_in(data, RATIONAL)
 
 
 # ---------------------------------------------------------------------------
@@ -412,66 +356,36 @@ def require_pre_cartier(functor, comonoids, pc=None, convention="t_delta_zero"):
     if pc.backend is not functor.source:
         raise BackendError("deformation data lives on a different backend")
     records = check_pre_cartier(
-        pc, [c.obj for c in comonoids],
-        commutation=True, antisymmetry=True,
-        inf_cocommutative=comonoids, convention=convention,
-        inf_braided=functor)
+        pc, [c.obj for c in comonoids], inf_cocommutative=comonoids,
+        convention=convention, inf_braided=functor)
     if not all_hold(records):
         raise PreCartierViolation("; ".join(str(r) for r in failures(records)))
     return pc
 
 
-def build_deformed_hopf_category(functor, comonoids, order, pc=None, *,
+def build_deformed_hopf_category(plain, functor, comonoids, order, pc=None, *,
                                  convention="t_delta_zero") -> HopfCategoryData:
-    """The usual constructor with the deformed braiding in the comonoid
-    split and the antipode, everything else embedded in the series ring.
+    """plain, the structure build_hopf_category made from functor and
+    comonoids, deformed to the given order.
 
-    The deformation laws are verified first (require_pre_cartier);
-    adaptedness is re-certified over the series ring, where a map is
-    invertible exactly when its degree-zero part is.  Order 0 returns the
-    undeformed rational build.
+    The deformation laws are verified first (require_pre_cartier).  Every
+    map of plain is then embedded in the series ring, and each hom's
+    splitting and antipode, the only maps that read the symmetry, are
+    rebuilt from the deformed symmetry degree by degree: both are linear
+    in it, so each rational coefficient goes through split_and_antipode
+    and the results are summed back into one series map.  Nothing is
+    inverted over the series ring.  Order 0 returns plain itself.
     """
     pc = require_pre_cartier(functor, comonoids, pc, convention)
-    if order == 0:
-        return build_hopf_category(functor, comonoids)
-
+    if not order:
+        return plain
     ring = hseries_ring(order)
-    lifted = LiftedFunctor(functor, ring)
-    lifted_comonoids = [
-        Comonoid(c.obj, lift_mor(c.delta, ring), lift_mor(c.eps, ring), name=c.name)
-        for c in comonoids
-    ]
-    return build_hopf_category(
-        lifted, lifted_comonoids,
-        braiding_fn=lambda x, y: deformed_braiding(pc, x, y, order))
-
-
-def reduce_backend(backend: Backend) -> Backend:
-    """Degree-zero reduction of a lifted backend."""
-    if backend.ring.kind == "rational":
-        return backend
-
-    def rm(m):
-        return None if m is None else reduce_matrix(m)
-
-    atoms = {name: Atom(name, a.size, tuple(rm(g) for g in a.action),
-                        pi=rm(a.pi), pistar=rm(a.pistar))
-             for name, a in backend.atoms.items()}
-    return Backend(backend.kind, backend.group, atoms, ring=RATIONAL,
-                   base=backend.base)
-
-
-def reduce_order0(data: HopfCategoryData) -> HopfCategoryData:
-    """Drop every positive-degree coefficient of a deformed structure."""
-
-    def red(f):
-        return MorphismRep(f.dom, f.cod, matrix=reduce_matrix(f.matrix))
-
-    out = HopfCategoryData(data.labels, reduce_backend(data.backend))
-    out.hom.update(data.hom)
-    out.mult.update({k: red(v) for k, v in data.mult.items()})
-    out.unit.update({k: red(v) for k, v in data.unit.items()})
-    out.delta.update({k: red(v) for k, v in data.delta.items()})
-    out.eps.update({k: red(v) for k, v in data.eps.items()})
-    out.antipode.update({k: red(v) for k, v in data.antipode.items()})
-    return out
+    data = _structure_in(plain, ring)
+    for i, x in enumerate(comonoids):
+        for j, y in enumerate(comonoids):
+            braid = deformed_braiding(pc, x.obj, y.obj, order)
+            by_degree = [split_and_antipode(functor, x, y, replace(braid, matrix=c))
+                         for c in series_coefficients(braid.matrix)]
+            for maps, fs in zip((data.delta, data.antipode), zip(*by_degree)):
+                maps[(i, j)] = replace(fs[0], matrix=series_matrix([f.matrix for f in fs], ring))
+    return data

@@ -90,19 +90,25 @@ def require_cocommutative(backend, comonoids):
             raise NotCocommutative(f"comonoid {c.name or c.obj.label()} is not cocommutative")
 
 
-def build_hopf_category(functor, comonoids, braiding_fn=None):
-    """Construct the structure; raises NotCocommutative / NotAdapted when
-    the inputs do not qualify.
+def split_and_antipode(functor, x: Comonoid, y: Comonoid, braid):
+    """The splitting and the antipode of the hom F(x (x) y), read through
+    braid: x (x) y -> y (x) x, the source symmetry in the plain structure.
+    Both are linear in braid, which is how deformations build theirs."""
+    src, dst = functor.source, functor.target
+    xy = x.obj.tensor(y.obj)
+    split_double = src.compose_tensor(
+        src.tensor_mor(x.delta, y.delta),
+        [src.identity_mor(x.obj), braid, src.identity_mor(y.obj)])
+    return (dst.compose(functor.apply_mor(split_double), functor.f2(xy, xy)),
+            functor.apply_mor(braid))
 
-    braiding_fn(x, y) overrides the source symmetry used in the comonoid
-    split and the antipode; deformations pass their corrected braiding
-    here and everything else goes through unchanged.
-    """
+
+def build_hopf_category(functor, comonoids):
+    """Construct the structure; raises NotCocommutative / NotAdapted when
+    the inputs do not qualify."""
     src = functor.source
     dst = functor.target
     require_cocommutative(src, comonoids)
-    braid = braiding_fn if braiding_fn is not None else src.braiding
-    n = len(comonoids)
     labels = tuple(c.name or c.obj.label() for c in comonoids)
 
     all_pairs = [(a.obj, b.obj) for a in comonoids for b in comonoids]
@@ -111,17 +117,11 @@ def build_hopf_category(functor, comonoids, braiding_fn=None):
     data = HopfCategoryData(labels, dst)
     for i, x in enumerate(comonoids):
         for j, y in enumerate(comonoids):
-            xy = x.obj.tensor(y.obj)
-            data.hom[(i, j)] = functor.apply_obj(xy)
-
-            split_double = src.compose_tensor(
-                src.tensor_mor(x.delta, y.delta),
-                [src.identity_mor(x.obj), braid(x.obj, y.obj), src.identity_mor(y.obj)])
-            data.delta[(i, j)] = dst.compose(functor.apply_mor(split_double),
-                                             functor.f2(xy, xy))
+            data.hom[(i, j)] = functor.apply_obj(x.obj.tensor(y.obj))
+            data.delta[(i, j)], data.antipode[(i, j)] = split_and_antipode(
+                functor, x, y, src.braiding(x.obj, y.obj))
             data.eps[(i, j)] = dst.compose(
                 functor.apply_mor(src.tensor_mor(x.eps, y.eps)), functor.f0())
-            data.antipode[(i, j)] = functor.apply_mor(braid(x.obj, y.obj))
 
     for i, x in enumerate(comonoids):
         chi_inv = certs[i].chi_inv

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coalg import LawRecord
-from .linalg import Matrix, mat_kron
+from .linalg import Matrix, _acc, mat_kron
 from .scalars import RATIONAL
 
 
@@ -234,24 +234,6 @@ def twist_dy_module(lb: LieBialgebra, j: Matrix, pi: Matrix, pistar: Matrix):
 
 # ---------------------------------------------------------------------------
 # enveloping algebra: exact normal ordering on words
-
-
-def _acc(out, terms, coef=1):
-    """Add coef * value into out[key] for every (key, value) of terms, in
-    place, keeping no zero values; returns out.  The one accumulator for
-    every sparse element here: words, word pairs and (index, word) keys.
-    """
-    if coef != 1:
-        terms = ((k, c * coef) for k, c in terms)
-    for k, c in terms:
-        old = out.get(k)
-        if old is not None:
-            c += old
-        if c:
-            out[k] = c
-        elif old is not None:
-            del out[k]
-    return out
 
 
 class EnvelopingEngine:

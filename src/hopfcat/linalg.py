@@ -120,8 +120,9 @@ class Matrix:
         self._check_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return Matrix.sparse(self.rows, self.cols, self.ring,
-                             map(_add_rows, self.nz, other.nz))
+        return Matrix.sparse(self.rows, self.cols, self.ring, [
+            _acc(dict(a), b.items()) if a and b else a or b
+            for a, b in zip(self.nz, other.nz)])
 
     def __sub__(self, other):
         return self + -other
@@ -171,16 +172,22 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.ring.kind})"
 
 
-def _add_rows(a, b):
-    """Sum of two sparse rows, dropping entries that cancel."""
-    if not (a and b):
-        return a or b
-    out = dict(a)
-    for j, y in b.items():
-        if s := (out[j] + y if j in out else y):
-            out[j] = s
-        else:
-            del out[j]
+def _acc(out, terms, coef=1):
+    """out[k] += coef * c for every (k, c) of terms, in place, keeping no
+    zero value; returns out.  The one sparse accumulator: matrix rows, the
+    elimination's row operations, and the enveloping algebra's elements.
+    Each sum is taken onto the stored value, so a series entry never
+    meets an int zero."""
+    if coef != 1:
+        terms = ((k, coef * c) for k, c in terms)
+    for k, c in terms:
+        old = out.get(k)
+        if old is not None:
+            c = old + c
+        if c:
+            out[k] = c
+        elif old is not None:
+            del out[k]
     return out
 
 
@@ -228,7 +235,7 @@ def _rref(vectors):
             c = heapq.heappop(todo)
             if c in v:
                 row = pivot_rows[c]
-                _axpy(v, -v[c], row)
+                _acc(v, row.items(), -v[c])
                 # clearing c brings in columns right of it only
                 for k in row:
                     if k in pivot_rows and k not in queued:
@@ -242,17 +249,8 @@ def _rref(vectors):
     for c in reversed(pivots):
         row = pivot_rows[c]
         for k in [k for k in row if k != c and k in pivot_rows]:
-            _axpy(row, -row[k], pivot_rows[k])
+            _acc(row, pivot_rows[k].items(), -row[k])
     return [pivot_rows[c] for c in pivots], pivots
-
-
-def _axpy(y, a, x):
-    """y += a * x on sparse rows, dropping entries that cancel."""
-    for k, xk in x.items():
-        if t := y.get(k, 0) + a * xk:
-            y[k] = t
-        else:
-            del y[k]
 
 
 def rational_kernel_vector(m: Matrix):
@@ -346,6 +344,26 @@ def lift_matrix(m: Matrix, ring: Ring) -> Matrix:
         return m
     return Matrix.sparse(m.rows, m.cols, ring, [
         {j: HSeries.from_rational(x, ring.order) for j, x in r.items()} for r in m.nz])
+
+
+def series_matrix(coeffs, ring: Ring) -> Matrix:
+    """sum_d hbar^d coeffs[d] over the series ring, from rational matrices
+    of one shape listed by degree; the inverse of series_coefficients."""
+    rows, cols = coeffs[0].rows, coeffs[0].cols
+    nz = []
+    for i in range(rows):
+        parts = [c.nz[i] for c in coeffs]
+        nz.append({j: HSeries.from_coeffs([r.get(j, 0) for r in parts], ring.order)
+                   for j in set().union(*parts)})
+    return Matrix.sparse(rows, cols, ring, nz)
+
+
+def series_coefficients(m: Matrix) -> list:
+    """The rational matrix of each degree of a series matrix, listed by
+    degree; the inverse of series_matrix."""
+    return [Matrix.sparse(m.rows, m.cols, RATIONAL, [
+        {j: c for j, x in r.items() if (c := x.coeffs[d])} for r in m.nz])
+        for d in range(m.ring.order + 1)]
 
 
 def reduce_matrix(m: Matrix) -> Matrix:

@@ -149,6 +149,23 @@ class TestFinsetBackend:
         assert b.as_matrix(f) == Matrix.from_rows(RATIONAL, [[0, 1], [1, 0]])
 
 
+class TestTrivialAtom:
+    @pytest.mark.parametrize("kind", ["finset", "linear"])
+    def test_registered_once_with_the_identity_action(self, kind):
+        g = cyclic_group(3)
+        b = finset_backend(g, []) if kind == "finset" else linear_backend(g, [])
+        word = b.trivial_atom("A", 2)
+        atom = b.atoms["A"]
+        assert word == ObjectRef.atom("A")
+        assert b.atom_size("A") == 2
+        # a backend built from it validates it like any other atom
+        Backend(b.kind, g, dict(b.atoms), ring=b.ring)
+        for h in g.elements():
+            assert b.equal_mor(b.act(h, word), b.identity_mor(word))
+        assert b.trivial_atom("A", 5) == word
+        assert b.atoms["A"] is atom
+
+
 class TestLinearBackend:
     def test_regular_linear_matches_permutation(self):
         g = cyclic_group(3)

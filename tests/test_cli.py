@@ -13,10 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfcat
-from hopfcat import backends, cli, cofunctor, deform
+from hopfcat import backends, cli, cofunctor
 from hopfcat.cli import CHECK_ORDER, TARGETS, main, run_build, run_verify
 from hopfcat.corpus import CORPUS_NAMES, corpus_path, load_corpus_document
-from hopfcat.deform import LiftedFunctor
 from hopfcat.instances import dump_document
 
 
@@ -30,6 +29,18 @@ def strip_timing(report):
     report = dict(report)
     report.pop("timing")
     return json.dumps(report, sort_keys=True)
+
+
+def non_cocommutative_z2():
+    """z2_group_algebra with a splitting that is not cocommutative, which
+    the constructor refuses."""
+    doc = load_corpus_document("z2_group_algebra")
+    doc["comonoids"] = [{
+        "obj": ["R"], "name": "M",
+        "delta": [["1", "0"], ["0", "0"], ["0", "1"], ["0", "1"]],
+        "eps": "ones",
+    }]
+    return doc
 
 
 class TestVerifyCorpus:
@@ -243,13 +254,7 @@ class TestBuild:
         assert main(["build", path, "--target", "deformed", "--order", "-1"]) == 2
 
     def test_unverified_structures_are_withheld(self, tmp_path):
-        doc = load_corpus_document("z2_group_algebra")
-        # make the splitting non-cocommutative so the constructor refuses
-        doc["comonoids"] = [{
-            "obj": ["R"], "name": "M",
-            "delta": [["1", "0"], ["0", "0"], ["0", "1"], ["0", "1"]],
-            "eps": "ones",
-        }]
+        doc = non_cocommutative_z2()
         report, code = run_build(write_doc(tmp_path, doc), "hopf-monoid")
         assert code == 1
         assert "structure" not in report
@@ -267,17 +272,15 @@ class TestOneBuildPath:
     @pytest.mark.parametrize("name, target, order", CASES, ids=[
         f"{n}-{t}" + ("" if o is None else f"-order{o}") for n, t, o in CASES])
     def test_one_plain_construction(self, monkeypatch, tmp_path, name, target, order):
-        """Plain constructions from cli and deform together; a lifted one
-        (deform at positive order) is not plain.  A verify at order 0 reads
-        the order from the document."""
+        """Every constructor call counts, a deformed build at positive order
+        included.  A verify at order 0 reads the order from the document."""
         calls = []
-        for module in (cli, deform):
-            def counted(functor, *args, real=module.build_hopf_category, **kwargs):
-                if not isinstance(functor, LiftedFunctor):
-                    calls.append(functor)
-                return real(functor, *args, **kwargs)
 
-            monkeypatch.setattr(module, "build_hopf_category", counted)
+        def counted(functor, *args, real=cli.build_hopf_category, **kwargs):
+            calls.append(functor)
+            return real(functor, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_hopf_category", counted)
         path = corpus_path(name)
         if target is None and order is not None:
             doc = load_corpus_document(name)
@@ -287,12 +290,7 @@ class TestOneBuildPath:
         assert (code, len(calls)) == (0, 1)
 
     def test_construction_errors_keep_their_rule_names(self, tmp_path):
-        doc = load_corpus_document("z2_group_algebra")
-        doc["comonoids"] = [{
-            "obj": ["R"], "name": "M",
-            "delta": [["1", "0"], ["0", "0"], ["0", "1"], ["0", "1"]],
-            "eps": "ones",
-        }]
+        doc = non_cocommutative_z2()
         doc["deformation"] = {"order": 1}
         path = write_doc(tmp_path, doc)
 
@@ -303,6 +301,21 @@ class TestOneBuildPath:
             "build.constructor", "deformed.constructor"]
         assert failing(run_build(path, "hopf-category")[0]) == ["hopf-category.constructor"]
         assert failing(run_build(path, "deformed")[0]) == ["deformed.constructor"]
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_violated_law_is_reported_before_a_failed_construction(self, tmp_path, order):
+        """A comonoid that is not cocommutative fails both the plain
+        construction and the pre-Cartier laws; the laws are reported."""
+        doc = non_cocommutative_z2()
+        doc["deformation"] = {"order": order, "convention": "literal"}
+        path = write_doc(tmp_path, doc)
+        for report, code in (run_verify(path, checks="deformed"),
+                             run_build(path, "deformed"),
+                             run_build(path, "deformed", order)):
+            [record] = report["checks"]
+            assert (code, record["rule"]) == (1, "deformed.constructor")
+            assert record["detail"].startswith(
+                "LawRecord(rule='precartier.inf_cocomm.sigma[M]'")
 
     def test_order_suffix_only_on_verify(self):
         path = corpus_path("abelian_precartier")

@@ -297,7 +297,7 @@ class TestCoinvariantsFunctor:
         b = regular_linear(cyclic_group(2))
         fn = group_coinvariants_functor(b)
         rr = b.obj("R", "R")
-        p, s = fn.projection(rr), fn.section(rr)
+        _, p, s = fn._image(rr)
         assert p * s == Matrix.identity(2, RATIONAL)
         for g in (1,):
             rel = b.as_matrix(b.act(g, rr)) - Matrix.identity(4, RATIONAL)
@@ -322,7 +322,7 @@ class TestCoinvariantsFunctor:
         reps = sorted(orbits)
         expected = Matrix.from_rows(RATIONAL, [
             [1 if x in orbits[rep] else 0 for x in range(n ** k)] for rep in reps])
-        p, s = fn.projection(b.obj(*word)), fn.section(b.obj(*word))
+        _, p, s = fn._image(b.obj(*word))
         assert p == expected
         assert s == Matrix.from_rows(RATIONAL, [
             [1 if x == rep else 0 for rep in reps] for x in range(n ** k)])

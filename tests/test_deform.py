@@ -10,16 +10,17 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcat.backends import (Atom, BackendError, ObjectRef, cyclic_group,
+from hopfcat import corpus, deform
+from hopfcat.backends import (Atom, BackendError, MorphismRep, ObjectRef, cyclic_group,
                               dy_backend, linear_backend, regular_linear_atom)
 from hopfcat.coalg import Comonoid, all_hold, check_comonoid, failures, group_like_comonoid
 from hopfcat.cofunctor import dy_coinvariants_functor, group_coinvariants_functor
-from hopfcat.deform import (LiftedFunctor, PreCartierData, PreCartierViolation,
-                            build_deformed_hopf_category, casimir_t,
-                            check_pre_cartier, deformed_braiding, lift_backend,
-                            lift_mor, reduce_order0)
+from hopfcat.deform import (PreCartierData, PreCartierViolation,
+                            build_deformed_hopf_category, casimir_t, change_ring,
+                            check_pre_cartier, deformed_braiding, reduce_order0)
 from hopfcat.hopfcategory import build_hopf_category, check_hopf_category
-from hopfcat.linalg import Matrix, hstack, mat_kron
+from hopfcat.instances import load_instance, parse_instance
+from hopfcat.linalg import Matrix, hstack, lift_matrix, mat_kron
 from hopfcat.scalars import RATIONAL, HSeries, hseries_ring
 
 
@@ -147,8 +148,7 @@ class TestPreCartierLaws:
                                                    [5, 0, 1, 0],
                                                    [0, 0, 0, 1]])})
         sample = [be.obj("W"), be.obj("W", "W")]
-        recs = check_pre_cartier(junk, sample, commutation=False,
-                                 antisymmetry=False)
+        recs = check_pre_cartier(junk, sample)
         by_rule = {r.rule: r for r in recs}
         assert by_rule["precartier.extension.right"].holds
         assert by_rule["precartier.extension.left"].holds
@@ -160,8 +160,7 @@ class TestPreCartierLaws:
         table = dict(pc.table)
         table[(("W", "W"), ("V",))] = Matrix.identity(16, RATIONAL)
         bad = PreCartierData(be, table)
-        recs = check_pre_cartier(bad, [w, v], commutation=False,
-                                 antisymmetry=False)
+        recs = check_pre_cartier(bad, [w, v])
         by_rule = {r.rule: r for r in recs}
         assert not by_rule["precartier.extension.left"].holds
         assert "(W,W,V)" in by_rule["precartier.extension.left"].detail
@@ -191,14 +190,14 @@ class TestDeformedBraiding:
         for order in (0, 1, 2):
             ring = hseries_ring(order)
             sig = deformed_braiding(pc0, v, w, order)
-            assert sig.matrix == lift_mor(be.braiding(v, w), ring).matrix
+            assert sig.matrix == lift_matrix(be.braiding(v, w).matrix, ring)
 
     def test_order_one_is_sigma_plus_hbar_t(self, setup):
         be, pc = setup
         v, w = be.obj("V"), be.obj("W")
         ring = hseries_ring(1)
         sig = be.braiding(v, w).matrix
-        expect = lift_mor(be.braiding(v, w), ring).matrix
+        expect = lift_matrix(sig, ring)
         t = pc.t(v, w).matrix
         h = HSeries.hbar(1)
         bump = Matrix(8, 8, ring,
@@ -222,7 +221,7 @@ class TestDeformedBraiding:
     def test_hexagons_at_order_two(self, setup):
         be, pc = setup
         ring = hseries_ring(2)
-        lifted = lift_backend(be, ring)
+        lifted = change_ring(be, ring)
         names = ["V", "W"]
         for a in names:
             for b in names:
@@ -252,11 +251,20 @@ def z2_coinvariants():
     return be, fun, m
 
 
+def lift_mor(f, ring):
+    return MorphismRep(f.dom, f.cod, matrix=lift_matrix(f.matrix, ring))
+
+
+def deformed(functor, comonoids, order, pc=None, **kwargs):
+    plain = build_hopf_category(functor, comonoids)
+    return build_deformed_hopf_category(plain, functor, comonoids, order, pc, **kwargs)
+
+
 class TestDeformedBuild:
     def test_zero_t_build_equals_lift(self):
         be, fun, m = z2_coinvariants()
         plain = build_hopf_category(fun, [m])
-        data = build_deformed_hopf_category(fun, [m], 2)
+        data = deformed(fun, [m], 2)
         ring = hseries_ring(2)
         assert data.labels == plain.labels
         assert data.hom == plain.hom
@@ -271,14 +279,15 @@ class TestDeformedBuild:
 
     def test_order_zero_build_is_rational(self):
         be, fun, m = z2_coinvariants()
-        data = build_deformed_hopf_category(fun, [m], 0)
-        assert data == build_hopf_category(fun, [m])
+        plain = build_hopf_category(fun, [m])
+        data = build_deformed_hopf_category(plain, fun, [m], 0)
+        assert data is plain
         assert data.backend.ring == RATIONAL
 
     def test_degree_zero_reduction(self):
         be, fun, m = z2_coinvariants()
         plain = build_hopf_category(fun, [m])
-        red = reduce_order0(build_deformed_hopf_category(fun, [m], 3))
+        red = reduce_order0(build_deformed_hopf_category(plain, fun, [m], 3))
         assert red.hom == plain.hom
         assert red.mult == plain.mult
         assert red.unit == plain.unit
@@ -290,7 +299,7 @@ class TestDeformedBuild:
         be, pc = setup
         fun = dy_coinvariants_functor(be)
         comonoids = [line_comonoid(be, "E"), line_comonoid(be, "E2")]
-        data = build_deformed_hopf_category(fun, comonoids, 2, pc)
+        data = deformed(fun, comonoids, 2, pc)
         assert data.backend.ring == hseries_ring(2)
         recs = check_hopf_category(data.backend, data)
         assert all_hold(recs), failures(recs)
@@ -305,33 +314,90 @@ class TestDeformedBuild:
         fun = dy_coinvariants_functor(be)
         comonoids = [line_comonoid(be, "E")]
         with pytest.raises(PreCartierViolation):
-            build_deformed_hopf_category(fun, comonoids, 2, pc,
-                                         convention="literal")
+            deformed(fun, comonoids, 2, pc, convention="literal")
 
     def test_backend_mismatch_guard(self, setup):
         be, pc = setup
         _, fun, m = z2_coinvariants()
         with pytest.raises(BackendError):
-            build_deformed_hopf_category(fun, [m], 1, pc)
+            deformed(fun, [m], 1, pc)
 
-
-class TestLiftedFunctor:
-    def test_identity_behavior_on_quotient(self, setup):
-        be, _ = setup
-        fun = dy_coinvariants_functor(be)
-        ring = hseries_ring(2)
-        v = be.obj("V")
-        plain = fun.apply_obj(v)
-        lifted = LiftedFunctor(fun, ring)
-        assert lifted.apply_obj(v) == plain
-        f = be.identity_mor(v)
-        got = lifted.apply_mor(lift_mor(f, ring))
-        assert got.matrix == lift_mor(fun.apply_mor(f), ring).matrix
-
-    def test_rejects_finset(self):
-        from hopfcat.backends import finset_backend, regular_atom, trivial_group
-        from hopfcat.cofunctor import IdentityFunctor
-        g = cyclic_group(2)
-        be = finset_backend(g, [regular_atom("S", g)])
+    def test_rejects_orbit_functor(self):
+        inst = load_instance(corpus.corpus_path("z2_torsors"))
+        plain = build_hopf_category(inst.functor, inst.comonoids)
         with pytest.raises(BackendError):
-            LiftedFunctor(IdentityFunctor(be), hseries_ring(1))
+            build_deformed_hopf_category(plain, inst.functor, inst.comonoids, 1)
+
+
+# ---------------------------------------------------------------------------
+# the reference route: the whole splitting and antipode over the series ring
+
+
+def series_route(functor, comonoids, pc, order):
+    """delta and antipode matrices of every hom, built the long way: the
+    splitting over the series ring with the deformed braiding in it, and
+    the deformed braiding itself, each pushed through the quotient's
+    lifted projection p and section s as p.f.s; the splitting then goes
+    through the lifted F2(xy, xy) = (p_xy (x) p_xy) s_xyxy."""
+    ring = hseries_ring(order)
+    src = change_ring(functor.source, ring)
+
+    def push(f):
+        p, s = functor._image(f.cod)[1], functor._image(f.dom)[2]
+        return lift_matrix(p, ring) * f.matrix * lift_matrix(s, ring)
+
+    delta, antipode = {}, {}
+    for i, x in enumerate(comonoids):
+        for j, y in enumerate(comonoids):
+            braid = deformed_braiding(pc, x.obj, y.obj, order)
+            split = src.compose(
+                src.tensor_mor(lift_mor(x.delta, ring), lift_mor(y.delta, ring)),
+                src.tensor_all([src.identity_mor(x.obj), braid, src.identity_mor(y.obj)]))
+            xy = x.obj.tensor(y.obj)
+            p_xy = functor._image(xy)[1]
+            f2 = mat_kron(p_xy, p_xy) * functor._image(xy.tensor(xy))[2]
+            delta[(i, j)] = lift_matrix(f2, ring) * push(split)
+            antipode[(i, j)] = push(braid)
+    return delta, antipode
+
+
+def z3_zero_deformation():
+    doc = corpus._group_algebra_doc("z3_group_algebra", 3)
+    doc["deformation"] = {"order": 8, "convention": "t_delta_zero", "t": []}
+    return parse_instance(doc)
+
+
+CASES = [(load_instance(corpus.corpus_path("abelian_precartier")), order)
+         for order in (1, 2, 3, 4)] + [(z3_zero_deformation(), 8)]
+
+
+class TestAgainstSeriesRoute:
+    """The degree-by-degree splitting and antipode equal the ones built
+    over the series ring in one piece."""
+
+    @pytest.mark.parametrize("inst, order", CASES, ids=[
+        f"{inst.doc['name']}-order{order}" for inst, order in CASES])
+    def test_delta_and_antipode(self, inst, order):
+        pc = inst.deformation["pc"]
+        data = deformed(inst.functor, inst.comonoids, order, pc,
+                        convention=inst.deformation["convention"])
+        delta, antipode = series_route(inst.functor, inst.comonoids, pc, order)
+        assert {k: f.matrix for k, f in data.delta.items()} == delta
+        assert {k: f.matrix for k, f in data.antipode.items()} == antipode
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_nonzero_coefficients(self, monkeypatch, order):
+        """A datum that is nonzero on the comonoid carriers, which no
+        lawful datum of this instance is: the laws are skipped, so that
+        every degree of the deformed symmetry reaches the comparison."""
+        inst = load_instance(corpus.corpus_path("abelian_precartier"))
+        one = Matrix.identity(1, RATIONAL)
+        pc = PreCartierData(inst.backend, {("E", "E2"): one, ("E2", "E"): one.scale(-1),
+                                           ("E", "E"): one.scale(2)})
+        monkeypatch.setattr(deform, "require_pre_cartier", lambda f, c, pc, conv: pc)
+        data = deformed(inst.functor, inst.comonoids, order, pc)
+        delta, antipode = series_route(inst.functor, inst.comonoids, pc, order)
+        assert any(x.coeffs[order] for f in data.delta.values() for r in f.matrix.nz
+                   for x in r.values())
+        assert {k: f.matrix for k, f in data.delta.items()} == delta
+        assert {k: f.matrix for k, f in data.antipode.items()} == antipode

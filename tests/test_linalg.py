@@ -15,6 +15,8 @@ from hopfcat.linalg import (
     mat_kron,
     rational_kernel_vector,
     reduce_matrix,
+    series_coefficients,
+    series_matrix,
 )
 from hopfcat.scalars import RATIONAL, HSeries, hseries_ring
 
@@ -289,6 +291,17 @@ class TestStackAndLift:
         lifted = lift_matrix(a, r)
         assert lifted.ring == r
         assert reduce_matrix(lifted) == a
+
+    def test_series_matrix_from_its_coefficients_and_back(self):
+        r = hseries_ring(2)
+        coeffs = [qm([[1, 0], [0, 2]]), qm([[0, 3], [0, 0]]), qm([[0, 0], [0, -2]])]
+        m = series_matrix(coeffs, r)
+        assert m.ring == r
+        assert m[0, 1] == HSeries.from_coeffs([0, 3, 0], 2)
+        assert m[1, 1] == HSeries.from_coeffs([2, 0, -2], 2)
+        assert set(m.nz[1]) == {1}
+        assert series_coefficients(m) == coeffs
+        assert reduce_matrix(m) == coeffs[0]
 
 
 class TestSparseEliminationAgainstDense:
