@@ -62,6 +62,14 @@ TARGETS = ("hopf-monoid", "hopf-category", "deformed", "groupoid")
 CONSTRUCTION_ERRORS = (NotAdapted, NotCocommutative, PreCartierViolation,
                        Singular, BackendError)
 
+# each target's serializer, looked up when called so that a rebound name is used
+TO_JSON = {
+    "hopf-monoid": lambda h: hopf_monoid_to_json(h),
+    "hopf-category": lambda data: hopf_category_to_json(data),
+    "deformed": lambda data: hopf_category_to_json(data),
+    "groupoid": lambda gt: groupoid_to_json(gt),
+}
+
 
 def _suffix(records, tag):
     return [LawRecord(f"{r.rule}[{tag}]", r.holds, r.detail) for r in records]
@@ -148,26 +156,52 @@ def _plain_build(inst):
     return inst.built
 
 
+def _construct(inst, target, order):
+    """The structure one target builds, and the records that check it.  A
+    violated deformation law is reported ahead of a failed plain
+    construction; the deformed records end with the one that its degree-0
+    reduction is the plain build."""
+    if target == "hopf-monoid":
+        h = build_hopf_monoid(inst.functor, inst.comonoids[0])
+        return h, check_hopf_monoid(inst.functor.target, h)
+    block = inst.deformation or {}
+    pc, convention = block.get("pc"), block.get("convention", "t_delta_zero")
+    try:
+        plain = _plain_build(inst)
+    except CONSTRUCTION_ERRORS:
+        if target == "deformed":
+            require_pre_cartier(inst.functor, inst.comonoids, pc, convention)
+        raise
+    if target == "groupoid":
+        return extract_set_groupoid(inst.functor.target, plain)
+    if target == "hopf-category":
+        return plain, check_hopf_category(plain.backend, plain)
+    data = build_deformed_hopf_category(plain, inst.functor, inst.comonoids, order, pc,
+                                        convention=convention)
+    return data, check_hopf_category(data.backend, data) + [
+        LawRecord("deformed.reduction", hopf_data_equal(reduce_order0(data), plain))]
+
+
+def _built(inst, target, rule, order):
+    """_construct, with a construction error as the one failing
+    {rule}.constructor record and no structure."""
+    try:
+        return _construct(inst, target, order)
+    except CONSTRUCTION_ERRORS as exc:
+        return None, [LawRecord(f"{rule}.constructor", False, str(exc))]
+
+
 def _check_build(inst):
     if inst.functor is None or not inst.comonoids:
         return []
-    try:
-        data = _plain_build(inst)
-    except CONSTRUCTION_ERRORS as exc:
-        return [LawRecord("build.constructor", False, str(exc))]
-    return check_hopf_category(data.backend, data)
+    return _built(inst, "hopf-category", "build", None)[1]
 
 
 def _check_groupoid(inst):
     if (inst.functor is None or not inst.comonoids
             or inst.backend.kind != "finset"):
         return []
-    try:
-        data = _plain_build(inst)
-        _, records = extract_set_groupoid(inst.functor.target, data)
-    except CONSTRUCTION_ERRORS as exc:
-        return [LawRecord("groupoid.constructor", False, str(exc))]
-    return records
+    return _built(inst, "groupoid", "groupoid", None)[1]
 
 
 def _check_lie(inst):
@@ -277,32 +311,12 @@ def _check_precartier(inst):
         convention=inst.deformation["convention"], inf_braided=functor)
 
 
-def _build_deformed(inst, order):
-    """The deformed structure at order, its Hopf-category records, and the
-    record that its degree-0 reduction is the plain build.  A violated
-    deformation law is reported ahead of a failed plain construction."""
-    block = inst.deformation or {}
-    pc, convention = block.get("pc"), block.get("convention", "t_delta_zero")
-    try:
-        plain = _plain_build(inst)
-    except CONSTRUCTION_ERRORS:
-        require_pre_cartier(inst.functor, inst.comonoids, pc, convention)
-        raise
-    data = build_deformed_hopf_category(plain, inst.functor, inst.comonoids, order, pc,
-                                        convention=convention)
-    return (data, check_hopf_category(data.backend, data),
-            LawRecord("deformed.reduction", hopf_data_equal(reduce_order0(data), plain)))
-
-
 def _check_deformed(inst):
     if inst.deformation is None or inst.functor is None or not inst.comonoids:
         return []
     order = inst.deformation["order"]
-    try:
-        _, records, reduction = _build_deformed(inst, order)
-    except CONSTRUCTION_ERRORS as exc:
-        return [LawRecord("deformed.constructor", False, str(exc))]
-    return _suffix(records, f"order{order}") + [reduction]
+    _, records = _built(inst, "deformed", "deformed", order)
+    return _suffix(records[:-1], f"order{order}") + records[-1:]
 
 
 CHECKS = {
@@ -395,32 +409,13 @@ def run_build(path, target, order=None):
     except (InstanceError, OSError) as exc:
         return {"error": str(exc), "verdict": "error"}, 2
 
-    structure = None
-    try:
-        if target == "hopf-monoid":
-            h = build_hopf_monoid(inst.functor, inst.comonoids[0])
-            records = check_hopf_monoid(inst.functor.target, h)
-            structure = hopf_monoid_to_json(h)
-        elif target == "hopf-category":
-            data = _plain_build(inst)
-            records = check_hopf_category(data.backend, data)
-            structure = hopf_category_to_json(data)
-        elif target == "groupoid":
-            gt, records = extract_set_groupoid(inst.functor.target, _plain_build(inst))
-            structure = groupoid_to_json(gt)
-        else:
-            data, records, reduction = _build_deformed(inst, order)
-            records.append(reduction)
-            structure = hopf_category_to_json(data)
-    except CONSTRUCTION_ERRORS as exc:
-        records = [LawRecord(f"{target}.constructor", False, str(exc))]
-
+    structure, records = _built(inst, target, target, order)
     report, code = _report(inst, [(target, r) for r in records], started)
     report["target"] = target
-    if target == "deformed":
+    if order is not None:
         report["order"] = order
     if code == 0:
-        report["structure"] = structure
+        report["structure"] = TO_JSON[target](structure)
     return report, code
 
 

@@ -168,10 +168,11 @@ class HopfMonoidData:
     name: str = ""
 
 
-def check_hopf_monoid(backend, h: HopfMonoidData, check_equivariance=True):
+def check_hopf_monoid(backend, h: HopfMonoidData):
     """The full law set: associativity and unitality of mult, the comonoid
     laws, bialgebra compatibility (mult and unit are comonoid morphisms),
-    and the antipode identities on both sides.
+    the antipode identities on both sides, and equivariance of mult, unit
+    and antipode.
     """
     records = []
     obj = h.obj
@@ -205,10 +206,9 @@ def check_hopf_monoid(backend, h: HopfMonoidData, check_equivariance=True):
     records.append(equal_record(backend, "hopf.antipode.left", left, absorb))
     records.append(equal_record(backend, "hopf.antipode.right", right, absorb))
 
-    if check_equivariance:
-        for tag, f in (("mult", h.mult), ("unit", h.unit), ("antipode", h.antipode)):
-            bad = backend.check_equivariant(f)
-            records.append(LawRecord(f"hopf.equivariant.{tag}", not bad, "; ".join(bad)))
+    for tag, f in (("mult", h.mult), ("unit", h.unit), ("antipode", h.antipode)):
+        bad = backend.check_equivariant(f)
+        records.append(LawRecord(f"hopf.equivariant.{tag}", not bad, "; ".join(bad)))
     return records
 
 

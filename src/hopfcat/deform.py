@@ -178,17 +178,17 @@ def casimir_t(backend, r: Matrix) -> PreCartierData:
 
 
 def check_pre_cartier(pc: PreCartierData, sample, *, inf_cocommutative=(),
-                      convention="t_delta_zero", inf_braided=None,
-                      morphisms=()):
+                      convention="t_delta_zero", inf_braided=None):
     """Check the laws exactly on the sampled objects.
 
     sample: nonempty list of ObjectRef; pairs and triples are drawn from
     it, so include composite words to exercise the peeling rules at
-    interior cuts.  inf_cocommutative comonoids are checked per the
-    convention: "literal" asks t.delta = delta, "t_delta_zero" asks
-    t.delta = 0 (sigma.delta = delta either way).  inf_braided takes a
-    functor out of pc.backend and asks F(t) F2 = 0, since the target's
-    datum is zero.  morphisms: extra (f, g) pairs for naturality.
+    interior cuts.  Naturality is checked against the symmetries
+    sigma_{a,b} (x) 1_c and 1_c (x) sigma_{a,b} of sampled a, b, c.
+    inf_cocommutative comonoids are checked per the convention:
+    "literal" asks t.delta = delta, "t_delta_zero" asks t.delta = 0
+    (sigma.delta = delta either way).  inf_braided takes a functor out of
+    pc.backend and asks F(t) F2 = 0, since the target's datum is zero.
     """
     if not sample:
         raise BackendError("need at least one sampled object")
@@ -218,8 +218,8 @@ def check_pre_cartier(pc: PreCartierData, sample, *, inf_cocommutative=(),
     records.append(LawRecord("precartier.extension.right", not bad_r, "; ".join(bad_r)))
     records.append(LawRecord("precartier.extension.left", not bad_l, "; ".join(bad_l)))
 
-    # naturality: against sampled symmetries and any provided morphisms
-    nat = list(morphisms)
+    # naturality: against sampled symmetries
+    nat = []
     for a in sample:
         for b in sample:
             for c in sample:

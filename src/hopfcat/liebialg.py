@@ -264,20 +264,6 @@ class EnvelopingEngine:
     def generator(i):
         return {(i,): Fraction(1)}
 
-    @staticmethod
-    def add(*elems):
-        out = {}
-        for e in elems:
-            _acc(out, e.items())
-        return out
-
-    @staticmethod
-    def scale(e, c):
-        c = Fraction(c)
-        if not c:
-            return {}
-        return {w: v * c for w, v in e.items()}
-
     def normal_word(self, word):
         """Normal form of a single word as an element dict (cached: do not
         mutate it)."""
@@ -341,14 +327,6 @@ class EnvelopingEngine:
         out = {}
         for word, coef in e.items():
             _acc(out, self._delta_word(word).items(), coef)
-        return out
-
-    def antipode(self, e):
-        """Reverse each word with a sign, then renormalize."""
-        out = {}
-        for word, coef in e.items():
-            piece = self.normal_word(tuple(reversed(word)))
-            _acc(out, piece.items(), (-1) ** len(word) * coef)
         return out
 
     # -- the crossed structure on the enveloping algebra

@@ -346,3 +346,37 @@ def agrees(m, dense):
     return ((m.rows, m.cols, m.ring) == (dense.rows, dense.cols, dense.ring)
             and len(m.nz) == m.rows and stored == expect
             and all(type(x) is kind for x in stored.values()))
+
+
+def morphism_laws(functor, morphisms):
+    """Functoriality and naturality of F2 on the source morphisms given:
+    identities go to identities, composites to composites, and F2 commutes
+    with F(f) (x) F(g)."""
+    src, dst = functor.source, functor.target
+    records = []
+    for f in morphisms:
+        ident_laws = dst.equal_mor(
+            functor.apply_mor(src.identity_mor(f.dom)),
+            dst.identity_mor(functor.apply_obj(f.dom)))
+        records.append(LawRecord("cofunctor.identity", ident_laws,
+                                 f"at {f.dom.label()}"))
+    for f in morphisms:
+        for g in morphisms:
+            if f.cod != g.dom:
+                continue
+            records.append(LawRecord(
+                "cofunctor.compose",
+                dst.equal_mor(functor.apply_mor(src.compose(f, g)),
+                              dst.compose(functor.apply_mor(f), functor.apply_mor(g))),
+                f"at {f.dom.label()} -> {g.cod.label()}"))
+    for f in morphisms:
+        for g in morphisms:
+            lhs = dst.compose_tensor(functor.f2(f.dom, g.dom),
+                                     [functor.apply_mor(f), functor.apply_mor(g)])
+            rhs = dst.compose(functor.apply_mor(src.tensor_mor(f, g)),
+                              functor.f2(f.cod, g.cod))
+            records.append(LawRecord(
+                "cofunctor.naturality",
+                dst.equal_mor(lhs, rhs),
+                f"at {f.dom.label()},{g.dom.label()}"))
+    return records

@@ -280,8 +280,8 @@ class TestGroupAlgebraIsomorphism:
             # the group algebra is not a morphism of the regular action, so
             # its laws are judged on the bare vector space
             oracle = group_algebra_hopf(inst.backend, m.obj, group)
-            records = check_hopf_monoid(inst.backend, oracle,
-                                        check_equivariance=False)
+            records = [r for r in check_hopf_monoid(inst.backend, oracle)
+                       if not r.rule.startswith("hopf.equivariant.")]
             assert all_hold(records), failures(records)
 
             # phi(class(e_g (x) e_h)) = e_{g^{-1} h}, built through the

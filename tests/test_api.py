@@ -24,7 +24,7 @@ USERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 DOCUMENTED_API = {
     "HSeries.hbar": "the formal parameter h, for writing series by hand",
     "EnvelopingEngine.scalar": "a scalar as an enveloping-algebra element, "
-                               "next to generator, add and scale",
+                               "the counterpart of generator",
     "OrbitFunctor.orbit_info": "orbit representatives and labels of a source object",
     "Matrix.entries": "the dense row-major view, the counterpart of the dense constructor",
     "load_corpus_document": "a shipped instance as a dict, to edit before running it",

@@ -22,7 +22,7 @@ from hopfcat.backends import (
     regular_linear_atom,
     symmetric_group,
 )
-from hopfcat.linalg import Matrix
+from hopfcat.linalg import Matrix, mat_kron
 from hopfcat.scalars import RATIONAL
 
 from conftest import (
@@ -53,6 +53,15 @@ class TestGroups:
         prod = s3.mul(swap01, swap12)
         # apply swap12 first: 0->0->1, 1->2->2, 2->1->0, giving the 3-cycle 120
         assert s3.names[prod] == "120"
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_symmetric_group_matches_all_permutations(self, n):
+        perms = sorted(itertools.permutations(range(n)))
+        pos = {p: i for i, p in enumerate(perms)}
+        group = symmetric_group(n)
+        assert group.table == tuple(
+            tuple(pos[tuple(g[h[i]] for i in range(n))] for h in perms) for g in perms)
+        assert group.names == tuple("".join(map(str, p)) for p in perms)
 
     def test_symmetric_nonabelian(self):
         s3 = symmetric_group(3)
@@ -391,8 +400,19 @@ class TestDyBackend:
 
     def test_tensor_extension_consistent(self):
         b, _, _ = toy_dy()
-        words = [ObjectRef(("V", "V")), ObjectRef(("V", "V", "V"))]
-        assert check_dy_tensor_closure(b, words) == []
+        assert check_dy_tensor_closure(b) == []
+        # the three-letter word, split by hand at both cuts
+        w, base = ObjectRef(("V", "V", "V")), ObjectRef.atom(b.base)
+        for cut in (1, 2):
+            left, right = ObjectRef(w.factors[:cut]), ObjectRef(w.factors[cut:])
+            il = Matrix.identity(b.obj_size(left), RATIONAL)
+            ir = Matrix.identity(b.obj_size(right), RATIONAL)
+            swap = b.as_matrix(b.braiding(base, left))
+            assert b.dy_action(w) == (mat_kron(b.dy_action(left), ir)
+                                      + mat_kron(il, b.dy_action(right)) * mat_kron(swap, ir))
+            swap = b.as_matrix(b.braiding(left, base))
+            assert b.dy_coaction(w) == (mat_kron(b.dy_coaction(left), ir)
+                                        + mat_kron(swap, ir) * mat_kron(il, b.dy_coaction(right)))
 
     def test_atom_action_recovered(self):
         b, _, _ = toy_dy()

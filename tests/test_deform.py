@@ -109,18 +109,12 @@ class TestPreCartierLaws:
             pc, sample,
             inf_cocommutative=[line_comonoid(be, "E"), line_comonoid(be, "E2")],
             convention="t_delta_zero",
-            inf_braided=dy_coinvariants_functor(be),
-            morphisms=[(f, idv), (idv, f)])
+            inf_braided=dy_coinvariants_functor(be))
         assert all_hold(recs), failures(recs)
-
-    def test_naturality_detects_non_module_map(self, setup):
-        be, pc = setup
-        # diag(0, 1) does not commute with the shift action on W
-        f = be.mor_from_matrix(be.obj("W"), be.obj("W"), qm([[0, 0], [0, 1]]))
-        recs = check_pre_cartier(pc, [be.obj("V"), be.obj("W")],
-                                 morphisms=[(f, be.identity_mor(be.obj("V")))])
-        by_rule = {r.rule: r for r in recs}
-        assert not by_rule["precartier.natural"].holds
+        for g, h in [(f, idv), (idv, f)]:
+            gh = be.tensor_mor(g, h)
+            assert be.equal_mor(be.compose(pc.t(g.dom, h.dom), gh),
+                                be.compose(gh, pc.t(g.cod, h.cod)))
 
     def test_zero_t_fails_only_literal_cocomm(self, setup):
         be, _ = setup
@@ -164,6 +158,18 @@ class TestPreCartierLaws:
         by_rule = {r.rule: r for r in recs}
         assert not by_rule["precartier.extension.left"].holds
         assert "(W,W,V)" in by_rule["precartier.extension.left"].detail
+
+    def test_word_entry_breaking_naturality_detected(self, setup):
+        be, pc = setup
+        # a stored t(W(x)W, V) that sees the first W factor only does not
+        # commute with sigma_{W,W} (x) 1_V
+        w, v = be.obj("W"), be.obj("V")
+        table = dict(pc.table)
+        table[(("W", "W"), ("V",))] = mat_kron(qm([[1, 0], [0, 0]]), Matrix.identity(8, RATIONAL))
+        recs = check_pre_cartier(PreCartierData(be, table), [w, v])
+        by_rule = {r.rule: r for r in recs}
+        assert not by_rule["precartier.natural"].holds
+        assert "(W(x)W->W(x)W,V->V)" in by_rule["precartier.natural"].detail
 
     def test_shape_guard(self, setup):
         be, _ = setup
