@@ -17,7 +17,7 @@ The functors provided are quotients:
 Adaptedness relative to a comonoid M asks two comparison maps to be
 invertible: the collapse of F(M) to the unit, and for the needed object
 pairs the map gamma splitting F(X (x) M (x) Y) into
-F(X (x) M) (x) (M (x) Y).  The inverses are witnessed in a certificate
+F(X (x) M) (x) F(M (x) Y).  The inverses are witnessed in a certificate
 and re-checked on use.
 """
 
@@ -95,8 +95,18 @@ class ComonoidalFunctor:
     def f2(self, x: ObjectRef, y: ObjectRef) -> MorphismRep:
         raise NotImplementedError
 
+    def f2_after(self, f: MorphismRep, x: ObjectRef, y: ObjectRef) -> MorphismRep:
+        """F(f), then F2(x, y), for f into x (x) y, without the image of f.cod."""
+        raise NotImplementedError
+
     def f0(self) -> MorphismRep:
         return self.target.identity_mor(self.target.unit())
+
+
+def _require_split(f: MorphismRep, x: ObjectRef, y: ObjectRef):
+    if f.cod != x.tensor(y):
+        raise BackendError(
+            f"composition mismatch: {f.cod.label()} vs {x.tensor(y).label()}")
 
 
 class IdentityFunctor(ComonoidalFunctor):
@@ -111,6 +121,10 @@ class IdentityFunctor(ComonoidalFunctor):
 
     def f2(self, x, y):
         return self.source.identity_mor(x.tensor(y))
+
+    def f2_after(self, f, x, y):
+        _require_split(f, x, y)
+        return f
 
 
 class OrbitFunctor(ComonoidalFunctor):
@@ -252,12 +266,24 @@ class OrbitFunctor(ComonoidalFunctor):
 
     def f2(self, x, y):
         xy = x.tensor(y)
-        dom_img, x_img, y_img = self.apply_obj(xy), self.apply_obj(x), self.apply_obj(y)
-        reps = self._orbits_of(xy.factors)[0]
+        return self._split(xy, self._orbits_of(xy.factors)[0], x, y)
+
+    def f2_after(self, f, x, y):
+        """The orbit of r goes to the orbits of the two parts of f(r).  The
+        composite reads the parts of g.f(r), the representative of f(r)'s
+        orbit; labels are invariant under g, so this is exact for any f."""
+        _require_split(f, x, y)
+        reps = self._orbits_of(f.dom.factors)[0]
+        return self._split(f.dom, [f.table[r] for r in reps], x, y)
+
+    def _split(self, dom, points, x, y):
+        """F(dom) -> F(x) (x) F(y): the k-th orbit of dom goes to the
+        orbits of the two parts of points[k], a point of x (x) y."""
+        dom_img, x_img, y_img = self.apply_obj(dom), self.apply_obj(x), self.apply_obj(y)
         ny = self.source.obj_size(y)
         wy = self.target.obj_size(y_img)
-        x_orbit = self._labels_at(x.factors, [r // ny for r in reps])
-        y_orbit = self._labels_at(y.factors, [r % ny for r in reps])
+        x_orbit = self._labels_at(x.factors, [v // ny for v in points])
+        y_orbit = self._labels_at(y.factors, [v % ny for v in points])
         table = tuple(a * wy + b for a, b in zip(x_orbit, y_orbit))
         return MorphismRep(dom_img, x_img.tensor(y_img), table=table)
 
@@ -316,6 +342,21 @@ class CoinvariantsFunctor(ComonoidalFunctor):
         y_img, p_y, _ = self._image(y)
         return MorphismRep(dom_img, x_img.tensor(y_img),
                            matrix=mat_kron(p_x, p_y) * s_xy)
+
+    def f2_after(self, f, x, y):
+        """(p_x (x) p_y) f s_dom, for every matrix f.  The composite has
+        s_xy p_xy in between, and s_xy p_xy - 1 maps into ker p_xy, the
+        relations of x (x) y (p_xy s_xy = 1), which p_x (x) p_y kills:
+        - group coinvariants: (p_x (x) p_y)(g (x) g) = p_x (x) p_y;
+        - dy quotient: by induction on x along dy_action's head-first
+          recursion, a_{x (x) y} = a_x (x) 1 + (1 (x) a_y)(sigma_{b,x} (x) 1),
+          whose image lies in im a_x (x) y + x (x) im a_y."""
+        _require_split(f, x, y)
+        dom_img, _, s = self._image(f.dom)
+        x_img, p_x, _ = self._image(x)
+        y_img, p_y, _ = self._image(y)
+        return MorphismRep(dom_img, x_img.tensor(y_img),
+                           matrix=mat_kron(p_x, p_y) * self.source.as_matrix(f) * s)
 
 
 def group_coinvariants_relations(source, obj):
@@ -413,9 +454,7 @@ def gamma(functor, m: Comonoid, x: ObjectRef, z: ObjectRef) -> MorphismRep:
     """
     src = functor.source
     inner = src.tensor_all([src.identity_mor(x), m.delta, src.identity_mor(z)])
-    return functor.target.compose(
-        functor.apply_mor(inner),
-        functor.f2(x.tensor(m.obj), m.obj.tensor(z)))
+    return functor.f2_after(inner, x.tensor(m.obj), m.obj.tensor(z))
 
 
 @dataclass
@@ -447,8 +486,9 @@ def certify_adapted(functor, m: Comonoid, pairs) -> AdaptednessCertificate:
     for x, z in pairs:
         g = gamma(functor, m, x, z)
         ginv = invert_mor(dst, g)
-        # re-check both sides; inversion routines already guarantee this,
-        # but certificates must stay trustworthy even if edited
+        # re-check, so certificates stay trustworthy even if edited; one
+        # side is enough, as invert_mor checked that g is a bijection or a
+        # square matrix, whose one-sided inverses are two-sided
         both = dst.compose(g, ginv)
         ident = dst.identity_mor(g.dom)
         if not dst.equal_mor(both, ident):

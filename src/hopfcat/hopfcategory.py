@@ -94,13 +94,12 @@ def split_and_antipode(functor, x: Comonoid, y: Comonoid, braid):
     """The splitting and the antipode of the hom F(x (x) y), read through
     braid: x (x) y -> y (x) x, the source symmetry in the plain structure.
     Both are linear in braid, which is how deformations build theirs."""
-    src, dst = functor.source, functor.target
+    src = functor.source
     xy = x.obj.tensor(y.obj)
     split_double = src.compose_tensor(
         src.tensor_mor(x.delta, y.delta),
         [src.identity_mor(x.obj), braid, src.identity_mor(y.obj)])
-    return (dst.compose(functor.apply_mor(split_double), functor.f2(xy, xy)),
-            functor.apply_mor(braid))
+    return functor.f2_after(split_double, xy, xy), functor.apply_mor(braid)
 
 
 def build_hopf_category(functor, comonoids):

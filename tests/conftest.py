@@ -380,3 +380,9 @@ def morphism_laws(functor, morphisms):
                 dst.equal_mor(lhs, rhs),
                 f"at {f.dom.label()},{g.dom.label()}"))
     return records
+
+
+def composite_f2_after(functor, f, x, y):
+    """F(f), then F2(x, y), as the textbook composite through the image of
+    f.cod, which functor.f2_after never builds."""
+    return functor.target.compose(functor.apply_mor(f), functor.f2(x, y))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfcat
-from hopfcat import backends, cli, cofunctor
+from hopfcat import backends, cli, cofunctor, corpus
 from hopfcat.cli import CHECK_ORDER, TARGETS, main, run_build, run_verify
 from hopfcat.corpus import CORPUS_NAMES, corpus_path, load_corpus_document
 from hopfcat.instances import dump_document
@@ -357,22 +357,47 @@ class TestTensorTableSizes:
 
 
 class TestOrbitLabelSizes:
-    """An s4_torsors verify labels every point only of the words the orbit
-    functor extends, at most |G|^3 = 13,824 points, and never the 331,776
-    points of its longest words X (x) M (x) M (x) Z."""
+    """An s4_torsors verify takes orbit data only of words of at most three
+    letters (gamma and the hom splittings never image X (x) M (x) M (x) Z),
+    and labels every point only of one-letter words, |G| = 24 points, never
+    the 13,824 of X (x) M (x) Z or the 331,776 of X (x) M (x) M (x) Z."""
 
     def test_longest_label_array(self, monkeypatch, tmp_path):
-        lengths = [0]
+        lengths, words = [0], [()]
 
         def recorded(fn, factors, real=cofunctor.OrbitFunctor._per_point):
             out = real(fn, factors)
             lengths.extend(map(len, out))
             return out
 
+        def orbits(fn, factors, real=cofunctor.OrbitFunctor._orbits_of):
+            words.append(factors)
+            return real(fn, factors)
+
         monkeypatch.setattr(cofunctor.OrbitFunctor, "_per_point", recorded)
+        monkeypatch.setattr(cofunctor.OrbitFunctor, "_orbits_of", orbits)
         _, code = run_verify(write_doc(tmp_path, set_ladder_documents()["s4_torsors"]))
         assert code == 0
-        assert max(lengths) <= 24 ** 3
+        assert max(map(len, words)) <= 3
+        assert max(lengths) <= 24
+
+
+class TestCoinvariantSizes:
+    """A z8_group_algebra verify eliminates relations of words of at most
+    three letters, 8^3 = 512 rows, never the 4,096 of a four-letter word."""
+
+    def test_largest_cokernel_projection(self, monkeypatch, tmp_path):
+        rows = [0]
+
+        def recorded(relations, real=cofunctor.cokernel_projection):
+            rows.append(relations.rows)
+            return real(relations)
+
+        monkeypatch.setattr(cofunctor, "cokernel_projection", recorded)
+        doc = corpus._group_algebra_doc("z8_group_algebra", 8)
+        _, code = run_verify(write_doc(tmp_path, doc))
+        assert code == 0
+        assert max(rows) <= 8 ** 3
 
 
 class TestMain:

@@ -1,10 +1,15 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfcat.backends import (
     Atom,
+    BackendError,
+    ObjectRef,
     cyclic_group,
     finset_backend,
     linear_backend,
@@ -26,11 +31,14 @@ from hopfcat.cofunctor import (
     invert_mor,
     mult_along,
 )
+from hopfcat.corpus import corpus_path
+from hopfcat.instances import load_instance
 from hopfcat.linalg import Matrix, cokernel_projection
 from hopfcat.scalars import RATIONAL
 
 from conftest import (
     all_elements_coinvariants_relations,
+    composite_f2_after,
     coset_atom,
     dihedral_group,
     gset_backend,
@@ -445,3 +453,129 @@ class TestInvertMor:
         with pytest.raises(NotAdapted) as exc:
             invert_mor(b, f)
         assert exc.value.witness is not None
+
+
+# ---------------------------------------------------------------------------
+# F(f) then F2, straight into F(x) (x) F(y)
+
+
+def cuts(word):
+    """Every way to split a word into x (x) y, the empty ends included."""
+    return [(ObjectRef(word[:k]), ObjectRef(word[k:])) for k in range(len(word) + 1)]
+
+
+def split_maps(b, x, y):
+    """Source maps into x (x) y: its identity, the braiding from y (x) x,
+    and, when x ends and y starts with one atom a, gamma's doubling
+    x' (x) a (x) y' -> x' (x) a (x) a (x) y'."""
+    maps = [b.identity_mor(x.tensor(y)), b.braiding(y, x)]
+    if x.factors and y.factors and x.factors[-1] == y.factors[0]:
+        a = ObjectRef.atom(y.factors[0])
+        copy = diagonal_comonoid if b.kind == "finset" else group_like_comonoid
+        maps.append(b.tensor_all([b.identity_mor(ObjectRef(x.factors[:-1])), copy(b, a).delta,
+                                  b.identity_mor(ObjectRef(y.factors[1:]))]))
+    return maps
+
+
+def short_words(b, limit):
+    """The words of one to three atoms with at most limit points."""
+    return [w for k in (1, 2, 3) for w in itertools.product(sorted(b.atoms), repeat=k)
+            if b.obj_size(ObjectRef(w)) <= limit]
+
+
+def random_matrix(b, dom, cod, seed):
+    """A matrix dom -> cod with small integer entries, equivariant by
+    accident only."""
+    rng = random.Random(seed)
+    rows = [[rng.choice((-1, 0, 0, 1, 2)) for _ in range(b.obj_size(dom))]
+            for _ in range(b.obj_size(cod))]
+    return b.mor_from_matrix(dom, cod, Matrix.from_rows(RATIONAL, rows))
+
+
+def assert_split_matches(fn, f, x, y):
+    dst = fn.target
+    assert dst.equal_mor(fn.f2_after(f, x, y), composite_f2_after(fn, f, x, y)), \
+        (f.dom.label(), x.label(), y.label())
+
+
+def linear_cases():
+    """(functor, largest word size) for the group coinvariants of regular
+    representations and the dy quotient of abelian_precartier."""
+    cases = [(group_coinvariants_functor(regular_linear(g)), 216)
+             for g in (cyclic_group(3), cyclic_group(4), symmetric_group(3))]
+    cases.append((load_instance(corpus_path("abelian_precartier")).functor, 64))
+    return cases
+
+
+ORBIT_BACKENDS = [b for b, _ in orbit_cases()]
+
+
+class TestF2AfterAgainstComposite:
+    @pytest.mark.parametrize("b", ORBIT_BACKENDS, ids=["s4_points", "d4_square", "s3_gset",
+                                                      "trivial"])
+    def test_orbit_functor_equivariant_maps(self, b):
+        fn = OrbitFunctor(b)
+        for word in short_words(b, 600):
+            for x, y in cuts(word):
+                for f in split_maps(b, x, y):
+                    assert_split_matches(fn, f, x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_orbit_functor_any_table(self, data):
+        # f2_after is exact for tables that are not equivariant as well
+        b = data.draw(st.sampled_from(ORBIT_BACKENDS))
+        fn = OrbitFunctor(b)
+        word = data.draw(st.sampled_from(short_words(b, 600)))
+        x, y = data.draw(st.sampled_from(cuts(word)))
+        dom = ObjectRef(data.draw(st.sampled_from(
+            [()] + [w for w in short_words(b, 100) if len(w) < 3])))
+        n, m = b.obj_size(dom), b.obj_size(x.tensor(y))
+        table = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        assert_split_matches(fn, b.mor_from_table(dom, x.tensor(y), tuple(table)), x, y)
+
+    @pytest.mark.parametrize("case", linear_cases(), ids=["z3", "z4", "s3", "abelian_precartier"])
+    def test_coinvariants_functor(self, case):
+        fn, limit = case
+        b = fn.source
+        for word in short_words(b, limit):
+            if b.kind == "dy" and b.base in word:
+                continue
+            for k, (x, y) in enumerate(cuts(word)):
+                atom = ObjectRef.atom(word[k % len(word)])
+                maps = split_maps(b, x, y) + [random_matrix(b, atom, x.tensor(y), seed=k)]
+                for f in maps:
+                    assert_split_matches(fn, f, x, y)
+
+    def test_identity_functor(self):
+        for b in (torsor_backend(cyclic_group(3)), regular_linear(cyclic_group(2))):
+            fn = IdentityFunctor(b)
+            for x, y in cuts(tuple(sorted(b.atoms)) * 2):
+                for f in split_maps(b, x, y):
+                    assert_split_matches(fn, f, x, y)
+
+    def test_codomain_is_never_imaged(self):
+        # gamma's doubling lands in a four-letter word; f2_after reads only
+        # f.dom, x and y
+        for fn, a in ((OrbitFunctor(torsor_backend(symmetric_group(3))), "S"),
+                      (group_coinvariants_functor(regular_linear(cyclic_group(3))), "R")):
+            b = fn.source
+            x = y = b.obj(a, a)
+            f = split_maps(b, x, y)[2]
+            fn.f2_after(f, x, y)
+            assert len(f.dom) == 3 and (a,) * 4 not in fn._images
+
+    @pytest.mark.parametrize("make", [
+        lambda: OrbitFunctor(torsor_backend(cyclic_group(2))),
+        lambda: group_coinvariants_functor(regular_linear(cyclic_group(2))),
+        lambda: IdentityFunctor(torsor_backend(cyclic_group(2))),
+    ], ids=["orbits", "coinvariants", "identity"])
+    def test_codomain_mismatch_raises(self, make):
+        fn = make()
+        b = fn.source
+        a = b.obj(sorted(b.atoms)[0])
+        f = b.braiding(a, a.tensor(a))
+        with pytest.raises(BackendError, match="composition mismatch"):
+            fn.f2_after(f, a, a)
+        with pytest.raises(BackendError, match="composition mismatch"):
+            composite_f2_after(fn, f, a, a)
