@@ -368,19 +368,20 @@ def build_deformed_hopf_category(plain, functor, comonoids, order, pc=None, *,
     """plain, the structure build_hopf_category made from functor and
     comonoids, deformed to the given order.
 
-    The deformation laws are verified first (require_pre_cartier).  Every
-    map of plain is then embedded in the series ring, and each hom's
-    splitting and antipode, the only maps that read the symmetry, are
-    rebuilt from the deformed symmetry degree by degree: both are linear
-    in it, so each rational coefficient goes through split_and_antipode
-    and the results are summed back into one series map.  Nothing is
-    inverted over the series ring.  Order 0 returns plain itself.
+    The deformation laws are verified first (require_pre_cartier).  The
+    multiplications, units and counits of plain are then embedded in the
+    series ring, and each hom's splitting and antipode, the only maps that
+    read the symmetry, are built from the deformed symmetry degree by
+    degree: both are linear in it, so each rational coefficient goes
+    through split_and_antipode and the results are summed back into one
+    series map.  Nothing is inverted over the series ring.  Order 0
+    returns plain itself.
     """
     pc = require_pre_cartier(functor, comonoids, pc, convention)
     if not order:
         return plain
     ring = hseries_ring(order)
-    data = _structure_in(plain, ring)
+    data = _structure_in(replace(plain, delta={}, antipode={}), ring)
     for i, x in enumerate(comonoids):
         for j, y in enumerate(comonoids):
             braid = deformed_braiding(pc, x.obj, y.obj, order)

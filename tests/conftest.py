@@ -9,7 +9,13 @@ import itertools
 import random
 from fractions import Fraction
 
-from hopfcat.backends import Atom, finset_backend, group_from_generators, regular_atom
+from hopfcat.backends import (
+    Atom,
+    ObjectRef,
+    finset_backend,
+    group_from_generators,
+    regular_atom,
+)
 from hopfcat.coalg import LawRecord
 from hopfcat.linalg import Matrix, hstack
 from hopfcat.scalars import RATIONAL, HSeries
@@ -386,3 +392,53 @@ def composite_f2_after(functor, f, x, y):
     """F(f), then F2(x, y), as the textbook composite through the image of
     f.cod, which functor.f2_after never builds."""
     return functor.target.compose(functor.apply_mor(f), functor.f2(x, y))
+
+
+def brute_force_assoc_records(rule, hom_size, comp, n, positions=True):
+    """Associativity of the tables comp[(i, j, k)] (hom(i,j) x hom(j,k) ->
+    hom(i,k), row-major pairs, hom(i,j) of hom_size[(i, j)] points) checked
+    point by point at every position (i, j, k, l): the per-position
+    comparison check_hopf_category and check_hopf_monoid made before Light's
+    test, kept as their oracle.  One record per position; a failing one
+    names the first (x, s, y), row-major, where (x*s)*y and x*(s*y) differ.
+    Positions are appended as `at i,j,k,l` unless positions is false.
+    Values outside a codomain are read as Python reads an index, so a
+    negative one counts from the end and one past the end raises
+    IndexError."""
+    records = []
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        nb, nc, njl = hom_size[(j, k)], hom_size[(k, l)], hom_size[(j, l)]
+        detail = ""
+        for x, s, y in itertools.product(
+                range(hom_size[(i, j)]), range(nb), range(nc)):
+            lhs = comp[(i, k, l)][comp[(i, j, k)][x * nb + s] * nc + y]
+            rhs = comp[(i, j, l)][x * njl + comp[(j, k, l)][s * nc + y]]
+            if lhs != rhs and not detail:
+                detail = f"(x*s)*y = {lhs}, x*(s*y) = {rhs} with x={x}, s={s}, y={y}"
+        where = f"at {i},{j},{k},{l}" if positions else ""
+        records.append(LawRecord(rule, not detail, " ".join(filter(None, (detail, where)))))
+    return records
+
+
+def unmemoized_braiding_failures(backend):
+    """check_braiding_coherence composing both hexagons at every word
+    triple, as it did before it composed them once per size triple."""
+    failures = []
+    words = [ObjectRef.unit()] + [ObjectRef.atom(n) for n in sorted(backend.atoms)]
+    for x in words:
+        for y in words:
+            both = backend.compose(backend.braiding(x, y), backend.braiding(y, x))
+            if not backend.equal_mor(both, backend.identity_mor(x.tensor(y))):
+                failures.append(f"swap of {x.label()},{y.label()} not involutive")
+    for x, y, z in itertools.product(words[1:], repeat=3):
+        rhs = backend.compose(
+            backend.tensor_mor(backend.identity_mor(x), backend.braiding(y, z)),
+            backend.tensor_mor(backend.braiding(x, z), backend.identity_mor(y)))
+        if not backend.equal_mor(backend.braiding(x.tensor(y), z), rhs):
+            failures.append(f"hexagon fails at {x.label()},{y.label()},{z.label()}")
+        rhs2 = backend.compose(
+            backend.tensor_mor(backend.braiding(x, y), backend.identity_mor(z)),
+            backend.tensor_mor(backend.identity_mor(y), backend.braiding(x, z)))
+        if not backend.equal_mor(backend.braiding(x, y.tensor(z)), rhs2):
+            failures.append(f"hexagon (right) fails at {x.label()},{y.label()},{z.label()}")
+    return failures

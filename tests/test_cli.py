@@ -1,5 +1,6 @@
 import copy
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -7,16 +8,21 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfcat
+from conftest import unmemoized_braiding_failures
 from hopfcat import backends, cli, cofunctor, corpus
 from hopfcat.cli import CHECK_ORDER, TARGETS, main, run_build, run_verify
+from hopfcat.coalg import LawRecord
 from hopfcat.corpus import CORPUS_NAMES, corpus_path, load_corpus_document
 from hopfcat.instances import dump_document
+from hopfcat.linalg import Matrix
+from hopfcat.scalars import RATIONAL
 
 
 def write_doc(tmp_path, doc, name="inst.json"):
@@ -354,6 +360,81 @@ class TestTensorTableSizes:
         _, code = run_verify(path) if target is None else run_build(path, target)
         assert code == 0
         assert max(lengths) <= longest
+
+
+class TestCubeTables:
+    """The tables of at least |G|^3 = 13,824 entries an s4_torsors verify
+    makes: from _tensor_tables, 16 for gamma's id (x) delta (x) id, 8 for
+    mult_along's collapse and 4 for the two hexagons, composed once for
+    the one size triple of the torsors; from compose, those two hexagons.
+    Associativity goes through Light's test and makes none."""
+
+    def test_cube_table_counts(self, monkeypatch, tmp_path):
+        cube = 24 ** 3
+        counts = {"tensor": 0, "compose": 0}
+
+        def tensored(f, g, gc, real=backends._tensor_tables):
+            out = real(f, g, gc)
+            counts["tensor"] += len(out) >= cube
+            return out
+
+        def composed(backend, *fs, real=backends.Backend.compose):
+            out = real(backend, *fs)
+            counts["compose"] += out.table is not None and len(out.table) >= cube
+            return out
+
+        monkeypatch.setattr(backends, "_tensor_tables", tensored)
+        monkeypatch.setattr(backends.Backend, "compose", composed)
+        _, code = run_verify(write_doc(tmp_path, set_ladder_documents()["s4_torsors"]))
+        assert code == 0
+        assert counts == {"tensor": 28, "compose": 2}
+
+
+class TestHexagonsBySize:
+    """Atoms of sizes 2, 2 and 3: the hexagons are composed once per size
+    triple, and the report lists a verdict for every word triple."""
+
+    SIZES = {"A": 2, "B": 2, "C": 3}
+
+    def backend(self, kind):
+        if kind == "finset":
+            return backends.finset_backend(backends.trivial_group(), [
+                backends.Atom(n, k, (tuple(range(k)),)) for n, k in self.SIZES.items()])
+        return backends.linear_backend(backends.trivial_group(), [
+            backends.Atom(n, k, (Matrix.identity(k, RATIONAL),)) for n, k in self.SIZES.items()])
+
+    @pytest.mark.parametrize("kind", ["finset", "linear"])
+    def test_coherent_swap(self, kind):
+        backend = self.backend(kind)
+        assert backends.check_braiding_coherence(backend) == []
+        assert unmemoized_braiding_failures(backend) == []
+        record, = cli._check_braiding(SimpleNamespace(backend=backend))
+        assert record == LawRecord("braiding.coherence", True, "")
+
+    @pytest.mark.parametrize("kind", ["finset", "linear"])
+    def test_swap_broken_for_one_size_pair(self, kind):
+        backend = self.backend(kind)
+        good = backend.braiding(backend.obj("A"), backend.obj("C"))
+        # the 2 by 3 swap with the images of its first two points exchanged
+        wrong = (1, 0, 2, 3, 4, 5)
+        backend._braidings[(2, 3)] = (
+            tuple(map(good.table.__getitem__, wrong)) if kind == "finset"
+            else good.matrix * Matrix.from_table(RATIONAL, wrong, 6))
+        bad = backends.check_braiding_coherence(backend)
+        assert bad == unmemoized_braiding_failures(backend)
+        record, = cli._check_braiding(SimpleNamespace(backend=backend))
+        assert record == LawRecord("braiding.coherence", False, "; ".join(bad[:3]))
+        # exactly the words and triples whose swaps include a 2 by 3 one
+        size = self.SIZES
+        expect = [f"swap of {x},{y} not involutive" for x in "ABC" for y in "ABC"
+                  if {size[x], size[y]} == {2, 3}]
+        for x, y, z in itertools.product("ABC", repeat=3):
+            nx, ny, nz = size[x], size[y], size[z]
+            if (2, 3) in ((nx * ny, nz), (ny, nz), (nx, nz)):
+                expect.append(f"hexagon fails at {x},{y},{z}")
+            if (2, 3) in ((nx, ny * nz), (nx, ny), (nx, nz)):
+                expect.append(f"hexagon (right) fails at {x},{y},{z}")
+        assert bad == expect
 
 
 class TestOrbitLabelSizes:

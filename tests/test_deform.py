@@ -283,6 +283,24 @@ class TestDeformedBuild:
         for key in plain.unit:
             assert data.unit[key] == lift_mor(plain.unit[key], ring)
 
+    def test_lifts_only_the_maps_it_keeps(self, monkeypatch):
+        """At positive order the plain splittings and antipodes are rebuilt
+        from the deformed symmetry, so they are never lifted."""
+        be, fun, m = z2_coinvariants()
+        plain = build_hopf_category(fun, [m])
+        lifted = []
+
+        def recorded(mat, ring, real=deform.lift_matrix):
+            lifted.append(mat)
+            return real(mat, ring)
+
+        monkeypatch.setattr(deform, "lift_matrix", recorded)
+        build_deformed_hopf_category(plain, fun, [m], 2)
+        kept = [f.matrix for maps in (plain.mult, plain.unit, plain.eps) for f in maps.values()]
+        rebuilt = [f.matrix for maps in (plain.delta, plain.antipode) for f in maps.values()]
+        assert all(any(mat is k for mat in lifted) for k in kept)
+        assert not any(mat is r for mat in lifted for r in rebuilt)
+
     def test_order_zero_build_is_rational(self):
         be, fun, m = z2_coinvariants()
         plain = build_hopf_category(fun, [m])

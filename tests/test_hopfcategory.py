@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     bijection_groupoid,
+    brute_force_assoc_records,
     brute_force_groupoid_records,
     equivariant_bijections,
     torsor_backend,
@@ -15,6 +16,7 @@ from conftest import (
 from hopfcat import corpus
 from hopfcat.backends import (
     Atom,
+    MorphismRep,
     cyclic_group,
     finset_backend,
     group_from_generators,
@@ -22,10 +24,12 @@ from hopfcat.backends import (
     linear_backend,
     regular_atom,
     symmetric_group,
+    trivial_group,
 )
 from hopfcat.coalg import (
     HopfMonoidData,
     LawRecord,
+    _arrow_generators,
     all_hold,
     check_hopf_monoid,
     diagonal_comonoid,
@@ -34,8 +38,8 @@ from hopfcat.coalg import (
 from hopfcat.cofunctor import NotAdapted, OrbitFunctor
 from hopfcat.hopfcategory import (
     GroupoidTable,
+    HopfCategoryData,
     NotCocommutative,
-    _arrow_generators,
     build_hopf_category,
     build_hopf_monoid,
     check_hopf_category,
@@ -401,7 +405,7 @@ class TestLightsTest:
     def test_generating_set_size(self, name, size):
         gt, records = ladder_groupoid(name)
         assert all_hold(records), failures(records)
-        assert len(_arrow_generators(gt)) == size
+        assert len(_arrow_generators(len(gt.labels), gt.hom_size, gt.comp)) == size
 
     def test_s4_records_match_brute_force(self):
         gt, records = ladder_groupoid("s4_torsors")
@@ -414,3 +418,128 @@ class TestLightsTest:
         data.delta[(1, 0)] = replace(delta, table=tuple(reversed(delta.table)))
         _, records = extract_set_groupoid(fn.target, data)
         assert records[0] == LawRecord("groupoid.diagonal_splitting", False, "at 1,0")
+
+
+# ---------------------------------------------------------------------------
+# Light's test for hopfcat.assoc / hopf.assoc against the point-by-point oracle
+
+
+def structure_of(gt):
+    """gt as a finset Hopf category over the trivial group: hom (i, j) an
+    atom of hom_size[(i, j)] points with its diagonal comonoid, mult the
+    composition tables, units the identities and antipodes the inverses."""
+    rng = range(len(gt.labels))
+    hs = gt.hom_size
+    b = finset_backend(trivial_group(), [
+        Atom(f"H{i}{j}", hs[(i, j)], (tuple(range(hs[(i, j)])),)) for i in rng for j in rng])
+    data = HopfCategoryData(gt.labels, b)
+    for i in rng:
+        for j in rng:
+            c = diagonal_comonoid(b, b.obj(f"H{i}{j}"))
+            data.hom[(i, j)], data.delta[(i, j)], data.eps[(i, j)] = c.obj, c.delta, c.eps
+            data.antipode[(i, j)] = MorphismRep(c.obj, b.obj(f"H{j}{i}"),
+                                                table=gt.inverse[(i, j)])
+        data.unit[i] = MorphismRep(b.unit(), data.hom[(i, i)], table=(gt.identity[i],))
+    for (i, j, k), table in gt.comp.items():
+        data.mult[(i, j, k)] = MorphismRep(data.hom[(i, j)].tensor(data.hom[(j, k)]),
+                                           data.hom[(i, k)], table=table)
+    return b, data
+
+
+@lru_cache(maxsize=None)
+def torsor_structure(group_name, names):
+    group = {"z2": cyclic_group(2), "z3": cyclic_group(3), "s3": symmetric_group(3)}[group_name]
+    _, fn, data = torsor_category(group, names)
+    return fn.target, data
+
+
+@st.composite
+def finset_structures(draw):
+    """(backend, data): a torsor Hopf category over Z2, Z3 or S3 on one to
+    three torsors, or a groupoid_tables table as a structure; then zero to
+    two mult entries set to a value in range, below it (which Python reads
+    from the end) or past it."""
+    if draw(st.booleans()):
+        names = ("S", "T", "U")[:draw(st.integers(1, 3))]
+        backend, data = torsor_structure(draw(st.sampled_from(["z2", "z3", "s3"])), names)
+    else:
+        backend, data = structure_of(draw(groupoid_tables()))
+    data = replace(data, mult=dict(data.mult))
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(data.mult)))
+        f = data.mult[key]
+        size = backend.obj_size(f.cod)
+        value = draw(st.one_of(st.integers(0, size - 1), st.integers(-size, -1),
+                               st.integers(size, size + 1)))
+        pos = draw(st.integers(0, len(f.table) - 1))
+        data.mult[key] = replace(f, table=f.table[:pos] + (value,) + f.table[pos + 1:])
+    return backend, data
+
+
+def oracle_assoc(backend, data, rule="hopfcat.assoc", positions=True):
+    hs = {key: backend.obj_size(obj) for key, obj in data.hom.items()}
+    comp = {key: f.table for key, f in data.mult.items()}
+    return brute_force_assoc_records(rule, hs, comp, data.size(), positions)
+
+
+def as_monoid(data):
+    return HopfMonoidData(data.hom[(0, 0)], data.mult[(0, 0, 0)], data.unit[0],
+                          data.delta[(0, 0)], data.eps[(0, 0)], data.antipode[(0, 0)])
+
+
+class TestAssocByLight:
+    @settings(max_examples=150, deadline=None)
+    @given(finset_structures())
+    def test_records_match_point_by_point(self, case):
+        """Every hopfcat.assoc record, and hopf.assoc on one object, equals
+        the point-by-point comparison, witness included; where that reads
+        past the end of a table, both raise IndexError."""
+        backend, data = case
+        try:
+            expected = oracle_assoc(backend, data)
+        except IndexError:
+            with pytest.raises(IndexError):
+                check_hopf_category(backend, data)
+            return
+        records = check_hopf_category(backend, data)
+        assert [r for r in records if r.rule == "hopfcat.assoc"] == expected
+        if data.size() == 1:
+            records = check_hopf_monoid(backend, as_monoid(data))
+            assert ([r for r in records if r.rule == "hopf.assoc"]
+                    == oracle_assoc(backend, data, "hopf.assoc", positions=False))
+
+    def test_fault_outside_the_generating_set_is_caught(self):
+        """One changed product s*y, with s outside the generating set of
+        the changed tables, so that Light's test reaches s only through
+        the closure, still fails hopfcat.assoc."""
+        backend, data = torsor_structure("s3", ("S", "T"))
+        hs = {key: backend.obj_size(obj) for key, obj in data.hom.items()}
+        comp = {key: f.table for key, f in data.mult.items()}
+        gens = set(_arrow_generators(2, hs, comp))
+        j, k, s = next((j, k, s) for j in range(2) for k in range(2)
+                       for s in range(hs[(j, k)]) if (j, k, s) not in gens)
+        for l, y in ((l, y) for l in range(2) for y in range(hs[(k, l)])):
+            pos = s * hs[(k, l)] + y
+            row = comp[(j, k, l)]
+            bad = {**comp, (j, k, l): row[:pos] + ((row[pos] + 1) % hs[(j, l)],) + row[pos + 1:]}
+            if (j, k, s) not in _arrow_generators(2, hs, bad):
+                break
+        else:
+            pytest.fail("every change makes s a generator")
+        f = data.mult[(j, k, l)]
+        broken = replace(data, mult={**data.mult, (j, k, l): replace(f, table=bad[(j, k, l)])})
+        records = [r for r in check_hopf_category(backend, broken) if r.rule == "hopfcat.assoc"]
+        assert not all_hold(records)
+        assert records == oracle_assoc(backend, broken)
+
+    def test_witness_names_x_s_y(self):
+        """x*y = 1 - x on two points: (x*s)*y = x but x*(s*y) = 1 - x."""
+        b = finset_backend(trivial_group(), [Atom("P", 2, ((0, 1),))])
+        p = b.obj("P")
+        c = diagonal_comonoid(b, p)
+        h = HopfMonoidData(p, b.mor_from_table(p.tensor(p), p, (1, 1, 0, 0)),
+                           b.mor_from_table(b.unit(), p, (0,)), c.delta, c.eps,
+                           b.identity_mor(p))
+        rec = next(r for r in check_hopf_monoid(b, h) if r.rule == "hopf.assoc")
+        assert rec == LawRecord("hopf.assoc", False,
+                                "(x*s)*y = 0, x*(s*y) = 1 with x=0, s=0, y=0")
