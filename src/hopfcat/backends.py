@@ -44,11 +44,12 @@ class GroupTable:
 
     table[g][h] = g * h.
 
-    generators is a generating set, computed once per table: greedily take
-    the smallest index not in the subgroup generated so far.  This gives
-    S4 -> (1, 2, 6), Z8 -> (1,), the trivial group -> ().  Orbits of the
-    group are the orbits of its generators, and a map commutes with every
-    element iff it commutes with the generators.
+    generators is a generating set, computed once per table: the arrow
+    generators of the table as a one-object category, identity left out.
+    This gives S4 -> (1, 2, 6), Z8 -> (1,), the trivial group -> ().  Orbits
+    of the group are the orbits of its generators, a map commutes with
+    every element iff it commutes with them, and Backend._validate_atom
+    checks actions at them.
     """
 
     table: tuple  # tuple of tuples
@@ -59,7 +60,9 @@ class GroupTable:
         if self.names is None:
             object.__setattr__(self, "names", tuple(str(i) for i in range(n)))
         validate_group(self.table)
-        object.__setattr__(self, "generators", _greedy_generators(self.table))
+        flat = tuple(x for row in self.table for x in row)
+        gens = _arrow_generators(1, {(0, 0): n}, {(0, 0, 0): flat})
+        object.__setattr__(self, "generators", tuple(g for _, _, g in gens[1:]))
 
     @property
     def order(self):
@@ -69,28 +72,10 @@ class GroupTable:
         return self.table[g][h]
 
     def inv(self, g):
-        row = self.table[g]
-        for h, x in enumerate(row):
-            if x == 0:
-                return h
-        raise BackendError("element without inverse")
+        return self.table[g].index(0)
 
     def elements(self):
         return range(self.order)
-
-
-def _greedy_generators(table):
-    gens = []
-    sub = {0}
-    for g in range(len(table)):
-        if g in sub:
-            continue
-        gens.append(g)
-        frontier = set(sub)
-        while frontier:
-            frontier = {table[h][x] for h in frontier for x in gens} - sub
-            sub |= frontier
-    return tuple(gens)
 
 
 def validate_group(table):
@@ -105,11 +90,10 @@ def validate_group(table):
     for g in range(n):
         if table[0][g] != g or table[g][0] != g:
             raise BackendError("index 0 must be the identity")
-    for g in range(n):
-        for h in range(n):
-            for k in range(n):
-                if table[table[g][h]][k] != table[g][table[h][k]]:
-                    raise BackendError("associativity fails")
+    # a group table is a one-object groupoid: Light's test applies
+    flat = tuple(x for row in table for x in row)
+    if _assoc_witness(1, {(0, 0): n}, {(0, 0, 0): flat}):
+        raise BackendError("associativity fails")
 
 
 def cyclic_group(n):
@@ -256,19 +240,24 @@ class Backend:
             self._validate_atom(atom)
 
     def _validate_atom(self, atom):
+        """Shapes, then act(e) = 1 and act(gh) = act(g) act(h) for every
+        generator g and every h.  That is the whole homomorphism law: the
+        g passing it include e and are closed under products, since for
+        two of them act(g g' h) = act(g) act(g' h) = act(g) act(g') act(h)
+        = act(g g') act(h), and every element is a product of generators.
+        """
         n = self.group.order
         if len(atom.action) != n:
             raise BackendError(f"atom {atom.name}: action must list all group elements")
+        pairs = [(g, h, self.group.mul(g, h)) for g in self.group.generators for h in range(n)]
         if self.kind == "finset":
-            for g, perm in enumerate(atom.action):
+            act = tuple(map(tuple, atom.action))
+            for g, perm in enumerate(act):
                 if sorted(perm) != list(range(atom.size)):
                     raise BackendError(f"atom {atom.name}: action of {g} is not a permutation")
-            for g in range(n):
-                for h in range(n):
-                    gh = self.group.mul(g, h)
-                    for i in range(atom.size):
-                        if atom.action[g][atom.action[h][i]] != atom.action[gh][i]:
-                            raise BackendError(f"atom {atom.name}: action is not a homomorphism")
+            if act[0] != tuple(range(atom.size)) or any(
+                    tuple(map(act[g].__getitem__, act[h])) != act[gh] for g, h, gh in pairs):
+                raise BackendError(f"atom {atom.name}: action is not a homomorphism")
         else:
             for g, mat in enumerate(atom.action):
                 if mat.rows != atom.size or mat.cols != atom.size:
@@ -276,11 +265,9 @@ class Backend:
             ident = Matrix.identity(atom.size, self.ring)
             if atom.action[0] != ident:
                 raise BackendError(f"atom {atom.name}: identity must act as identity")
-            for g in range(n):
-                for h in range(n):
-                    gh = self.group.mul(g, h)
-                    if atom.action[g] * atom.action[h] != atom.action[gh]:
-                        raise BackendError(f"atom {atom.name}: action is not a homomorphism")
+            act = atom.action
+            if any(act[g] * act[h] != act[gh] for g, h, gh in pairs):
+                raise BackendError(f"atom {atom.name}: action is not a homomorphism")
         if self.kind == "dy":
             bdim = self.atoms[self.base].size
             if atom.pi is None or atom.pistar is None:
@@ -545,6 +532,59 @@ def _tensor_tables(f, g, gc):
     for a in f:
         out += map((a * gc).__add__, g)
     return tuple(out)
+
+
+def _arrow_generators(n, hs, comp):
+    """Arrows (i, j, a) that generate every arrow under composition, picked
+    greedily from the tables: walk the arrows in order, take the first one
+    not yet generated, and close under composition with the generators.
+    hs[(i, j)] counts the arrows i -> j and comp[(i, j, k)] composes
+    hom(i, j) x hom(j, k) -> hom(i, k) in row-major pair index."""
+    rng = range(n)
+    gens, got = [], set()
+    for arrow in ((i, j, a) for i in rng for j in rng for a in range(hs[(i, j)])):
+        if arrow in got:
+            continue
+        gens.append(arrow)
+        got.add(arrow)
+        frontier = set(got)
+        while frontier:
+            new = set()
+            for p, q, x in frontier:
+                for s, t, y in gens:
+                    if q == s:
+                        new.add((p, t, comp[(p, q, t)][x * hs[(q, t)] + y]))
+                    if t == p:
+                        new.add((s, q, comp[(s, t, q)][y * hs[(p, q)] + x]))
+            frontier = new - got
+            got |= frontier
+    return gens
+
+
+def _assoc_witness(n, hs, comp):
+    """Light's test.  The arrows s with (x*s)*y = x*(s*y) for all
+    composable x, y are closed under composition, since
+    (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y); so the law holds
+    everywhere once it holds for every s of a generating set, whose
+    closure adds only composites of arrows it already holds.  Returns ""
+    when it holds, else the first failing (x, s, y) found.  Every entry of
+    comp[(i, j, k)] must lie in range(hs[(i, k)])."""
+    rng = range(n)
+    for j, k, s in _arrow_generators(n, hs, comp):
+        for i in rng:
+            xs = comp[(i, j, k)][s::hs[(j, k)]]
+            for l in rng:
+                hkl, hjl = hs[(k, l)], hs[(j, l)]
+                sy = comp[(j, k, l)][s * hkl:(s + 1) * hkl]
+                ikl, ijl = comp[(i, k, l)], comp[(i, j, l)]
+                for x, xs_x in enumerate(xs):
+                    lhs = ikl[xs_x * hkl:(xs_x + 1) * hkl]
+                    rhs = tuple(map(ijl[x * hjl:(x + 1) * hjl].__getitem__, sy))
+                    if lhs != rhs:
+                        y = next(y for y in range(hkl) if lhs[y] != rhs[y])
+                        return (f"(x*s)*y = {lhs[y]}, x*(s*y) = {rhs[y]} at "
+                                f"{i},{j},{k},{l} with x={x}, s={s}, y={y}")
+    return ""
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backends import MorphismRep, ObjectRef
+from .backends import MorphismRep, ObjectRef, _assoc_witness
 
 
 @dataclass(frozen=True)
@@ -94,15 +94,16 @@ def unit_comonoid(backend):
 
 def check_comonoid(backend, c: Comonoid, cocommutative=None):
     """Coassociativity, both counit laws, equivariance of the structure
-    maps, and (optionally) cocommutativity.
+    maps, and (optionally) cocommutativity; or one failing comonoid.shape
+    record when a map is not shaped as Comonoid says (shape_failure).
     """
     records = []
     obj = c.obj
     ident = backend.identity_mor(obj)
-    if c.delta.dom != obj or c.delta.cod != obj.tensor(obj):
-        return [LawRecord("comonoid.shape", False, "splitting map has wrong endpoints")]
-    if c.eps.dom != obj or c.eps.cod != backend.unit():
-        return [LawRecord("comonoid.shape", False, "counit has wrong endpoints")]
+    bad = shape_failure(backend, [("splitting map", c.delta, obj, obj.tensor(obj)),
+                                  ("counit", c.eps, obj, backend.unit())])
+    if bad:
+        return [LawRecord("comonoid.shape", False, bad)]
 
     records.append(equal_record(backend, "comonoid.coassoc",
                                 backend.compose_tensor(c.delta, [c.delta, ident]),
@@ -139,10 +140,9 @@ def tensor_comonoid(backend, c1: Comonoid, c2: Comonoid):
 
 
 def check_comonoid_morphism(backend, f: MorphismRep, src: Comonoid, dst: Comonoid, tag=""):
-    """f respects the splitting maps and counits of src and dst."""
+    """f: src.obj -> dst.obj, endpoints its callers check, respects the
+    splitting maps and counits of src and dst."""
     prefix = f"comorphism{'.' + tag if tag else ''}"
-    if f.dom != src.obj or f.cod != dst.obj:
-        return [LawRecord(prefix + ".shape", False, "endpoints disagree with comonoids")]
     return [equal_record(backend, prefix + ".split", backend.compose(f, dst.delta),
                          backend.compose_tensor(src.delta, [f, f])),
             equal_record(backend, prefix + ".counit", backend.compose(f, dst.eps), src.eps)]
@@ -152,69 +152,22 @@ def check_comonoid_morphism(backend, f: MorphismRep, src: Comonoid, dst: Comonoi
 # associativity of a multiplication by Light's test
 
 
-def _arrow_generators(n, hs, comp):
-    """Arrows (i, j, a) that generate every arrow under composition, picked
-    greedily from the tables: walk the arrows in order, take the first one
-    not yet generated, and close under composition with the generators.
-    hs[(i, j)] counts the arrows i -> j and comp[(i, j, k)] composes
-    hom(i, j) x hom(j, k) -> hom(i, k) in row-major pair index."""
-    rng = range(n)
-    gens, got = [], set()
-    for arrow in ((i, j, a) for i in rng for j in rng for a in range(hs[(i, j)])):
-        if arrow in got:
-            continue
-        gens.append(arrow)
-        got.add(arrow)
-        frontier = set(got)
-        while frontier:
-            new = set()
-            for p, q, x in frontier:
-                for s, t, y in gens:
-                    if q == s:
-                        new.add((p, t, comp[(p, q, t)][x * hs[(q, t)] + y]))
-                    if t == p:
-                        new.add((s, q, comp[(s, t, q)][y * hs[(p, q)] + x]))
-            frontier = new - got
-            got |= frontier
-    return gens
-
-
-def _assoc_witness(n, hs, comp):
-    """Light's test.  The arrows s with (x*s)*y = x*(s*y) for all
-    composable x, y are closed under composition, since
-    (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y); so the law holds
-    everywhere once it holds for every s of a generating set, whose
-    closure adds only composites of arrows it already holds.  Returns ""
-    when it holds, else the first failing (x, s, y) found.  Every entry of
-    comp[(i, j, k)] must lie in range(hs[(i, k)])."""
-    rng = range(n)
-    for j, k, s in _arrow_generators(n, hs, comp):
-        for i in rng:
-            xs = comp[(i, j, k)][s::hs[(j, k)]]
-            for l in rng:
-                hkl, hjl = hs[(k, l)], hs[(j, l)]
-                sy = comp[(j, k, l)][s * hkl:(s + 1) * hkl]
-                ikl, ijl = comp[(i, k, l)], comp[(i, j, l)]
-                for x, xs_x in enumerate(xs):
-                    lhs = ikl[xs_x * hkl:(xs_x + 1) * hkl]
-                    rhs = tuple(map(ijl[x * hjl:(x + 1) * hjl].__getitem__, sy))
-                    if lhs != rhs:
-                        y = next(y for y in range(hkl) if lhs[y] != rhs[y])
-                        return (f"(x*s)*y = {lhs[y]}, x*(s*y) = {rhs[y]} at "
-                                f"{i},{j},{k},{l} with x={x}, s={s}, y={y}")
+def shape_failure(backend, maps):
+    """"" when every (name, f, dom, cod) of maps is a map dom -> cod whose
+    table, if it has one, sends each of the |dom| points into range(|cod|);
+    else a detail naming the first that is not.  The law checks index
+    tables by their values, so they may run only once this holds."""
+    for name, f, dom, cod in maps:
+        if (f.dom, f.cod) != (dom, cod):
+            return (f"{name} is {f.dom.label()} -> {f.cod.label()}, "
+                    f"not {dom.label()} -> {cod.label()}")
+        n, m = backend.obj_size(dom), backend.obj_size(cod)
+        if f.table is not None and len(f.table) != n:
+            return f"{name} has {len(f.table)} entries, not {n}"
+        if f.table and not (0 <= min(f.table) and max(f.table) < m):
+            p, v = next((p, v) for p, v in enumerate(f.table) if not 0 <= v < m)
+            return f"{name} sends {p} to {v}, outside range({m})"
     return ""
-
-
-def _closed_tables(backend, hom, mult):
-    """Every mult[(i, j, k)] is a table hom[(i, j)] (x) hom[(j, k)] ->
-    hom[(i, k)] whose values lie in its codomain, so Light's test applies."""
-    for (i, j, k), f in mult.items():
-        if (f.dom != hom[(i, j)].tensor(hom[(j, k)]) or f.cod != hom[(i, k)]
-                or len(f.table) != backend.obj_size(f.dom)):
-            return False
-        if f.table and not (0 <= min(f.table) and max(f.table) < backend.obj_size(f.cod)):
-            return False
-    return True
 
 
 def _first_difference(lhs, rhs, nb, nc):
@@ -236,13 +189,13 @@ def assoc_failures(backend, hom, mult, n):
     hom[(i, j)] is an object and mult[(i, j, k)] a map
     hom[i,j] (x) hom[j,k] -> hom[i,k], for objects 0..n-1.
 
-    Finset tables with values in their codomains go through Light's test
+    Finset tables, which must pass shape_failure, go through Light's test
     first, which reads no composite: when it holds, no position fails.
     Otherwise each position compares m (x) 1 then m with 1 (x) m then m as
     tables.  A failing table position names its first point (x, s, y) in
     row-major order where the two sides differ, and the values found
     there; a failing matrix position has an empty witness."""
-    if backend.kind == "finset" and _closed_tables(backend, hom, mult):
+    if backend.kind == "finset":
         hs = {key: backend.obj_size(obj) for key, obj in hom.items()}
         if not _assoc_witness(n, hs, {key: f.table for key, f in mult.items()}):
             return {}
@@ -289,12 +242,18 @@ def check_hopf_monoid(backend, h: HopfMonoidData):
     """The full law set: associativity and unitality of mult, the comonoid
     laws, bialgebra compatibility (mult and unit are comonoid morphisms),
     the antipode identities on both sides, and equivariance of mult, unit
-    and antipode.
+    and antipode; or one failing hopf.shape record when a map is not
+    shaped as HopfMonoidData says (shape_failure).
     """
+    obj, u = h.obj, backend.unit()
+    bad = shape_failure(backend, [
+        ("mult", h.mult, obj.tensor(obj), obj), ("unit", h.unit, u, obj),
+        ("delta", h.delta, obj, obj.tensor(obj)), ("eps", h.eps, obj, u),
+        ("antipode", h.antipode, obj, obj)])
+    if bad:
+        return [LawRecord("hopf.shape", False, bad)]
     records = []
-    obj = h.obj
     ident = backend.identity_mor(obj)
-    u = backend.unit()
 
     bad = assoc_failures(backend, {(0, 0): obj}, {(0, 0, 0): h.mult}, 1)
     records.append(LawRecord("hopf.assoc", not bad, bad.get((0, 0, 0, 0), "")))

@@ -17,16 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .backends import ObjectRef
+from .backends import ObjectRef, _assoc_witness
 from .coalg import (
     Comonoid,
     HopfMonoidData,
     LawRecord,
-    _assoc_witness,
     assoc_failures,
     check_comonoid,
     check_comonoid_morphism,
     equal_record,
+    shape_failure,
     tensor_comonoid,
     unit_comonoid,
 )
@@ -141,10 +141,29 @@ def _at(rec, where):
     return LawRecord(rec.rule, rec.holds, (rec.detail + " " if rec.detail else "") + f"at {where}")
 
 
+def _maps(backend, data):
+    """(name, map, dom, cod) of every map of data, as its docstring has them."""
+    rng, hom, u = range(data.size()), data.hom, backend.unit()
+    for i, j, k in ((i, j, k) for i in rng for j in rng for k in rng):
+        yield (f"mult[{i},{j},{k}]", data.mult[(i, j, k)],
+               hom[(i, j)].tensor(hom[(j, k)]), hom[(i, k)])
+    for i in rng:
+        yield f"unit[{i}]", data.unit[i], u, hom[(i, i)]
+    for i, j in ((i, j) for i in rng for j in rng):
+        h = hom[(i, j)]
+        yield f"delta[{i},{j}]", data.delta[(i, j)], h, h.tensor(h)
+        yield f"eps[{i},{j}]", data.eps[(i, j)], h, u
+        yield f"antipode[{i},{j}]", data.antipode[(i, j)], h, hom[(j, i)]
+
+
 def check_hopf_category(backend, data: HopfCategoryData):
     """Every law of the structure, one record each, with the positions
-    that were checked in the detail string.
+    that were checked in the detail string; or one failing hopfcat.shape
+    record when a map is not shaped as HopfCategoryData says (shape_failure).
     """
+    bad = shape_failure(backend, _maps(backend, data))
+    if bad:
+        return [LawRecord("hopfcat.shape", False, bad)]
     records = []
     n = data.size()
     rng = range(n)

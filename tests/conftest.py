@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from hopfcat.backends import (
     Atom,
+    BackendError,
     ObjectRef,
     finset_backend,
     group_from_generators,
@@ -442,3 +443,50 @@ def unmemoized_braiding_failures(backend):
         if not backend.equal_mor(backend.braiding(x, y.tensor(z)), rhs2):
             failures.append(f"hexagon (right) fails at {x.label()},{y.label()},{z.label()}")
     return failures
+
+
+def validate_group_by_triples(table):
+    """validate_group as it was before it used Light's test, kept as its
+    oracle: the Latin-square and identity checks, then associativity on
+    every one of the |G|^3 triples."""
+    n = len(table)
+    idx = set(range(n))
+    for row in table:
+        if len(row) != n or set(row) != idx:
+            raise BackendError("multiplication table rows must be permutations")
+    for col in range(n):
+        if {row[col] for row in table} != idx:
+            raise BackendError("multiplication table columns must be permutations")
+    for g in range(n):
+        if table[0][g] != g or table[g][0] != g:
+            raise BackendError("index 0 must be the identity")
+    for g, h, k in itertools.product(range(n), repeat=3):
+        if table[table[g][h]][k] != table[g][table[h][k]]:
+            raise BackendError("associativity fails")
+
+
+def validate_action_by_pairs(kind, group, atom):
+    """The action checks of Backend._validate_atom as they were before
+    they went by generators, kept as their oracle: the shape checks, then
+    act(g) act(h) = act(gh) on all |G|^2 pairs, point by point on finset."""
+    n = group.order
+    if len(atom.action) != n:
+        raise BackendError(f"atom {atom.name}: action must list all group elements")
+    if kind == "finset":
+        for g, perm in enumerate(atom.action):
+            if sorted(perm) != list(range(atom.size)):
+                raise BackendError(f"atom {atom.name}: action of {g} is not a permutation")
+        for g, h in itertools.product(range(n), repeat=2):
+            gh = group.mul(g, h)
+            for i in range(atom.size):
+                if atom.action[g][atom.action[h][i]] != atom.action[gh][i]:
+                    raise BackendError(f"atom {atom.name}: action is not a homomorphism")
+        return
+    for mat in atom.action:
+        if mat.rows != atom.size or mat.cols != atom.size:
+            raise BackendError(f"atom {atom.name}: action matrices must be {atom.size}x{atom.size}")
+    if atom.action[0] != Matrix.identity(atom.size, RATIONAL):
+        raise BackendError(f"atom {atom.name}: identity must act as identity")
+    for g, h in itertools.product(range(n), repeat=2):
+        if atom.action[g] * atom.action[h] != atom.action[group.mul(g, h)]:
+            raise BackendError(f"atom {atom.name}: action is not a homomorphism")

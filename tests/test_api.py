@@ -1,4 +1,4 @@
-"""Code in src/ that only the tests reach.
+"""Code in src/ that only the tests reach, and imports nothing reads.
 
 A top-level function or class, or a public method, defined in
 src/hopfcat must be used somewhere in src/hopfcat or perfbench outside its
@@ -86,3 +86,28 @@ def test_documented_api_names_exist_and_are_otherwise_unreached():
     assert set(DOCUMENTED_API) <= defined
     flagged = {line.split(": ", 1)[1] for line in unreached(allowed={})}
     assert flagged == set(DOCUMENTED_API)
+
+
+def unread_imports():
+    """`module: name` for every name a src/hopfcat module other than
+    __init__.py (whose imports are re-exports) binds by an import and
+    never reads."""
+    out = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names, _ = _uses(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if names[bound] == 0:
+                        out.append(f"{path.name}: {bound}")
+    return out
+
+
+def test_every_import_is_read():
+    assert unread_imports() == []

@@ -1,8 +1,9 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopfcat.backends import (
@@ -27,11 +28,14 @@ from hopfcat.scalars import RATIONAL
 
 from conftest import (
     coords_of,
+    coset_atom,
     dihedral_group,
     gset_backend,
     index_of,
     naive_equivariance_failures,
     subgroup_closure,
+    validate_action_by_pairs,
+    validate_group_by_triples,
 )
 
 
@@ -102,6 +106,139 @@ class TestGroups:
 def z2_finset():
     g = cyclic_group(2)
     return finset_backend(g, [regular_atom("S", g)])
+
+
+def rejection(check, *args):
+    """The message check(*args) raises as a BackendError, or None."""
+    try:
+        check(*args)
+    except BackendError as exc:
+        return str(exc)
+    return None
+
+
+def random_loop(rnd, n):
+    """A Latin square of order n with identity 0, filled row by row by
+    backtracking over shuffled candidates."""
+    table = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(c):
+        if c == len(cells):
+            return True
+        i, j = cells[c]
+        used = set(table[i][:j]) | {table[r][j] for r in range(i)}
+        for v in rnd.sample(range(n), n):
+            if v not in used:
+                table[i][j] = v
+                if fill(c + 1):
+                    return True
+        table[i][j] = None
+        return False
+
+    assert fill(0)
+    return tuple(map(tuple, table))
+
+
+SMALL_GROUPS = [cyclic_group(n) for n in range(1, 8)] + [
+    symmetric_group(3), group_from_generators(4, [(1, 0, 3, 2), (2, 3, 0, 1)])]
+
+
+@st.composite
+def loop_tables(draw):
+    """Latin squares with identity 0 of orders 1 to 7: either drawn at
+    random, which at orders 5 to 7 gives mostly non-associative loops, or
+    a group table with its elements relabelled.  A relabelling may move
+    the identity off 0, and one entry may then be changed, so that every
+    message of validate_group comes up."""
+    rnd = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        table = random_loop(rnd, draw(st.integers(1, 7)))
+    else:
+        table = draw(st.sampled_from(SMALL_GROUPS)).table
+        n = len(table)
+        perm = draw(st.permutations(range(n)))
+        if draw(st.integers(0, 3)):
+            perm = [0] + [p for p in perm if p]
+        back = {p: g for g, p in enumerate(perm)}
+        table = tuple(tuple(perm[table[back[a]][back[b]]] for b in range(n))
+                      for a in range(n))
+    if draw(st.integers(0, 4)) == 0:
+        i, j, v = (draw(st.integers(0, len(table) - 1)) for _ in range(3))
+        table = tuple(row if r != i else row[:j] + (v,) + row[j + 1:]
+                      for r, row in enumerate(table))
+    return table
+
+
+# a loop that is not a group, of order 5, the least order where one exists
+LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
+class TestValidationByGenerators:
+    """validate_group by Light's test and the action check by generators
+    give the verdict and message of the checks on all triples and pairs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(loop_tables())
+    @example(LOOP5)
+    def test_group_verdicts_match_all_triples(self, table):
+        assert rejection(GroupTable, table) == rejection(validate_group_by_triples, table)
+
+    def test_loops_that_are_not_groups_are_rejected(self):
+        """LOOP5, and loops of orders 5 to 7 drawn as loop_tables draws them."""
+        rnd = random.Random(0)
+        for table in [LOOP5] + [random_loop(rnd, n) for n in (5, 6, 7)]:
+            assert rejection(validate_group_by_triples, table) == "associativity fails"
+            assert rejection(GroupTable, table) == "associativity fails"
+
+    @staticmethod
+    def swapped(atom, g, a, b):
+        perm = list(atom.action[g])
+        perm[a], perm[b] = perm[b], perm[a]
+        return Atom(atom.name, atom.size, atom.action[:g] + (tuple(perm),) + atom.action[g + 1:])
+
+    def test_s4_fault_outside_the_generators(self):
+        s4 = symmetric_group(4)
+        assert 23 not in s4.generators
+        bad = self.swapped(regular_atom("R", s4), 23, 0, 5)
+        message = "atom R: action is not a homomorphism"
+        assert rejection(finset_backend, s4, [bad]) == message
+        assert rejection(validate_action_by_pairs, "finset", s4, bad) == message
+        linear = Atom("R", 24, tuple(Matrix.from_table(RATIONAL, perm, 24)
+                                     for perm in bad.action))
+        assert rejection(linear_backend, s4, [linear]) == message
+        assert rejection(validate_action_by_pairs, "linear", s4, linear) == message
+
+    def test_identity_acting_as_a_non_identity(self):
+        one = cyclic_group(1)
+        assert one.generators == ()
+        bad = Atom("P", 2, ((1, 0),))
+        message = "atom P: action is not a homomorphism"
+        assert rejection(finset_backend, one, [bad]) == message
+        assert rejection(validate_action_by_pairs, "finset", one, bad) == message
+        linear = Atom("P", 2, (Matrix.from_table(RATIONAL, (1, 0), 2),))
+        message = "atom P: identity must act as identity"
+        assert rejection(linear_backend, one, [linear]) == message
+        assert rejection(validate_action_by_pairs, "linear", one, linear) == message
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([symmetric_group(3), cyclic_group(4), dihedral_group()]),
+           st.booleans(), st.data())
+    def test_action_verdicts_match_all_pairs(self, group, linear, data):
+        """A G-set with the action of one element changed by a swap of two
+        points (or left alone), on finset or as permutation matrices."""
+        whole = set(group.elements())
+        atom = coset_atom("A", group, [{0}, whole, subgroup_closure(group, [1])], seed=3)
+        g = data.draw(st.integers(0, group.order - 1))
+        a, b = (data.draw(st.integers(0, atom.size - 1)) for _ in range(2))
+        atom = self.swapped(atom, g, a, b)
+        kind, make = "finset", finset_backend
+        if linear:
+            atom = Atom("A", atom.size, tuple(Matrix.from_table(RATIONAL, perm, atom.size)
+                                              for perm in atom.action))
+            kind, make = "linear", linear_backend
+        assert rejection(make, group, [atom]) == rejection(validate_action_by_pairs,
+                                                           kind, group, atom)
 
 
 class TestFinsetBackend:

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from hopfcat.backends import (
 from hopfcat.coalg import (
     Comonoid,
     HopfMonoidData,
+    LawRecord,
     all_hold,
     check_comonoid,
     check_comonoid_morphism,
@@ -73,6 +75,18 @@ class TestComonoids:
         bad = type(c)(s, b.mor_from_table(s, s.tensor(s), (0, 0)), c.eps, "bad")
         recs = check_comonoid(b, bad)
         assert not all_hold(recs)
+
+    def test_malformed_maps_give_one_shape_record(self):
+        """A table value past the codomain used to raise IndexError."""
+        b = z2_sets()
+        s = b.obj("S")
+        c = diagonal_comonoid(b, s)
+        past = replace(c, delta=replace(c.delta, table=(0, 4)))
+        assert check_comonoid(b, past) == [
+            LawRecord("comonoid.shape", False, "splitting map sends 1 to 4, outside range(4)")]
+        moved = replace(c, eps=replace(c.eps, cod=s))
+        assert check_comonoid(b, moved) == [
+            LawRecord("comonoid.shape", False, "counit is S -> S, not S -> 1")]
 
     def test_unit_comonoid(self):
         b = z2_sets()

@@ -17,6 +17,7 @@ from hopfcat import corpus
 from hopfcat.backends import (
     Atom,
     MorphismRep,
+    _arrow_generators,
     cyclic_group,
     finset_backend,
     group_from_generators,
@@ -29,7 +30,6 @@ from hopfcat.backends import (
 from hopfcat.coalg import (
     HopfMonoidData,
     LawRecord,
-    _arrow_generators,
     all_hold,
     check_hopf_monoid,
     diagonal_comonoid,
@@ -453,12 +453,15 @@ def torsor_structure(group_name, names):
     return fn.target, data
 
 
+def with_entry(f, pos, value):
+    return replace(f, table=f.table[:pos] + (value,) + f.table[pos + 1:])
+
+
 @st.composite
 def finset_structures(draw):
     """(backend, data): a torsor Hopf category over Z2, Z3 or S3 on one to
     three torsors, or a groupoid_tables table as a structure; then zero to
-    two mult entries set to a value in range, below it (which Python reads
-    from the end) or past it."""
+    two mult entries set to a value in range, below it or past it."""
     if draw(st.booleans()):
         names = ("S", "T", "U")[:draw(st.integers(1, 3))]
         backend, data = torsor_structure(draw(st.sampled_from(["z2", "z3", "s3"])), names)
@@ -472,7 +475,7 @@ def finset_structures(draw):
         value = draw(st.one_of(st.integers(0, size - 1), st.integers(-size, -1),
                                st.integers(size, size + 1)))
         pos = draw(st.integers(0, len(f.table) - 1))
-        data.mult[key] = replace(f, table=f.table[:pos] + (value,) + f.table[pos + 1:])
+        data.mult[key] = with_entry(f, pos, value)
     return backend, data
 
 
@@ -492,17 +495,23 @@ class TestAssocByLight:
     @given(finset_structures())
     def test_records_match_point_by_point(self, case):
         """Every hopfcat.assoc record, and hopf.assoc on one object, equals
-        the point-by-point comparison, witness included; where that reads
-        past the end of a table, both raise IndexError."""
+        the point-by-point comparison, witness included.  A mult value
+        outside its codomain, below it or past it, gives one failing shape
+        record instead, naming the first such value."""
         backend, data = case
-        try:
-            expected = oracle_assoc(backend, data)
-        except IndexError:
-            with pytest.raises(IndexError):
-                check_hopf_category(backend, data)
+        outside = [(key, p, v, backend.obj_size(f.cod)) for key, f in sorted(data.mult.items())
+                   for p, v in enumerate(f.table) if not 0 <= v < backend.obj_size(f.cod)]
+        if outside:
+            key, p, v, size = outside[0]
+            detail = f"sends {p} to {v}, outside range({size})"
+            assert check_hopf_category(backend, data) == [LawRecord(
+                "hopfcat.shape", False, f"mult[{','.join(map(str, key))}] {detail}")]
+            if data.size() == 1:
+                assert check_hopf_monoid(backend, as_monoid(data)) == [
+                    LawRecord("hopf.shape", False, f"mult {detail}")]
             return
         records = check_hopf_category(backend, data)
-        assert [r for r in records if r.rule == "hopfcat.assoc"] == expected
+        assert [r for r in records if r.rule == "hopfcat.assoc"] == oracle_assoc(backend, data)
         if data.size() == 1:
             records = check_hopf_monoid(backend, as_monoid(data))
             assert ([r for r in records if r.rule == "hopf.assoc"]
@@ -543,3 +552,45 @@ class TestAssocByLight:
         rec = next(r for r in check_hopf_monoid(b, h) if r.rule == "hopf.assoc")
         assert rec == LawRecord("hopf.assoc", False,
                                 "(x*s)*y = 0, x*(s*y) = 1 with x=0, s=0, y=0")
+
+
+class TestShape:
+    """A malformed map gives one failing shape record and no other
+    record, where indexing by its values used to raise IndexError."""
+
+    @pytest.mark.parametrize("field, key, name", [
+        ("mult", (0, 1, 0), "mult[0,1,0]"), ("unit", 1, "unit[1]"),
+        ("delta", (1, 0), "delta[1,0]"), ("eps", (1, 1), "eps[1,1]"),
+        ("antipode", (0, 1), "antipode[0,1]")])
+    def test_value_past_the_codomain(self, field, key, name):
+        backend, data = torsor_structure("z3", ("S", "T"))
+        maps = dict(getattr(data, field))
+        f = maps[key]
+        size = backend.obj_size(f.cod)
+        pos = len(f.table) - 1
+        maps[key] = with_entry(f, pos, size)
+        assert check_hopf_category(backend, replace(data, **{field: maps})) == [LawRecord(
+            "hopfcat.shape", False, f"{name} sends {pos} to {size}, outside range({size})")]
+
+    def test_table_length_and_endpoints(self):
+        backend, data = torsor_structure("z3", ("S", "T"))
+        f = data.mult[(0, 1, 0)]
+        short = replace(data, mult={**data.mult, (0, 1, 0): replace(f, table=f.table[:-1])})
+        assert check_hopf_category(backend, short) == [
+            LawRecord("hopfcat.shape", False, "mult[0,1,0] has 8 entries, not 9")]
+        g = data.antipode[(0, 1)]
+        moved = replace(data, antipode={**data.antipode, (0, 1): replace(g, cod=g.dom)})
+        dom, cod = g.dom.label(), g.cod.label()
+        assert dom != cod
+        assert check_hopf_category(backend, moved) == [LawRecord(
+            "hopfcat.shape", False, f"antipode[0,1] is {dom} -> {dom}, not {dom} -> {cod}")]
+
+    @pytest.mark.parametrize("field", ["mult", "unit", "delta", "eps", "antipode"])
+    def test_monoid_value_past_the_codomain(self, field):
+        backend, data = torsor_structure("z3", ("S",))
+        h = as_monoid(data)
+        f = getattr(h, field)
+        size = backend.obj_size(f.cod)
+        bad = replace(h, **{field: with_entry(f, 0, size)})
+        assert check_hopf_monoid(backend, bad) == [LawRecord(
+            "hopf.shape", False, f"{field} sends 0 to {size}, outside range({size})")]
