@@ -59,10 +59,7 @@ class GroupTable:
         n = len(self.table)
         if self.names is None:
             object.__setattr__(self, "names", tuple(str(i) for i in range(n)))
-        validate_group(self.table)
-        flat = tuple(x for row in self.table for x in row)
-        gens = _arrow_generators(1, {(0, 0): n}, {(0, 0, 0): flat})
-        object.__setattr__(self, "generators", tuple(g for _, _, g in gens[1:]))
+        object.__setattr__(self, "generators", validate_group(self.table))
 
     @property
     def order(self):
@@ -79,6 +76,8 @@ class GroupTable:
 
 
 def validate_group(table):
+    """Raise BackendError unless table is a group with identity 0; return
+    the generators that Light's test used, identity left out."""
     n = len(table)
     idx = set(range(n))
     for row in table:
@@ -91,9 +90,11 @@ def validate_group(table):
         if table[0][g] != g or table[g][0] != g:
             raise BackendError("index 0 must be the identity")
     # a group table is a one-object groupoid: Light's test applies
-    flat = tuple(x for row in table for x in row)
-    if _assoc_witness(1, {(0, 0): n}, {(0, 0, 0): flat}):
+    hs, comp = {(0, 0): n}, {(0, 0, 0): tuple(x for row in table for x in row)}
+    gens = _arrow_generators(1, hs, comp)
+    if _assoc_witness(1, hs, comp, gens):
         raise BackendError("associativity fails")
+    return tuple(g for _, _, g in gens[1:])
 
 
 def cyclic_group(n):
@@ -561,16 +562,17 @@ def _arrow_generators(n, hs, comp):
     return gens
 
 
-def _assoc_witness(n, hs, comp):
-    """Light's test.  The arrows s with (x*s)*y = x*(s*y) for all
-    composable x, y are closed under composition, since
+def _assoc_witness(n, hs, comp, gens):
+    """Light's test on gens, the _arrow_generators of the tables.  The
+    arrows s with (x*s)*y = x*(s*y) for all composable x, y are closed
+    under composition, since
     (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y); so the law holds
     everywhere once it holds for every s of a generating set, whose
     closure adds only composites of arrows it already holds.  Returns ""
     when it holds, else the first failing (x, s, y) found.  Every entry of
     comp[(i, j, k)] must lie in range(hs[(i, k)])."""
     rng = range(n)
-    for j, k, s in _arrow_generators(n, hs, comp):
+    for j, k, s in gens:
         for i in rng:
             xs = comp[(i, j, k)][s::hs[(j, k)]]
             for l in rng:

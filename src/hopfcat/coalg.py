@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backends import MorphismRep, ObjectRef, _assoc_witness
+from .backends import MorphismRep, ObjectRef, _arrow_generators, _assoc_witness
 
 
 @dataclass(frozen=True)
@@ -155,9 +155,12 @@ def check_comonoid_morphism(backend, f: MorphismRep, src: Comonoid, dst: Comonoi
 def shape_failure(backend, maps):
     """"" when every (name, f, dom, cod) of maps is a map dom -> cod whose
     table, if it has one, sends each of the |dom| points into range(|cod|);
-    else a detail naming the first that is not.  The law checks index
-    tables by their values, so they may run only once this holds."""
+    else a detail naming the first that is not, or that is None (missing).
+    The law checks index tables by their values, so they may run only once
+    this holds."""
     for name, f, dom, cod in maps:
+        if f is None:
+            return f"{name} is missing"
         if (f.dom, f.cod) != (dom, cod):
             return (f"{name} is {f.dom.label()} -> {f.cod.label()}, "
                     f"not {dom.label()} -> {cod.label()}")
@@ -197,7 +200,8 @@ def assoc_failures(backend, hom, mult, n):
     there; a failing matrix position has an empty witness."""
     if backend.kind == "finset":
         hs = {key: backend.obj_size(obj) for key, obj in hom.items()}
-        if not _assoc_witness(n, hs, {key: f.table for key, f in mult.items()}):
+        tables = {key: f.table for key, f in mult.items()}
+        if not _assoc_witness(n, hs, tables, _arrow_generators(n, hs, tables)):
             return {}
     bad = {}
     rng = range(n)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .backends import ObjectRef, _assoc_witness
+from .backends import ObjectRef, _arrow_generators, _assoc_witness
 from .coalg import (
     Comonoid,
     HopfMonoidData,
@@ -142,18 +142,19 @@ def _at(rec, where):
 
 
 def _maps(backend, data):
-    """(name, map, dom, cod) of every map of data, as its docstring has them."""
+    """(name, map, dom, cod) of every map of data, as its docstring has
+    them; the map is None where its key is missing."""
     rng, hom, u = range(data.size()), data.hom, backend.unit()
     for i, j, k in ((i, j, k) for i in rng for j in rng for k in rng):
-        yield (f"mult[{i},{j},{k}]", data.mult[(i, j, k)],
+        yield (f"mult[{i},{j},{k}]", data.mult.get((i, j, k)),
                hom[(i, j)].tensor(hom[(j, k)]), hom[(i, k)])
     for i in rng:
-        yield f"unit[{i}]", data.unit[i], u, hom[(i, i)]
+        yield f"unit[{i}]", data.unit.get(i), u, hom[(i, i)]
     for i, j in ((i, j) for i in rng for j in rng):
         h = hom[(i, j)]
-        yield f"delta[{i},{j}]", data.delta[(i, j)], h, h.tensor(h)
-        yield f"eps[{i},{j}]", data.eps[(i, j)], h, u
-        yield f"antipode[{i},{j}]", data.antipode[(i, j)], h, hom[(j, i)]
+        yield f"delta[{i},{j}]", data.delta.get((i, j)), h, h.tensor(h)
+        yield f"eps[{i},{j}]", data.eps.get((i, j)), h, u
+        yield f"antipode[{i},{j}]", data.antipode.get((i, j)), h, hom[(j, i)]
 
 
 def check_hopf_category(backend, data: HopfCategoryData):
@@ -276,7 +277,8 @@ def verify_groupoid(gt: GroupoidTable):
     """The groupoid laws, one record each.  A failing record's `detail`
     names the first arrow it failed at (for associativity, a failing
     triple) and the composites found there."""
-    rng = range(len(gt.labels))
+    n = len(gt.labels)
+    rng = range(n)
     hs, comp, e = gt.hom_size, gt.comp, gt.identity
     ident = inverse = ""
     for i in rng:
@@ -291,7 +293,7 @@ def verify_groupoid(gt: GroupoidTable):
                 ab, ba = comp[(i, j, i)][a * hs[(j, i)] + b], comp[(j, i, j)][b * h + a]
                 if not inverse and (ab != e[i] or ba != e[j]):
                     inverse = f"a*a^-1 = {ab}, a^-1*a = {ba} at {i},{j} with a={a}"
-    assoc = _assoc_witness(len(gt.labels), hs, comp)
+    assoc = _assoc_witness(n, hs, comp, _arrow_generators(n, hs, comp))
     return [LawRecord("groupoid.assoc", not assoc, assoc),
             LawRecord("groupoid.identity", not ident, ident),
             LawRecord("groupoid.inverse", not inverse, inverse)]

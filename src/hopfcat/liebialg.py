@@ -32,7 +32,7 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coalg import LawRecord
@@ -379,12 +379,14 @@ class EnvelopingEngine:
         return result
 
 
-def check_uea_dy_identities(lb: LieBialgebra, max_degree, twist=None):
+def check_uea_dy_identities(lb: LieBialgebra, max_degree, twist=None, engine=None):
     """The three crossed-module identities for the enveloping algebra's
     action and coaction, checked exactly on all basis words of degree up
-    to max_degree, with no truncation anywhere in the middle.
+    to max_degree, with no truncation anywhere in the middle.  engine, an
+    EnvelopingEngine of lb, lends its normal forms and coactions (a fresh
+    one when not given).
     """
-    eng = EnvelopingEngine(lb)
+    eng = engine or EnvelopingEngine(lb)
     n = lb.dim
     words = pbw_words(n, max_degree)
     records = []
@@ -454,15 +456,20 @@ class TruncatedUEA:
     """The enveloping coproduct and counit on words of bounded degree.
 
     The coproduct preserves degree, so nothing is cut; the coaction, which
-    raises degree when twisted, is read through the engine.
+    raises degree when twisted, is read through the engine as
+    engine.coact(e, twist).  The engine is made here, once.  Its normal
+    forms and coproducts do not depend on a twist, and its coactions are
+    cached per twist, so every twisted comonoid M_J of lb can read the
+    engine of the plain truncation: M_J has the same coproduct and counit,
+    and only its coaction is seeded by J.
     """
 
     lb: LieBialgebra
     order: int
     twist: Matrix = None
-    engine: EnvelopingEngine = None
-    basis: tuple = None
-    index: dict = None
+    engine: EnvelopingEngine = field(init=False)
+    basis: tuple = field(init=False)
+    index: dict = field(init=False)
 
     def __post_init__(self):
         self.engine = EnvelopingEngine(self.lb)

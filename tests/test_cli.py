@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,8 +21,9 @@ from hopfcat import backends, cli, cofunctor, corpus
 from hopfcat.cli import CHECK_ORDER, TARGETS, main, run_build, run_verify
 from hopfcat.coalg import LawRecord
 from hopfcat.corpus import CORPUS_NAMES, corpus_path, load_corpus_document
-from hopfcat.instances import dump_document
-from hopfcat.linalg import Matrix
+from hopfcat.instances import dump_document, load_instance
+from hopfcat.liebialg import EnvelopingEngine, pbw_words
+from hopfcat.linalg import Matrix, _acc
 from hopfcat.scalars import RATIONAL
 
 
@@ -530,48 +532,64 @@ class TestMain:
         assert "verdict: pass" in proc.stdout
 
 
+def b2_with_corpus_twists(tmp_path, order=None):
+    """b2_lie_bialgebra with the three twists of b2_twists, and its path."""
+    doc = load_corpus_document("b2_lie_bialgebra")
+    doc["lie_bialgebra"]["twists"] = load_corpus_document("b2_twists")["lie_bialgebra"]["twists"]
+    if order is not None:
+        doc["lie_bialgebra"]["uea"]["order"] = order
+    return write_doc(tmp_path, doc)
+
+
 class TestUeaCoproductMutation:
-    """Perturb one entry of the memoized coproduct of one truncated
-    enveloping algebra inside the uea check group: the plain and twisted
-    algebras must each derive their own, and the checks must see it."""
+    """Perturb one entry of a memoized coproduct or coaction inside the uea
+    check group.  The plain truncated enveloping algebra's engine is shared
+    by every check of the group; uea.comonoid_unchanged derives Delta again
+    from an engine of twist_bialgebra(lb, j), and must see a change of
+    either engine."""
 
     @staticmethod
-    def perturb_delta(uea):
+    def perturb_delta(engine):
         x = (0,)
-        uea.engine.coproduct({x: Fraction(1)})
-        uea.engine._delta_cache[x][(x, ())] = Fraction(2)
+        engine.coproduct({x: Fraction(1)})
+        engine._delta_cache[x][(x, ())] = Fraction(2)
 
     @staticmethod
-    def perturb_seed(uea):
-        uea.engine.coact({(): Fraction(1)}, uea.twist)
-        uea.engine._coact_cache[((), uea.twist)][(0, (1,))] = Fraction(2)
+    def perturb_seed(engine, j):
+        engine.coact({(): Fraction(1)}, j)
+        engine._coact_cache[((), j)][(0, (1,))] = Fraction(2)
 
-    def failing_rules(self, tmp_path, monkeypatch, perturb_twisted, perturb=perturb_delta):
+    def failing_rules(self, tmp_path, monkeypatch, perturb_twisted):
+        """Perturb Delta of a generator in the shared engine, or in the
+        engine of each twisted bialgebra."""
+        path = b2_with_corpus_twists(tmp_path)
+        plain_lb = load_instance(path).lie
         real = cli.TruncatedUEA
 
-        def perturbed(lb, order, twist=None):
-            uea = real(lb, order, twist=twist)
-            if (twist is not None) == perturb_twisted:
-                perturb(uea)
+        def perturbed(lb, order):
+            uea = real(lb, order)
+            if (lb != plain_lb) == perturb_twisted:
+                self.perturb_delta(uea.engine)
             return uea
 
         monkeypatch.setattr(cli, "TruncatedUEA", perturbed)
-        doc = load_corpus_document("b2_lie_bialgebra")
-        doc["lie_bialgebra"]["twists"] = [[["0", "1"], ["-1", "0"]]]
-        report, code = run_verify(write_doc(tmp_path, doc), checks="uea")
+        return self.run(path)
+
+    @staticmethod
+    def run(path):
+        report, code = run_verify(path, checks="uea")
         assert code == 1
         return {r["rule"] for r in report["checks"] if not r["holds"]}
 
     def test_unperturbed_passes(self, tmp_path):
-        doc = load_corpus_document("b2_lie_bialgebra")
-        doc["lie_bialgebra"]["twists"] = [[["0", "1"], ["-1", "0"]]]
-        report, code = run_verify(write_doc(tmp_path, doc), checks="uea")
+        report, code = run_verify(b2_with_corpus_twists(tmp_path), checks="uea")
         assert code == 0
-        assert "uea.comonoid_unchanged[j0]" in {r["rule"] for r in report["checks"]}
+        assert {"uea.comonoid_unchanged[j0]", "uea.comonoid_unchanged[j2]"} <= {
+            r["rule"] for r in report["checks"]}
 
     def test_twisted_delta_fails_comonoid_unchanged(self, tmp_path, monkeypatch):
         failing = self.failing_rules(tmp_path, monkeypatch, perturb_twisted=True)
-        assert failing == {"uea.comonoid_unchanged[j0]"}
+        assert failing == {f"uea.comonoid_unchanged[j{i}]" for i in range(3)}
 
     def test_plain_delta_fails_coassociativity(self, tmp_path, monkeypatch):
         failing = self.failing_rules(tmp_path, monkeypatch, perturb_twisted=False)
@@ -579,9 +597,70 @@ class TestUeaCoproductMutation:
         assert "uea.comonoid_unchanged[j0]" in failing
 
     def test_twisted_seed_fails_only_the_seed(self, tmp_path, monkeypatch):
-        failing = self.failing_rules(tmp_path, monkeypatch, perturb_twisted=True,
-                                     perturb=self.perturb_seed)
-        assert failing == {"uea.seed[j0]"}
+        # perturbed after the identity checks have read the shared coaction
+        path = b2_with_corpus_twists(tmp_path)
+        real = cli._uea_seed_record
+
+        def perturbed(eng, j, tag):
+            if tag == "j0":
+                self.perturb_seed(eng, j)
+            return real(eng, j, tag)
+
+        monkeypatch.setattr(cli, "_uea_seed_record", perturbed)
+        assert self.run(path) == {"uea.seed[j0]"}
+
+    def test_identity_checks_read_the_shared_seed(self, tmp_path, monkeypatch):
+        path = b2_with_corpus_twists(tmp_path)
+        inst = load_instance(path)
+        real = cli.TruncatedUEA
+
+        def perturbed(lb, order):
+            uea = real(lb, order)
+            if lb == inst.lie:
+                self.perturb_seed(uea.engine, inst.twists[0])
+            return uea
+
+        monkeypatch.setattr(cli, "TruncatedUEA", perturbed)
+        assert self.run(path) == {"uea.seed[j0]", "uea.comodule[j0]"}
+
+    def test_delta_reading_the_cobracket_fails_comonoid_unchanged(self, tmp_path, monkeypatch):
+        """The planted fault: Delta of a generator gains its cobracket.  The
+        twisted bialgebras' cobrackets differ from lb's, so their
+        coproducts differ from the shared one."""
+        real = EnvelopingEngine._delta_word
+
+        def planted(engine, word):
+            out = real(engine, word)
+            if len(word) == 1:
+                out = dict(out)
+                _acc(out, ((((a,), (b,)), c) for (a, b), c in engine.lb.cobracket_of(word[0])))
+            return out
+
+        monkeypatch.setattr(EnvelopingEngine, "_delta_word", planted)
+        failing = self.run(b2_with_corpus_twists(tmp_path))
+        assert {f"uea.comonoid_unchanged[j{i}]" for i in range(3)} <= failing
+
+
+class TestSharedEnvelopingEngine:
+    def test_each_word_above_identity_degree_is_derived_once(self, tmp_path, monkeypatch):
+        """Cache misses of Delta across every engine of one uea verify with
+        three twists: the words up to identity_degree are derived again by
+        uea.comonoid_unchanged, every longer word exactly once."""
+        path = b2_with_corpus_twists(tmp_path, order=8)
+        deg = load_instance(path).uea["identity_degree"]
+        misses = Counter()
+        real = EnvelopingEngine._delta_word
+
+        def counted(engine, word):
+            if word not in engine._delta_cache:
+                misses[word] += 1
+            return real(engine, word)
+
+        monkeypatch.setattr(EnvelopingEngine, "_delta_word", counted)
+        report, code = run_verify(path, checks="uea")
+        assert code == 0
+        assert {w for w in misses if len(w) > deg} == set(pbw_words(2, 8)[len(pbw_words(2, deg)):])
+        assert max(c for w, c in misses.items() if len(w) > deg) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -555,8 +555,8 @@ class TestAssocByLight:
 
 
 class TestShape:
-    """A malformed map gives one failing shape record and no other
-    record, where indexing by its values used to raise IndexError."""
+    """A malformed or missing map gives one failing shape record and no
+    other record, where indexing by its values used to raise IndexError."""
 
     @pytest.mark.parametrize("field, key, name", [
         ("mult", (0, 1, 0), "mult[0,1,0]"), ("unit", 1, "unit[1]"),
@@ -584,6 +584,18 @@ class TestShape:
         assert dom != cod
         assert check_hopf_category(backend, moved) == [LawRecord(
             "hopfcat.shape", False, f"antipode[0,1] is {dom} -> {dom}, not {dom} -> {cod}")]
+
+    @pytest.mark.parametrize("field, key, name", [
+        ("mult", (1, 0, 1), "mult[1,0,1]"), ("unit", 0, "unit[0]"),
+        ("delta", (0, 1), "delta[0,1]"), ("eps", (1, 0), "eps[1,0]"),
+        ("antipode", (1, 1), "antipode[1,1]")])
+    def test_missing_map(self, field, key, name):
+        """A dropped key is reported, where indexing by it raised KeyError."""
+        backend, data = torsor_structure("z3", ("S", "T"))
+        maps = dict(getattr(data, field))
+        del maps[key]
+        assert check_hopf_category(backend, replace(data, **{field: maps})) == [
+            LawRecord("hopfcat.shape", False, f"{name} is missing")]
 
     @pytest.mark.parametrize("field", ["mult", "unit", "delta", "eps", "antipode"])
     def test_monoid_value_past_the_codomain(self, field):
