@@ -18,7 +18,10 @@ Adaptedness relative to a comonoid M asks two comparison maps to be
 invertible: the collapse of F(M) to the unit, and for the needed object
 pairs the map gamma splitting F(X (x) M (x) Y) into
 F(X (x) M) (x) F(M (x) Y).  The inverses are witnessed in a certificate
-and re-checked on use.
+and re-checked when made.  The functor holds one certificate per comonoid
+beside its image memo, so chi and each pair's gamma are inverted at most
+once: certify_adapted returns it, covering at least the pairs requested.
+A failing pair is not stored, and every caller gets the same NotAdapted.
 """
 
 from __future__ import annotations
@@ -85,6 +88,8 @@ class ComonoidalFunctor:
     def __init__(self, source: Backend, target: Backend):
         self.source = source
         self.target = target
+        self._images = {}
+        self._certs = {}  # comonoid -> its AdaptednessCertificate
 
     def apply_obj(self, obj: ObjectRef) -> ObjectRef:
         raise NotImplementedError
@@ -154,7 +159,6 @@ class OrbitFunctor(ComonoidalFunctor):
             raise BackendError("orbit functor needs a finset source")
         target = finset_backend(trivial_group(), [])
         super().__init__(source, target)
-        self._images = {}
         group = source.group
         self._inv = tuple(row.index(0) for row in group.table)
         # the empty word: one orbit, fixed by the whole group
@@ -306,7 +310,6 @@ class CoinvariantsFunctor(ComonoidalFunctor):
         super().__init__(source, target)
         self.relations_fn = relations_fn
         self.tag = tag
-        self._images = {}
 
     def _image(self, obj: ObjectRef):
         key = obj.factors
@@ -476,14 +479,17 @@ class AdaptednessCertificate:
 
 
 def certify_adapted(functor, m: Comonoid, pairs) -> AdaptednessCertificate:
-    """Invert chi and gamma for every requested (left, right) pair; raises
-    NotAdapted with a witness when a comparison map is not invertible.
+    """The functor's certificate for m, extended by gamma's inverse at every
+    requested (left, right) pair it lacks; raises NotAdapted with a witness
+    when a comparison map is not invertible.
     """
     dst = functor.target
-    chi_m = chi(functor, m)
-    chi_inv = invert_mor(dst, chi_m)
-    cert = AdaptednessCertificate(m, chi_inv)
+    cert = functor._certs.get(m)
+    if cert is None:
+        cert = functor._certs[m] = AdaptednessCertificate(m, invert_mor(dst, chi(functor, m)))
     for x, z in pairs:
+        if (x.factors, z.factors) in cert.gamma_inv:
+            continue
         g = gamma(functor, m, x, z)
         ginv = invert_mor(dst, g)
         # re-check, so certificates stay trustworthy even if edited; one

@@ -160,14 +160,15 @@ def _maps(backend, data):
 def check_hopf_category(backend, data: HopfCategoryData):
     """Every law of the structure, one record each, with the positions
     that were checked in the detail string; or one failing hopfcat.shape
-    record when a map is not shaped as HopfCategoryData says (shape_failure).
+    record when a hom is missing or a map is misshapen (shape_failure).
     """
-    bad = shape_failure(backend, _maps(backend, data))
+    n = data.size()
+    rng = range(n)
+    bad = next((f"hom[{i},{j}] is missing" for i in rng for j in rng
+                if (i, j) not in data.hom), "") or shape_failure(backend, _maps(backend, data))
     if bad:
         return [LawRecord("hopfcat.shape", False, bad)]
     records = []
-    n = data.size()
-    rng = range(n)
 
     bad = assoc_failures(backend, data.hom, data.mult, n)
     for pos in ((i, j, k, l) for i in rng for j in rng for k in rng for l in rng):

@@ -286,6 +286,7 @@ def parse_comonoid(backend, doc) -> Comonoid:
     except BackendError as exc:
         raise InstanceError(f"comonoid.obj: {exc}") from exc
     name = doc.get("name", "")
+    _require(isinstance(name, str), f"comonoid.name: expected a string, got {name!r}")
     where = f"comonoid {name or '(x)'.join(word) or '1'}"
 
     delta = doc.get("delta", "diagonal" if backend.kind == "finset" else None)
@@ -409,6 +410,8 @@ def parse_lie(doc, backend=None):
             continue
         _check_keys(mdoc, {"name", "dim", "pi", "pistar"}, "lie_bialgebra.modules")
         label = mdoc.get("name", f"module{len(modules)}")
+        _require(isinstance(label, str),
+                 f"lie_bialgebra.modules.name: expected a string, got {label!r}")
         d = mdoc.get("dim")
         _require(isinstance(d, int) and d >= 1,
                  f"module {label!r}: needs an integer dim >= 1")

@@ -453,7 +453,7 @@ def pbw_words(n, max_degree):
 
 @dataclass
 class TruncatedUEA:
-    """The enveloping coproduct and counit on words of bounded degree.
+    """The enveloping coproduct on words of bounded degree.
 
     The coproduct preserves degree, so nothing is cut; the coaction, which
     raises degree when twisted, is read through the engine as
@@ -466,15 +466,12 @@ class TruncatedUEA:
 
     lb: LieBialgebra
     order: int
-    twist: Matrix = None
     engine: EnvelopingEngine = field(init=False)
     basis: tuple = field(init=False)
-    index: dict = field(init=False)
 
     def __post_init__(self):
         self.engine = EnvelopingEngine(self.lb)
         self.basis = pbw_words(self.lb.dim, self.order)
-        self.index = {w: i for i, w in enumerate(self.basis)}
 
     @property
     def dim(self):
@@ -484,6 +481,3 @@ class TruncatedUEA:
         """Delta of each basis word, in basis order, as a sparse dict
         (word, word) -> Fraction; degree is preserved, so nothing is cut."""
         return [self.engine.coproduct({w: Fraction(1)}) for w in self.basis]
-
-    def eps_matrix(self):
-        return Matrix.sparse(1, self.dim, RATIONAL, [{self.index[()]: Fraction(1)}])

@@ -276,6 +276,12 @@ def letter_by_letter_coproduct(engine, elem):
     return {key: c for key, c in out.items() if c}
 
 
+def uea_eps_matrix(uea):
+    """The counit of a TruncatedUEA as a 1 x dim matrix: 1 on the empty
+    word, 0 on every other basis word."""
+    return Matrix.sparse(1, uea.dim, RATIONAL, [{uea.basis.index(()): Fraction(1)}])
+
+
 class DenseMatrix:
     """A matrix stored densely, row-major, zeros included, with textbook
     operations: the storage linalg.Matrix had before it kept only its

@@ -366,10 +366,11 @@ class TestTensorTableSizes:
 
 class TestCubeTables:
     """The tables of at least |G|^3 = 13,824 entries an s4_torsors verify
-    makes: from _tensor_tables, 16 for gamma's id (x) delta (x) id, 8 for
-    mult_along's collapse and 4 for the two hexagons, composed once for
-    the one size triple of the torsors; from compose, those two hexagons.
-    Associativity goes through Light's test and makes none."""
+    makes: from _tensor_tables, 8 for gamma's id (x) delta (x) id, one per
+    comonoid and non-unit pair, 8 for mult_along's collapse and 4 for the
+    two hexagons, composed once for the one size triple of the torsors;
+    from compose, those two hexagons.  Associativity goes through Light's
+    test and makes none."""
 
     def test_cube_table_counts(self, monkeypatch, tmp_path):
         cube = 24 ** 3
@@ -389,7 +390,42 @@ class TestCubeTables:
         monkeypatch.setattr(backends.Backend, "compose", composed)
         _, code = run_verify(write_doc(tmp_path, set_ladder_documents()["s4_torsors"]))
         assert code == 0
-        assert counts == {"tensor": 28, "compose": 2}
+        assert counts == {"tensor": 20, "compose": 2}
+
+
+class TestOneCertificatePerComonoid:
+    """The adapted group and the constructor read one certificate per
+    comonoid, kept by the functor: gamma is computed at most once per
+    (comonoid, left, right), whichever of them asks first."""
+
+    def gamma_calls(self, monkeypatch, path):
+        calls = Counter()
+
+        def counted(functor, m, x, z, real=cofunctor.gamma):
+            calls[(m.name, x.factors, z.factors)] += 1
+            return real(functor, m, x, z)
+
+        monkeypatch.setattr(cofunctor, "gamma", counted)
+        _, code = run_verify(path)
+        assert code == 0
+        return calls
+
+    def test_s4_torsors_verify(self, monkeypatch, tmp_path):
+        path = write_doc(tmp_path, set_ladder_documents()["s4_torsors"])
+        calls = self.gamma_calls(monkeypatch, path)
+        ends = [(), ("S",), ("T",)]
+        assert set(calls) == {(m, x, z) for m in "MN" for x in ends for z in ends}
+        assert max(calls.values()) == 1
+
+    def test_two_comonoids_on_one_carrier(self, monkeypatch, tmp_path):
+        """Both carriers are S, so the endpoint pairs repeat; a repeated
+        pair is read from the certificate, not computed again."""
+        doc = load_corpus_document("z3_torsors")
+        doc["comonoids"][1]["obj"] = ["S"]
+        calls = self.gamma_calls(monkeypatch, write_doc(tmp_path, doc))
+        ends = [(), ("S",)]
+        assert set(calls) == {(m, x, z) for m in "MN" for x in ends for z in ends}
+        assert max(calls.values()) == 1
 
 
 class TestHexagonsBySize:

@@ -588,7 +588,7 @@ class TestShape:
     @pytest.mark.parametrize("field, key, name", [
         ("mult", (1, 0, 1), "mult[1,0,1]"), ("unit", 0, "unit[0]"),
         ("delta", (0, 1), "delta[0,1]"), ("eps", (1, 0), "eps[1,0]"),
-        ("antipode", (1, 1), "antipode[1,1]")])
+        ("antipode", (1, 1), "antipode[1,1]"), ("hom", (1, 0), "hom[1,0]")])
     def test_missing_map(self, field, key, name):
         """A dropped key is reported, where indexing by it raised KeyError."""
         backend, data = torsor_structure("z3", ("S", "T"))

@@ -26,6 +26,7 @@ from hopfcat.corpus import (
     corpus_path,
     load_corpus_document,
 )
+from hopfcat.cli import run_verify
 from hopfcat.linalg import Matrix
 from hopfcat.scalars import RATIONAL, hseries_ring
 from fractions import Fraction
@@ -197,6 +198,18 @@ class TestComonoidParsing:
         with pytest.raises(InstanceError):
             parse_comonoid(be, {"obj": ["S"], "delta": [0, 4, 99], "eps": "point"})
 
+    @pytest.mark.parametrize("name", [[0], 1, None, {"n": 2}])
+    def test_name_must_be_a_string(self, tmp_path, name):
+        be = parse_backend(finset_doc())
+        with pytest.raises(InstanceError, match="comonoid.name: expected a string"):
+            parse_comonoid(be, {"obj": ["S"], "name": name})
+        doc = load_corpus_document("z3_torsors")
+        doc["comonoids"][0]["name"] = name
+        path = tmp_path / "inst.json"
+        path.write_text(dump_document(doc))
+        report, code = run_verify(str(path))
+        assert (code, report["verdict"]) == (2, "error")
+
 
 class TestFunctorSelection:
     def test_known_names(self):
@@ -245,6 +258,14 @@ class TestLieParsing:
         assert twists[0][0, 1] == 1
         assert modules[0].label == "V" and modules[0].pi.rows == 2
         assert uea == {"order": 4, "identity_degree": 3}
+
+    @pytest.mark.parametrize("name", [[0], 1, None])
+    def test_module_name_must_be_a_string(self, name):
+        doc = self.b2_doc()
+        doc["modules"] = [{"name": name, "dim": 1, "pi": [["0", "0"]],
+                           "pistar": [["0"], ["0"]]}]
+        with pytest.raises(InstanceError, match="modules.name: expected a string"):
+            parse_lie(doc)
 
     def test_module_can_reference_a_dy_atom(self):
         be = parse_backend(dy_doc())
