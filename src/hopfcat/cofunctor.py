@@ -19,14 +19,15 @@ invertible: the collapse of F(M) to the unit, and for the needed object
 pairs the map gamma splitting F(X (x) M (x) Y) into
 F(X (x) M) (x) F(M (x) Y).  The inverses are witnessed in a certificate
 and re-checked when made.  The functor holds one certificate per comonoid
-beside its image memo, so chi and each pair's gamma are inverted at most
-once: certify_adapted returns it, covering at least the pairs requested.
+structure (carrier, delta, eps) beside its image memo, so chi and each
+pair's gamma are inverted at most once however many names the structure
+has: certify_adapted returns it, covering at least the pairs requested.
 A failing pair is not stored, and every caller gets the same NotAdapted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .backends import (
     Backend,
@@ -89,7 +90,7 @@ class ComonoidalFunctor:
         self.source = source
         self.target = target
         self._images = {}
-        self._certs = {}  # comonoid -> its AdaptednessCertificate
+        self._certs = {}  # (carrier, delta, eps) -> its AdaptednessCertificate
 
     def apply_obj(self, obj: ObjectRef) -> ObjectRef:
         raise NotImplementedError
@@ -310,6 +311,7 @@ class CoinvariantsFunctor(ComonoidalFunctor):
         super().__init__(source, target)
         self.relations_fn = relations_fn
         self.tag = tag
+        self._splits = {}  # (x factors, y factors) -> f2(x, y)
 
     def _image(self, obj: ObjectRef):
         key = obj.factors
@@ -339,12 +341,16 @@ class CoinvariantsFunctor(ComonoidalFunctor):
                            matrix=p * self.source.as_matrix(f) * s)
 
     def f2(self, x, y):
-        xy = x.tensor(y)
-        dom_img, _, s_xy = self._image(xy)
-        x_img, p_x, _ = self._image(x)
-        y_img, p_y, _ = self._image(y)
-        return MorphismRep(dom_img, x_img.tensor(y_img),
-                           matrix=mat_kron(p_x, p_y) * s_xy)
+        """(p_x (x) p_y) s_xy, built once per pair of words."""
+        key = (x.factors, y.factors)
+        split = self._splits.get(key)
+        if split is None:
+            dom_img, _, s_xy = self._image(x.tensor(y))
+            x_img, p_x, _ = self._image(x)
+            y_img, p_y, _ = self._image(y)
+            split = self._splits[key] = MorphismRep(
+                dom_img, x_img.tensor(y_img), matrix=mat_kron(p_x, p_y) * s_xy)
+        return split
 
     def f2_after(self, f, x, y):
         """(p_x (x) p_y) f s_dom, for every matrix f.  The composite has
@@ -482,11 +488,18 @@ def certify_adapted(functor, m: Comonoid, pairs) -> AdaptednessCertificate:
     """The functor's certificate for m, extended by gamma's inverse at every
     requested (left, right) pair it lacks; raises NotAdapted with a witness
     when a comparison map is not invertible.
+
+    Certificates are kept per comonoid structure (carrier, delta, eps):
+    comonoids differing in name alone share chi's and gamma's inverses,
+    and each gets a certificate that names it.
     """
     dst = functor.target
-    cert = functor._certs.get(m)
+    key = (m.obj, m.delta, m.eps)
+    cert = functor._certs.get(key)
     if cert is None:
-        cert = functor._certs[m] = AdaptednessCertificate(m, invert_mor(dst, chi(functor, m)))
+        cert = functor._certs[key] = AdaptednessCertificate(m, invert_mor(dst, chi(functor, m)))
+    elif cert.comonoid != m:
+        cert = replace(cert, comonoid=m)  # the same gamma_inv dict, shared
     for x, z in pairs:
         if (x.factors, z.factors) in cert.gamma_inv:
             continue

@@ -8,6 +8,12 @@ structural, and every operation costs the nonzeros it touches: a
 permutation matrix costs n entries, not n^2.  Entries are Fraction or
 HSeries, never int; a series is zero when all its coefficients vanish.
 
+A matrix made by from_table from a bijection keeps the table as perm;
+identities and symmetries are such.  A permutation acts by moving
+indices, with no arithmetic: a product or Kronecker product with one
+relabels the other operand's rows or columns, and two compose as tables.
+Every other matrix, derived ones included, has perm None.
+
 One sparse exact elimination, _rref, serves kernels, cokernels and
 inverses; it is deterministic, since the reduced row echelon form with
 leftmost pivots is unique to the row space.  A series matrix is inverted
@@ -37,9 +43,11 @@ class Matrix:
     Matrix(rows, cols, ring, entries) reads a dense row-major tuple and
     keeps its nonzeros; Matrix.sparse takes rows of nonzeros as they are.
     Row dicts may be shared between matrices, so they are never mutated.
+    perm is the table of a permutation matrix made by from_table, else
+    None; equality and hashing ignore it.
     """
 
-    __slots__ = ("rows", "cols", "ring", "nz", "_hash")
+    __slots__ = ("rows", "cols", "ring", "nz", "perm", "_hash")
 
     def __init__(self, rows, cols, ring, entries):
         if len(entries) != rows * cols:
@@ -54,6 +62,7 @@ class Matrix:
         put(self, "cols", cols)
         put(self, "ring", ring)
         put(self, "nz", nz)
+        put(self, "perm", None)
         put(self, "_hash", None)
         return self
 
@@ -75,11 +84,15 @@ class Matrix:
 
     @classmethod
     def from_table(cls, ring, table, rows):
-        """0/1 matrix of a function: column j has its one in row table[j]."""
+        """0/1 matrix of a function: column j has its one in row table[j];
+        perm is the table when it is a bijection."""
         one, nz = ring.one(), [{} for _ in range(rows)]
         for j, i in enumerate(table):
             nz[i][j] = one
-        return cls.sparse(rows, len(table), ring, nz)
+        m = cls.sparse(rows, len(table), ring, nz)
+        if len(table) == rows and all(nz):
+            object.__setattr__(m, "perm", tuple(table))
+        return m
 
     @classmethod
     def identity(cls, n, ring):
@@ -141,6 +154,16 @@ class Matrix:
         self._check_ring(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        p, q = self.perm, other.perm
+        if p is not None and q is not None:
+            return Matrix.from_table(self.ring, [p[i] for i in q], self.rows)
+        if p is not None:
+            return Matrix.sparse(self.rows, other.cols, self.ring,
+                                 [other.nz[t] for t in _inverse(p)])
+        if q is not None:
+            col = _inverse(q)
+            return Matrix.sparse(self.rows, other.cols, self.ring,
+                                 [{col[c]: x for c, x in r.items()} for r in self.nz])
         b = other.nz
         out = []
         for arow in self.nz:
@@ -196,10 +219,28 @@ def mat_kron(a: Matrix, b: Matrix) -> Matrix:
     ((ra*b.rows + rb), (ca*b.cols + cb)) = a[ra,ca] * b[rb,cb], strictly
     associative with the composite index of tensor products of objects."""
     a._check_ring(b)
-    bc = b.cols
-    nz = [{ca * bc + cb: p for ca, x in ra.items() for cb, y in rb.items()
-           if (p := y if x == 1 else x * y)} for ra in a.nz for rb in b.nz]
+    bc, pa, pb = b.cols, a.perm, b.perm
+    if pa is not None and pb is not None:
+        br = b.rows
+        return Matrix.from_table(a.ring, [i * br + k for i in pa for k in pb], a.rows * br)
+    if pa is not None:
+        nz = [{off + cb: y for cb, y in rb.items()}
+              for off in [c * bc for c in _inverse(pa)] for rb in b.nz]
+    elif pb is not None:
+        inv = _inverse(pb)
+        nz = [{ca * bc + c: x for ca, x in ra.items()} for ra in a.nz for c in inv]
+    else:
+        nz = [{ca * bc + cb: p for ca, x in ra.items() for cb, y in rb.items()
+               if (p := y if x == 1 else x * y)} for ra in a.nz for rb in b.nz]
     return Matrix.sparse(a.rows * b.rows, a.cols * bc, a.ring, nz)
+
+
+def _inverse(perm):
+    """The inverse of a permutation table: inv[perm[j]] = j."""
+    inv = [0] * len(perm)
+    for j, i in enumerate(perm):
+        inv[i] = j
+    return inv
 
 
 def hstack(mats):

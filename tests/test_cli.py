@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import importlib.util
 import itertools
 import json
@@ -418,14 +419,73 @@ class TestOneCertificatePerComonoid:
         assert max(calls.values()) == 1
 
     def test_two_comonoids_on_one_carrier(self, monkeypatch, tmp_path):
-        """Both carriers are S, so the endpoint pairs repeat; a repeated
-        pair is read from the certificate, not computed again."""
+        """Both comonoids are the diagonal on S, and differ in name alone:
+        they share one certificate, so gamma is computed once per
+        (carrier, left, right), and each name gets its adapted record."""
         doc = load_corpus_document("z3_torsors")
         doc["comonoids"][1]["obj"] = ["S"]
-        calls = self.gamma_calls(monkeypatch, write_doc(tmp_path, doc))
+        path = write_doc(tmp_path, doc)
+        calls = self.gamma_calls(monkeypatch, path)
         ends = [(), ("S",)]
-        assert set(calls) == {(m, x, z) for m in "MN" for x in ends for z in ends}
+        assert set(calls) == {("M", x, z) for x in ends for z in ends}
         assert max(calls.values()) == 1
+        report, _ = run_verify(path, "adapted")
+        assert [c["rule"] for c in report["checks"]] == ["adapted[M]", "adapted[N]"]
+
+    def test_shared_certificate_names_the_comonoid_asked_for(self):
+        inst = load_instance(str(corpus_path("z3_torsors")))
+        m = inst.comonoids[0]
+        twin = dataclasses.replace(m, name="twin")
+        first = cofunctor.certify_adapted(inst.functor, m, [])
+        second = cofunctor.certify_adapted(inst.functor, twin, [])
+        assert second.comonoid is twin and second.gamma_inv is first.gamma_inv
+        s = inst.backend.obj("S")
+        with pytest.raises(cofunctor.NotAdapted, match="around twin"):
+            second.gamma_inverse(s, s)
+
+
+class TestDyMapsBuiltOnce:
+    """An abelian_precartier verify builds each word's dy action and
+    coaction, each pair's coinvariant splitting, and each peeling rule at
+    each cut once, however often they are read."""
+
+    @staticmethod
+    def results_of(monkeypatch, owner, name, key):
+        seen = {}
+        real = getattr(owner, name)
+
+        def recorded(*args):
+            out = real(*args)
+            seen.setdefault(key(*args), []).append(out)
+            return out
+
+        monkeypatch.setattr(owner, name, recorded)
+        return seen
+
+    def test_word_maps_and_splittings(self, monkeypatch):
+        seen = {name: self.results_of(monkeypatch, backends.Backend, name,
+                                      lambda be, w: w.factors)
+                for name in ("dy_action", "dy_coaction")}
+        seen["f2"] = self.results_of(monkeypatch, cofunctor.CoinvariantsFunctor, "f2",
+                                     lambda fn, x, y: (x.factors, y.factors))
+        _, code = run_verify(str(corpus_path("abelian_precartier")))
+        assert code == 0
+        for name, by_key in seen.items():
+            assert max(map(len, by_key.values())) > 1, name
+            for outs in by_key.values():
+                assert all(o is outs[0] for o in outs), name
+
+    def test_each_cut_is_peeled_once(self, monkeypatch):
+        from hopfcat.deform import PreCartierData
+        calls = Counter()
+        for rule in ("t_cut_left", "t_cut_right"):
+            def counted(pc, x, y, z, rule=rule, real=getattr(PreCartierData, rule)):
+                calls[(rule, x.factors, y.factors, z.factors)] += 1
+                return real(pc, x, y, z)
+            monkeypatch.setattr(PreCartierData, rule, counted)
+        _, code = run_verify(str(corpus_path("abelian_precartier")))
+        assert code == 0
+        assert calls and max(calls.values()) == 1
 
 
 class TestHexagonsBySize:

@@ -159,6 +159,16 @@ class TestPreCartierLaws:
         assert not by_rule["precartier.extension.left"].holds
         assert "(W,W,V)" in by_rule["precartier.extension.left"].detail
 
+    def test_explicit_word_entry_violating_right_extension_detected(self, setup):
+        be, pc = setup
+        w, v = be.obj("W"), be.obj("V")
+        table = dict(pc.table)
+        table[(("V",), ("W", "W"))] = Matrix.identity(16, RATIONAL)
+        recs = check_pre_cartier(PreCartierData(be, table), [w, v])
+        by_rule = {r.rule: r for r in recs}
+        assert not by_rule["precartier.extension.right"].holds
+        assert "(V,W,W)" in by_rule["precartier.extension.right"].detail
+
     def test_word_entry_breaking_naturality_detected(self, setup):
         be, pc = setup
         # a stored t(W(x)W, V) that sees the first W factor only does not

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -540,3 +541,84 @@ class TestSparseAgainstDense:
             assert hstack([tall, Matrix.identity(3, ring)]) == Matrix.identity(3, ring)
             assert mat_kron(wide, Matrix.identity(2, ring)) == Matrix.zeros(0, 6, ring)
             assert wide.transpose() == tall and wide.to_json() == []
+
+
+def permutation_and_oracle(ring, table):
+    """The permutation matrix of a bijection, and the dense oracle."""
+    n = len(table)
+    return Matrix.from_table(ring, table, n), DenseMatrix(n, n, ring, [
+        ring.one() if table[j] == i else ring.zero() for i in range(n) for j in range(n)])
+
+
+def perm_and_oracle(draw, ring, n):
+    return permutation_and_oracle(ring, draw(st.permutations(range(n))))
+
+
+class TestPermutationsAgainstDense:
+    """A permutation operand moves the other's indices instead of
+    multiplying; every such product agrees with the dense oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), rings, sides, sides)
+    def test_products(self, data, ring, n, m):
+        p, dp = perm_and_oracle(data.draw, ring, n)
+        q, dq = perm_and_oracle(data.draw, ring, n)
+        a, da = matrix_and_oracle(data.draw, ring, n, m)
+        b, db = matrix_and_oracle(data.draw, ring, m, n)
+        assert agrees(p * a, dp * da)
+        assert agrees(b * p, db * dp)
+        pq = p * q
+        assert agrees(pq, dp * dq)
+        assert pq.perm == tuple(p.perm[i] for i in q.perm)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), rings, sides, sides, sides, sides)
+    def test_kron(self, data, ring, n, k, r, c):
+        p, dp = perm_and_oracle(data.draw, ring, n)
+        q, dq = perm_and_oracle(data.draw, ring, k)
+        a, da = matrix_and_oracle(data.draw, ring, r, c)
+        assert agrees(mat_kron(p, a), dp.kron(da))
+        assert agrees(mat_kron(a, p), da.kron(dp))
+        pq = mat_kron(p, q)
+        assert agrees(pq, dp.kron(dq))
+        assert pq.perm == tuple(i * k + j for i in p.perm for j in q.perm)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), rings, sides)
+    def test_perm_is_set_exactly_for_bijections(self, data, ring, r):
+        table = data.draw(st.lists(st.integers(0, r - 1), max_size=4)) if r else []
+        m = Matrix.from_table(ring, table, r)
+        if sorted(table) == list(range(r)):
+            assert m.perm == tuple(table)
+        else:
+            assert m.perm is None
+        p, _ = perm_and_oracle(data.draw, ring, r)
+        assert Matrix.identity(r, ring).perm == tuple(range(r))
+        for derived in (-p, p.scale(2), p.transpose(), Matrix.from_rows(ring, [
+                list(p.row(i)) for i in range(r)]) if r else Matrix.sparse(0, 0, ring, [])):
+            assert derived.perm is None
+        # equality and hashing ignore the slot
+        same = Matrix.sparse(r, r, ring, p.nz)
+        assert same == p and hash(same) == hash(p)
+
+    def test_every_permutation_of_three(self):
+        """Exhaustive where the drawn cases are thin: a 3-cycle is the
+        smallest permutation that is not its own inverse."""
+        for ring in (RATIONAL, SERIES):
+            ent = [ring.coerce(x) for x in (1, 2, 0, -3, 5, 7)]
+            a, da = Matrix(3, 2, ring, ent), DenseMatrix(3, 2, ring, ent)
+            b, db = a.transpose(), da.transpose()
+            perms = [permutation_and_oracle(ring, t) for t in itertools.permutations(range(3))]
+            for p, dp in perms:
+                assert agrees(p * a, dp * da) and agrees(b * p, db * dp)
+                assert agrees(mat_kron(p, a), dp.kron(da))
+                assert agrees(mat_kron(b, p), db.kron(dp))
+                for q, dq in perms:
+                    assert agrees(p * q, dp * dq) and agrees(mat_kron(p, q), dp.kron(dq))
+
+    def test_tables_that_are_not_bijections(self):
+        for ring in (RATIONAL, SERIES):
+            assert Matrix.from_table(ring, [0, 0], 2).perm is None  # not onto
+            assert Matrix.from_table(ring, [0, 1], 3).perm is None  # too short
+            assert Matrix.from_table(ring, [0, 1, 0], 2).perm is None  # too long
+            assert Matrix.from_table(ring, [1, 0], 2).perm == (1, 0)
