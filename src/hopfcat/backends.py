@@ -25,6 +25,7 @@ tensor product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 from .linalg import Matrix, mat_kron
 from .scalars import RATIONAL, Ring
@@ -176,9 +177,13 @@ class Atom:
     pistar: Matrix = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ObjectRef:
-    """A tensor word in atom names; the empty word is the unit object."""
+    """A tensor word in atom names; the empty word is the unit object.
+
+    A dict key, immutable by contract: not frozen, since a frozen dataclass
+    stores each field by object.__setattr__ and words are built by the
+    thousand."""
 
     factors: tuple
 
@@ -200,12 +205,13 @@ class ObjectRef:
         return "(x)".join(self.factors) if self.factors else "1"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MorphismRep:
     """A morphism between tensor words, in the backend's flavor.
 
     Exactly one of table (function on element indices, finset) or matrix
-    (linear/dy) is set.
+    (linear/dy) is set.  Immutable by contract, as ObjectRef is (derive
+    with dataclasses.replace): morphisms are dict keys, e.g. of certificates.
     """
 
     dom: ObjectRef
@@ -230,7 +236,7 @@ class Backend:
     ring: Ring = RATIONAL
     base: str = None  # dy only: name of the acting/coacting atom
     _braidings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # size -> identity; (dy_action or dy_coaction, word factors) -> its map
+    # size -> identity; factors -> size; (dy_action or dy_coaction, factors) -> map
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -265,8 +271,7 @@ class Backend:
             for g, mat in enumerate(atom.action):
                 if mat.rows != atom.size or mat.cols != atom.size:
                     raise BackendError(f"atom {atom.name}: action matrices must be {atom.size}x{atom.size}")
-            ident = Matrix.identity(atom.size, self.ring)
-            if atom.action[0] != ident:
+            if atom.action[0] != self._one(atom.size):
                 raise BackendError(f"atom {atom.name}: identity must act as identity")
             act = atom.action
             if any(act[g] * act[h] != act[gh] for g, h, gh in pairs):
@@ -289,9 +294,9 @@ class Backend:
             raise BackendError(f"unknown atom {name!r}") from None
 
     def obj_size(self, obj: ObjectRef):
-        n = 1
-        for name in obj.factors:
-            n *= self.atom_size(name)
+        n = self._memo.get(obj.factors)  # atoms are only ever added
+        if n is None:
+            n = self._memo[obj.factors] = prod(map(self.atom_size, obj.factors))
         return n
 
     def unit(self):
@@ -308,9 +313,7 @@ class Backend:
         place atoms are added after construction (functors register their
         images here).  Correct by construction, so not validated."""
         if name not in self.atoms:
-            one = (tuple(range(size)) if self.kind == "finset"
-                   else Matrix.identity(size, self.ring))
-            self.atoms[name] = Atom(name, size, (one,) * self.group.order)
+            self.atoms[name] = Atom(name, size, (self._one(size),) * self.group.order)
         return ObjectRef.atom(name)
 
     # -- morphism constructors
@@ -318,14 +321,18 @@ class Backend:
     def identity_mor(self, obj):
         """The identity of a word; its table or matrix is built once per
         size and kept for this backend's lifetime."""
-        n = self.obj_size(obj)
+        one = self._one(self.obj_size(obj))
+        if self.kind == "finset":
+            return MorphismRep(obj, obj, table=one)
+        return MorphismRep(obj, obj, matrix=one)
+
+    def _one(self, n):
+        """The identity table or matrix of size n, built once per size."""
         one = self._memo.get(n)
         if one is None:
             one = self._memo[n] = (tuple(range(n)) if self.kind == "finset"
                                    else Matrix.identity(n, self.ring))
-        if self.kind == "finset":
-            return MorphismRep(obj, obj, table=one)
-        return MorphismRep(obj, obj, matrix=one)
+        return one
 
     def mor_from_table(self, dom, cod, table):
         if self.kind != "finset":
@@ -437,7 +444,7 @@ class Backend:
                 perm = self.atoms[name].action[g]
                 table = _tensor_tables(table, perm, len(perm))
             return MorphismRep(obj, obj, table=table)
-        mat = Matrix.identity(1, self.ring)
+        mat = self._one(1)
         for name in obj.factors:
             mat = mat_kron(mat, self.atoms[name].action[g])
         return MorphismRep(obj, obj, matrix=mat)
@@ -509,8 +516,7 @@ class Backend:
             failures = [f"group element {self.group.names[g]} does not commute"
                         for g in self.group.elements() if not commutes(g)]
         if self.kind == "dy":
-            bdim = self.atom_size(self.base)
-            lift = mat_kron(Matrix.identity(bdim, self.ring), fm)
+            lift = mat_kron(self._one(self.atom_size(self.base)), fm)
             if fm * self.dy_action(f.dom) != self.dy_action(f.cod) * lift:
                 failures.append("base action does not commute")
             if self.dy_coaction(f.cod) * fm != lift * self.dy_coaction(f.dom):

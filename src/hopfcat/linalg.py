@@ -8,11 +8,15 @@ structural, and every operation costs the nonzeros it touches: a
 permutation matrix costs n entries, not n^2.  Entries are Fraction or
 HSeries, never int; a series is zero when all its coefficients vanish.
 
-A matrix made by from_table from a bijection keeps the table as perm;
-identities and symmetries are such.  A permutation acts by moving
-indices, with no arithmetic: a product or Kronecker product with one
-relabels the other operand's rows or columns, and two compose as tables.
-Every other matrix, derived ones included, has perm None.
+A matrix made by from_table from a bijection keeps the table as perm
+and its inverse as perm_inv; identities and symmetries are such.  A
+permutation acts by moving indices, with no arithmetic: a product or
+Kronecker product with one relabels the other operand's rows or columns,
+and two compose as tables.  Every other matrix has both None.
+
+Matrices are dict keys, immutable by contract and unguarded: a raising
+__setattr__ would make each of the thousands built per verify pay an
+object.__setattr__ per slot.
 
 One sparse exact elimination, _rref, serves kernels, cokernels and
 inverses; it is deterministic, since the reduced row echelon form with
@@ -43,11 +47,12 @@ class Matrix:
     Matrix(rows, cols, ring, entries) reads a dense row-major tuple and
     keeps its nonzeros; Matrix.sparse takes rows of nonzeros as they are.
     Row dicts may be shared between matrices, so they are never mutated.
-    perm is the table of a permutation matrix made by from_table, else
-    None; equality and hashing ignore it.
+    perm / perm_inv are a permutation's table and its inverse (from_table),
+    else None; equality and hashing ignore them.  Nothing assigns a slot
+    after construction but the cached hash (see the module docstring).
     """
 
-    __slots__ = ("rows", "cols", "ring", "nz", "perm", "_hash")
+    __slots__ = ("rows", "cols", "ring", "nz", "perm", "perm_inv", "_hash")
 
     def __init__(self, rows, cols, ring, entries):
         if len(entries) != rows * cols:
@@ -57,17 +62,9 @@ class Matrix:
             for i in range(rows)))
 
     def _fill(self, rows, cols, ring, nz):
-        put = object.__setattr__
-        put(self, "rows", rows)
-        put(self, "cols", cols)
-        put(self, "ring", ring)
-        put(self, "nz", nz)
-        put(self, "perm", None)
-        put(self, "_hash", None)
+        self.rows, self.cols, self.ring, self.nz = rows, cols, ring, nz
+        self.perm = self.perm_inv = self._hash = None
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def sparse(cls, rows, cols, ring, nz):
@@ -85,13 +82,14 @@ class Matrix:
     @classmethod
     def from_table(cls, ring, table, rows):
         """0/1 matrix of a function: column j has its one in row table[j];
-        perm is the table when it is a bijection."""
-        one, nz = ring.one(), [{} for _ in range(rows)]
+        perm is the table and perm_inv its inverse when it is a bijection."""
+        one, nz, inv = ring.one(), [{} for _ in range(rows)], [None] * rows
         for j, i in enumerate(table):
             nz[i][j] = one
+            inv[i] = j
         m = cls.sparse(rows, len(table), ring, nz)
         if len(table) == rows and all(nz):
-            object.__setattr__(m, "perm", tuple(table))
+            m.perm, m.perm_inv = tuple(table), tuple(inv)
         return m
 
     @classmethod
@@ -121,12 +119,13 @@ class Matrix:
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.rows, self.cols, self.ring, tuple(
-                frozenset(r.items()) for r in self.nz))))
+            self._hash = hash((self.rows, self.cols, self.ring, tuple(
+                frozenset(r.items()) for r in self.nz)))
         return self._hash
 
     def _check_ring(self, other):
-        if self.ring != other.ring:
+        # identity first: RATIONAL and each hseries_ring are shared objects
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch("matrices over different rings")
 
     def __add__(self, other):
@@ -159,9 +158,9 @@ class Matrix:
             return Matrix.from_table(self.ring, [p[i] for i in q], self.rows)
         if p is not None:
             return Matrix.sparse(self.rows, other.cols, self.ring,
-                                 [other.nz[t] for t in _inverse(p)])
+                                 [other.nz[t] for t in self.perm_inv])
         if q is not None:
-            col = _inverse(q)
+            col = other.perm_inv
             return Matrix.sparse(self.rows, other.cols, self.ring,
                                  [{col[c]: x for c, x in r.items()} for r in self.nz])
         b = other.nz
@@ -225,22 +224,13 @@ def mat_kron(a: Matrix, b: Matrix) -> Matrix:
         return Matrix.from_table(a.ring, [i * br + k for i in pa for k in pb], a.rows * br)
     if pa is not None:
         nz = [{off + cb: y for cb, y in rb.items()}
-              for off in [c * bc for c in _inverse(pa)] for rb in b.nz]
+              for off in [c * bc for c in a.perm_inv] for rb in b.nz]
     elif pb is not None:
-        inv = _inverse(pb)
-        nz = [{ca * bc + c: x for ca, x in ra.items()} for ra in a.nz for c in inv]
+        nz = [{ca * bc + c: x for ca, x in ra.items()} for ra in a.nz for c in b.perm_inv]
     else:
         nz = [{ca * bc + cb: p for ca, x in ra.items() for cb, y in rb.items()
                if (p := y if x == 1 else x * y)} for ra in a.nz for rb in b.nz]
     return Matrix.sparse(a.rows * b.rows, a.cols * bc, a.ring, nz)
-
-
-def _inverse(perm):
-    """The inverse of a permutation table: inv[perm[j]] = j."""
-    inv = [0] * len(perm)
-    for j, i in enumerate(perm):
-        inv[i] = j
-    return inv
 
 
 def hstack(mats):

@@ -171,7 +171,9 @@ class Ring:
 RATIONAL = Ring("rational")
 
 
+@lru_cache(maxsize=None)
 def hseries_ring(order: int) -> Ring:
+    """One shared Ring per truncation order, as RATIONAL is one object."""
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     return Ring("hseries", order)

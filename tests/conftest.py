@@ -361,6 +361,15 @@ def agrees(m, dense):
             and all(type(x) is kind for x in stored.values()))
 
 
+def permutation_inverse(perm):
+    """The inverse of a permutation table, inv[perm[j]] = j: the helper
+    linalg used before from_table recorded the inverse while filling."""
+    inv = [0] * len(perm)
+    for j, i in enumerate(perm):
+        inv[i] = j
+    return inv
+
+
 def morphism_laws(functor, morphisms):
     """Functoriality and naturality of F2 on the source morphisms given:
     identities go to identities, composites to composites, and F2 commutes

@@ -1,5 +1,7 @@
 import itertools
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from hopfcat.backends import (
     Backend,
     BackendError,
     GroupTable,
+    MorphismRep,
     ObjectRef,
     check_braiding_coherence,
     check_dy_tensor_closure,
@@ -23,6 +26,8 @@ from hopfcat.backends import (
     regular_linear_atom,
     symmetric_group,
 )
+from hopfcat.coalg import diagonal_comonoid
+from hopfcat.cofunctor import OrbitFunctor, certify_adapted
 from hopfcat.linalg import Matrix, mat_kron
 from hopfcat.scalars import RATIONAL
 
@@ -566,3 +571,91 @@ class TestDyBackend:
         # a generic map fails
         g = b.mor_from_matrix(v, v, Matrix.from_rows(RATIONAL, [[1, 0], [0, 2]]))
         assert b.check_equivariant(g) != []
+
+
+class TestValueSemantics:
+    """Words and morphisms are immutable by contract, not by a guard: equal
+    values compare and hash equal, so a value built afresh finds the one
+    stored under an equal key."""
+
+    @pytest.mark.parametrize("kind", ["finset", "linear"])
+    def test_equal_values_are_equal_keys(self, kind):
+        g = cyclic_group(3)
+        b = (finset_backend(g, [regular_atom("S", g)]) if kind == "finset"
+             else linear_backend(g, [regular_linear_atom("S", g)]))
+        s = b.obj("S")
+        word = ObjectRef(("S", "S"))
+        assert word == s.tensor(s) and hash(word) == hash(s.tensor(s))
+        assert word is not s.tensor(s) and word != s and word != ObjectRef.unit()
+        f = b.braiding(s, s)
+        if kind == "finset":
+            fresh = MorphismRep(word, word, table=tuple(list(f.table)))
+        else:
+            fresh = MorphismRep(word, word, matrix=Matrix.from_rows(b.ring, [
+                list(f.matrix.row(i)) for i in range(f.matrix.rows)]))
+        assert fresh == f and hash(fresh) == hash(f)
+        assert {f: "swap"}[fresh] == "swap"
+        assert fresh != b.identity_mor(word)
+        assert replace(fresh, dom=ObjectRef(("S", "S"))) == f
+        assert replace(fresh, cod=s) != f
+
+    def test_a_fresh_comonoid_finds_the_stored_certificate(self):
+        g = cyclic_group(3)
+        b = finset_backend(g, [regular_atom("S", g)])
+        fn = OrbitFunctor(b)
+        m = diagonal_comonoid(b, b.obj("S"), "M")
+        cert = certify_adapted(fn, m, [(b.unit(), b.obj("S"))])
+        again = diagonal_comonoid(b, ObjectRef(("S",)), "M")
+        assert again.delta is not m.delta and again.eps is not m.eps
+        assert certify_adapted(fn, again, []) is cert
+        assert list(fn._certs) == [(m.obj, m.delta, m.eps)]
+
+    def test_exactly_one_of_table_and_matrix(self):
+        x = ObjectRef.atom("S")
+        one = Matrix.identity(1, RATIONAL)
+        for fields in ({}, {"table": (0,), "matrix": one}):
+            with pytest.raises(BackendError, match="exactly one"):
+                MorphismRep(x, x, **fields)
+        f = MorphismRep(x, x, table=(0,))
+        with pytest.raises(BackendError, match="exactly one"):
+            replace(f, matrix=one)
+        with pytest.raises(BackendError, match="exactly one"):
+            replace(f, table=None)
+        assert replace(f, table=None, matrix=one) == MorphismRep(x, x, matrix=one)
+
+
+class TestIdentitiesBuiltOncePerSize:
+    """Validation, the linear action and the dy equivariance check read the
+    backend's one identity per size instead of building their own."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        sizes = Counter()
+        real = Matrix.identity.__func__
+
+        def counted(cls, n, ring):
+            sizes[n] += 1
+            return real(cls, n, ring)
+
+        monkeypatch.setattr(Matrix, "identity", classmethod(counted))
+        return sizes
+
+    def test_linear(self, built):
+        g = cyclic_group(3)
+        b = linear_backend(g, [regular_linear_atom("R", g), regular_linear_atom("Q", g)])
+        assert built == {3: 1}
+        f = b.identity_mor(b.obj("R", "Q"))
+        for _ in range(2):
+            assert b.check_equivariant(f) == []
+            assert b.act(0, b.unit()).matrix is b.identity_mor(b.unit()).matrix
+        assert built == {3: 1, 9: 1, 1: 1}
+
+    def test_dy(self, built):
+        toy, e21, _ = toy_dy()
+        built.clear()
+        b = dy_backend(toy.atoms["b"], [toy.atoms["V"]])
+        assert built == {2: 1}
+        f = b.mor_from_matrix(b.obj("V"), b.obj("V"), e21)
+        for _ in range(2):
+            assert b.check_equivariant(f) == []
+        assert built == {2: 1, 1: 1}

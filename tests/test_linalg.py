@@ -19,9 +19,9 @@ from hopfcat.linalg import (
     series_coefficients,
     series_matrix,
 )
-from hopfcat.scalars import RATIONAL, HSeries, hseries_ring
+from hopfcat.scalars import RATIONAL, HSeries, Ring, RingMismatch, hseries_ring
 
-from conftest import DenseMatrix, agrees, dense_hstack
+from conftest import DenseMatrix, agrees, dense_hstack, permutation_inverse
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 
@@ -590,16 +590,56 @@ class TestPermutationsAgainstDense:
         m = Matrix.from_table(ring, table, r)
         if sorted(table) == list(range(r)):
             assert m.perm == tuple(table)
+            assert m.perm_inv == tuple(permutation_inverse(table))
         else:
-            assert m.perm is None
+            assert m.perm is None and m.perm_inv is None
         p, _ = perm_and_oracle(data.draw, ring, r)
+        q, _ = perm_and_oracle(data.draw, ring, r)
         assert Matrix.identity(r, ring).perm == tuple(range(r))
-        for derived in (-p, p.scale(2), p.transpose(), Matrix.from_rows(ring, [
-                list(p.row(i)) for i in range(r)]) if r else Matrix.sparse(0, 0, ring, [])):
-            assert derived.perm is None
-        # equality and hashing ignore the slot
+        assert Matrix.identity(r, ring).perm_inv == tuple(range(r))
+        derived = [-p, p.scale(2), p.transpose(), p + q, p - p, Matrix.from_rows(ring, [
+            list(p.row(i)) for i in range(r)]) if r else Matrix.sparse(0, 0, ring, [])]
+        if ring == RATIONAL:
+            derived.append(lift_matrix(p, SERIES))
+        else:
+            derived.append(reduce_matrix(p))
+        for d in derived:
+            assert d.perm is None and d.perm_inv is None
+        # equality and hashing ignore both slots
         same = Matrix.sparse(r, r, ring, p.nz)
         assert same == p and hash(same) == hash(p)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), rings, st.integers(0, 6))
+    def test_recorded_inverse_is_the_inverse_table(self, data, ring, n):
+        table = data.draw(st.permutations(range(n)))
+        p = Matrix.from_table(ring, table, n)
+        assert p.perm_inv == tuple(permutation_inverse(table))
+        assert all(p.perm[p.perm_inv[i]] == i for i in range(n))
+        # the products that compose tables record the composite's inverse
+        q, _ = perm_and_oracle(data.draw, ring, n)
+        for composite in (p * q, mat_kron(p, q)):
+            assert composite.perm_inv == tuple(permutation_inverse(composite.perm))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data(), rings, st.integers(1, 3))
+    def test_one_permutation_reused_across_many_products(self, data, ring, n):
+        """The recorded tables are shared by every product that reads
+        them, so none of those products may change them."""
+        p, dp = perm_and_oracle(data.draw, ring, n)
+        perm, inv = p.perm, p.perm_inv
+        for _ in range(6):
+            k = data.draw(sides)
+            a, da = matrix_and_oracle(data.draw, ring, n, k)
+            b, db = matrix_and_oracle(data.draw, ring, k, n)
+            c, dc = matrix_and_oracle(data.draw, ring, k, k)
+            assert agrees(p * a, dp * da)
+            assert agrees(b * p, db * dp)
+            assert agrees(b * p * a, db * dp * da)
+            assert agrees(mat_kron(mat_kron(p, c), p), dp.kron(dc).kron(dp))
+            assert agrees(mat_kron(c, p) * mat_kron(b, p), dc.kron(dp) * db.kron(dp))
+        assert (p.perm, p.perm_inv) == (perm, inv)
+        assert p == Matrix.from_table(ring, perm, n)
 
     def test_every_permutation_of_three(self):
         """Exhaustive where the drawn cases are thin: a 3-cycle is the
@@ -622,3 +662,35 @@ class TestPermutationsAgainstDense:
             assert Matrix.from_table(ring, [0, 1], 3).perm is None  # too short
             assert Matrix.from_table(ring, [0, 1, 0], 2).perm is None  # too long
             assert Matrix.from_table(ring, [1, 0], 2).perm == (1, 0)
+
+
+class TestRingChecks:
+    """Rings are shared objects, compared by identity first; matrices over
+    different rings never combine, and equal rings made apart still do."""
+
+    def test_series_rings_are_interned(self):
+        assert hseries_ring(2) is hseries_ring(2)
+        assert hseries_ring(0) is hseries_ring(0)
+        assert hseries_ring(1) is not hseries_ring(2)
+        with pytest.raises(ValueError):
+            hseries_ring(-1)
+
+    @pytest.mark.parametrize("left, right", [
+        (RATIONAL, hseries_ring(2)), (hseries_ring(2), RATIONAL),
+        (hseries_ring(1), hseries_ring(2)), (hseries_ring(2), hseries_ring(1))])
+    def test_mixed_rings_raise(self, left, right):
+        a, b = Matrix.identity(2, left), Matrix.identity(2, right)
+        c, d = Matrix.from_rows(left, [[1, 2], [3, 4]]), Matrix.from_rows(right, [[0, 1], [1, 5]])
+        for x, y in ((a, b), (c, d), (a, d), (c, b)):
+            for op in (x.__add__, x.__sub__, x.__mul__, lambda y, x=x: mat_kron(x, y)):
+                with pytest.raises(RingMismatch):
+                    op(y)
+
+    def test_equal_rings_made_apart_still_combine(self):
+        for ring in (RATIONAL, SERIES):
+            twin = Ring(ring.kind, ring.order)
+            assert twin is not ring and twin == ring
+            a, b = Matrix.from_rows(ring, [[1, 2], [0, 1]]), Matrix.identity(2, twin)
+            assert a * b == a and b * a == a
+            assert mat_kron(a, b) == mat_kron(a, Matrix.identity(2, ring))
+            assert (a + Matrix.zeros(2, 2, twin)) == a
