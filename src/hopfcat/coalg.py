@@ -1,8 +1,15 @@
-"""Comonoids and Hopf monoids inside a backend, with law checking.
+"""Comonoids, Hopf categories and Hopf monoids inside a backend, with
+law checking.
 
 A comonoid is an object with a splitting map into two copies of itself
-and a map to the unit, subject to coassociativity and counit laws.
-Cocommutativity is tracked as a flag and verified.
+and a map to the unit, subject to coassociativity and counit laws;
+is_cocommutative decides cocommutativity for every caller.
+
+A Hopf monoid is a Hopf category with one object (Batista, Caenepeel &
+Vercruysse, "Hopf categories", 2016).  hopf_laws checks the laws the two
+share on a HopfCategoryData; check_hopf_monoid runs it on the one-object
+structure and adds equivariance, hopfcategory.check_hopf_category adds
+positions and involutivity of the antipode.
 
 Checks return LawRecord lists so callers can aggregate into reports; a
 structure is accepted only if every record holds.
@@ -10,7 +17,8 @@ structure is accepted only if every record holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import product
 
 from .backends import MorphismRep, ObjectRef, _arrow_generators, _assoc_witness
 
@@ -92,6 +100,12 @@ def unit_comonoid(backend):
                     ident, "1")
 
 
+def is_cocommutative(backend, c: Comonoid):
+    """Whether the splitting map of c, then the swap of its two copies,
+    is the splitting map."""
+    return backend.equal_mor(backend.compose(c.delta, backend.braiding(c.obj, c.obj)), c.delta)
+
+
 def check_comonoid(backend, c: Comonoid, cocommutative=None):
     """Coassociativity, both counit laws, equivariance of the structure
     maps, and (optionally) cocommutativity; or one failing comonoid.shape
@@ -118,10 +132,7 @@ def check_comonoid(backend, c: Comonoid, cocommutative=None):
         records.append(LawRecord(f"comonoid.equivariant.{tag}", not bad, "; ".join(bad)))
 
     if cocommutative:
-        sw = backend.braiding(obj, obj)
-        records.append(LawRecord(
-            "comonoid.cocommutative",
-            backend.equal_mor(backend.compose(c.delta, sw), c.delta)))
+        records.append(LawRecord("comonoid.cocommutative", is_cocommutative(backend, c)))
     return records
 
 
@@ -223,7 +234,81 @@ def assoc_failures(backend, hom, mult, n):
 
 
 # ---------------------------------------------------------------------------
-# Hopf monoids
+# Hopf categories and Hopf monoids
+
+
+@dataclass
+class HopfCategoryData:
+    """The full structure over a list of base labels.
+
+    hom[(i, j)] is the object F(x_i (x) x_j) of the target backend;
+    mult[(i, j, k)]: hom[i,j] (x) hom[j,k] -> hom[i,k];
+    unit[i]: 1 -> hom[i,i];
+    delta/eps give each hom its comonoid;
+    antipode[(i, j)]: hom[i,j] -> hom[j,i].
+    """
+
+    labels: tuple
+    backend: object
+    hom: dict = field(default_factory=dict)
+    mult: dict = field(default_factory=dict)
+    unit: dict = field(default_factory=dict)
+    delta: dict = field(default_factory=dict)
+    eps: dict = field(default_factory=dict)
+    antipode: dict = field(default_factory=dict)
+
+    def size(self):
+        return len(self.labels)
+
+
+def hopf_laws(backend, data: HopfCategoryData, prefix):
+    """(record, position) of each law a Hopf category shares with a Hopf
+    monoid: associativity at (i, j, k, l) and the unit laws at (i, j), as
+    prefix.assoc and prefix.unit.*; the comonoid laws of each hom at (i, j);
+    mult and unit as comonoid morphisms at (i, j, k) and (i,); the antipode
+    laws at (i, j), as prefix.antipode.*.  Law by law, positions in
+    lexicographic order; every map must pass shape_failure first."""
+    rng = range(data.size())
+    hom, mult, unit, delta, eps, antipode = (data.hom, data.mult, data.unit,
+                                             data.delta, data.eps, data.antipode)
+    bad = assoc_failures(backend, hom, mult, len(rng))
+    for pos in product(rng, repeat=4):
+        yield LawRecord(f"{prefix}.assoc", pos not in bad, bad.get(pos, "")), pos
+
+    for i, j in product(rng, repeat=2):
+        ident = backend.identity_mor(hom[(i, j)])
+        lhs = backend.compose(backend.tensor_mor(unit[i], ident), mult[(i, i, j)])
+        yield LawRecord(f"{prefix}.unit.left", backend.equal_mor(lhs, ident)), (i, j)
+        rhs = backend.compose(backend.tensor_mor(ident, unit[j]), mult[(i, j, j)])
+        yield LawRecord(f"{prefix}.unit.right", backend.equal_mor(rhs, ident)), (i, j)
+
+    comonoids = {(i, j): Comonoid(hom[(i, j)], delta[(i, j)], eps[(i, j)])
+                 for i, j in product(rng, repeat=2)}
+    for key, c in comonoids.items():
+        for rec in check_comonoid(backend, c):
+            yield rec, key
+
+    for i, j, k in product(rng, repeat=3):
+        square = tensor_comonoid(backend, comonoids[(i, j)], comonoids[(j, k)])
+        for rec in check_comonoid_morphism(backend, mult[(i, j, k)], square,
+                                           comonoids[(i, k)], "mult"):
+            yield rec, (i, j, k)
+    for i in rng:
+        for rec in check_comonoid_morphism(backend, unit[i], unit_comonoid(backend),
+                                           comonoids[(i, i)], "unit"):
+            yield rec, (i,)
+
+    # split, hit one side, multiply: both orders land on eps-then-unit
+    for i, j in product(rng, repeat=2):
+        ident = backend.identity_mor(hom[(i, j)])
+        left = backend.compose(
+            backend.compose_tensor(delta[(i, j)], [antipode[(i, j)], ident]), mult[(j, i, j)])
+        yield equal_record(backend, f"{prefix}.antipode.left", left,
+                           backend.compose(eps[(i, j)], unit[j])), (i, j)
+        right = backend.compose(
+            backend.compose_tensor(delta[(i, j)], [ident, antipode[(i, j)]]), mult[(i, j, i)])
+        yield equal_record(backend, f"{prefix}.antipode.right", right,
+                           backend.compose(eps[(i, j)], unit[i])), (i, j)
 
 
 @dataclass(frozen=True)
@@ -243,11 +328,10 @@ class HopfMonoidData:
 
 
 def check_hopf_monoid(backend, h: HopfMonoidData):
-    """The full law set: associativity and unitality of mult, the comonoid
-    laws, bialgebra compatibility (mult and unit are comonoid morphisms),
-    the antipode identities on both sides, and equivariance of mult, unit
-    and antipode; or one failing hopf.shape record when a map is not
-    shaped as HopfMonoidData says (shape_failure).
+    """The laws of h read as a one-object Hopf category (hopf_laws, without
+    positions), then equivariance of mult, unit and antipode; or one
+    failing hopf.shape record when a map is not shaped as HopfMonoidData
+    says (shape_failure).
     """
     obj, u = h.obj, backend.unit()
     bad = shape_failure(backend, [
@@ -256,33 +340,10 @@ def check_hopf_monoid(backend, h: HopfMonoidData):
         ("antipode", h.antipode, obj, obj)])
     if bad:
         return [LawRecord("hopf.shape", False, bad)]
-    records = []
-    ident = backend.identity_mor(obj)
-
-    bad = assoc_failures(backend, {(0, 0): obj}, {(0, 0, 0): h.mult}, 1)
-    records.append(LawRecord("hopf.assoc", not bad, bad.get((0, 0, 0, 0), "")))
-    records.append(LawRecord(
-        "hopf.unit.left",
-        backend.equal_mor(backend.compose(backend.tensor_mor(h.unit, ident), h.mult), ident)))
-    records.append(LawRecord(
-        "hopf.unit.right",
-        backend.equal_mor(backend.compose(backend.tensor_mor(ident, h.unit), h.mult), ident)))
-
-    comon = Comonoid(obj, h.delta, h.eps, h.name)
-    records.extend(check_comonoid(backend, comon))
-
-    # mult and unit must respect the comonoid structure
-    square = tensor_comonoid(backend, comon, comon)
-    records.extend(check_comonoid_morphism(backend, h.mult, square, comon, "mult"))
-    records.extend(check_comonoid_morphism(backend, h.unit, unit_comonoid(backend), comon, "unit"))
-
-    # antipode: split, hit one side, multiply; both orders land on eps-then-unit
-    absorb = backend.compose(h.eps, h.unit)
-    left = backend.compose(backend.compose_tensor(h.delta, [h.antipode, ident]), h.mult)
-    right = backend.compose(backend.compose_tensor(h.delta, [ident, h.antipode]), h.mult)
-    records.append(equal_record(backend, "hopf.antipode.left", left, absorb))
-    records.append(equal_record(backend, "hopf.antipode.right", right, absorb))
-
+    one = HopfCategoryData((h.name,), backend, {(0, 0): obj}, {(0, 0, 0): h.mult},
+                           {0: h.unit}, {(0, 0): h.delta}, {(0, 0): h.eps},
+                           {(0, 0): h.antipode})
+    records = [rec for rec, _ in hopf_laws(backend, one, "hopf")]
     for tag, f in (("mult", h.mult), ("unit", h.unit), ("antipode", h.antipode)):
         bad = backend.check_equivariant(f)
         records.append(LawRecord(f"hopf.equivariant.{tag}", not bad, "; ".join(bad)))

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .backends import Atom, Backend, BackendError, MorphismRep, ObjectRef
-from .coalg import LawRecord, all_hold, failures
-from .hopfcategory import HopfCategoryData, split_and_antipode
+from .coalg import HopfCategoryData, LawRecord, all_hold, failures, is_cocommutative
+from .hopfcategory import split_and_antipode
 from .linalg import (Matrix, lift_matrix, mat_kron, reduce_matrix, series_coefficients,
                      series_matrix)
 from .scalars import RATIONAL, hseries_ring
@@ -270,10 +270,7 @@ def check_pre_cartier(pc: PreCartierData, sample, *, inf_cocommutative=(),
 
     for m in inf_cocommutative:
         tag = m.name or m.obj.label()
-        sw = be.braiding(m.obj, m.obj)
-        records.append(LawRecord(
-            f"precartier.inf_cocomm.sigma[{tag}]",
-            be.equal_mor(be.compose(m.delta, sw), m.delta)))
+        records.append(LawRecord(f"precartier.inf_cocomm.sigma[{tag}]", is_cocommutative(be, m)))
         td = be.compose(m.delta, pc.t(m.obj, m.obj))
         if convention == "literal":
             holds = be.equal_mor(td, m.delta)

@@ -6,7 +6,8 @@ composition-like multiplication merges along the middle comonoid through
 the inverted splitting map; the identity-like unit splits a point; the
 antipode swaps the two factors.  Every constructor here is pure: it
 builds the data, and `check_hopf_category` / `check_hopf_monoid` re-derive
-every law from scratch.
+every law from scratch, through the one law suite the two share
+(`coalg.hopf_laws`, on `coalg.HopfCategoryData`, re-exported here).
 
 When the backend is finset and the comonoids are diagonal, the whole
 structure is a groupoid in disguise; `extract_set_groupoid` pulls out the
@@ -15,20 +16,18 @@ plain composition tables and verifies the groupoid axioms directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 
-from .backends import ObjectRef, _arrow_generators, _assoc_witness
+from .backends import _arrow_generators, _assoc_witness
 from .coalg import (
     Comonoid,
+    HopfCategoryData,
     HopfMonoidData,
     LawRecord,
-    assoc_failures,
-    check_comonoid,
-    check_comonoid_morphism,
-    equal_record,
+    hopf_laws,
+    is_cocommutative,
     shape_failure,
-    tensor_comonoid,
-    unit_comonoid,
 )
 from .cofunctor import certify_adapted, mult_along
 
@@ -37,58 +36,16 @@ class NotCocommutative(ValueError):
     pass
 
 
-@dataclass
-class HopfCategoryData:
-    """The full structure over a list of base labels.
-
-    hom[(i, j)] is the object F(x_i (x) x_j) of the target backend;
-    mult[(i, j, k)]: hom[i,j] (x) hom[j,k] -> hom[i,k];
-    unit[i]: 1 -> hom[i,i];
-    delta/eps give each hom its comonoid;
-    antipode[(i, j)]: hom[i,j] -> hom[j,i].
-    """
-
-    labels: tuple
-    backend: object
-    hom: dict = field(default_factory=dict)
-    mult: dict = field(default_factory=dict)
-    unit: dict = field(default_factory=dict)
-    delta: dict = field(default_factory=dict)
-    eps: dict = field(default_factory=dict)
-    antipode: dict = field(default_factory=dict)
-
-    def size(self):
-        return len(self.labels)
-
-    def hom_comonoid(self, i, j):
-        return Comonoid(self.hom[(i, j)], self.delta[(i, j)], self.eps[(i, j)],
-                        name=f"hom[{self.labels[i]},{self.labels[j]}]")
-
-
 def hopf_data_equal(a, b):
     """Same labels, and the same objects and maps (endpoints and entries)
-    at every key of every structure dict."""
-    if a.labels != b.labels:
-        return False
-    for da, db in ((a.hom, b.hom), (a.mult, b.mult), (a.unit, b.unit),
-                   (a.delta, b.delta), (a.eps, b.eps), (a.antipode, b.antipode)):
-        if set(da) != set(db):
-            return False
-        for key, fa in da.items():
-            fb = db[key]
-            if isinstance(fa, ObjectRef):
-                if fa != fb:
-                    return False
-            elif (fa.dom, fa.cod, fa.table, fa.matrix) != (fb.dom, fb.cod,
-                                                           fb.table, fb.matrix):
-                return False
-    return True
+    at every key of every structure dict; the backends are not compared."""
+    return all(getattr(a, f) == getattr(b, f)
+               for f in ("labels", "hom", "mult", "unit", "delta", "eps", "antipode"))
 
 
 def require_cocommutative(backend, comonoids):
     for c in comonoids:
-        sw = backend.braiding(c.obj, c.obj)
-        if not backend.equal_mor(backend.compose(c.delta, sw), c.delta):
+        if not is_cocommutative(backend, c):
             raise NotCocommutative(f"comonoid {c.name or c.obj.label()} is not cocommutative")
 
 
@@ -121,8 +78,7 @@ def build_hopf_category(functor, comonoids):
             data.hom[(i, j)] = functor.apply_obj(x.obj.tensor(y.obj))
             data.delta[(i, j)], data.antipode[(i, j)] = split_and_antipode(
                 functor, x, y, src.braiding(x.obj, y.obj))
-            data.eps[(i, j)] = dst.compose(
-                functor.apply_mor(src.tensor_mor(x.eps, y.eps)), functor.f0())
+            data.eps[(i, j)] = functor.apply_mor(src.tensor_mor(x.eps, y.eps))
 
     for i, x in enumerate(comonoids):
         chi_inv = certs[i].chi_inv
@@ -136,8 +92,9 @@ def build_hopf_category(functor, comonoids):
     return data
 
 
-def _at(rec, where):
+def _at(rec, pos):
     """rec with the position it was checked at appended to its detail."""
+    where = ",".join(map(str, pos))
     return LawRecord(rec.rule, rec.holds, (rec.detail + " " if rec.detail else "") + f"at {where}")
 
 
@@ -145,12 +102,12 @@ def _maps(backend, data):
     """(name, map, dom, cod) of every map of data, as its docstring has
     them; the map is None where its key is missing."""
     rng, hom, u = range(data.size()), data.hom, backend.unit()
-    for i, j, k in ((i, j, k) for i in rng for j in rng for k in rng):
+    for i, j, k in product(rng, repeat=3):
         yield (f"mult[{i},{j},{k}]", data.mult.get((i, j, k)),
                hom[(i, j)].tensor(hom[(j, k)]), hom[(i, k)])
     for i in rng:
         yield f"unit[{i}]", data.unit.get(i), u, hom[(i, i)]
-    for i, j in ((i, j) for i in rng for j in rng):
+    for i, j in product(rng, repeat=2):
         h = hom[(i, j)]
         yield f"delta[{i},{j}]", data.delta.get((i, j)), h, h.tensor(h)
         yield f"eps[{i},{j}]", data.eps.get((i, j)), h, u
@@ -159,80 +116,21 @@ def _maps(backend, data):
 
 def check_hopf_category(backend, data: HopfCategoryData):
     """Every law of the structure, one record each, with the positions
-    that were checked in the detail string; or one failing hopfcat.shape
-    record when a hom is missing or a map is misshapen (shape_failure).
+    that were checked in the detail string: the laws it shares with a Hopf
+    monoid (coalg.hopf_laws), then involutivity of the antipode.  Or one
+    failing hopfcat.shape record when a hom is missing or a map is
+    misshapen (shape_failure).
     """
-    n = data.size()
-    rng = range(n)
+    rng = range(data.size())
     bad = next((f"hom[{i},{j}] is missing" for i in rng for j in rng
                 if (i, j) not in data.hom), "") or shape_failure(backend, _maps(backend, data))
     if bad:
         return [LawRecord("hopfcat.shape", False, bad)]
-    records = []
-
-    bad = assoc_failures(backend, data.hom, data.mult, n)
-    for pos in ((i, j, k, l) for i in rng for j in rng for k in rng for l in rng):
-        records.append(_at(LawRecord("hopfcat.assoc", pos not in bad, bad.get(pos, "")),
-                           ",".join(map(str, pos))))
-
-    for i in rng:
-        for j in rng:
-            ident = backend.identity_mor(data.hom[(i, j)])
-            lhs = backend.compose(
-                backend.tensor_mor(data.unit[i], ident), data.mult[(i, i, j)])
-            records.append(LawRecord(
-                "hopfcat.unit.left", backend.equal_mor(lhs, ident), f"at {i},{j}"))
-            rhs = backend.compose(
-                backend.tensor_mor(ident, data.unit[j]), data.mult[(i, j, j)])
-            records.append(LawRecord(
-                "hopfcat.unit.right", backend.equal_mor(rhs, ident), f"at {i},{j}"))
-
-    for i in rng:
-        for j in rng:
-            com = data.hom_comonoid(i, j)
-            for rec in check_comonoid(backend, com, cocommutative=None):
-                records.append(_at(rec, f"{i},{j}"))
-
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                square = tensor_comonoid(backend, data.hom_comonoid(i, j),
-                                         data.hom_comonoid(j, k))
-                for rec in check_comonoid_morphism(
-                        backend, data.mult[(i, j, k)], square,
-                        data.hom_comonoid(i, k), "mult"):
-                    records.append(_at(rec, f"{i},{j},{k}"))
-
-    for i in rng:
-        for rec in check_comonoid_morphism(
-                backend, data.unit[i], unit_comonoid(backend),
-                data.hom_comonoid(i, i), "unit"):
-            records.append(_at(rec, f"{i}"))
-
-    for i in rng:
-        for j in rng:
-            ident = backend.identity_mor(data.hom[(i, j)])
-            absorb_j = backend.compose(data.eps[(i, j)], data.unit[j])
-            absorb_i = backend.compose(data.eps[(i, j)], data.unit[i])
-            left = backend.compose(
-                backend.compose_tensor(data.delta[(i, j)], [data.antipode[(i, j)], ident]),
-                data.mult[(j, i, j)])
-            records.append(_at(equal_record(
-                backend, "hopfcat.antipode.left", left, absorb_j), f"{i},{j}"))
-            right = backend.compose(
-                backend.compose_tensor(data.delta[(i, j)], [ident, data.antipode[(i, j)]]),
-                data.mult[(i, j, i)])
-            records.append(_at(equal_record(
-                backend, "hopfcat.antipode.right", right, absorb_i), f"{i},{j}"))
-
-    for i in rng:
-        for j in rng:
-            lhs = backend.compose(data.antipode[(i, j)], data.antipode[(j, i)])
-            records.append(LawRecord(
-                "hopfcat.antipode.involutive",
-                backend.equal_mor(lhs, backend.identity_mor(data.hom[(i, j)])),
-                f"at {i},{j}"))
-
+    records = [_at(rec, pos) for rec, pos in hopf_laws(backend, data, "hopfcat")]
+    for i, j in product(rng, repeat=2):
+        lhs = backend.compose(data.antipode[(i, j)], data.antipode[(j, i)])
+        records.append(_at(LawRecord("hopfcat.antipode.involutive", backend.equal_mor(
+            lhs, backend.identity_mor(data.hom[(i, j)]))), (i, j)))
     return records
 
 

@@ -5,13 +5,18 @@ src/hopfcat must be used somewhere in src/hopfcat or perfbench outside its
 own body, be exported by `hopfcat.__all__`, or be named in DOCUMENTED_API
 with the reason it is kept.  Anything else is test-only code: it belongs
 in tests/ (an oracle) or nowhere.  Uses are found by name, so a method
-counts as used when any attribute access anywhere outside its body
-carries its name.
+counts as used when an attribute access outside its body carries its
+name, unless the receiver is a builtin container: a literal, a
+comprehension, a set(), dict(), list() or tuple() call, or a name that
+its function binds only to one of those (so `seen.add` after
+`seen = set()` is no use of a method `add`).
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import hopfcat
 
@@ -31,13 +36,61 @@ DOCUMENTED_API = {
 }
 
 
+CONTAINERS = (ast.List, ast.Set, ast.Dict, ast.Tuple, ast.Constant,
+              ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _is_container(value):
+    return isinstance(value, CONTAINERS) or (
+        isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+        and value.func.id in ("set", "dict", "list", "tuple"))
+
+
+def _container_names(func):
+    """Names that func (nested bodies included) binds by assigning a
+    builtin container, and otherwise only by augmented assignment, which
+    keeps a container's type; a parameter of func or of a function or
+    lambda inside it never counts."""
+    params = {node.arg for node in ast.walk(func) if isinstance(node, ast.arg)}
+    stores, containers, augmented = Counter(), Counter(), Counter()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            stores[node.id] += 1
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            augmented[node.target.id] += 1
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)  # a, b = [], set()
+                containers.update(t.id for t, v in pairs
+                                  if isinstance(t, ast.Name) and _is_container(v))
+    return {name for name, n in containers.items()
+            if n + augmented[name] == stores[name] and name not in params}
+
+
+def _container_receivers(tree):
+    """ids of the attribute nodes whose receiver is a builtin container."""
+    out = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = _container_names(func)
+            out.update(id(node) for node in ast.walk(func)
+                       if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                       and node.value.id in names)
+    return out
+
+
 def _uses(tree):
-    """(variable names, attribute names) read anywhere in tree."""
+    """(variable names, attribute names) read anywhere in tree, leaving
+    out attributes of a builtin container."""
     names, attrs = Counter(), Counter()
+    skip = _container_receivers(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        elif (isinstance(node, ast.Attribute) and id(node) not in skip
+              and not _is_container(node.value)):
             attrs[node.attr] += 1
     return names, attrs
 
@@ -54,8 +107,14 @@ def definitions(tree):
                     yield f"{node.name}.{item.name}", item.name, item, True
 
 
-def unreached(allowed=DOCUMENTED_API):
+def unreached(allowed=DOCUMENTED_API, planted=None):
+    """`module: name` of each definition with no use; planted, when
+    given, is the source of one more module, planted.py."""
     trees = {path: ast.parse(path.read_text()) for path in USERS}
+    sources = SOURCES
+    if planted is not None:
+        trees[Path("planted.py")] = ast.parse(planted)
+        sources = SOURCES + [Path("planted.py")]
     names, attrs = Counter(), Counter()
     for tree in trees.values():
         more_names, more_attrs = _uses(tree)
@@ -63,7 +122,7 @@ def unreached(allowed=DOCUMENTED_API):
         attrs.update(more_attrs)
     exported = set(hopfcat.__all__)
     out = []
-    for path in SOURCES:
+    for path in sources:
         for qualname, name, node, method in definitions(trees[path]):
             # a method is only reached as an attribute; a function or class
             # also by its bare name
@@ -78,6 +137,41 @@ def unreached(allowed=DOCUMENTED_API):
 
 def test_every_definition_has_a_caller_or_is_documented_api():
     assert unreached() == []
+
+
+PLANTED = """
+class Planted:
+    def union(self, x):
+        return x
+
+
+def fill(p: Planted):
+    USE
+    return p
+
+
+fill(Planted())
+"""
+
+
+@pytest.mark.parametrize("use, flagged", [
+    ("seen = set()\n    seen.union(p)", True),
+    ("seen = {p}\n    seen.union(p)", True),
+    ("seen = [q for q in (p,)]\n    seen.union(p)", True),
+    ("seen = dict()\n    seen.union(p)", True),
+    ("seen, other = set(), p\n    seen.union(p)", True),
+    ("seen = set()\n    seen |= {p}\n    seen.union(p)", True),
+    ("set().union(p)", True),
+    ("p.union(p)", False),
+    ("seen, other = set(), p\n    other.union(p)", False),
+    ("seen = set()\n    seen = p\n    seen.union(p)", False),
+], ids=["set-call", "set-literal", "comprehension", "dict-call", "unpacked", "augmented",
+        "direct", "parameter", "unpacked-other", "rebound"])
+def test_a_method_reached_only_through_a_builtin_container_is_reported(use, flagged):
+    """A method named `union`, which src/ also calls on sets, counts as
+    used only when its receiver is not a builtin container."""
+    found = unreached(planted=PLANTED.replace("USE", use))
+    assert found == (["planted.py: Planted.union"] if flagged else [])
 
 
 def test_documented_api_names_exist_and_are_otherwise_unreached():

@@ -218,7 +218,9 @@ class TestWitnesses:
                 assert found[rule] == [(*first_difference(lhs, rhs), "0,1")]
         assert "comonoid.coassoc" in found
         # the comorphism records built on that hom keep their witness
-        square = tensor_comonoid(b, data.hom_comonoid(0, 1), data.hom_comonoid(1, 0))
+        homs = [Comonoid(data.hom[key], data.delta[key], data.eps[key])
+                for key in ((0, 1), (1, 0))]
+        square = tensor_comonoid(b, *homs)
         mult = data.mult[(0, 1, 0)]
         lhs = b.compose(mult, data.delta[(0, 0)]).table
         rhs = b.compose(square.delta, b.tensor_all([mult, mult])).table

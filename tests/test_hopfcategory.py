@@ -34,6 +34,7 @@ from hopfcat.coalg import (
     check_hopf_monoid,
     diagonal_comonoid,
     failures,
+    group_algebra_hopf,
 )
 from hopfcat.cofunctor import NotAdapted, OrbitFunctor
 from hopfcat.hopfcategory import (
@@ -185,6 +186,8 @@ class TestHopfMonoid:
         recs = check_hopf_monoid(fn.target, mutated)
         bad = {r.rule for r in failures(recs)}
         assert "hopf.antipode.left" in bad
+        recs = check_hopf_category(fn.target, as_category(fn.target, mutated))
+        assert "hopfcat.antipode.left" in {r.rule for r in failures(recs)}
 
     def test_z2_identity_antipode_invisible(self):
         # all classes are involutions, so this mutation cannot be caught
@@ -606,3 +609,77 @@ class TestShape:
         bad = replace(h, **{field: with_entry(f, 0, size)})
         assert check_hopf_monoid(backend, bad) == [LawRecord(
             "hopf.shape", False, f"{field} sends 0 to {size}, outside range({size})")]
+
+
+# ---------------------------------------------------------------------------
+# one law suite: a Hopf monoid is checked as the one-object Hopf category
+
+
+def as_category(backend, h):
+    """h as the one-object HopfCategoryData."""
+    return HopfCategoryData((h.name,), backend, {(0, 0): h.obj}, {(0, 0, 0): h.mult},
+                            {0: h.unit}, {(0, 0): h.delta}, {(0, 0): h.eps},
+                            {(0, 0): h.antipode})
+
+
+def assert_one_suite(backend, h, category_records):
+    """check_hopf_monoid(h) gives the one-object category's records with
+    hopfcat. read as hopf., positions dropped and involutivity left out,
+    then the three equivariance records; returns its records."""
+    records = check_hopf_monoid(backend, h)
+    shared = [LawRecord(re.sub(r"^hopfcat\.", "hopf.", r.rule), r.holds,
+                        re.sub(r" ?at [\d,]+$", "", r.detail))
+              for r in category_records if r.rule != "hopfcat.antipode.involutive"]
+    assert records[:-3] == shared
+    assert [r.rule for r in records[-3:]] == [
+        "hopf.equivariant.mult", "hopf.equivariant.unit", "hopf.equivariant.antipode"]
+    return records
+
+
+def z3_algebra():
+    b = linear_backend(cyclic_group(1), [Atom("K", 3, (Matrix.identity(3, RATIONAL),))])
+    return b, group_algebra_hopf(b, b.obj("K"), cyclic_group(3))
+
+
+def scaled(f):
+    return replace(f, matrix=f.matrix.scale(2))
+
+
+class TestOneLawSuite:
+    @pytest.mark.parametrize("name", [n for n in corpus.CORPUS_NAMES
+                                      if "functor" in corpus.load_corpus_document(n)])
+    def test_hopf_monoid_build_is_the_one_object_category(self, name):
+        inst = load_instance(corpus.corpus_path(name))
+        target = inst.functor.target
+        data = build_hopf_category(inst.functor, inst.comonoids[:1])
+        h = build_hopf_monoid(inst.functor, inst.comonoids[0])
+        records = assert_one_suite(target, h, check_hopf_category(target, data))
+        assert all_hold(records), failures(records)
+
+    @pytest.mark.parametrize("kind, field, fault, rules", [
+        ("sets", "mult", lambda f: with_entry(f, 4, (f.table[4] + 1) % 3), ["assoc"]),
+        ("sets", "unit", lambda f: with_entry(f, 0, 1), ["unit.left", "unit.right"]),
+        ("sets", "delta", lambda f: with_entry(f, 1, 6),
+         ["comonoid.coassoc", "comonoid.counit.left", "comonoid.counit.right"]),
+        ("sets", "antipode", lambda f: with_entry(f, 1, 0),
+         ["antipode.left", "antipode.right"]),
+        ("linear", "mult", scaled, ["comorphism.mult.split", "comorphism.mult.counit"]),
+        ("linear", "unit", scaled, ["comorphism.unit.split", "comorphism.unit.counit"]),
+    ], ids=["assoc", "unit", "comonoid", "antipode", "comorphism-mult", "comorphism-unit"])
+    def test_planted_fault_fails_both_suites(self, kind, field, fault, rules):
+        """One changed map of a one-object structure fails the matching
+        shared laws in check_hopf_monoid and in check_hopf_category."""
+        if kind == "sets":
+            backend, data = torsor_structure("z3", ("S",))
+            h = as_monoid(data)
+        else:
+            backend, h = z3_algebra()
+        assert all_hold(check_hopf_monoid(backend, h))
+        bad = replace(h, **{field: fault(getattr(h, field))})
+        category = check_hopf_category(backend, as_category(backend, bad))
+        failing = {r.rule for r in failures(assert_one_suite(backend, bad, category))}
+        own = [rule if rule.startswith("com") else f"hopf.{rule}" for rule in rules]
+        assert set(own) <= failing
+        failing = {r.rule for r in failures(category)}
+        own = [rule if rule.startswith("com") else f"hopfcat.{rule}" for rule in rules]
+        assert set(own) <= failing
