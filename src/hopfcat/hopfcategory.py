@@ -58,7 +58,7 @@ def split_and_antipode(functor, x: Comonoid, y: Comonoid, braid):
     split_double = src.compose_tensor(
         src.tensor_mor(x.delta, y.delta),
         [src.identity_mor(x.obj), braid, src.identity_mor(y.obj)])
-    return functor.f2_after(split_double, xy, xy), functor.apply_mor(braid)
+    return functor.split(split_double, xy, xy), functor.apply_mor(braid)
 
 
 def build_hopf_category(functor, comonoids):

@@ -100,6 +100,21 @@ def _check_keys(doc, allowed, where):
     _require(not extra, f"{where}: unknown keys {sorted(extra)}")
 
 
+def _reject_bools(x, where):
+    """No field takes JSON's true or false, but bool subclasses int: the
+    isinstance(x, int) checks and Ring.coerce would read them as 1 and 0.
+    A list is entered only when it holds a bool, a list or an object, so a
+    table or a matrix row is checked without a loop in Python."""
+    if type(x) is bool:
+        raise InstanceError(f"{where}: expected a number or a string, got {json.dumps(x)}")
+    if type(x) is dict:
+        for key, value in x.items():
+            _reject_bools(value, f"{where}.{key}")
+    elif type(x) is list and not {bool, list, dict}.isdisjoint(map(type, x)):
+        for i, value in enumerate(x):
+            _reject_bools(value, f"{where}[{i}]")
+
+
 def _word(spec, where):
     """An object reference: an atom name or a list of atom names."""
     if isinstance(spec, str):
@@ -493,6 +508,8 @@ TOP_KEYS = {"name", "description", "backend", "scalar_ring", "group", "base",
 
 def parse_instance(doc) -> Instance:
     _check_keys(doc, TOP_KEYS, "instance")
+    for key, value in doc.items():
+        _reject_bools(value, key)
     inst = Instance(doc)
     if "backend" in doc:
         inst.backend = parse_backend(doc)

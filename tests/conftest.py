@@ -404,10 +404,17 @@ def morphism_laws(functor, morphisms):
     return records
 
 
-def composite_f2_after(functor, f, x, y):
-    """F(f), then F2(x, y), as the textbook composite through the image of
-    f.cod, which functor.f2_after never builds."""
-    return functor.target.compose(functor.apply_mor(f), functor.f2(x, y))
+def composite_split(functor, f, *words):
+    """F(f), then F2s nested to the left, F2(w1, w2) (x) 1 after
+    F2(w1 (x) w2, w3) for three words: the textbook composite through the
+    image of f.cod, which functor.split builds only for one word."""
+    dst = functor.target
+    out = functor.apply_mor(f)
+    for k in range(len(words) - 1, 0, -1):
+        head = ObjectRef(tuple(a for w in words[:k] for a in w.factors))
+        rest = [dst.identity_mor(functor.apply_obj(w)) for w in words[k + 1:]]
+        out = dst.compose(out, dst.tensor_all([functor.f2(head, words[k])] + rest))
+    return out
 
 
 def brute_force_assoc_records(rule, hom_size, comp, n, positions=True):

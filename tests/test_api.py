@@ -9,11 +9,17 @@ counts as used when an attribute access outside its body carries its
 name, unless the receiver is a builtin container: a literal, a
 comprehension, a set(), dict(), list() or tuple() call, or a name that
 its function binds only to one of those (so `seen.add` after
-`seen = set()` is no use of a method `add`).
+`seen = set()` is no use of a method `add`), the get-or-create
+`seen = d.get(k)` then `seen = d[k] = set()` included.  Where the code
+shows the receiver's class C, a src/ class, the access counts only for
+the method C or its bases define: the receiver is C(...) or
+C.<classmethod>(...), a name bound only to those, or a parameter
+annotated C and never rebound (so `m.scale` after `m = Matrix(...)` is
+no use of another class's `scale`).
 """
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -46,13 +52,58 @@ def _is_container(value):
         and value.func.id in ("set", "dict", "list", "tuple"))
 
 
-def _container_names(func):
-    """Names that func (nested bodies included) binds by assigning a
-    builtin container, and otherwise only by augmented assignment, which
-    keeps a container's type; a parameter of func or of a function or
-    lambda inside it never counts."""
-    params = {node.arg for node in ast.walk(func) if isinstance(node, ast.arg)}
+def classes_of(trees):
+    """name -> (base names, {method name: whether it is a classmethod}) of
+    each top-level class of the trees."""
+    out = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                methods = {item.name: any(isinstance(d, ast.Name) and d.id == "classmethod"
+                                          for d in item.decorator_list)
+                           for item in node.body if isinstance(item, ast.FunctionDef)}
+                out[node.name] = ([b.id for b in node.bases if isinstance(b, ast.Name)], methods)
+    return out
+
+
+def _made_class(value, classes):
+    """C when value is C(...) or C.<classmethod>(...) of a class C of
+    classes, else None."""
+    if not isinstance(value, ast.Call):
+        return None
+    f = value.func
+    if isinstance(f, ast.Name) and f.id in classes:
+        return f.id
+    if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+            and f.value.id in classes and classes[f.value.id][1].get(f.attr)):
+        return f.value.id
+    return None
+
+
+def _owner(classes, cls, attr):
+    """The class defining the method attr that an instance of cls finds,
+    searching cls and its bases among classes; None when none does."""
+    bases, methods = classes.get(cls, ((), {}))
+    if attr in methods:
+        return cls
+    return next(filter(None, (_owner(classes, b, attr) for b in bases)), None)
+
+
+def _bound_names(func, classes):
+    """(containers, made) for func, nested bodies included.  containers:
+    the names it binds by assigning a builtin container, and otherwise
+    only by augmented assignment, which keeps a container's type, or by
+    `name = d.get(k)` where it also assigns `name = d[k] = <container>`
+    (get-or-create); a parameter never counts.  made: name -> C for the
+    names bound only by C(...) or C.<classmethod>(...), and the
+    parameters annotated C that are never rebound, for C in classes."""
+    annotations = defaultdict(set)
+    for node in ast.walk(func):
+        if isinstance(node, ast.arg):
+            ann = node.annotation
+            annotations[node.arg].add(ann.id if isinstance(ann, ast.Name) else None)
     stores, containers, augmented = Counter(), Counter(), Counter()
+    made, gets, filled = defaultdict(Counter), [], set()
     for node in ast.walk(func):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             stores[node.id] += 1
@@ -63,36 +114,70 @@ def _container_names(func):
                 pairs = [(target, node.value)]
                 if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
                     pairs = zip(target.elts, node.value.elts)  # a, b = [], set()
-                containers.update(t.id for t, v in pairs
-                                  if isinstance(t, ast.Name) and _is_container(v))
-    return {name for name, n in containers.items()
-            if n + augmented[name] == stores[name] and name not in params}
+                for t, v in pairs:
+                    if isinstance(t, ast.Name):
+                        containers[t.id] += _is_container(v)
+                        made[t.id][_made_class(v, classes)] += 1
+            bound = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            if _is_container(node.value):
+                filled.update((n, ast.dump(t.value)) for n in bound
+                              for t in node.targets if isinstance(t, ast.Subscript))
+            elif (len(bound) == 1 == len(node.targets) and isinstance(node.value, ast.Call)
+                  and isinstance(node.value.func, ast.Attribute)
+                  and node.value.func.attr == "get"):
+                gets.append((bound[0], ast.dump(node.value.func.value)))
+    for name, d in gets:
+        containers[name] += (name, d) in filled
+    names = {name for name, n in containers.items()
+             if n and n + augmented[name] == stores[name] and name not in annotations}
+    typed = {name: next(iter(by)) for name, by in made.items()
+             if len(by) == 1 and None not in by and sum(by.values()) == stores[name]
+             and name not in annotations}
+    typed.update((name, next(iter(anns))) for name, anns in annotations.items()
+                 if len(anns) == 1 and next(iter(anns)) in classes and not stores[name])
+    return names, typed
 
 
-def _container_receivers(tree):
-    """ids of the attribute nodes whose receiver is a builtin container."""
-    out = set()
+def _receivers(tree, classes):
+    """(ids of the attribute nodes whose receiver is a builtin container,
+    id of each attribute node whose receiver's class the tree shows -> that
+    class)."""
+    containers, typed = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (cls := _made_class(node.value, classes)):
+            typed[id(node)] = cls
     for func in ast.walk(tree):
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            names = _container_names(func)
-            out.update(id(node) for node in ast.walk(func)
-                       if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                       and node.value.id in names)
-    return out
+            names, made = _bound_names(func, classes)
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    if node.value.id in names:
+                        containers.add(id(node))
+                    elif node.value.id in made:
+                        typed[id(node)] = made[node.value.id]
+    return containers, typed
 
 
-def _uses(tree):
-    """(variable names, attribute names) read anywhere in tree, leaving
-    out attributes of a builtin container."""
-    names, attrs = Counter(), Counter()
-    skip = _container_receivers(tree)
+def _uses(tree, classes=None, receivers=None):
+    """(variable names, attribute names, (class, method) pairs) read
+    anywhere in tree.  Attributes of a builtin container are left out; an
+    attribute whose receiver is an instance of a class of classes counts
+    only for the method that instance finds.  receivers, when given, is
+    _receivers of a module tree holding tree."""
+    classes = classes or {}
+    names, attrs, methods = Counter(), Counter(), Counter()
+    skip, typed = receivers or _receivers(tree, classes)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names[node.id] += 1
         elif (isinstance(node, ast.Attribute) and id(node) not in skip
               and not _is_container(node.value)):
-            attrs[node.attr] += 1
-    return names, attrs
+            owner = _owner(classes, typed.get(id(node)), node.attr)
+            if owner is None:
+                attrs[node.attr] += 1
+            else:
+                methods[(owner, node.attr)] += 1
+    return names, attrs, methods
 
 
 def definitions(tree):
@@ -115,20 +200,27 @@ def unreached(allowed=DOCUMENTED_API, planted=None):
     if planted is not None:
         trees[Path("planted.py")] = ast.parse(planted)
         sources = SOURCES + [Path("planted.py")]
-    names, attrs = Counter(), Counter()
-    for tree in trees.values():
-        more_names, more_attrs = _uses(tree)
+    classes = classes_of(trees[path] for path in sources)
+    receivers = {path: _receivers(tree, classes) for path, tree in trees.items()}
+    names, attrs, methods = Counter(), Counter(), Counter()
+    for path, tree in trees.items():
+        more_names, more_attrs, more_methods = _uses(tree, classes, receivers[path])
         names.update(more_names)
         attrs.update(more_attrs)
+        methods.update(more_methods)
     exported = set(hopfcat.__all__)
     out = []
     for path in sources:
         for qualname, name, node, method in definitions(trees[path]):
-            # a method is only reached as an attribute; a function or class
-            # also by its bare name
-            inside_names, inside_attrs = _uses(node)
+            # a method is only reached as an attribute, and through a
+            # receiver of known class only as that class's; a function or
+            # class also by its bare name
+            inside_names, inside_attrs, inside_methods = _uses(node, classes, receivers[path])
             outside = attrs[name] - inside_attrs[name]
-            if not method:
+            if method:
+                key = (qualname.split(".")[0], name)
+                outside += methods[key] - inside_methods[key]
+            else:
                 outside += names[name] - inside_names[name]
             if outside == 0 and name not in exported and qualname not in allowed:
                 out.append(f"{path.name}: {qualname}")
@@ -145,12 +237,26 @@ class Planted:
         return x
 
 
+class Other:
+    @classmethod
+    def make(cls):
+        return cls()
+
+    def union(self, x):
+        return x
+
+
+class Sub(Planted):
+    pass
+
+
 def fill(p: Planted):
     USE
     return p
 
 
 fill(Planted())
+Other.make().union(Sub())
 """
 
 
@@ -165,11 +271,25 @@ fill(Planted())
     ("p.union(p)", False),
     ("seen, other = set(), p\n    other.union(p)", False),
     ("seen = set()\n    seen = p\n    seen.union(p)", False),
+    ("cache = {}\n    seen = cache.get(p)\n    if seen is None:\n"
+     "        seen = cache[p] = set()\n    seen.union(p)", True),
+    ("cache, other = {}, {}\n    seen = cache.get(p)\n    if seen is None:\n"
+     "        seen = other[p] = set()\n    seen.union(p)", False),
+    ("o = Other()\n    o.union(p)", True),
+    ("o = Other.make()\n    o.union(p)", True),
+    ("Other().union(p)", True),
+    ("def g(o: Other):\n        return o.union(p)\n    g(Other())", True),
+    ("o = Planted()\n    o.union(p)", False),
+    ("o = Sub()\n    o.union(p)", False),
+    ("o = Other()\n    o = p\n    o.union(p)", False),
 ], ids=["set-call", "set-literal", "comprehension", "dict-call", "unpacked", "augmented",
-        "direct", "parameter", "unpacked-other", "rebound"])
+        "direct", "parameter", "unpacked-other", "rebound", "get-or-create",
+        "get-then-other-dict", "made-other", "classmethod-other", "direct-other",
+        "annotated-other", "made-own", "made-subclass", "made-rebound"])
 def test_a_method_reached_only_through_a_builtin_container_is_reported(use, flagged):
     """A method named `union`, which src/ also calls on sets, counts as
-    used only when its receiver is not a builtin container."""
+    used only when its receiver is not a builtin container, nor an
+    instance of another class that defines its own `union`."""
     found = unreached(planted=PLANTED.replace("USE", use))
     assert found == (["planted.py: Planted.union"] if flagged else [])
 
@@ -191,7 +311,7 @@ def unread_imports():
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
-        names, _ = _uses(tree)
+        names = _uses(tree)[0]
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue

@@ -38,7 +38,7 @@ from hopfcat.scalars import RATIONAL
 
 from conftest import (
     all_elements_coinvariants_relations,
-    composite_f2_after,
+    composite_split,
     coset_atom,
     dihedral_group,
     gset_backend,
@@ -456,12 +456,23 @@ class TestInvertMor:
 
 
 # ---------------------------------------------------------------------------
-# F(f) then F2, straight into F(x) (x) F(y)
+# split: F(f) then the splitting, straight into F(w1) (x) ... (x) F(wk)
 
 
-def cuts(word):
-    """Every way to split a word into x (x) y, the empty ends included."""
-    return [(ObjectRef(word[:k]), ObjectRef(word[k:])) for k in range(len(word) + 1)]
+def cuts(word, k=2):
+    """Every way to split a word into k words, empty ones included."""
+    return [tuple(ObjectRef(word[i:j]) for i, j in zip((0, *ends), (*ends, len(word))))
+            for ends in itertools.combinations_with_replacement(range(len(word) + 1), k - 1)]
+
+
+def split_cases(b, word):
+    """(f, words) for k = 1, 2, 3: each cut of the word into k words,
+    with each map of split_maps into the first word and the rest."""
+    for k in (1, 2, 3):
+        for words in cuts(word, k):
+            rest = ObjectRef(tuple(a for w in words[1:] for a in w.factors))
+            for f in split_maps(b, words[0], rest):
+                yield f, words
 
 
 def split_maps(b, x, y):
@@ -492,10 +503,10 @@ def random_matrix(b, dom, cod, seed):
     return b.mor_from_matrix(dom, cod, Matrix.from_rows(RATIONAL, rows))
 
 
-def assert_split_matches(fn, f, x, y):
+def assert_split_matches(fn, f, *words):
     dst = fn.target
-    assert dst.equal_mor(fn.f2_after(f, x, y), composite_f2_after(fn, f, x, y)), \
-        (f.dom.label(), x.label(), y.label())
+    assert dst.equal_mor(fn.split(f, *words), composite_split(fn, f, *words)), \
+        (f.dom.label(), *(w.label() for w in words))
 
 
 def linear_cases():
@@ -510,29 +521,38 @@ def linear_cases():
 ORBIT_BACKENDS = [b for b, _ in orbit_cases()]
 
 
+def every_functor():
+    """(functor, an atom that is not a dy base) for each functor kind."""
+    return [(OrbitFunctor(torsor_backend(symmetric_group(3))), "S"),
+            (group_coinvariants_functor(regular_linear(cyclic_group(3))), "R"),
+            (load_instance(corpus_path("abelian_precartier")).functor, "V"),
+            (IdentityFunctor(torsor_backend(cyclic_group(2))), "S")]
+
+
 class TestF2AfterAgainstComposite:
+    """split(f, w1, ..., wk) against F(f) then F2s, at k = 1, 2 and 3."""
+
     @pytest.mark.parametrize("b", ORBIT_BACKENDS, ids=["s4_points", "d4_square", "s3_gset",
                                                       "trivial"])
     def test_orbit_functor_equivariant_maps(self, b):
         fn = OrbitFunctor(b)
         for word in short_words(b, 600):
-            for x, y in cuts(word):
-                for f in split_maps(b, x, y):
-                    assert_split_matches(fn, f, x, y)
+            for f, words in split_cases(b, word):
+                assert_split_matches(fn, f, *words)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_orbit_functor_any_table(self, data):
-        # f2_after is exact for tables that are not equivariant as well
+        # split is exact for tables that are not equivariant as well
         b = data.draw(st.sampled_from(ORBIT_BACKENDS))
         fn = OrbitFunctor(b)
         word = data.draw(st.sampled_from(short_words(b, 600)))
-        x, y = data.draw(st.sampled_from(cuts(word)))
+        words = data.draw(st.sampled_from(cuts(word, data.draw(st.sampled_from((1, 2, 3))))))
         dom = ObjectRef(data.draw(st.sampled_from(
             [()] + [w for w in short_words(b, 100) if len(w) < 3])))
-        n, m = b.obj_size(dom), b.obj_size(x.tensor(y))
+        n, m = b.obj_size(dom), b.obj_size(ObjectRef(word))
         table = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
-        assert_split_matches(fn, b.mor_from_table(dom, x.tensor(y), tuple(table)), x, y)
+        assert_split_matches(fn, b.mor_from_table(dom, ObjectRef(word), tuple(table)), *words)
 
     @pytest.mark.parametrize("case", linear_cases(), ids=["z3", "z4", "s3", "abelian_precartier"])
     def test_coinvariants_functor(self, case):
@@ -541,41 +561,51 @@ class TestF2AfterAgainstComposite:
         for word in short_words(b, limit):
             if b.kind == "dy" and b.base in word:
                 continue
-            for k, (x, y) in enumerate(cuts(word)):
-                atom = ObjectRef.atom(word[k % len(word)])
-                maps = split_maps(b, x, y) + [random_matrix(b, atom, x.tensor(y), seed=k)]
-                for f in maps:
-                    assert_split_matches(fn, f, x, y)
+            for seed, (f, words) in enumerate(split_cases(b, word)):
+                atom = ObjectRef.atom(word[seed % len(word)])
+                for g in (f, random_matrix(b, atom, f.cod, seed)):
+                    assert_split_matches(fn, g, *words)
 
     def test_identity_functor(self):
         for b in (torsor_backend(cyclic_group(3)), regular_linear(cyclic_group(2))):
             fn = IdentityFunctor(b)
-            for x, y in cuts(tuple(sorted(b.atoms)) * 2):
-                for f in split_maps(b, x, y):
-                    assert_split_matches(fn, f, x, y)
+            for f, words in split_cases(b, tuple(sorted(b.atoms)) * 2):
+                assert_split_matches(fn, f, *words)
+
+    @pytest.mark.parametrize("case", every_functor(), ids=["orbits", "coinvariants", "dy",
+                                                            "identity"])
+    def test_f2_is_the_split_of_the_identity(self, case):
+        fn, a = case
+        b = fn.source
+        for x, y in cuts((a, a, a)):
+            f2 = fn.f2(x, y)
+            assert fn.f2(x, y) is f2
+            assert fn.target.equal_mor(f2, fn.split(b.identity_mor(x.tensor(y)), x, y))
 
     def test_codomain_is_never_imaged(self):
-        # gamma's doubling lands in a four-letter word; f2_after reads only
-        # f.dom, x and y
-        for fn, a in ((OrbitFunctor(torsor_backend(symmetric_group(3))), "S"),
-                      (group_coinvariants_functor(regular_linear(cyclic_group(3))), "R")):
+        # gamma's doubling lands in a four-letter word; split reads only
+        # f.dom and the words
+        for fn, a in every_functor()[:3]:
             b = fn.source
             x = y = b.obj(a, a)
             f = split_maps(b, x, y)[2]
-            fn.f2_after(f, x, y)
+            fn.split(f, x, y)
+            fn.split(f, b.obj(a), b.unit(), b.obj(a, a, a))
             assert len(f.dom) == 3 and (a,) * 4 not in fn._images
 
     @pytest.mark.parametrize("make", [
         lambda: OrbitFunctor(torsor_backend(cyclic_group(2))),
         lambda: group_coinvariants_functor(regular_linear(cyclic_group(2))),
         lambda: IdentityFunctor(torsor_backend(cyclic_group(2))),
-    ], ids=["orbits", "coinvariants", "identity"])
+        lambda: load_instance(corpus_path("abelian_precartier")).functor,
+    ], ids=["orbits", "coinvariants", "identity", "dy"])
     def test_codomain_mismatch_raises(self, make):
         fn = make()
         b = fn.source
         a = b.obj(sorted(b.atoms)[0])
         f = b.braiding(a, a.tensor(a))
+        for words in ((a,), (a, a), (a, a.tensor(a), a)):
+            with pytest.raises(BackendError, match="composition mismatch: "):
+                fn.split(f, *words)
         with pytest.raises(BackendError, match="composition mismatch"):
-            fn.f2_after(f, a, a)
-        with pytest.raises(BackendError, match="composition mismatch"):
-            composite_f2_after(fn, f, a, a)
+            composite_split(fn, f, a, a)

@@ -380,3 +380,52 @@ class TestCorpus:
         assert inst.backend.group.order == 3
         assert inst.functor_name == "orbits"
         assert len(inst.comonoids) == 2
+
+
+# (corpus document, path to a field, the value put there, the field the
+# error names): each value holds a JSON boolean where a number belongs
+BOOLEAN_CASES = [
+    ("z2_group_algebra", ["scalar_ring"], {"kind": "hseries", "order": True},
+     "scalar_ring.order"),
+    ("z3_torsors", ["group"], {"kind": "cyclic", "n": True}, "group.n"),
+    ("z3_torsors", ["group"], {"table": [[False]]}, "group.table[0][0]"),
+    ("z3_torsors", ["atoms", 1, "size"], True, "atoms[1].size"),
+    ("z3_torsors", ["atoms", 1, "action", 0, 0], False, "atoms[1].action[0][0]"),
+    ("z3_torsors", ["comonoids", 0],
+     {"obj": ["S"], "delta": [0, 4, True], "eps": "point"}, "comonoids[0].delta[2]"),
+    ("z2_group_algebra", ["atoms", 0], {"name": "R", "size": 1, "action": [[[True]], [[1]]]},
+     "atoms[0].action[0][0][0]"),
+    ("abelian_precartier", ["atoms", 0, "size"], True, "atoms[0].size"),
+    ("b2_lie_bialgebra", ["lie_bialgebra", "dim"], True, "lie_bialgebra.dim"),
+    ("b2_lie_bialgebra", ["lie_bialgebra", "bracket", 0, 0], False,
+     "lie_bialgebra.bracket[0][0]"),
+    ("b2_lie_bialgebra", ["lie_bialgebra", "bracket", 0, 3], True,
+     "lie_bialgebra.bracket[0][3]"),
+    ("b2_lie_bialgebra", ["lie_bialgebra", "modules", 0, "dim"], True,
+     "lie_bialgebra.modules[0].dim"),
+    ("b2_lie_bialgebra", ["lie_bialgebra", "modules", 0, "pi", 1, 0], True,
+     "lie_bialgebra.modules[0].pi[1][0]"),
+    ("b2_lie_bialgebra", ["lie_bialgebra", "uea", "order"], True, "lie_bialgebra.uea.order"),
+    ("b2_lie_bialgebra", ["lie_bialgebra", "uea", "identity_degree"], True,
+     "lie_bialgebra.uea.identity_degree"),
+    ("b2_twists", ["lie_bialgebra", "twists", 0, 0, 1], False, "lie_bialgebra.twists[0][0][1]"),
+    ("abelian_precartier", ["deformation", "order"], True, "deformation.order"),
+    ("abelian_precartier", ["deformation", "t", 0, "matrix", 0, 0], True,
+     "deformation.t[0].matrix[0][0]"),
+]
+
+
+@pytest.mark.parametrize("name, path, value, field", BOOLEAN_CASES,
+                         ids=[case[3] for case in BOOLEAN_CASES])
+def test_booleans_are_an_input_error(tmp_path, name, path, value, field):
+    # bool subclasses int, so true and false would pass as 1 and 0
+    doc = load_corpus_document(name)
+    at = doc
+    for key in path[:-1]:
+        at = at[key]
+    at[path[-1]] = value
+    file = tmp_path / "inst.json"
+    file.write_text(dump_document(doc))
+    report, code = run_verify(str(file))
+    assert (code, report["verdict"]) == (2, "error")
+    assert report["error"].startswith(f"{field}: "), report["error"]
