@@ -237,15 +237,15 @@ def _check_dy_modules(inst):
 
 def _uea_comonoid_records(uea, tag):
     """Coassociativity, counit, and cocommutativity of the truncated
-    coproduct, expanded word-by-word (the coproduct preserves degree, so
-    nothing is cut)."""
-    eng = uea.engine
+    coproduct, expanded word-by-word (Delta preserves degree, so nothing is
+    cut): each term c w1 (x) w2 sums the engine's Delta(w1), Delta(w2) by c."""
+    delta = uea.engine.delta
     coassoc = counit = cocomm = True
     for w, dw in zip(uea.basis, uea.delta_images()):
         left, right = {}, {}
         for (w1, w2), c in dw.items():
-            _acc(left, (((a, b, w2), c2) for (a, b), c2 in eng.coproduct({w1: c}).items()))
-            _acc(right, (((w1, a, b), c2) for (a, b), c2 in eng.coproduct({w2: c}).items()))
+            _acc(left, (((a, b, w2), c2) for (a, b), c2 in delta(w1).items()), c)
+            _acc(right, (((w1, a, b), c2) for (a, b), c2 in delta(w2).items()), c)
             if dw.get((w2, w1)) != c:
                 cocomm = False
         if left != right:
@@ -269,12 +269,12 @@ def _uea_unchanged_record(plain, j, degree, tag):
     bracket, and an engine of its own gives the Delta of the shared engine
     on every basis word of degree <= degree (>= 1).
 
-    This decides it in every degree.  Delta on U(g) is the unique algebra
-    map U(g) -> U(g) (x) U(g) that makes the generators primitive, and U(g)
-    is generated by g, its algebra fixed by the bracket.  Two coproducts
-    on one algebra that agree on the generators therefore agree on every
-    word; the words above degree 1 check the engines' recursion itself.
-    The counit, 1 on the empty word whatever the twist, cannot differ."""
+    The bracket comparison decides it in every degree.  Delta on U(g) is
+    the unique algebra map U(g) -> U(g) (x) U(g) that makes the generators
+    primitive, and U(g) is generated by g, its algebra fixed by the
+    bracket.  Both engines build Delta by one closed form, which reads no
+    bracket, so the Delta half checks that the two engines agree.  The
+    counit, 1 on the empty word whatever the twist, cannot differ."""
     eng = plain.engine
     twisted = TruncatedUEA(twist_bialgebra(plain.lb, j), plain.order)
     same = (twisted.lb.bracket == plain.lb.bracket

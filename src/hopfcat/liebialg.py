@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .coalg import LawRecord
 from .linalg import Matrix, _acc, mat_kron
@@ -243,8 +244,8 @@ class EnvelopingEngine:
     checks need to avoid lying about high-degree laws.
 
     Elements are dicts word-tuple -> Fraction with no zero values.  Normal
-    forms, coproducts and coactions of single words are memoized; the
-    public methods return fresh dicts, never a cached one.
+    forms, coproducts and coactions of single words are memoized; only
+    normal_word and delta hand out a cached dict: do not mutate it.
     """
 
     def __init__(self, lb: LieBialgebra):
@@ -297,29 +298,26 @@ class EnvelopingEngine:
 
     # -- tensor-square elements: dict (word, word) -> Fraction
 
-    def t_mul(self, e1, e2):
-        out = {}
-        for (a1, b1), c1 in e1.items():
-            for (a2, b2), c2 in e2.items():
-                right = self.normal_word(b1 + b2).items()
-                _acc(out, (((wl, wr), cl * cr)
-                           for wl, cl in self.normal_word(a1 + a2).items()
-                           for wr, cr in right), c1 * c2)
-        return out
-
     def _delta_word(self, word):
-        """Delta of one word, as Delta(word[:-1]) times the primitive
-        Delta of its last letter (cached: do not mutate it)."""
+        """Delta of one word, cached.  On a non-decreasing word
+        x1^a1...xn^an it is sum over b <= a of prod C(ai, bi) x^b (x) x^(a-b),
+        built run by run with both legs non-decreasing (PBW theorem; Dixmier,
+        1977, ch. 2); any other word goes through its normal form."""
         cached = self._delta_cache.get(word)
         if cached is None:
-            if word:
-                last = word[-1]
-                cached = self.t_mul(self._delta_word(word[:-1]),
-                                    {((last,), ()): Fraction(1), ((), (last,)): Fraction(1)})
+            if any(a > b for a, b in zip(word, word[1:])):
+                cached = self.coproduct(self.normal_word(word))
             else:
                 cached = {((), ()): Fraction(1)}
+                for letter, run in itertools.groupby(word):
+                    a, x = len(tuple(run)), (letter,)
+                    cached = {(left + x * b, right + x * (a - b)): c * comb(a, b)
+                              for (left, right), c in cached.items() for b in range(a + 1)}
             self._delta_cache[word] = cached
         return cached
+
+    def delta(self, word):
+        return self._delta_word(word)
 
     def coproduct(self, e):
         """The splitting with primitive generators, extended as an algebra

@@ -261,16 +261,29 @@ def all_elements_coinvariants_relations(source, obj):
     return hstack(blocks) if blocks else Matrix.zeros(n, 0, RATIONAL)
 
 
+def t_mul(engine, e1, e2):
+    """The product of two elements of U (x) U, dicts (word, word) ->
+    Fraction: legs multiplied factor by factor, each rewritten to normal
+    form by engine.normal_word."""
+    out = {}
+    for (a1, b1), c1 in e1.items():
+        for (a2, b2), c2 in e2.items():
+            for wl, cl in engine.normal_word(a1 + a2).items():
+                for wr, cr in engine.normal_word(b1 + b2).items():
+                    out[(wl, wr)] = out.get((wl, wr), 0) + c1 * c2 * cl * cr
+    return {key: c for key, c in out.items() if c}
+
+
 def letter_by_letter_coproduct(engine, elem):
-    """Delta of an enveloping-algebra element with no memo: each word's
-    image is rebuilt from 1 (x) 1 by multiplying in the primitive image of
-    one letter at a time."""
+    """Delta of an enveloping-algebra element with no memo and no closed
+    form: each word's image is rebuilt from 1 (x) 1 by multiplying in the
+    primitive image of one letter at a time, with t_mul."""
     one = Fraction(1)
     out = {}
     for word, coef in elem.items():
         term = {((), ()): one}
         for letter in word:
-            term = engine.t_mul(term, {((letter,), ()): one, ((), (letter,)): one})
+            term = t_mul(engine, term, {((letter,), ()): one, ((), (letter,)): one})
         for key, c in term.items():
             out[key] = out.get(key, 0) + c * coef
     return {key: c for key, c in out.items() if c}

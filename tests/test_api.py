@@ -20,6 +20,7 @@ no use of another class's `scale`).
 
 import ast
 from collections import Counter, defaultdict
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,19 @@ DOCUMENTED_API = {
     "Matrix.entries": "the dense row-major view, the counterpart of the dense constructor",
     "load_corpus_document": "a shipped instance as a dict, to edit before running it",
 }
+
+
+@cache
+def parsed(path):
+    """The syntax tree of one source file, parsed once per session; no
+    caller changes a tree."""
+    return ast.parse(path.read_text())
+
+
+@cache
+def walk(node):
+    """ast.walk(node) as a tuple, walked once per node and session."""
+    return tuple(ast.walk(node))
 
 
 CONTAINERS = (ast.List, ast.Set, ast.Dict, ast.Tuple, ast.Constant,
@@ -98,13 +112,13 @@ def _bound_names(func, classes):
     names bound only by C(...) or C.<classmethod>(...), and the
     parameters annotated C that are never rebound, for C in classes."""
     annotations = defaultdict(set)
-    for node in ast.walk(func):
+    for node in walk(func):
         if isinstance(node, ast.arg):
             ann = node.annotation
             annotations[node.arg].add(ann.id if isinstance(ann, ast.Name) else None)
     stores, containers, augmented = Counter(), Counter(), Counter()
     made, gets, filled = defaultdict(Counter), [], set()
-    for node in ast.walk(func):
+    for node in walk(func):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             stores[node.id] += 1
         elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
@@ -143,13 +157,13 @@ def _receivers(tree, classes):
     id of each attribute node whose receiver's class the tree shows -> that
     class)."""
     containers, typed = set(), {}
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, ast.Attribute) and (cls := _made_class(node.value, classes)):
             typed[id(node)] = cls
-    for func in ast.walk(tree):
+    for func in walk(tree):
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             names, made = _bound_names(func, classes)
-            for node in ast.walk(func):
+            for node in walk(func):
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                     if node.value.id in names:
                         containers.add(id(node))
@@ -167,7 +181,7 @@ def _uses(tree, classes=None, receivers=None):
     classes = classes or {}
     names, attrs, methods = Counter(), Counter(), Counter()
     skip, typed = receivers or _receivers(tree, classes)
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, ast.Name):
             names[node.id] += 1
         elif (isinstance(node, ast.Attribute) and id(node) not in skip
@@ -195,7 +209,7 @@ def definitions(tree):
 def unreached(allowed=DOCUMENTED_API, planted=None):
     """`module: name` of each definition with no use; planted, when
     given, is the source of one more module, planted.py."""
-    trees = {path: ast.parse(path.read_text()) for path in USERS}
+    trees = {path: parsed(path) for path in USERS}
     sources = SOURCES
     if planted is not None:
         trees[Path("planted.py")] = ast.parse(planted)
@@ -296,7 +310,7 @@ def test_a_method_reached_only_through_a_builtin_container_is_reported(use, flag
 
 def test_documented_api_names_exist_and_are_otherwise_unreached():
     defined = {qualname for path in SOURCES
-               for qualname, _, _, _ in definitions(ast.parse(path.read_text()))}
+               for qualname, _, _, _ in definitions(parsed(path))}
     assert set(DOCUMENTED_API) <= defined
     flagged = {line.split(": ", 1)[1] for line in unreached(allowed={})}
     assert flagged == set(DOCUMENTED_API)
@@ -310,9 +324,9 @@ def unread_imports():
     for path in SOURCES:
         if path.name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text())
+        tree = parsed(path)
         names = _uses(tree)[0]
-        for node in ast.walk(tree):
+        for node in walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
             if isinstance(node, (ast.Import, ast.ImportFrom)):

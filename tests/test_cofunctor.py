@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from hopfcat.backends import (
     Atom,
+    Backend,
     BackendError,
+    MorphismRep,
     ObjectRef,
     cyclic_group,
     finset_backend,
@@ -17,6 +19,7 @@ from hopfcat.backends import (
     regular_linear_atom,
     symmetric_group,
 )
+from hopfcat.cli import run_verify
 from hopfcat.coalg import all_hold, diagonal_comonoid, failures, group_like_comonoid
 from hopfcat.cofunctor import (
     IdentityFunctor,
@@ -31,8 +34,9 @@ from hopfcat.cofunctor import (
     invert_mor,
     mult_along,
 )
+from hopfcat import corpus
 from hopfcat.corpus import corpus_path
-from hopfcat.instances import load_instance
+from hopfcat.instances import dump_document, load_instance
 from hopfcat.linalg import Matrix, cokernel_projection
 from hopfcat.scalars import RATIONAL
 
@@ -581,6 +585,34 @@ class TestF2AfterAgainstComposite:
             f2 = fn.f2(x, y)
             assert fn.f2(x, y) is f2
             assert fn.target.equal_mor(f2, fn.split(b.identity_mor(x.tensor(y)), x, y))
+
+    def test_linear_f2_multiplies_no_identity_in(self, monkeypatch, tmp_path):
+        """F2(x, y) of a coinvariants functor is (p_x (x) p_y) s_{x (x) y}:
+        the backend's identity that it splits is not multiplied in.  With
+        every identity a fresh matrix instead, which defeats that, a
+        z4_group_algebra verify gives the same report from more products."""
+        products = [0]
+        real_mul = Matrix.__mul__
+        path = tmp_path / "z4_group_algebra.json"
+        path.write_text(dump_document(corpus._group_algebra_doc("z4_group_algebra", 4)))
+
+        def counted(a, b):
+            products[0] += 1
+            return real_mul(a, b)
+
+        def verify():
+            products[0] = 0
+            report, code = run_verify(path)
+            assert code == 0
+            return [(r["rule"], r["holds"], r["detail"]) for r in report["checks"]], products[0]
+
+        monkeypatch.setattr(Matrix, "__mul__", counted)
+        checks, fewer = verify()
+        monkeypatch.setattr(Backend, "identity_mor", lambda b, obj: MorphismRep(
+            obj, obj, matrix=Matrix.identity(b.obj_size(obj), b.ring)))
+        fresh_checks, more = verify()
+        assert fresh_checks == checks
+        assert fewer < more
 
     def test_codomain_is_never_imaged(self):
         # gamma's doubling lands in a four-letter word; split reads only
