@@ -4,6 +4,10 @@ braided deformations of those structures.
 
 Everything computes over exact scalars: the rationals, or rationals with
 a nilpotent formal parameter truncated at a chosen order.
+
+The Lie bialgebra and deformation layers (`liebialg`, `deform`) load on
+first use: their exports resolve through the module __getattr__ below
+(PEP 562), so an instance that needs neither never imports them.
 """
 
 from .scalars import HSeries, RATIONAL, Ring, RingMismatch, hseries_ring
@@ -50,6 +54,7 @@ from .hopfcategory import (
     GroupoidTable,
     HopfCategoryData,
     NotCocommutative,
+    PreCartierViolation,
     build_hopf_category,
     build_hopf_monoid,
     check_hopf_category,
@@ -57,28 +62,24 @@ from .hopfcategory import (
     hopf_data_equal,
     verify_groupoid,
 )
-from .liebialg import (
-    LieBialgebra,
-    TruncatedUEA,
-    check_dy_module,
-    check_lie_bialgebra,
-    check_twist,
-    check_uea_dy_identities,
-    twist_bialgebra,
-    twist_dy_module,
-)
-from .deform import (
-    PreCartierData,
-    PreCartierViolation,
-    build_deformed_hopf_category,
-    casimir_t,
-    check_pre_cartier,
-    deformed_braiding,
-    reduce_order0,
-)
 from .instances import Instance, InstanceError, instance_digest, load_instance, parse_instance
 from .corpus import CORPUS_NAMES, corpus_path, write_corpus
 from .cli import run_build, run_verify
+
+_LIEBIALG = ("LieBialgebra", "TruncatedUEA", "check_dy_module", "check_lie_bialgebra",
+             "check_twist", "check_uea_dy_identities", "twist_bialgebra", "twist_dy_module")
+_DEFORM = ("PreCartierData", "build_deformed_hopf_category", "casimir_t", "check_pre_cartier",
+           "deformed_braiding", "reduce_order0")
+
+
+def __getattr__(name):
+    if name in _LIEBIALG:
+        from . import liebialg as module
+    elif name in _DEFORM:
+        from . import deform as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
 
 __all__ = [
     "Atom",

@@ -24,11 +24,10 @@ tensor product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import prod
 
 from .linalg import Matrix, mat_kron
-from .scalars import RATIONAL, Ring
+from .scalars import RATIONAL, Value
 
 
 class BackendError(ValueError):
@@ -39,8 +38,7 @@ class BackendError(ValueError):
 # finite groups as explicit multiplication tables
 
 
-@dataclass(frozen=True)
-class GroupTable:
+class GroupTable(Value):
     """Finite group on indices 0..n-1 with 0 the identity.
 
     table[g][h] = g * h.
@@ -53,14 +51,13 @@ class GroupTable:
     checks actions at them.
     """
 
-    table: tuple  # tuple of tuples
-    names: tuple = None
+    __slots__ = ("table", "names", "generators")
+    _fields = ("table", "names")
 
-    def __post_init__(self):
-        n = len(self.table)
-        if self.names is None:
-            object.__setattr__(self, "names", tuple(str(i) for i in range(n)))
-        object.__setattr__(self, "generators", validate_group(self.table))
+    def __init__(self, table, names=None):
+        self.table = table  # tuple of tuples
+        self.names = tuple(str(i) for i in range(len(table))) if names is None else names
+        self.generators = validate_group(table)
 
     @property
     def order(self):
@@ -157,8 +154,7 @@ def group_to_json(group):
 # atoms and objects
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Value):
     """One named generator object.
 
     finset backend: size = number of elements, action[g] = tuple sending
@@ -170,22 +166,30 @@ class Atom:
     carry the structure instead.
     """
 
-    name: str
-    size: int
-    action: tuple
-    pi: Matrix = None
-    pistar: Matrix = None
+    __slots__ = ("name", "size", "action", "pi", "pistar")
+
+    def __init__(self, name, size, action, pi=None, pistar=None):
+        self.name, self.size, self.action, self.pi, self.pistar = name, size, action, pi, pistar
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class ObjectRef:
+class ObjectRef(Value):
     """A tensor word in atom names; the empty word is the unit object.
 
-    A dict key, immutable by contract: not frozen, since a frozen dataclass
-    stores each field by object.__setattr__ and words are built by the
-    thousand."""
+    A dict key, immutable by contract.  Words are built and hashed by the
+    thousand, so == and hash read the one field directly."""
 
-    factors: tuple
+    __slots__ = ("factors",)
+
+    def __init__(self, factors):
+        self.factors = factors
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.factors == other.factors
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.factors,))
 
     @classmethod
     def unit(cls):
@@ -205,41 +209,40 @@ class ObjectRef:
         return "(x)".join(self.factors) if self.factors else "1"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class MorphismRep:
+class MorphismRep(Value):
     """A morphism between tensor words, in the backend's flavor.
 
     Exactly one of table (function on element indices, finset) or matrix
     (linear/dy) is set.  Immutable by contract, as ObjectRef is (derive
-    with dataclasses.replace): morphisms are dict keys, e.g. of certificates.
+    with scalars.replace, which checks again): morphisms are dict keys,
+    e.g. of certificates.
     """
 
-    dom: ObjectRef
-    cod: ObjectRef
-    table: tuple = None
-    matrix: Matrix = None
+    __slots__ = ("dom", "cod", "table", "matrix")
 
-    def __post_init__(self):
-        if (self.table is None) == (self.matrix is None):
+    def __init__(self, dom, cod, table=None, matrix=None):
+        if (table is None) == (matrix is None):
             raise BackendError("morphism needs exactly one of table, matrix")
+        self.dom, self.cod, self.table, self.matrix = dom, cod, table, matrix
 
 
 # ---------------------------------------------------------------------------
 # the backend itself
 
 
-@dataclass(frozen=True)
-class Backend:
-    kind: str  # "finset" | "linear" | "dy"
-    group: GroupTable
-    atoms: dict  # name -> Atom
-    ring: Ring = RATIONAL
-    base: str = None  # dy only: name of the acting/coacting atom
-    _braidings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # size -> identity; factors -> size; (dy_action or dy_coaction, factors) -> map
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class Backend(Value):
+    __slots__ = ("kind", "group", "atoms", "ring", "base", "_braidings", "_memo")
+    _fields = __slots__[:5]
 
-    def __post_init__(self):
+    def __init__(self, kind, group, atoms, ring=RATIONAL, base=None):
+        self.kind = kind  # "finset" | "linear" | "dy"
+        self.group = group
+        self.atoms = atoms  # name -> Atom
+        self.ring = ring
+        self.base = base  # dy only: name of the acting/coacting atom
+        self._braidings = {}
+        # size -> identity; factors -> size; (dy_action or dy_coaction, factors) -> map
+        self._memo = {}
         if self.kind not in ("finset", "linear", "dy"):
             raise BackendError(f"unknown backend kind {self.kind!r}")
         if self.kind == "dy":

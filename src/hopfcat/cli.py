@@ -15,7 +15,6 @@ suites take every comonoid carrier and every atom (the dy base aside).
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from fractions import Fraction
@@ -25,28 +24,12 @@ from .backends import BackendError, ObjectRef, check_braiding_coherence, check_d
 from .cofunctor import NotAdapted, certify_adapted, check_comonoidal
 from .hopfcategory import (
     NotCocommutative,
+    PreCartierViolation,
     build_hopf_category,
     build_hopf_monoid,
     check_hopf_category,
     extract_set_groupoid,
     hopf_data_equal,
-)
-from .liebialg import (
-    TruncatedUEA,
-    check_dy_module,
-    check_lie_bialgebra,
-    check_twist,
-    check_uea_dy_identities,
-    pbw_words,
-    twist_bialgebra,
-    twist_dy_module,
-)
-from .deform import (
-    PreCartierViolation,
-    build_deformed_hopf_category,
-    check_pre_cartier,
-    reduce_order0,
-    require_pre_cartier,
 )
 from .linalg import Singular, _acc
 from .instances import (
@@ -153,7 +136,13 @@ def _construct(inst, target, order):
     """The structure one target builds, and the records that check it.  A
     violated deformation law is reported ahead of a failed plain
     construction; the deformed records end with the one that its degree-0
-    reduction is the plain build."""
+    reduction is the plain build.
+
+    At order 0 that record holds by construction: the deformed build
+    returns the plain structure itself, and the degree-0 reduction of a
+    structure already over the rationals keeps every matrix as it is.  It
+    is emitted all the same, so that a report's records do not depend on
+    the order."""
     if target == "hopf-monoid":
         h = build_hopf_monoid(inst.functor, inst.comonoids[0])
         return h, check_hopf_monoid(inst.functor.target, h)
@@ -163,12 +152,14 @@ def _construct(inst, target, order):
         plain = _plain_build(inst)
     except CONSTRUCTION_ERRORS:
         if target == "deformed":
+            from .deform import require_pre_cartier
             require_pre_cartier(inst.functor, inst.comonoids, pc, convention)
         raise
     if target == "groupoid":
         return extract_set_groupoid(inst.functor.target, plain)
     if target == "hopf-category":
         return plain, check_hopf_category(plain.backend, plain)
+    from .deform import build_deformed_hopf_category, reduce_order0
     data = build_deformed_hopf_category(plain, inst.functor, inst.comonoids, order, pc,
                                         convention=convention)
     return data, check_hopf_category(data.backend, data) + [
@@ -200,12 +191,15 @@ def _check_groupoid(inst):
 def _check_lie(inst):
     if inst.lie is None:
         return []
+    from .liebialg import check_lie_bialgebra
     return check_lie_bialgebra(inst.lie)
 
 
 def _check_twists(inst):
     if inst.lie is None or not inst.twists:
         return []
+    from .liebialg import (check_dy_module, check_lie_bialgebra, check_twist,
+                           twist_bialgebra, twist_dy_module)
     lb = inst.lie
     records = []
     for i, j in enumerate(inst.twists):
@@ -228,6 +222,7 @@ def _check_twists(inst):
 def _check_dy_modules(inst):
     if inst.lie is None or not inst.modules:
         return []
+    from .liebialg import check_dy_module
     records = []
     for mod in inst.modules:
         records.extend(_suffix(check_dy_module(inst.lie, mod.pi, mod.pistar),
@@ -275,6 +270,7 @@ def _uea_unchanged_record(plain, j, degree, tag):
     bracket.  Both engines build Delta by one closed form, which reads no
     bracket, so the Delta half checks that the two engines agree.  The
     counit, 1 on the empty word whatever the twist, cannot differ."""
+    from .liebialg import TruncatedUEA, pbw_words, twist_bialgebra
     eng = plain.engine
     twisted = TruncatedUEA(twist_bialgebra(plain.lb, j), plain.order)
     same = (twisted.lb.bracket == plain.lb.bracket
@@ -292,6 +288,7 @@ def _check_uea(inst):
     identity_degree, from an engine of the twisted bialgebra."""
     if inst.lie is None or inst.uea is None:
         return []
+    from .liebialg import TruncatedUEA, check_uea_dy_identities
     lb = inst.lie
     deg = inst.uea["identity_degree"]
     plain = TruncatedUEA(lb, inst.uea["order"])
@@ -310,6 +307,7 @@ def _check_uea(inst):
 def _check_precartier(inst):
     if inst.deformation is None:
         return []
+    from .deform import check_pre_cartier
     sample = _law_objects(inst)
     if not sample:
         return []
@@ -457,6 +455,7 @@ def _emit(report, code, args):
 
 
 def main(argv=None):
+    import argparse
     parser = argparse.ArgumentParser(
         prog="hopfcat",
         description="verify and build exact Hopf-category instances")

@@ -17,17 +17,17 @@ structure is accepted only if every record holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
-from .backends import MorphismRep, ObjectRef, _arrow_generators, _assoc_witness
+from .backends import MorphismRep, _arrow_generators, _assoc_witness
+from .scalars import Value
 
 
-@dataclass(frozen=True)
-class LawRecord:
-    rule: str
-    holds: bool
-    detail: str = ""
+class LawRecord(Value):
+    __slots__ = ("rule", "holds", "detail")
+
+    def __init__(self, rule, holds, detail=""):
+        self.rule, self.holds, self.detail = rule, holds, detail
 
 
 def all_hold(records):
@@ -54,12 +54,14 @@ def equal_record(backend, rule, lhs, rhs):
     return LawRecord(rule, False, f"lhs[{r},{c}] = {a[r, c]}, rhs[{r},{c}] = {b[r, c]}")
 
 
-@dataclass(frozen=True)
-class Comonoid:
-    obj: ObjectRef
-    delta: MorphismRep  # obj -> obj (x) obj
-    eps: MorphismRep    # obj -> unit
-    name: str = ""
+class Comonoid(Value):
+    __slots__ = ("obj", "delta", "eps", "name")
+
+    def __init__(self, obj, delta, eps, name=""):
+        self.obj = obj
+        self.delta = delta  # obj -> obj (x) obj
+        self.eps = eps      # obj -> unit
+        self.name = name
 
 
 def diagonal_comonoid(backend, obj, name=""):
@@ -237,8 +239,7 @@ def assoc_failures(backend, hom, mult, n):
 # Hopf categories and Hopf monoids
 
 
-@dataclass
-class HopfCategoryData:
+class HopfCategoryData(Value):
     """The full structure over a list of base labels.
 
     hom[(i, j)] is the object F(x_i (x) x_j) of the target backend;
@@ -248,14 +249,14 @@ class HopfCategoryData:
     antipode[(i, j)]: hom[i,j] -> hom[j,i].
     """
 
-    labels: tuple
-    backend: object
-    hom: dict = field(default_factory=dict)
-    mult: dict = field(default_factory=dict)
-    unit: dict = field(default_factory=dict)
-    delta: dict = field(default_factory=dict)
-    eps: dict = field(default_factory=dict)
-    antipode: dict = field(default_factory=dict)
+    __slots__ = ("labels", "backend", "hom", "mult", "unit", "delta", "eps", "antipode")
+    __hash__ = None
+
+    def __init__(self, labels, backend, hom=None, mult=None, unit=None, delta=None,
+                 eps=None, antipode=None):
+        self.labels, self.backend = labels, backend
+        self.hom, self.mult, self.unit, self.delta, self.eps, self.antipode = (
+            {} if m is None else m for m in (hom, mult, unit, delta, eps, antipode))
 
     def size(self):
         return len(self.labels)
@@ -311,20 +312,17 @@ def hopf_laws(backend, data: HopfCategoryData, prefix):
                            backend.compose(eps[(i, j)], unit[i])), (i, j)
 
 
-@dataclass(frozen=True)
-class HopfMonoidData:
+class HopfMonoidData(Value):
     """An object with multiplication, unit, splitting, counit, antipode.
 
     unit is a morphism from the backend unit object; mult from obj (x) obj.
     """
 
-    obj: ObjectRef
-    mult: MorphismRep
-    unit: MorphismRep
-    delta: MorphismRep
-    eps: MorphismRep
-    antipode: MorphismRep
-    name: str = ""
+    __slots__ = ("obj", "mult", "unit", "delta", "eps", "antipode", "name")
+
+    def __init__(self, obj, mult, unit, delta, eps, antipode, name=""):
+        self.obj, self.mult, self.unit, self.delta = obj, mult, unit, delta
+        self.eps, self.antipode, self.name = eps, antipode, name
 
 
 def check_hopf_monoid(backend, h: HopfMonoidData):

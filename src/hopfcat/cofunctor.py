@@ -36,7 +36,6 @@ A failing pair is not stored, and every caller gets the same NotAdapted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import reduce
 
 from .backends import (
@@ -50,7 +49,7 @@ from .backends import (
 )
 from .coalg import Comonoid, LawRecord
 from .linalg import Matrix, Singular, cokernel_projection, hstack, mat_invert, mat_kron
-from .scalars import RATIONAL
+from .scalars import RATIONAL, Value, replace
 
 
 class NotAdapted(ValueError):
@@ -441,14 +440,16 @@ def gamma(functor, m: Comonoid, x: ObjectRef, z: ObjectRef) -> MorphismRep:
     return functor.split(inner, x.tensor(m.obj), m.obj.tensor(z))
 
 
-@dataclass
-class AdaptednessCertificate:
+class AdaptednessCertificate(Value):
     """Inverses for the comparison maps of one middle comonoid; keys of
     gamma_inv are (left factors, right factors)."""
 
-    comonoid: Comonoid
-    chi_inv: MorphismRep
-    gamma_inv: dict = field(default_factory=dict)
+    __slots__ = ("comonoid", "chi_inv", "gamma_inv")
+    __hash__ = None
+
+    def __init__(self, comonoid, chi_inv, gamma_inv=None):
+        self.comonoid, self.chi_inv = comonoid, chi_inv
+        self.gamma_inv = {} if gamma_inv is None else gamma_inv
 
     def gamma_inverse(self, x: ObjectRef, z: ObjectRef) -> MorphismRep:
         try:

@@ -18,7 +18,6 @@ from pathlib import Path
 from .scalars import RATIONAL
 from .linalg import Matrix, hstack, mat_kron
 from .backends import Atom, cyclic_group, dy_backend, symmetric_group
-from .deform import casimir_t
 from .instances import dump_document, precartier_to_json
 
 CORPUS_NAMES = (
@@ -133,6 +132,7 @@ def _nilpotent_backend():
 
 
 def _abelian_precartier_doc():
+    from .deform import casimir_t
     backend = _nilpotent_backend()
     pairing = Matrix.from_rows(RATIONAL, [[0, 1], [-1, 0]])
     pc = casimir_t(backend, pairing)

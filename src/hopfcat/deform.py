@@ -22,19 +22,14 @@ the degree-zero part is the plain structure itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .backends import Atom, Backend, BackendError, MorphismRep, ObjectRef
 from .coalg import HopfCategoryData, LawRecord, all_hold, failures, is_cocommutative
-from .hopfcategory import split_and_antipode
+from .hopfcategory import PreCartierViolation, split_and_antipode
 from .linalg import (Matrix, lift_matrix, mat_kron, reduce_matrix, series_coefficients,
                      series_matrix)
-from .scalars import RATIONAL, hseries_ring
-
-
-class PreCartierViolation(ValueError):
-    """A deformation build was attempted with data failing its laws."""
+from .scalars import RATIONAL, Value, hseries_ring, replace
 
 
 # ---------------------------------------------------------------------------
@@ -50,8 +45,7 @@ def _word(spec) -> tuple:
     return tuple(spec)
 
 
-@dataclass
-class PreCartierData:
+class PreCartierData(Value):
     """table[(x, y)] is the rational matrix of t on the pair of tensor
     words x, y (atom names allowed as shorthand for one-letter words).
     Unlisted pairs are filled in by the peeling rules, with atoms and
@@ -59,24 +53,23 @@ class PreCartierData:
     word entry from the atom entries, explicit composite entries are
     redundant data whose consistency `check_pre_cartier` verifies."""
 
-    backend: Backend
-    table: dict = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("backend", "table", "_cache")
+    _fields = ("backend", "table")
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.backend.kind == "finset":
+    def __init__(self, backend, table=None):
+        if backend.kind == "finset":
             raise BackendError("infinitesimal braidings need linear scalars")
-        if self.backend.ring != RATIONAL:
+        if backend.ring != RATIONAL:
             raise BackendError("deformation data lives over the rationals")
         norm = {}
-        for (a, b), m in self.table.items():
+        for (a, b), m in (table or {}).items():
             fx, fy = _word(a), _word(b)
-            n = (self.backend.obj_size(ObjectRef(fx))
-                 * self.backend.obj_size(ObjectRef(fy)))
+            n = backend.obj_size(ObjectRef(fx)) * backend.obj_size(ObjectRef(fy))
             if m.ring != RATIONAL or m.rows != n or m.cols != n:
                 raise BackendError(f"t[{fx},{fy}] has the wrong shape")
             norm[(fx, fy)] = m
-        self.table = norm
+        self.backend, self.table, self._cache = backend, norm, {}
 
     def atom_t(self, a, b) -> Matrix:
         m = self.table.get((_word(a), _word(b)))

@@ -16,7 +16,6 @@ plain composition tables and verifies the groupoid axioms directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .backends import _arrow_generators, _assoc_witness
@@ -30,10 +29,15 @@ from .coalg import (
     shape_failure,
 )
 from .cofunctor import certify_adapted, mult_along
+from .scalars import Value
 
 
 class NotCocommutative(ValueError):
     pass
+
+
+class PreCartierViolation(ValueError):
+    """A deformation build was attempted with data failing its laws."""
 
 
 def hopf_data_equal(a, b):
@@ -156,8 +160,7 @@ def build_hopf_monoid(functor, m: Comonoid):
 # groupoids
 
 
-@dataclass
-class GroupoidTable:
+class GroupoidTable(Value):
     """Composition tables of a finite groupoid.
 
     hom_size[(i, j)] counts arrows i -> j; comp[(i, j, k)] is the table of
@@ -165,11 +168,12 @@ class GroupoidTable:
     and inverse[(i, j)] pick out units and inverses.
     """
 
-    labels: tuple
-    hom_size: dict
-    comp: dict
-    identity: dict
-    inverse: dict
+    __slots__ = ("labels", "hom_size", "comp", "identity", "inverse")
+    __hash__ = None
+
+    def __init__(self, labels, hom_size, comp, identity, inverse):
+        self.labels, self.hom_size, self.comp = labels, hom_size, comp
+        self.identity, self.inverse = identity, inverse
 
 
 def verify_groupoid(gt: GroupoidTable):

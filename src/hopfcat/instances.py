@@ -53,9 +53,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 
-from .scalars import RATIONAL, Ring, hseries_ring
+from .scalars import RATIONAL, Ring, Value, hseries_ring
 from .linalg import Matrix
 from .backends import (
     Atom,
@@ -76,8 +75,6 @@ from .cofunctor import (
     group_coinvariants_functor,
 )
 from .hopfcategory import GroupoidTable, HopfCategoryData
-from .liebialg import LieBialgebra
-from .deform import PreCartierData
 
 
 class InstanceError(ValueError):
@@ -369,11 +366,11 @@ def _constants_matrix(entries, rows, cols, pos, where):
                          [{c: v for c, v in row.items() if v} for row in nz])
 
 
-@dataclass(frozen=True)
-class LieModule:
-    label: str
-    pi: Matrix
-    pistar: Matrix
+class LieModule(Value):
+    __slots__ = ("label", "pi", "pistar")
+
+    def __init__(self, label, pi, pistar):
+        self.label, self.pi, self.pistar = label, pi, pistar
 
 
 def parse_lie(doc, backend=None):
@@ -398,6 +395,7 @@ def parse_lie(doc, backend=None):
         doc.get("cobracket", []), n * n, n,
         lambda i, j, k: (j * n + k, i) if in_range(i, j, k) else None,
         "lie_bialgebra.cobracket")
+    from .liebialg import LieBialgebra
     try:
         lb = LieBialgebra(n, bracket, cobracket, names)
     except ValueError as exc:
@@ -473,6 +471,7 @@ def parse_deformation(backend, doc):
         _require(key not in table, f"deformation.t: duplicate entry for {key}")
         table[key] = _parse_matrix(RATIONAL, entry.get("matrix"), "deformation.t.matrix",
                                    (d, d))
+    from .deform import PreCartierData
     try:
         pc = PreCartierData(backend, table)
     except (BackendError, ValueError) as exc:
@@ -480,23 +479,22 @@ def parse_deformation(backend, doc):
     return {"order": order, "pc": pc, "convention": convention}
 
 
-@dataclass
-class Instance:
-    """A parsed instance document with its live objects."""
+class Instance(Value):
+    """A parsed instance document with its live objects.  built is the
+    plain Hopf category built from functor and comonoids, or the
+    construction error, kept by the command-line driver across checks."""
 
-    doc: dict
-    backend: Backend = None
-    comonoids: list = field(default_factory=list)
-    functor_name: str = None
-    functor: object = None
-    lie: LieBialgebra = None
-    twists: list = field(default_factory=list)
-    modules: list = field(default_factory=list)
-    uea: dict = None
-    deformation: dict = None
-    # the plain Hopf category built from functor and comonoids, or the
-    # construction error, kept by the command-line driver across checks
-    built: object = field(default=None, repr=False, compare=False)
+    __slots__ = ("doc", "backend", "comonoids", "functor_name", "functor", "lie", "twists",
+                 "modules", "uea", "deformation", "built")
+    _fields = __slots__[:-1]
+    __hash__ = None
+
+    def __init__(self, doc, backend=None, comonoids=None, functor_name=None, functor=None,
+                 lie=None, twists=None, modules=None, uea=None, deformation=None, built=None):
+        self.doc, self.backend, self.functor_name, self.functor = doc, backend, functor_name, functor
+        self.comonoids, self.twists, self.modules = (
+            [] if x is None else x for x in (comonoids, twists, modules))
+        self.lie, self.uea, self.deformation, self.built = lie, uea, deformation, built
 
     def digest(self):
         return instance_digest(self.doc)
@@ -629,6 +627,6 @@ def groupoid_to_json(gt: GroupoidTable):
     }
 
 
-def precartier_to_json(pc: PreCartierData):
+def precartier_to_json(pc):
     return [{"x": list(wx), "y": list(wy), "matrix": pc.table[(wx, wy)].to_json()}
             for wx, wy in sorted(pc.table)]

@@ -32,13 +32,12 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
 from .coalg import LawRecord
 from .linalg import Matrix, _acc, mat_kron
-from .scalars import RATIONAL
+from .scalars import RATIONAL, Value
 
 
 # ---------------------------------------------------------------------------
@@ -65,21 +64,19 @@ def alt_matrix(n):
 # the structure
 
 
-@dataclass(frozen=True)
-class LieBialgebra:
-    dim: int
-    bracket: Matrix    # dim x dim^2
-    cobracket: Matrix  # dim^2 x dim
-    names: tuple = None
+class LieBialgebra(Value):
+    __slots__ = ("dim", "bracket", "cobracket", "names")
 
-    def __post_init__(self):
-        n = self.dim
-        if (self.bracket.rows, self.bracket.cols) != (n, n * n):
+    def __init__(self, dim, bracket, cobracket, names=None):
+        n = dim
+        if (bracket.rows, bracket.cols) != (n, n * n):
             raise ValueError("bracket must be dim x dim^2")
-        if (self.cobracket.rows, self.cobracket.cols) != (n * n, n):
+        if (cobracket.rows, cobracket.cols) != (n * n, n):
             raise ValueError("cobracket must be dim^2 x dim")
-        if self.names is None:
-            object.__setattr__(self, "names", tuple(f"e{i}" for i in range(n)))
+        self.dim = dim
+        self.bracket = bracket      # dim x dim^2
+        self.cobracket = cobracket  # dim^2 x dim
+        self.names = tuple(f"e{i}" for i in range(n)) if names is None else names
 
     def bracket_of(self, i, j):
         """[e_i, e_j] as a list of (index, coefficient), zeros skipped."""
@@ -449,8 +446,7 @@ def pbw_words(n, max_degree):
     return tuple(out)
 
 
-@dataclass
-class TruncatedUEA:
+class TruncatedUEA(Value):
     """The enveloping coproduct on words of bounded degree.
 
     The coproduct preserves degree, so nothing is cut; the coaction, which
@@ -462,14 +458,13 @@ class TruncatedUEA:
     and only its coaction is seeded by J.
     """
 
-    lb: LieBialgebra
-    order: int
-    engine: EnvelopingEngine = field(init=False)
-    basis: tuple = field(init=False)
+    __slots__ = ("lb", "order", "engine", "basis")
+    __hash__ = None
 
-    def __post_init__(self):
-        self.engine = EnvelopingEngine(self.lb)
-        self.basis = pbw_words(self.lb.dim, self.order)
+    def __init__(self, lb, order):
+        self.lb, self.order = lb, order
+        self.engine = EnvelopingEngine(lb)
+        self.basis = pbw_words(lb.dim, order)
 
     @property
     def dim(self):

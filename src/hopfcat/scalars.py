@@ -13,13 +13,48 @@ RingMismatch instead of coercing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 
 class RingMismatch(TypeError):
     """Operands live in different scalar rings."""
+
+
+class Value:
+    """Base of the package's value classes, each slotted with an explicit
+    __init__.  ==, hash and repr read the fields named in _fields, in
+    order, which default to __slots__: the slots left out (caches, derived
+    data) are skipped by all three.  hash is the hash of the field tuple;
+    a class whose instances change after __init__ sets __hash__ = None.
+    Instances are immutable by contract: nothing stops an assignment."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = cls._fields = vars(cls).get("_fields", cls.__slots__)
+        get = attrgetter(*fields)
+        cls._values = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._values(self))))
+
+
+def replace(obj, **changes):
+    """obj with some fields changed, made by its class's __init__, so that
+    every check the class makes runs again; slots outside _fields start
+    afresh."""
+    return obj.__class__(**{**dict(zip(obj._fields, obj._values(obj))), **changes})
 
 
 def as_fraction(x) -> Fraction:
@@ -36,19 +71,18 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-@dataclass(frozen=True)
-class HSeries:
+class HSeries(Value):
     """c0 + c1*hbar + ... + cK*hbar^K with exact rational coefficients.
 
     Immutable; coeffs always has length order + 1.
     """
 
-    order: int
-    coeffs: tuple
+    __slots__ = ("order", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
+    def __init__(self, order, coeffs):
+        if len(coeffs) != order + 1:
             raise ValueError("coefficient count must be order + 1")
+        self.order, self.coeffs = order, coeffs
 
     @classmethod
     def from_rational(cls, x, order):
@@ -127,12 +161,14 @@ def _series_constant(c, order):
     return HSeries.from_rational(c, order)
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(Value):
     """Tag describing which scalar ring a matrix lives over."""
 
-    kind: str  # "rational" | "hseries"
-    order: int = 0
+    __slots__ = ("kind", "order")
+
+    def __init__(self, kind, order=0):
+        self.kind = kind  # "rational" | "hseries"
+        self.order = order
 
     def zero(self):
         if self.kind == "rational":

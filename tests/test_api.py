@@ -40,6 +40,8 @@ DOCUMENTED_API = {
     "OrbitFunctor.orbit_info": "orbit representatives and labels of a source object",
     "Matrix.entries": "the dense row-major view, the counterpart of the dense constructor",
     "load_corpus_document": "a shipped instance as a dict, to edit before running it",
+    "__getattr__": "the package's PEP 562 hook: the import system calls it for the "
+                   "liebialg and deform exports, which load on first use",
 }
 
 

@@ -1,7 +1,6 @@
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -29,7 +28,7 @@ from hopfcat.backends import (
 from hopfcat.coalg import diagonal_comonoid
 from hopfcat.cofunctor import OrbitFunctor, certify_adapted
 from hopfcat.linalg import Matrix, mat_kron
-from hopfcat.scalars import RATIONAL
+from hopfcat.scalars import RATIONAL, replace
 
 from conftest import (
     coords_of,

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import importlib.util
 import itertools
 import json
@@ -18,14 +17,14 @@ from hypothesis import strategies as st
 
 import hopfcat
 from conftest import unmemoized_braiding_failures
-from hopfcat import backends, cli, cofunctor, corpus
+from hopfcat import backends, cli, cofunctor, corpus, liebialg
 from hopfcat.cli import CHECK_ORDER, TARGETS, main, run_build, run_verify
 from hopfcat.coalg import LawRecord
 from hopfcat.corpus import CORPUS_NAMES, corpus_path, load_corpus_document
 from hopfcat.instances import dump_document, load_instance
 from hopfcat.liebialg import EnvelopingEngine, pbw_words
 from hopfcat.linalg import Matrix, _acc
-from hopfcat.scalars import RATIONAL
+from hopfcat.scalars import RATIONAL, replace
 
 
 def write_doc(tmp_path, doc, name="inst.json"):
@@ -435,7 +434,7 @@ class TestOneCertificatePerComonoid:
     def test_shared_certificate_names_the_comonoid_asked_for(self):
         inst = load_instance(str(corpus_path("z3_torsors")))
         m = inst.comonoids[0]
-        twin = dataclasses.replace(m, name="twin")
+        twin = replace(m, name="twin")
         first = cofunctor.certify_adapted(inst.functor, m, [])
         second = cofunctor.certify_adapted(inst.functor, twin, [])
         assert second.comonoid is twin and second.gamma_inv is first.gamma_inv
@@ -660,7 +659,7 @@ class TestUeaCoproductMutation:
         engine of each twisted bialgebra."""
         path = b2_with_corpus_twists(tmp_path)
         plain_lb = load_instance(path).lie
-        real = cli.TruncatedUEA
+        real = liebialg.TruncatedUEA
 
         def perturbed(lb, order):
             uea = real(lb, order)
@@ -668,7 +667,7 @@ class TestUeaCoproductMutation:
                 self.perturb_delta(uea.engine)
             return uea
 
-        monkeypatch.setattr(cli, "TruncatedUEA", perturbed)
+        monkeypatch.setattr(liebialg, "TruncatedUEA", perturbed)
         return self.run(path)
 
     @staticmethod
@@ -708,7 +707,7 @@ class TestUeaCoproductMutation:
     def test_identity_checks_read_the_shared_seed(self, tmp_path, monkeypatch):
         path = b2_with_corpus_twists(tmp_path)
         inst = load_instance(path)
-        real = cli.TruncatedUEA
+        real = liebialg.TruncatedUEA
 
         def perturbed(lb, order):
             uea = real(lb, order)
@@ -716,7 +715,7 @@ class TestUeaCoproductMutation:
                 self.perturb_seed(uea.engine, inst.twists[0])
             return uea
 
-        monkeypatch.setattr(cli, "TruncatedUEA", perturbed)
+        monkeypatch.setattr(liebialg, "TruncatedUEA", perturbed)
         assert self.run(path) == {"uea.seed[j0]", "uea.comodule[j0]"}
 
     def test_delta_reading_the_cobracket_fails_comonoid_unchanged(self, tmp_path, monkeypatch):

@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -33,7 +32,7 @@ from hopfcat.corpus import corpus_path
 from hopfcat.hopfcategory import build_hopf_category, check_hopf_category
 from hopfcat.instances import load_instance
 from hopfcat.linalg import Matrix, mat_kron
-from hopfcat.scalars import RATIONAL
+from hopfcat.scalars import RATIONAL, replace
 
 
 def z2_sets():

@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -50,7 +49,7 @@ from hopfcat.hopfcategory import (
 )
 from hopfcat.instances import load_instance, parse_instance
 from hopfcat.linalg import Matrix
-from hopfcat.scalars import RATIONAL
+from hopfcat.scalars import RATIONAL, replace
 
 
 def torsor_category(group, names=("S", "T")):
