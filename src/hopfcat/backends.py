@@ -130,17 +130,14 @@ def group_from_generators(degree, generators):
         nxt = []
         for p in frontier:
             for g in gens:
-                q = tuple(g[p[i]] for i in range(degree))
+                q = tuple(map(g.__getitem__, p))
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
     elems = sorted(seen)
     pos = {p: i for i, p in enumerate(elems)}
-    table = tuple(
-        tuple(pos[tuple(a[b[i]] for i in range(degree))] for b in elems)
-        for a in elems
-    )
+    table = tuple(tuple(pos[tuple(map(a.__getitem__, b))] for b in elems) for a in elems)
     names = tuple("".join(map(str, p)) for p in elems)
     return GroupTable(table, names)
 
@@ -399,9 +396,7 @@ class Backend(Value):
 
     def compose_tensor(self, f, gs):
         """compose(f, tensor_all(gs)).  On finset the tensor product is
-        evaluated only at f's values: each value is split into mixed-radix
-        digits over the domain sizes of gs, digit i goes through gs[i], and
-        the images are recombined over the codomain sizes; |f.dom|*len(gs)
+        evaluated only at f's values, by tensor_at: |f.dom|*len(gs)
         lookups instead of a table of the product of the domain sizes.
         """
         if self.kind != "finset":
@@ -409,14 +404,21 @@ class Backend(Value):
         dom = ObjectRef(tuple(x for g in gs for x in g.dom.factors))
         if f.cod != dom:
             raise BackendError(f"composition mismatch: {f.cod.label()} vs {dom.label()}")
-        vals, out, scale = f.table, [0] * len(f.table), 1
+        cod = ObjectRef(tuple(x for g in gs for x in g.cod.factors))
+        return MorphismRep(f.dom, cod, table=tuple(self.tensor_at(gs, f.table)))
+
+    def tensor_at(self, gs, points):
+        """The values of tensor_all(gs) at the given points of its domain,
+        as a list, for finset tables gs: each point is split into
+        mixed-radix digits over the domain sizes of gs, digit i goes through
+        gs[i], and the images are recombined over the codomain sizes."""
+        out, scale = [0] * len(points), 1
         for g in reversed(gs):
             n, t = len(g.table), g.table
-            out = [o + t[v % n] * scale for o, v in zip(out, vals)]
-            vals = [v // n for v in vals]
+            out = [o + t[v % n] * scale for o, v in zip(out, points)]
+            points = [v // n for v in points]
             scale *= self.obj_size(g.cod)
-        cod = ObjectRef(tuple(x for g in gs for x in g.cod.factors))
-        return MorphismRep(f.dom, cod, table=tuple(out))
+        return out
 
     def braiding(self, x: ObjectRef, y: ObjectRef):
         """The symmetry x (x) y -> y (x) x as a block transposition.  It
@@ -648,16 +650,16 @@ def check_braiding_coherence(backend):
 
 
 def _hexagons_hold(backend, x, y, z):
-    """Whether the left and the right hexagon hold at x, y, z."""
-    lhs = backend.braiding(x.tensor(y), z)
-    rhs = backend.compose(
+    """Whether the left and the right hexagon hold at x, y, z.  The left
+    one is compared before the right one is built, so the two sides'
+    tables are never held at once."""
+    left = backend.equal_mor(backend.braiding(x.tensor(y), z), backend.compose(
         backend.tensor_mor(backend.identity_mor(x), backend.braiding(y, z)),
-        backend.tensor_mor(backend.braiding(x, z), backend.identity_mor(y)))
-    lhs2 = backend.braiding(x, y.tensor(z))
-    rhs2 = backend.compose(
+        backend.tensor_mor(backend.braiding(x, z), backend.identity_mor(y))))
+    right = backend.equal_mor(backend.braiding(x, y.tensor(z)), backend.compose(
         backend.tensor_mor(backend.braiding(x, y), backend.identity_mor(z)),
-        backend.tensor_mor(backend.identity_mor(y), backend.braiding(x, z)))
-    return backend.equal_mor(lhs, rhs), backend.equal_mor(lhs2, rhs2)
+        backend.tensor_mor(backend.identity_mor(y), backend.braiding(x, z))))
+    return left, right
 
 
 def check_dy_tensor_closure(backend):

@@ -15,6 +15,10 @@ map by coassociativity of F2 (Aguiar & Mahajan, Monoidal Functors,
 Species and Hopf Algebras, 2010, ch. 3).  apply_mor (k = 1) and f2 (f = 1,
 k = 2) are defined from it once, on the base class: they keep the paper's
 names F and F2, which the benchmark's traced spans carry too.
+split_tensor(gs, *words) is the split of g1 (x) ... (x) gn.  The base
+class builds that product; the orbit functor evaluates it at the orbit
+representatives of its domain only, which is all a split reads, so gamma
+and the collapse of mult_along build no table of X (x) M (x) Z.
 
 The functors provided are quotients:
 
@@ -108,6 +112,13 @@ class ComonoidalFunctor:
         f into w1 (x) ... (x) wk; F(f.cod) is never built when k > 1."""
         raise NotImplementedError
 
+    def split_tensor(self, gs, *words: ObjectRef) -> MorphismRep:
+        """split(g1 (x) ... (x) gn, *words), for source morphisms gs whose
+        codomains concatenate to w1 (x) ... (x) wk.  The tensor product is
+        built whole here; a functor that reads a map at a few points only
+        may evaluate it there instead."""
+        return self.split(self.source.tensor_all(gs), *words)
+
     def apply_mor(self, f: MorphismRep) -> MorphismRep:
         return self.split(f, f.cod)
 
@@ -123,9 +134,10 @@ def _word(words) -> ObjectRef:
     return words[0] if len(words) == 1 else ObjectRef(tuple(a for w in words for a in w.factors))
 
 
-def _require_split(f: MorphismRep, words):
-    if f.cod != _word(words):
-        raise BackendError(f"composition mismatch: {f.cod.label()} vs {_word(words).label()}")
+def _require_split(cod: ObjectRef, words):
+    word = _word(words)
+    if cod is not word and cod != word:  # apply_mor passes f.cod itself
+        raise BackendError(f"composition mismatch: {cod.label()} vs {word.label()}")
 
 
 class IdentityFunctor(ComonoidalFunctor):
@@ -136,7 +148,7 @@ class IdentityFunctor(ComonoidalFunctor):
         return obj
 
     def split(self, f, *words):
-        _require_split(f, words)
+        _require_split(f.cod, words)
         return f
 
 
@@ -276,9 +288,28 @@ class OrbitFunctor(ComonoidalFunctor):
         The composite through F(f.cod) reads the digits of g.f(r), the
         representative of f(r)'s orbit; labels are invariant under g, so
         this is exact for any table f."""
-        _require_split(f, words)
-        dom_img = self.apply_obj(f.dom)
-        points = list(map(f.table.__getitem__, self._orbits_of(f.dom.factors)[0]))
+        _require_split(f.cod, words)
+        reps = self._orbits_of(f.dom.factors)[0]
+        return self._descend(f.dom, map(f.table.__getitem__, reps), words)
+
+    def split_tensor(self, gs, *words):
+        """split reads a table at the representatives of its domain only,
+        so the tensor product of gs is evaluated there alone, digit by
+        digit (Backend.tensor_at), and never built whole."""
+        _require_split(ObjectRef(tuple(a for g in gs for a in g.cod.factors)), words)
+        dom = ObjectRef(tuple(a for g in gs for a in g.dom.factors))
+        return self._descend(dom, self.source.tensor_at(gs, self._orbits_of(dom.factors)[0]),
+                             words)
+
+    def _descend(self, dom, points, words):
+        """F(dom) -> F(w1) (x) ... (x) F(wk): the orbit of the i-th
+        representative of dom goes to the orbits of the digits of
+        points[i], a point of w1 (x) ... (x) wk; points may be an iterator."""
+        dom_img = self.apply_obj(dom)
+        if len(words) == 1:
+            table = self._labels_at(words[0].factors, points)
+            return MorphismRep(dom_img, self.apply_obj(words[0]), table=tuple(table))
+        points = list(points)
         digits = []  # (word, its image's size, its digit of each point), last first
         for w in words[:0:-1]:
             n = self.source.obj_size(w)
@@ -339,7 +370,7 @@ class CoinvariantsFunctor(ComonoidalFunctor):
         - dy quotient: by induction on x along dy_action's head-first
           recursion, a_{x (x) y} = a_x (x) 1 + (1 (x) a_y)(sigma_{b,x} (x) 1),
           whose image lies in im a_x (x) y + x (x) im a_y."""
-        _require_split(f, words)
+        _require_split(f.cod, words)
         dom_img, _, s = self._image(f.dom)
         images, projections = zip(*(self._image(w)[:2] for w in words))
         p, m = reduce(mat_kron, projections), self.source.as_matrix(f)
@@ -433,11 +464,12 @@ def chi(functor, m: Comonoid) -> MorphismRep:
 
 def gamma(functor, m: Comonoid, x: ObjectRef, z: ObjectRef) -> MorphismRep:
     """F(X (x) M (x) Z) -> F(X (x) M) (x) F(M (x) Z): split the middle
-    factor with the comonoid, then split the word.
+    factor with the comonoid, then split the word.  One split_tensor of
+    1 (x) delta (x) 1, so the orbit functor never builds that map's table.
     """
     src = functor.source
-    inner = src.tensor_all([src.identity_mor(x), m.delta, src.identity_mor(z)])
-    return functor.split(inner, x.tensor(m.obj), m.obj.tensor(z))
+    return functor.split_tensor([src.identity_mor(x), m.delta, src.identity_mor(z)],
+                                x.tensor(m.obj), m.obj.tensor(z))
 
 
 class AdaptednessCertificate(Value):
@@ -494,12 +526,12 @@ def certify_adapted(functor, m: Comonoid, pairs) -> AdaptednessCertificate:
 
 def mult_along(functor, cert: AdaptednessCertificate, x: ObjectRef, z: ObjectRef):
     """F(X (x) M) (x) F(M (x) Z) -> F(X (x) Z): merge along the middle
-    comonoid by inverting gamma and collapsing the doubled factor.
+    comonoid by inverting gamma and collapsing the doubled factor with
+    F(1 (x) eps (x) 1), one split_tensor, so the orbit functor never builds
+    the collapse's table.
     """
-    m = cert.comonoid
-    src = functor.source
-    collapse = src.tensor_all([src.identity_mor(x), m.eps, src.identity_mor(z)])
-    return functor.target.compose(
-        cert.gamma_inverse(x, z),
-        functor.apply_mor(collapse))
+    ginv, src = cert.gamma_inverse(x, z), functor.source
+    collapse = functor.split_tensor(
+        [src.identity_mor(x), cert.comonoid.eps, src.identity_mor(z)], x.tensor(z))
+    return functor.target.compose(ginv, collapse)
 

@@ -366,11 +366,11 @@ class TestTensorTableSizes:
 
 class TestCubeTables:
     """The tables of at least |G|^3 = 13,824 entries an s4_torsors verify
-    makes: from _tensor_tables, 8 for gamma's id (x) delta (x) id, one per
-    comonoid and non-unit pair, 8 for mult_along's collapse and 4 for the
-    two hexagons, composed once for the one size triple of the torsors;
-    from compose, those two hexagons.  Associativity goes through Light's
-    test and makes none."""
+    makes: from _tensor_tables, 4 for the two hexagons, composed once for
+    the one size triple of the torsors; from compose, those two hexagons.
+    gamma's id (x) delta (x) id and mult_along's collapse id (x) eps (x) id
+    are read at orbit representatives only (split_tensor), and
+    associativity goes through Light's test: neither makes one."""
 
     def test_cube_table_counts(self, monkeypatch, tmp_path):
         cube = 24 ** 3
@@ -390,7 +390,7 @@ class TestCubeTables:
         monkeypatch.setattr(backends.Backend, "compose", composed)
         _, code = run_verify(write_doc(tmp_path, set_ladder_documents()["s4_torsors"]))
         assert code == 0
-        assert counts == {"tensor": 20, "compose": 2}
+        assert counts == {"tensor": 4, "compose": 2}
 
 
 class TestOneCertificatePerComonoid:

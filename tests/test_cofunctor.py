@@ -639,5 +639,83 @@ class TestF2AfterAgainstComposite:
         for words in ((a,), (a, a), (a, a.tensor(a), a)):
             with pytest.raises(BackendError, match="composition mismatch: "):
                 fn.split(f, *words)
+            with pytest.raises(BackendError, match="composition mismatch: "):
+                fn.split_tensor([f, b.identity_mor(b.unit())], *words)
         with pytest.raises(BackendError, match="composition mismatch"):
             composite_split(fn, f, a, a)
+
+
+# ---------------------------------------------------------------------------
+# split_tensor: split of a tensor product, which need not be built
+
+
+def tensor_lists(b, a, c, seed):
+    """Lists gs of source maps on the atoms a and c: the empty list, an
+    identity, a diagonal, gamma's 1 (x) delta (x) 1, the collapse
+    1 (x) eps (x) 1, a braiding, and a map a (x) c -> c that is
+    equivariant by accident only (a random table or matrix)."""
+    x, y = b.obj(a), b.obj(c)
+    copy = diagonal_comonoid if b.kind == "finset" else group_like_comonoid
+    mx, my = copy(b, x), copy(b, y)
+    one_x, one_y = b.identity_mor(x), b.identity_mor(y)
+    if b.kind == "finset":
+        rng = random.Random(seed)
+        odd = b.mor_from_table(x.tensor(y), y, tuple(
+            rng.randrange(b.obj_size(y)) for _ in range(b.obj_size(x.tensor(y)))))
+    else:
+        odd = random_matrix(b, x.tensor(y), y, seed)
+    return [[], [one_x], [mx.delta], [one_y, mx.delta, one_y], [one_y, mx.eps, one_y],
+            [b.braiding(x, y), one_x], [odd, my.delta, mx.eps], [b.identity_mor(b.unit()), odd]]
+
+
+def split_tensor_cases():
+    """(functor, atom a, atom c) for each functor kind; the orbit functor
+    on every orbit backend, at its two smallest atoms."""
+    cases = []
+    for b in ORBIT_BACKENDS:
+        a, c = sorted(b.atoms, key=lambda n: (b.atom_size(n), n))[:2]
+        cases.append((OrbitFunctor(b), a, c))
+    cases += [(group_coinvariants_functor(regular_linear(cyclic_group(3))), "R", "R"),
+              (load_instance(corpus_path("abelian_precartier")).functor, "V", "W"),
+              (IdentityFunctor(torsor_backend(cyclic_group(2))), "S", "T"),
+              (IdentityFunctor(regular_linear(cyclic_group(2))), "R", "R")]
+    return cases
+
+
+SPLIT_TENSOR_CASES = split_tensor_cases()
+
+
+class TestSplitTensorAgainstSplit:
+    """split_tensor(gs, *words) is split(tensor_all(gs), *words), the same
+    MorphismRep, at k = 1, 2 and 3, for every functor kind."""
+
+    @pytest.mark.parametrize("case", SPLIT_TENSOR_CASES, ids=[
+        "orbits_s4_points", "orbits_d4_square", "orbits_s3_gset", "orbits_trivial",
+        "coinvariants", "dy", "identity_finset", "identity_linear"])
+    def test_against_split_of_the_tensor_product(self, case):
+        fn, a, c = case
+        b = fn.source
+        for i, gs in enumerate(tensor_lists(b, a, c, seed=7)):
+            whole = b.tensor_all(gs)
+            for k in (1, 2, 3):
+                for words in cuts(whole.cod.factors, k):
+                    assert fn.split_tensor(gs, *words) == fn.split(whole, *words), \
+                        (i, [w.label() for w in words])
+
+    def test_orbit_functor_builds_no_tensor_table(self, monkeypatch):
+        b = ORBIT_BACKENDS[0]
+        fn = OrbitFunctor(b)
+        cases = []
+        for gs in tensor_lists(b, "X", "T", seed=3):
+            whole = b.tensor_all(gs)
+            for k in (1, 2):
+                for words in cuts(whole.cod.factors, k):
+                    cases.append((gs, words, fn.split(whole, *words)))
+
+        def refused(*args):
+            raise AssertionError("a tensor table was built")
+
+        monkeypatch.setattr(Backend, "tensor_mor", refused)
+        monkeypatch.setattr(Backend, "tensor_all", refused)
+        for gs, words, want in cases:
+            assert fn.split_tensor(gs, *words) == want
