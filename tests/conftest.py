@@ -457,8 +457,11 @@ def brute_force_assoc_records(rule, hom_size, comp, n, positions=True):
 
 
 def unmemoized_braiding_failures(backend):
-    """check_braiding_coherence composing both hexagons at every word
-    triple, as it did before it composed them once per size triple."""
+    """The composing oracle of check_braiding_coherence: the inverse law
+    and both hexagons composed from the backend's swaps at every word
+    pair and triple.  On a corrupted swap memo it lists no law that
+    check_braiding_coherence, which reads each swap against the flip,
+    does not list too."""
     failures = []
     words = [ObjectRef.unit()] + [ObjectRef.atom(n) for n in sorted(backend.atoms)]
     for x in words:

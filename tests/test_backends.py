@@ -14,6 +14,7 @@ from hopfcat.backends import (
     GroupTable,
     MorphismRep,
     ObjectRef,
+    _flip,
     check_braiding_coherence,
     check_dy_tensor_closure,
     cyclic_group,
@@ -38,6 +39,7 @@ from conftest import (
     index_of,
     naive_equivariance_failures,
     subgroup_closure,
+    unmemoized_braiding_failures,
     validate_action_by_pairs,
     validate_group_by_triples,
 )
@@ -466,19 +468,25 @@ class TestFinsetTensorKernel:
 
 
 @st.composite
+def trivial_backends(draw, max_size):
+    """A finset or linear backend over the trivial group with 1-3 atoms
+    A0, A1, ... of sizes 1 to max_size."""
+    sizes = draw(st.lists(st.integers(1, max_size), min_size=1, max_size=3))
+    names = [f"A{k}" for k in range(len(sizes))]
+    g = cyclic_group(1)
+    if draw(st.booleans()):
+        return finset_backend(g, [Atom(n, k, (tuple(range(k)),)) for n, k in zip(names, sizes)])
+    return linear_backend(g, [Atom(n, k, (Matrix.identity(k, RATIONAL),))
+                              for n, k in zip(names, sizes)])
+
+
+@st.composite
 def composable_tensors(draw):
     """(backend, f, gs): 1-3 factors gs between words of at most one atom,
     the unit word included, and f into the tensor of their domains, on a
     finset or linear backend over 1-3 atoms of sizes 1-5."""
-    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
-    names = [f"A{k}" for k in range(len(sizes))]
-    g = cyclic_group(1)
-    if draw(st.booleans()):
-        b = finset_backend(g, [Atom(n, k, (tuple(range(k)),)) for n, k in zip(names, sizes)])
-    else:
-        b = linear_backend(g, [Atom(n, k, (Matrix.identity(k, RATIONAL),))
-                               for n, k in zip(names, sizes)])
-    word = st.lists(st.sampled_from(names), max_size=1).map(lambda w: b.obj(*w))
+    b = draw(trivial_backends(5))
+    word = st.lists(st.sampled_from(sorted(b.atoms)), max_size=1).map(lambda w: b.obj(*w))
 
     def random_mor(dom, cod):
         n, m = b.obj_size(dom), b.obj_size(cod)
@@ -508,6 +516,52 @@ class TestComposeTensor:
         b, f, gs = bfg
         with pytest.raises(BackendError, match="composition mismatch"):
             b.compose_tensor(f, gs + [b.identity_mor(b.obj("A0"))])
+
+
+@st.composite
+def planted_swaps(draw):
+    """A backend of trivial_backends(3) with one memoized swap replaced, at
+    a size pair that check_braiding_coherence reads: two words of at most
+    one atom, or an atom and a two-letter word.  The planted swap is the
+    flip after a permutation; on linear it may also have one entry moved
+    off that permutation matrix, so that it is no permutation at all."""
+    b = draw(trivial_backends(3))
+    atoms = [a.size for a in b.atoms.values()]
+    words = [1] + atoms
+    pairs = sorted({(p, q) for p in words for q in words}
+                   | {(p * q, r) for p, q, r in itertools.product(atoms, repeat=3)}
+                   | {(p, q * r) for p, q, r in itertools.product(atoms, repeat=3)})
+    nx, ny = draw(st.sampled_from(pairs))
+    n = nx * ny
+    table = tuple(map(_flip(nx, ny).__getitem__, draw(st.permutations(range(n)))))
+    if b.kind == "finset":
+        b._braidings[(nx, ny)] = table
+        return b
+    entries = [0] * (n * n)
+    for col, row in enumerate(table):
+        entries[row * n + col] = 1
+    if draw(st.booleans()):
+        entries[draw(st.integers(0, n * n - 1))] += draw(st.sampled_from([-1, 2]))
+    b._braidings[(nx, ny)] = Matrix(n, n, RATIONAL, tuple(map(Fraction, entries)))
+    return b
+
+
+class TestCoherenceAgainstComposing:
+    """check_braiding_coherence reads each swap against the block flip;
+    unmemoized_braiding_failures composes both hexagons at every word
+    triple.  On intact swaps both are empty.  With one swap planted, every
+    law that composing finds false is listed, and the reading may list
+    more: each law that reads a swap which is not a flip."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(trivial_backends(3))
+    def test_intact_swaps_pass(self, b):
+        assert check_braiding_coherence(b) == [] == unmemoized_braiding_failures(b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(planted_swaps())
+    def test_planted_swap_fails_every_law_composing_fails(self, b):
+        assert set(unmemoized_braiding_failures(b)) <= set(check_braiding_coherence(b))
 
 
 def toy_dy():
