@@ -231,9 +231,10 @@ def _check_dy_modules(inst):
 
 
 def _uea_comonoid_records(uea, tag):
-    """Coassociativity, counit, and cocommutativity of the truncated
-    coproduct, expanded word-by-word (Delta preserves degree, so nothing is
-    cut): each term c w1 (x) w2 sums the engine's Delta(w1), Delta(w2) by c."""
+    """Coassociativity, both counit laws, and cocommutativity of the
+    truncated coproduct, expanded word-by-word (Delta preserves degree, so
+    nothing is cut): each term c w1 (x) w2 sums the engine's Delta(w1),
+    Delta(w2) by c.  On basis words every coefficient is an int."""
     delta = uea.engine.delta
     coassoc = counit = cocomm = True
     for w, dw in zip(uea.basis, uea.delta_images()):
@@ -245,7 +246,8 @@ def _uea_comonoid_records(uea, tag):
                 cocomm = False
         if left != right:
             coassoc = False
-        if {w2: c for (w1, w2), c in dw.items() if not w1} != {w: Fraction(1)}:
+        if ({w2: c for (w1, w2), c in dw.items() if not w1} != {w: 1}
+                or {w1: c for (w1, w2), c in dw.items() if not w2} != {w: 1}):
             counit = False
     return [LawRecord(f"uea.coassoc[{tag}]", coassoc),
             LawRecord(f"uea.counit[{tag}]", counit),

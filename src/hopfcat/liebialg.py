@@ -240,9 +240,11 @@ class EnvelopingEngine:
     terms may grow and later cancel, which is exactly what the truncated
     checks need to avoid lying about high-degree laws.
 
-    Elements are dicts word-tuple -> Fraction with no zero values.  Normal
-    forms, coproducts and coactions of single words are memoized; only
-    normal_word and delta hand out a cached dict: do not mutate it.
+    Elements are dicts word-tuple -> rational with no zero values: a
+    Fraction, or an int where the value is integral by construction, as in
+    the coproduct of a non-decreasing word.  Normal forms, coproducts and
+    coactions of single words are memoized; only normal_word and delta
+    hand out a cached dict: do not mutate it.
     """
 
     def __init__(self, lb: LieBialgebra):
@@ -293,19 +295,21 @@ class EnvelopingEngine:
                 _acc(out, self.normal_word(w1 + w2).items(), c1 * c2)
         return out
 
-    # -- tensor-square elements: dict (word, word) -> Fraction
+    # -- tensor-square elements: dict (word, word) -> rational
 
     def _delta_word(self, word):
         """Delta of one word, cached.  On a non-decreasing word
         x1^a1...xn^an it is sum over b <= a of prod C(ai, bi) x^b (x) x^(a-b),
         built run by run with both legs non-decreasing (PBW theorem; Dixmier,
-        1977, ch. 2); any other word goes through its normal form."""
+        1977, ch. 2); its coefficients are products of binomials, kept as
+        plain int.  Any other word goes through its normal form, whose
+        Fraction coefficients it carries; int and Fraction mix exactly."""
         cached = self._delta_cache.get(word)
         if cached is None:
             if any(a > b for a, b in zip(word, word[1:])):
                 cached = self.coproduct(self.normal_word(word))
             else:
-                cached = {((), ()): Fraction(1)}
+                cached = {((), ()): 1}
                 for letter, run in itertools.groupby(word):
                     a, x = len(tuple(run)), (letter,)
                     cached = {(left + x * b, right + x * (a - b)): c * comb(a, b)
@@ -472,5 +476,5 @@ class TruncatedUEA(Value):
 
     def delta_images(self):
         """Delta of each basis word, in basis order, as a sparse dict
-        (word, word) -> Fraction; degree is preserved, so nothing is cut."""
+        (word, word) -> int; degree is preserved, so nothing is cut."""
         return [self.engine.coproduct({w: Fraction(1)}) for w in self.basis]

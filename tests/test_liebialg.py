@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcat.coalg import all_hold, failures
+from hopfcat.corpus import corpus_path
+from hopfcat.instances import load_instance
 from hopfcat.liebialg import (
     EnvelopingEngine,
     LieBialgebra,
@@ -388,15 +390,23 @@ J = qm([[0, 1], [-1, 0]])
 ONE = Fraction(1)
 
 
+CORPUS_LIE = ("abelian_precartier", "b2_lie_bialgebra", "b2_twists")
+
+
 class TestMemoizedCoproduct:
     @pytest.mark.parametrize("lb, order", [
-        (b2(), 9), (twist_bialgebra(b2(), J), 6), (sl2(), 6)], ids=["b2", "b2_twisted", "sl2"])
+        (b2(), 10), (twist_bialgebra(b2(), J), 6), (sl2(), 6),
+        *((load_instance(corpus_path(name)).lie, 10) for name in CORPUS_LIE)],
+        ids=["b2", "b2_twisted", "sl2", *CORPUS_LIE])
     def test_every_pbw_word_matches_letter_by_letter(self, lb, order):
-        # the closed form against the product of primitive letters; sl2's
-        # words run through one, two and three runs of equal letters
+        # the closed form against the product of primitive letters, in int
+        # coefficients; sl2's words run through one, two and three runs of
+        # equal letters
         eng, oracle = EnvelopingEngine(lb), EnvelopingEngine(lb)
         for w in pbw_words(lb.dim, order):
-            assert eng.coproduct({w: ONE}) == letter_by_letter_coproduct(oracle, {w: ONE}), w
+            dw = eng.delta(w)
+            assert all(type(c) is int for c in dw.values()), w
+            assert dw == letter_by_letter_coproduct(oracle, {w: ONE}), w
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.lists(st.integers(0, 2), max_size=5).map(tuple),
