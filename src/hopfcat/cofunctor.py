@@ -328,6 +328,12 @@ class CoinvariantsFunctor(ComonoidalFunctor):
     span the subspace to kill; the subspace must be mapped into itself by
     every morphism the functor is applied to (equivariance guarantees
     this for the two instances below).
+
+    The quotient data (p, s) depend on the relation matrix alone, so they
+    are computed once per distinct matrix: words that differ by atoms the
+    relations do not see (the trivial lines of a dy quotient) share them.
+    A matrix is compared only with the earlier ones of its shape, and
+    never hashed, which would cost a Fraction hash per entry.
     """
 
     def __init__(self, source: Backend, relations_fn, tag="coinv"):
@@ -339,6 +345,7 @@ class CoinvariantsFunctor(ComonoidalFunctor):
         super().__init__(source, target)
         self.relations_fn = relations_fn
         self.tag = tag
+        self._cokernels = {}  # (rows, cols) -> [(relations, (p, s))]
 
     def _image(self, obj: ObjectRef):
         key = obj.factors
@@ -347,7 +354,7 @@ class CoinvariantsFunctor(ComonoidalFunctor):
         rel = self.relations_fn(self.source, obj)
         if rel.rows != self.source.obj_size(obj):
             raise BackendError("relations have the wrong ambient dimension")
-        p, s = cokernel_projection(rel)
+        p, s = self._cokernel(rel)
         if not obj.factors:
             if p.rows != 1:
                 raise BackendError("relations must vanish on the unit object")
@@ -357,6 +364,15 @@ class CoinvariantsFunctor(ComonoidalFunctor):
         data = (image, p, s)
         self._images[key] = data
         return data
+
+    def _cokernel(self, rel):
+        same = self._cokernels.setdefault((rel.rows, rel.cols), [])
+        for known, ps in same:
+            if known == rel:
+                return ps
+        ps = cokernel_projection(rel)
+        same.append((rel, ps))
+        return ps
 
     def apply_obj(self, obj):
         return self._image(obj)[0]

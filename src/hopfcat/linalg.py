@@ -12,7 +12,9 @@ A matrix made by from_table from a bijection keeps the table as perm
 and its inverse as perm_inv; identities and symmetries are such.  A
 permutation acts by moving indices, with no arithmetic: a product or
 Kronecker product with one relabels the other operand's rows or columns,
-and two compose as tables.  Every other matrix has both None.
+and two compose as tables.  Every other matrix has both None.  A product
+with an identity, or a Kronecker product with the 1x1 identity, is the
+other operand itself, shared rather than rebuilt.
 
 Matrices are dict keys, immutable by contract and unguarded: a raising
 __setattr__ would make each of the thousands built per verify pay an
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import lru_cache
 
 from .scalars import RATIONAL, HSeries, Ring, RingMismatch
 
@@ -154,6 +157,10 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         p, q = self.perm, other.perm
+        if p is not None and p == _iota(self.rows):
+            return other
+        if q is not None and q == _iota(other.rows):
+            return self
         if p is not None and q is not None:
             return Matrix.from_table(self.ring, [p[i] for i in q], self.rows)
         if p is not None:
@@ -194,6 +201,12 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.ring.kind})"
 
 
+@lru_cache(maxsize=None)
+def _iota(n):
+    """tuple(range(n)): the table of the identity of size n."""
+    return tuple(range(n))
+
+
 def _acc(out, terms, coef=1):
     """out[k] += coef * c for every (k, c) of terms, in place, keeping no
     zero value; returns out.  The one sparse accumulator: matrix rows, the
@@ -216,9 +229,15 @@ def _acc(out, terms, coef=1):
 def mat_kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product in the row-major index convention: entry
     ((ra*b.rows + rb), (ca*b.cols + cb)) = a[ra,ca] * b[rb,cb], strictly
-    associative with the composite index of tensor products of objects."""
+    associative with the composite index of tensor products of objects.
+    The 1x1 identity is its unit: with it on either side, the other
+    operand is returned as it is."""
     a._check_ring(b)
     bc, pa, pb = b.cols, a.perm, b.perm
+    if pb is not None and b.rows == 1:
+        return a
+    if pa is not None and a.rows == 1:
+        return b
     if pa is not None and pb is not None:
         br = b.rows
         return Matrix.from_table(a.ring, [i * br + k for i in pa for k in pb], a.rows * br)

@@ -34,7 +34,7 @@ from hopfcat.cofunctor import (
     invert_mor,
     mult_along,
 )
-from hopfcat import corpus
+from hopfcat import cofunctor, corpus
 from hopfcat.corpus import corpus_path
 from hopfcat.instances import dump_document, load_instance
 from hopfcat.linalg import Matrix, cokernel_projection
@@ -348,6 +348,20 @@ class TestCoinvariantsFunctor:
         mors = [b.identity_mor(r), b.braiding(r, r), b.act(1, r)]
         recs = check_comonoidal(fn, objs) + morphism_laws(fn, mors)
         assert all_hold(recs), failures(recs)
+
+    def test_one_cokernel_per_relation_matrix(self, monkeypatch):
+        # abelian_precartier's dy quotient: words that differ by the trivial
+        # lines E, E2 have equal relations, and share one (p, s)
+        fn = load_instance(corpus_path("abelian_precartier")).functor
+        b = fn.source
+        made = []
+        monkeypatch.setattr(cofunctor, "cokernel_projection",
+                            lambda rel: made.append(rel) or cokernel_projection(rel))
+        words = [ObjectRef(w) for w in short_words(b, 64) if b.base not in w]
+        for w in words:
+            _, p, s = fn._image(w)
+            assert (p, s) == cokernel_projection(fn.relations_fn(b, w)), w
+        assert len(made) == len(set(made)) < len(words) / 2
 
 
 class TestIdentityFunctor:

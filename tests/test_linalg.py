@@ -584,6 +584,20 @@ class TestPermutationsAgainstDense:
         assert pq.perm == tuple(i * k + j for i in p.perm for j in q.perm)
 
     @settings(max_examples=60, deadline=None)
+    @given(st.data(), rings, sides, sides)
+    def test_identity_operands_return_the_other(self, data, ring, n, m):
+        # no product with an identity, nor Kronecker product with the 1x1
+        # identity, builds a matrix: the other operand comes back as it is
+        a, _ = matrix_and_oracle(data.draw, ring, n, m)
+        at = a.transpose()
+        p, _ = perm_and_oracle(data.draw, ring, n)
+        for one in (Matrix.identity(n, ring), Matrix.from_table(ring, range(n), n),
+                    p * Matrix.from_table(ring, p.perm_inv, n)):
+            assert one * a is a and at * one is at
+        one = Matrix.identity(1, ring)
+        assert mat_kron(one, a) is a and mat_kron(a, one) is a
+
+    @settings(max_examples=60, deadline=None)
     @given(st.data(), rings, sides)
     def test_perm_is_set_exactly_for_bijections(self, data, ring, r):
         table = data.draw(st.lists(st.integers(0, r - 1), max_size=4)) if r else []
