@@ -389,9 +389,7 @@ class CoinvariantsFunctor(ComonoidalFunctor):
         _require_split(f.cod, words)
         dom_img, _, s = self._image(f.dom)
         images, projections = zip(*(self._image(w)[:2] for w in words))
-        p, m = reduce(mat_kron, projections), self.source.as_matrix(f)
-        if m is not self.source.identity_mor(f.dom).matrix:  # F2 multiplies no identity in
-            p = p * m
+        p = reduce(mat_kron, projections) * self.source.as_matrix(f)
         return MorphismRep(dom_img, _word(images), matrix=p * s)
 
 

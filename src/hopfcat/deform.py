@@ -362,7 +362,8 @@ def require_pre_cartier(functor, comonoids, pc=None, convention="t_delta_zero"):
         pc, [c.obj for c in comonoids], inf_cocommutative=comonoids,
         convention=convention, inf_braided=functor)
     if not all_hold(records):
-        raise PreCartierViolation("; ".join(str(r) for r in failures(records)))
+        raise PreCartierViolation("; ".join(f"{r.rule}: {r.detail}" if r.detail else r.rule
+                                            for r in failures(records)))
     return pc
 
 

@@ -234,21 +234,35 @@ def twist_dy_module(lb: LieBialgebra, j: Matrix, pi: Matrix, pistar: Matrix):
 # enveloping algebra: exact normal ordering on words
 
 
+def _int(c):
+    """c as an int when it is integral, else as it is."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class EnvelopingEngine:
     """Words in the generators with rational coefficients, rewritten to
     the basis of non-decreasing words.  No degree bound: intermediate
     terms may grow and later cancel, which is exactly what the truncated
     checks need to avoid lying about high-degree laws.
 
-    Elements are dicts word-tuple -> rational with no zero values: a
-    Fraction, or an int where the value is integral by construction, as in
-    the coproduct of a non-decreasing word.  Normal forms, coproducts and
-    coactions of single words are memoized; only normal_word and delta
-    hand out a cached dict: do not mutate it.
+    Elements are dicts word-tuple -> rational with no zero values: an int
+    where the value is integral, else a Fraction.  The bracket and cobracket
+    are read once, into tables whose integral structure constants are int,
+    and every word is seeded with the int 1, so over integral structure
+    constants (b2's, say) normal forms, products, coproducts and untwisted
+    coactions stay on ints; twist entries stay Fraction, and int and
+    Fraction sums are exact.  Normal forms, coproducts and coactions of
+    single words are memoized; only normal_word and delta hand out a
+    cached dict: do not mutate it.
     """
 
     def __init__(self, lb: LieBialgebra):
         self.lb = lb
+        n = lb.dim
+        # bracket[a][b]: [e_a, e_b] as (k, c); cobracket[a]: delta(e_a) as ((p, q), c)
+        self.bracket = [[[(k, _int(c)) for k, c in lb.bracket_of(a, b)] for b in range(n)]
+                        for a in range(n)]
+        self.cobracket = [[(pq, _int(c)) for pq, c in lb.cobracket_of(a)] for a in range(n)]
         self._nf_cache = {}
         self._delta_cache = {}
         self._coact_cache = {}
@@ -262,7 +276,7 @@ class EnvelopingEngine:
 
     @staticmethod
     def generator(i):
-        return {(i,): Fraction(1)}
+        return {(i,): 1}
 
     def normal_word(self, word):
         """Normal form of a single word as an element dict (cached: do not
@@ -278,12 +292,12 @@ class EnvelopingEngine:
                 pos = t
                 break
         if pos < 0:
-            result = {word: Fraction(1)}
+            result = {word: 1}
         else:
             a, b = word[pos], word[pos + 1]
             head, tail = word[:pos], word[pos + 2:]
             result = dict(self.normal_word(head + (b, a) + tail))
-            for k, coef in self.lb.bracket_of(a, b):
+            for k, coef in self.bracket[a][b]:
                 _acc(result, self.normal_word(head + (k,) + tail).items(), coef)
         self._nf_cache[word] = result
         return result
@@ -303,7 +317,7 @@ class EnvelopingEngine:
         built run by run with both legs non-decreasing (PBW theorem; Dixmier,
         1977, ch. 2); its coefficients are products of binomials, kept as
         plain int.  Any other word goes through its normal form, whose
-        Fraction coefficients it carries; int and Fraction mix exactly."""
+        coefficients it carries: ints too when the bracket is integral."""
         cached = self._delta_cache.get(word)
         if cached is None:
             if any(a > b for a, b in zip(word, word[1:])):
@@ -329,7 +343,7 @@ class EnvelopingEngine:
         return out
 
     # -- the crossed structure on the enveloping algebra
-    #    elements of b (x) U are dicts (index, word) -> Fraction
+    #    elements of b (x) U are dicts (index, word) -> rational
 
     def act(self, i, e):
         """pi(e_i (x) u) = e_i u: left multiplication by a generator."""
@@ -340,7 +354,7 @@ class EnvelopingEngine:
         read as a recursion on the leading letter, seeded on 1 by the
         twist (zero when untwisted).
 
-        Returns a dict (index, word) -> Fraction.
+        Returns a dict (index, word) -> rational.
         """
         out = {}
         for word, coef in e.items():
@@ -352,27 +366,23 @@ class EnvelopingEngine:
         cache = self._coact_cache
         if key in cache:
             return cache[key]
-        n = self.lb.dim
         result = {}
         if not word:
             if twist is not None:
-                for a in range(n):
-                    for b in range(n):
-                        if twist[a, b]:
-                            result[(a, (b,))] = twist[a, b]
+                result = {(a, (b,)): c for a, row in enumerate(twist.nz) for b, c in row.items()}
         else:
             x, rest = word[0], word[1:]
             inner = self._coact_word(rest, twist)
             # (B (x) 1)(x (x) pistar(u))
             for (a, w), c in inner.items():
-                _acc(result, (((k, w), br) for k, br in self.lb.bracket_of(x, a)), c)
+                _acc(result, (((k, w), br) for k, br in self.bracket[x][a]), c)
             # (1 (x) pi)(tau (x) 1): keep the comodule leg, multiply in x
             for (a, w), c in inner.items():
-                prod = self.act(x, {w: Fraction(1)})
+                prod = self.act(x, {w: 1})
                 _acc(result, (((a, w2), c2) for w2, c2 in prod.items()), c)
             # -(1 (x) pi)(D (x) 1)(x (x) u)
-            for (a, b), c in self.lb.cobracket_of(x):
-                prod = self.act(b, {rest: Fraction(1)})
+            for (a, b), c in self.cobracket[x]:
+                prod = self.act(b, {rest: 1})
                 _acc(result, (((a, w2), c2) for w2, c2 in prod.items()), -c)
         cache[key] = result
         return result
@@ -394,9 +404,9 @@ def check_uea_dy_identities(lb: LieBialgebra, max_degree, twist=None, engine=Non
     for i in range(n):
         for j in range(n):
             for w in words:
-                u = {w: Fraction(1)}
+                u = {w: 1}
                 lhs = {}
-                for k, br in lb.bracket_of(i, j):
+                for k, br in eng.bracket[i][j]:
                     _acc(lhs, eng.act(k, u).items(), br)
                 rhs = _acc(eng.act(i, eng.act(j, u)),
                            eng.act(j, eng.act(i, u)).items(), -1)
@@ -406,15 +416,15 @@ def check_uea_dy_identities(lb: LieBialgebra, max_degree, twist=None, engine=Non
 
     ok = True
     for w in words:
-        u = {w: Fraction(1)}
+        u = {w: 1}
         first = eng.coact(u, twist)
         # (1 (x) pistar) then antisymmetrize the two outer legs,
         # swap-minus-identity orientation as in check_dy_module
         lhs, rhs = {}, {}
         for (a, w1), c in first.items():
-            for (b, w2), c2 in eng.coact({w1: Fraction(1)}, twist).items():
+            for (b, w2), c2 in eng.coact({w1: 1}, twist).items():
                 _acc(lhs, (((b, a, w2), c2), ((a, b, w2), -c2)), c)
-            _acc(rhs, (((p, q, w1), c2) for (p, q), c2 in lb.cobracket_of(a)), c)
+            _acc(rhs, (((p, q, w1), c2) for (p, q), c2 in eng.cobracket[a]), c)
         if lhs != rhs:
             ok = False
     records.append(LawRecord("uea.comodule", ok, f"degree <= {max_degree}"))
@@ -422,15 +432,15 @@ def check_uea_dy_identities(lb: LieBialgebra, max_degree, twist=None, engine=Non
     ok = True
     for i in range(n):
         for w in words:
-            u = {w: Fraction(1)}
+            u = {w: 1}
             lhs = eng.coact(eng.act(i, u), twist)
             rhs = {}
             for (a, w1), c in eng.coact(u, twist).items():
-                _acc(rhs, (((k, w1), br) for k, br in lb.bracket_of(i, a)), c)
-                prod = eng.act(i, {w1: Fraction(1)})
+                _acc(rhs, (((k, w1), br) for k, br in eng.bracket[i][a]), c)
+                prod = eng.act(i, {w1: 1})
                 _acc(rhs, (((a, w2), c2) for w2, c2 in prod.items()), c)
-            for (a, b), c in lb.cobracket_of(i):
-                prod = eng.act(b, {w: Fraction(1)})
+            for (a, b), c in eng.cobracket[i]:
+                prod = eng.act(b, {w: 1})
                 _acc(rhs, (((a, w2), c2) for w2, c2 in prod.items()), -c)
             if lhs != rhs:
                 ok = False
@@ -473,8 +483,3 @@ class TruncatedUEA(Value):
     @property
     def dim(self):
         return len(self.basis)
-
-    def delta_images(self):
-        """Delta of each basis word, in basis order, as a sparse dict
-        (word, word) -> int; degree is preserved, so nothing is cut."""
-        return [self.engine.coproduct({w: Fraction(1)}) for w in self.basis]

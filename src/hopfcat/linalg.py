@@ -31,6 +31,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .scalars import RATIONAL, HSeries, Ring, RingMismatch
 
@@ -269,15 +270,43 @@ def hstack(mats):
     return Matrix.sparse(rows, off, ring, nz)
 
 
+def _primitive(v):
+    """The rational row v, a {col: entry} dict, scaled to integers with no
+    common factor: a new {col: int} dict."""
+    d = lcm(*[x.denominator for x in v.values()])
+    v = {k: x.numerator * (d // x.denominator) for k, x in v.items()}
+    g = gcd(*v.values())
+    return {k: x // g for k, x in v.items()} if g > 1 else v
+
+
+def _eliminate(v, row, c):
+    """Clear column c of the integer row v with the integer row row, whose
+    entry at c is nonzero: v <- a*v - b*row, a/b = row[c]/v[c] in lowest
+    terms, divided by its content.  Returns the new v."""
+    g = gcd(row[c], v[c])
+    a, b = row[c] // g, v[c] // g
+    if a != 1:
+        v = {k: a * x for k, x in v.items()}
+    _acc(v, row.items(), -b)
+    g = gcd(*v.values())
+    return {k: x // g for k, x in v.items()} if g > 1 else v
+
+
 def _rref(vectors):
     """Reduced row echelon form, leftmost pivots, of the span of vectors,
     {col: Fraction} dicts of nonzeros, which it consumes: (rows, pivots),
-    pivots ascending, rows[k] the sparse row of pivots[k].  Each vector is
-    reduced against the pivot rows so far, leftmost first; a pivot row has
-    no column left of its pivot, so one pass from the right back-substitutes.
+    pivots ascending, rows[k] the sparse row of pivots[k], with Fraction
+    entries.  Fraction-free (Bareiss, Math. Comp. 22 (1968)): each vector
+    is scaled to a primitive integer row and reduced on ints against the
+    pivot rows so far, leftmost first, every combined row divided by its
+    content; a pivot row has no column left of its pivot, so one pass from
+    the right back-substitutes, and each pivot row is divided by its pivot
+    once, at the end.  The reduced form is unique, so it equals the one
+    Fraction elimination gives.
     """
     pivot_rows = {}
     for v in vectors:
+        v = _primitive(v)
         todo = [c for c in v if c in pivot_rows]
         queued = set(todo)
         heapq.heapify(todo)
@@ -285,22 +314,29 @@ def _rref(vectors):
             c = heapq.heappop(todo)
             if c in v:
                 row = pivot_rows[c]
-                _acc(v, row.items(), -v[c])
+                v = _eliminate(v, row, c)
                 # clearing c brings in columns right of it only
                 for k in row:
                     if k in pivot_rows and k not in queued:
                         queued.add(k)
                         heapq.heappush(todo, k)
         if v:
-            lead = min(v)
-            inv = 1 / v[lead]
-            pivot_rows[lead] = {k: x * inv for k, x in v.items()} if inv != 1 else v
+            pivot_rows[min(v)] = v
     pivots = sorted(pivot_rows)
     for c in reversed(pivots):
         row = pivot_rows[c]
         for k in [k for k in row if k != c and k in pivot_rows]:
-            _acc(row, pivot_rows[k].items(), -row[k])
-    return [pivot_rows[c] for c in pivots], pivots
+            row = _eliminate(row, pivot_rows[k], k)
+        pivot_rows[c] = row
+    return [_divided(pivot_rows[c], c) for c in pivots], pivots
+
+
+def _divided(row, c):
+    """The integer row divided by its entry at c, as Fractions."""
+    p = row[c]
+    if p == 1:
+        return {k: Fraction(x) for k, x in row.items()}
+    return {k: Fraction(x, p) for k, x in row.items()}
 
 
 def rational_kernel_vector(m: Matrix):

@@ -5,6 +5,7 @@ hand-build the expected answers without touching the construction code,
 so that agreement is evidence rather than tautology.
 """
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -18,7 +19,7 @@ from hopfcat.backends import (
     regular_atom,
 )
 from hopfcat.coalg import LawRecord
-from hopfcat.linalg import Matrix, hstack
+from hopfcat.linalg import Matrix, _acc, hstack
 from hopfcat.scalars import RATIONAL, HSeries
 
 
@@ -289,6 +290,37 @@ def letter_by_letter_coproduct(engine, elem):
     return {key: c for key, c in out.items() if c}
 
 
+def uea_delta_images(uea):
+    """Delta of each basis word of a TruncatedUEA, in basis order, as
+    fresh dicts (word, word) -> coefficient."""
+    return [uea.engine.coproduct({w: 1}) for w in uea.basis]
+
+
+def uea_comonoid_records(uea, tag):
+    """Coassociativity, both counit laws, and cocommutativity of the
+    truncated coproduct, expanded word by word on word-tuple keys: each
+    term c w1 (x) w2 of Delta(w) sums the engine's Delta(w1), Delta(w2) by
+    c.  The plain reading of what cli._uea_comonoid_records decides on
+    numbered words and int keys."""
+    delta = uea.engine.delta
+    coassoc = counit = cocomm = True
+    for w, dw in zip(uea.basis, uea_delta_images(uea)):
+        left, right = {}, {}
+        for (w1, w2), c in dw.items():
+            _acc(left, (((a, b, w2), c2) for (a, b), c2 in delta(w1).items()), c)
+            _acc(right, (((w1, a, b), c2) for (a, b), c2 in delta(w2).items()), c)
+            if dw.get((w2, w1)) != c:
+                cocomm = False
+        if left != right:
+            coassoc = False
+        if ({w2: c for (w1, w2), c in dw.items() if not w1} != {w: 1}
+                or {w1: c for (w1, w2), c in dw.items() if not w2} != {w: 1}):
+            counit = False
+    return [LawRecord(f"uea.coassoc[{tag}]", coassoc),
+            LawRecord(f"uea.counit[{tag}]", counit),
+            LawRecord(f"uea.cocommutative[{tag}]", cocomm)]
+
+
 def uea_eps_matrix(uea):
     """The counit of a TruncatedUEA as a 1 x dim matrix: 1 on the empty
     word, 0 on every other basis word."""
@@ -528,3 +560,36 @@ def validate_action_by_pairs(kind, group, atom):
     for g, h in itertools.product(range(n), repeat=2):
         if atom.action[g] * atom.action[h] != atom.action[group.mul(g, h)]:
             raise BackendError(f"atom {atom.name}: action is not a homomorphism")
+
+
+def fraction_rref(vectors):
+    """Reduced row echelon form, leftmost pivots, of the span of vectors,
+    {col: Fraction} dicts, which it consumes: (rows, pivots) as
+    linalg._rref returns them, by Fraction elimination.  The library's
+    elimination before it went fraction-free, kept as its oracle: each
+    vector is reduced against the pivot rows so far, leftmost first, and
+    every pivot row is scaled to pivot 1 as it is found."""
+    pivot_rows = {}
+    for v in vectors:
+        todo = [c for c in v if c in pivot_rows]
+        queued = set(todo)
+        heapq.heapify(todo)
+        while todo:
+            c = heapq.heappop(todo)
+            if c in v:
+                row = pivot_rows[c]
+                _acc(v, row.items(), -v[c])
+                for k in row:
+                    if k in pivot_rows and k not in queued:
+                        queued.add(k)
+                        heapq.heappush(todo, k)
+        if v:
+            lead = min(v)
+            inv = 1 / v[lead]
+            pivot_rows[lead] = {k: x * inv for k, x in v.items()} if inv != 1 else v
+    pivots = sorted(pivot_rows)
+    for c in reversed(pivots):
+        row = pivot_rows[c]
+        for k in [k for k in row if k != c and k in pivot_rows]:
+            _acc(row, pivot_rows[k].items(), -row[k])
+    return [pivot_rows[c] for c in pivots], pivots

@@ -322,8 +322,8 @@ class TestOneBuildPath:
                              run_build(path, "deformed", order)):
             [record] = report["checks"]
             assert (code, record["rule"]) == (1, "deformed.constructor")
-            assert record["detail"].startswith(
-                "LawRecord(rule='precartier.inf_cocomm.sigma[M]'")
+            assert record["detail"].startswith("precartier.inf_cocomm.sigma[M]; ")
+            assert "LawRecord" not in record["detail"]
 
     def test_order_suffix_only_on_verify(self):
         path = corpus_path("abelian_precartier")

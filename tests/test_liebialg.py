@@ -1,9 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfcat import cli
 from hopfcat.coalg import all_hold, failures
 from hopfcat.liebialg import (
     EnvelopingEngine,
@@ -25,7 +27,13 @@ from hopfcat.liebialg import (
 from hopfcat.linalg import Matrix, mat_kron
 from hopfcat.scalars import RATIONAL
 
-from conftest import letter_by_letter_coproduct, t_mul, uea_eps_matrix
+from conftest import (
+    letter_by_letter_coproduct,
+    t_mul,
+    uea_comonoid_records,
+    uea_delta_images,
+    uea_eps_matrix,
+)
 
 
 def qm(rows):
@@ -336,7 +344,7 @@ def delta_matrix(t):
     """U -> U (x) U of a truncation, from its coproduct images."""
     ix, d = {w: i for i, w in enumerate(t.basis)}, t.dim
     cols = [{ix[w1] * d + ix[w2]: c for (w1, w2), c in img.items()}
-            for img in t.delta_images()]
+            for img in uea_delta_images(t)]
     return Matrix.sparse(len(cols), d * d, RATIONAL, cols).transpose()
 
 
@@ -366,7 +374,7 @@ class TestTruncatedUEA:
         plain = TruncatedUEA(b2(), 3)
         lbj = twist_bialgebra(b2(), j)
         twisted = TruncatedUEA(lbj, 3)
-        assert plain.delta_images() == twisted.delta_images()
+        assert uea_delta_images(plain) == uea_delta_images(twisted)
         assert uea_eps_matrix(plain) == uea_eps_matrix(twisted)
 
     def test_pi_matrix_is_left_multiplication(self):
@@ -432,7 +440,114 @@ class TestMemoizedCoproduct:
 
     def test_delta_images_follow_the_basis(self):
         t = TruncatedUEA(b2(), 3)
-        images = t.delta_images()
+        images = uea_delta_images(t)
         assert len(images) == t.dim
         for w, img in zip(t.basis, images):
             assert img == letter_by_letter_coproduct(t.engine, {w: ONE})
+
+
+def half_b2():
+    """b2 with bracket and cobracket halved, [x, y] = y/2: a Lie bialgebra
+    (the cocycle condition is bilinear in the two) whose structure
+    constants are not integers."""
+    lb = b2()
+    half = Fraction(1, 2)
+    return LieBialgebra(2, lb.bracket.scale(half), lb.cobracket.scale(half), lb.names)
+
+
+def words_to_degree(n, degree):
+    """Every word in n letters of length at most degree, descents included."""
+    return [w for d in range(degree + 1) for w in itertools.product(range(n), repeat=d)]
+
+
+B2_TWISTS = (qm([[0, 1], [-1, 0]]), qm([[0, Fraction(-2, 3)], [Fraction(2, 3), 0]]))
+
+
+class TestIntegerEngine:
+    """The engine reads integral structure constants as int and seeds every
+    word with the int 1; twist entries stay Fraction."""
+
+    def test_untwisted_b2_stays_on_ints(self):
+        eng = EnvelopingEngine(b2())
+        for w in words_to_degree(2, 4):
+            images = [eng.normal_word(w), eng.coact({w: 1})]
+            images += [eng.act(i, {w: 1}) for i in range(2)]
+            for image in images:
+                assert all(type(c) is int for c in image.values()), (w, image)
+        assert any(eng.coact({w: 1}) for w in words_to_degree(2, 4))
+
+    def test_twisted_coactions_match_fraction_constants(self):
+        """Each twisted coaction up to degree 4 equals that of an engine
+        whose structure constants are all forced to Fraction."""
+        for j in B2_TWISTS:
+            eng, frac = EnvelopingEngine(b2()), EnvelopingEngine(b2())
+            frac.bracket = [[[(k, Fraction(c)) for k, c in terms] for terms in row]
+                            for row in frac.bracket]
+            frac.cobracket = [[(pq, Fraction(c)) for pq, c in terms] for terms in frac.cobracket]
+            for w in words_to_degree(2, 4):
+                got = eng.coact({w: 1}, j)
+                assert got == frac.coact({w: Fraction(1)}, j)
+                assert got == frac.coact({w: 1}, j)
+
+    def test_non_integral_constants_stay_fractions(self):
+        eng = EnvelopingEngine(half_b2())
+        assert eng.bracket[0][1] == [(1, Fraction(1, 2))]
+        assert eng.normal_word((1, 0)) == {(0, 1): 1, (1,): Fraction(-1, 2)}
+
+
+PLANTS = ("none", "coefficient", "outside", "swap")
+
+
+def plant_delta(uea, plant, w, key, change=1):
+    """Replace Delta(w) in uea's engine by a copy with one term changed:
+    its coefficient moved by change ("coefficient"), its left leg w1
+    replaced by the word (1,) + w1 + (0,), which has a descent and so lies
+    outside the basis ("outside"), or its legs swapped ("swap")."""
+    d = dict(uea.engine.delta(w))
+    c = d.pop(key)
+    w1, w2 = key
+    new = {"none": key, "coefficient": key, "outside": ((1,) + w1 + (0,), w2),
+           "swap": (w2, w1)}[plant]
+    c = d.get(new, 0) + c + (change if plant == "coefficient" else 0)
+    if c:
+        d[new] = c
+    else:
+        d.pop(new, None)
+    uea.engine._delta_cache[w] = d
+
+
+def holds(records):
+    return [(r.rule, r.holds) for r in records]
+
+
+class TestComonoidRecordsAgainstWordKeys:
+    """cli._uea_comonoid_records, on numbered words and int keys, against
+    conftest.uea_comonoid_records, the word-keyed expansion it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([b2, half_b2]), st.integers(0, 8), st.sampled_from(PLANTS),
+           st.data())
+    def test_same_booleans_as_word_keys(self, make, order, plant, data):
+        uea = TruncatedUEA(make(), order)
+        if plant != "none" and order > 0:
+            w = data.draw(st.sampled_from(uea.basis[1:]))
+            key = data.draw(st.sampled_from(sorted(uea.engine.delta(w))))
+            change = data.draw(st.sampled_from([1, -1, Fraction(1, 2)]))
+            plant_delta(uea, plant, w, key, change)
+        got = holds(cli._uea_comonoid_records(uea, "t"))
+        assert got == holds(uea_comonoid_records(uea, "t"))
+
+    @pytest.mark.parametrize("make", [b2, half_b2])
+    @pytest.mark.parametrize("plant, failing", [
+        ("none", set()),
+        ("coefficient", {"uea.coassoc[t]", "uea.cocommutative[t]"}),
+        ("outside", {"uea.coassoc[t]", "uea.cocommutative[t]"}),
+        ("swap", {"uea.coassoc[t]", "uea.cocommutative[t]"}),
+    ])
+    def test_each_plant_fails_as_word_keys_do(self, make, plant, failing):
+        """A planted term of Delta(x y) fails both ways, with the same rules."""
+        uea = TruncatedUEA(make(), 4)
+        plant_delta(uea, plant, (0, 1), ((0,), (1,)))
+        got = holds(cli._uea_comonoid_records(uea, "t"))
+        assert got == holds(uea_comonoid_records(uea, "t"))
+        assert {rule for rule, ok in got if not ok} == failing

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfcat import linalg
 from hopfcat.linalg import (
     Matrix,
     Singular,
@@ -21,7 +24,7 @@ from hopfcat.linalg import (
 )
 from hopfcat.scalars import RATIONAL, HSeries, Ring, RingMismatch, hseries_ring
 
-from conftest import DenseMatrix, agrees, dense_hstack, permutation_inverse
+from conftest import DenseMatrix, agrees, dense_hstack, fraction_rref, permutation_inverse
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 
@@ -337,6 +340,92 @@ class TestSparseEliminationAgainstDense:
 
 # ---------------------------------------------------------------------------
 # products, sums and Kronecker products against their textbook definitions
+
+
+# entries of the fraction-free tests: units, small and large integers,
+# proper fractions
+FREE_ENTRIES = [Fraction(x) for x in (1, -1, 2, -2, 7, Fraction(1, 2), Fraction(-5, 3), 10 ** 6)]
+
+
+@st.composite
+def vector_lists(draw, max_cols=7):
+    """(cols, vectors): sparse {col: Fraction} vectors over cols columns,
+    with empty ones, repeats and nonzero multiples of earlier ones mixed in."""
+    cols = draw(st.integers(0, max_cols))
+    entry = st.one_of(st.just(Fraction(0)), st.sampled_from(FREE_ENTRIES))
+    vectors = []
+    for kind in draw(st.lists(st.sampled_from(["new", "new", "empty", "repeat", "multiple"]),
+                              max_size=8)):
+        if kind == "new" or not vectors:
+            row = draw(st.lists(entry, min_size=cols, max_size=cols))
+            vectors.append({j: x for j, x in enumerate(row) if x})
+        elif kind == "empty":
+            vectors.append({})
+        else:
+            v = draw(st.sampled_from(vectors))
+            c = Fraction(1) if kind == "repeat" else draw(st.sampled_from(FREE_ENTRIES))
+            vectors.append({j: c * x for j, x in v.items()})
+    return cols, vectors
+
+
+def square_from(cols, vectors):
+    """The square matrix whose rows are the first vectors, padded with
+    zero rows and cut to cols columns."""
+    rows = [[v.get(j, Fraction(0)) for j in range(cols)] for v in vectors[:cols]]
+    rows += [[Fraction(0)] * cols for _ in range(cols - len(rows))]
+    return qm(rows)
+
+
+def inverse_or_witness(m):
+    try:
+        return "inverse", mat_invert(m)
+    except Singular as exc:
+        return "singular", exc.witness
+
+
+class TestFractionFreeElimination:
+    """_rref against the Fraction elimination it replaced
+    (conftest.fraction_rref): the reduced row echelon form is unique, so
+    both must give the same rows and pivots, every entry a Fraction."""
+
+    @settings(max_examples=300)
+    @given(vector_lists())
+    def test_same_rows_and_pivots_as_fraction_elimination(self, case):
+        _, vectors = case
+        rows, pivots = _rref([dict(v) for v in vectors])
+        assert (rows, pivots) == fraction_rref([dict(v) for v in vectors])
+        assert all(type(x) is Fraction for row in rows for x in row.values())
+
+    @settings(max_examples=150)
+    @given(vector_lists())
+    def test_kernels_and_inverses_unchanged(self, case):
+        cols, vectors = case
+        if not cols:
+            return
+        m = qm([[v.get(j, Fraction(0)) for j in range(cols)] for v in vectors] or
+               [[Fraction(0)] * cols])
+        sq = square_from(cols, vectors)
+        series = lift_matrix(sq, hseries_ring(2))
+        got = (rational_kernel_vector(m), inverse_or_witness(sq), inverse_or_witness(series))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_rref", fraction_rref)
+            expect = (rational_kernel_vector(m), inverse_or_witness(sq), inverse_or_witness(series))
+        assert got == expect
+        for kind, value in got[1:]:
+            if kind == "singular":
+                assert all(isinstance(x, (Fraction, HSeries)) for x in value)
+
+    def test_divides_no_int_by_int(self):
+        """The elimination's only division is the exact floor division
+        by a common factor, and the last step builds each Fraction from
+        its integer parts: no true division that int / int would turn
+        into a float."""
+        tree = ast.parse(inspect.getsource(linalg))
+        parts = {"_primitive", "_eliminate", "_rref", "_divided"}
+        found = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in parts]
+        assert {f.name for f in found} == parts
+        for f in found:
+            assert not any(isinstance(node, ast.Div) for node in ast.walk(f)), f.name
 
 
 def ring_entries(ring):
