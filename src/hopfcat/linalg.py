@@ -73,14 +73,14 @@ class Matrix:
     @classmethod
     def sparse(cls, rows, cols, ring, nz):
         """From rows of nonzeros, taken as they are: none may store a zero."""
-        return cls.__new__(cls)._fill(rows, cols, ring, tuple(nz))
+        return _sparse(rows, cols, ring, nz)
 
     @classmethod
     def from_rows(cls, ring, rows):
         c = len(rows[0]) if rows else 0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return cls.sparse(len(rows), c, ring, [
+        return _sparse(len(rows), c, ring, [
             {j: x for j, x in enumerate(map(ring.coerce, row)) if x} for row in rows])
 
     @classmethod
@@ -91,7 +91,7 @@ class Matrix:
         for j, i in enumerate(table):
             nz[i][j] = one
             inv[i] = j
-        m = cls.sparse(rows, len(table), ring, nz)
+        m = _sparse(rows, len(table), ring, nz)
         if len(table) == rows and all(nz):
             m.perm, m.perm_inv = tuple(table), tuple(inv)
         return m
@@ -102,7 +102,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows, cols, ring):
-        return cls.sparse(rows, cols, ring, ({},) * rows)
+        return _sparse(rows, cols, ring, ({},) * rows)
 
     @property
     def entries(self):
@@ -136,7 +136,7 @@ class Matrix:
         self._check_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return Matrix.sparse(self.rows, self.cols, self.ring, [
+        return _sparse(self.rows, self.cols, self.ring, [
             _acc(dict(a), b.items()) if a and b else a or b
             for a, b in zip(self.nz, other.nz)])
 
@@ -144,13 +144,13 @@ class Matrix:
         return self + -other
 
     def __neg__(self):
-        return Matrix.sparse(self.rows, self.cols, self.ring,
-                             [{j: -x for j, x in r.items()} for r in self.nz])
+        return _sparse(self.rows, self.cols, self.ring,
+                       [{j: -x for j, x in r.items()} for r in self.nz])
 
     def scale(self, c):
         c = self.ring.coerce(c)
-        return Matrix.sparse(self.rows, self.cols, self.ring,
-                             [{j: p for j, x in r.items() if (p := c * x)} for r in self.nz])
+        return _sparse(self.rows, self.cols, self.ring,
+                       [{j: p for j, x in r.items() if (p := c * x)} for r in self.nz])
 
     def __mul__(self, other):
         """Matrix product self @ other, over the nonzeros of both."""
@@ -165,12 +165,12 @@ class Matrix:
         if p is not None and q is not None:
             return Matrix.from_table(self.ring, [p[i] for i in q], self.rows)
         if p is not None:
-            return Matrix.sparse(self.rows, other.cols, self.ring,
-                                 [other.nz[t] for t in self.perm_inv])
+            return _sparse(self.rows, other.cols, self.ring,
+                           [other.nz[t] for t in self.perm_inv])
         if q is not None:
             col = other.perm_inv
-            return Matrix.sparse(self.rows, other.cols, self.ring,
-                                 [{col[c]: x for c, x in r.items()} for r in self.nz])
+            return _sparse(self.rows, other.cols, self.ring,
+                           [{col[c]: x for c, x in r.items()} for r in self.nz])
         b = other.nz
         out = []
         for arow in self.nz:
@@ -182,14 +182,14 @@ class Matrix:
                     s = acc.get(j)
                     acc[j] = p if s is None else s + p
             out.append({j: s for j, s in acc.items() if s})
-        return Matrix.sparse(self.rows, other.cols, self.ring, out)
+        return _sparse(self.rows, other.cols, self.ring, out)
 
     def transpose(self):
         nz = [{} for _ in range(self.cols)]
         for i, r in enumerate(self.nz):
             for j, x in r.items():
                 nz[j][i] = x
-        return Matrix.sparse(self.cols, self.rows, self.ring, nz)
+        return _sparse(self.cols, self.rows, self.ring, nz)
 
     def is_zero(self):
         return not any(self.nz)
@@ -200,6 +200,12 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.ring.kind})"
+
+
+def _sparse(rows, cols, ring, nz):
+    """Matrix.sparse, for the results built here: a private function is
+    one call, with no classmethod dispatch."""
+    return Matrix.__new__(Matrix)._fill(rows, cols, ring, tuple(nz))
 
 
 @lru_cache(maxsize=None)
@@ -250,7 +256,7 @@ def mat_kron(a: Matrix, b: Matrix) -> Matrix:
     else:
         nz = [{ca * bc + cb: p for ca, x in ra.items() for cb, y in rb.items()
                if (p := y if x == 1 else x * y)} for ra in a.nz for rb in b.nz]
-    return Matrix.sparse(a.rows * b.rows, a.cols * bc, a.ring, nz)
+    return _sparse(a.rows * b.rows, a.cols * bc, a.ring, nz)
 
 
 def hstack(mats):
@@ -267,7 +273,7 @@ def hstack(mats):
         for r, mr in zip(nz, m.nz):
             r.update({off + j: x for j, x in mr.items()})
         off += m.cols
-    return Matrix.sparse(rows, off, ring, nz)
+    return _sparse(rows, off, ring, nz)
 
 
 def _primitive(v):
@@ -364,8 +370,8 @@ def _rational_inverse(m: Matrix):
     rows, pivots = _rref({**r, n + i: one} for i, r in enumerate(m.nz))
     if pivots and pivots[-1] >= n:
         return None
-    return Matrix.sparse(n, n, RATIONAL, [{j - n: x for j, x in r.items() if j >= n}
-                                          for r in rows])
+    return _sparse(n, n, RATIONAL, [{j - n: x for j, x in r.items() if j >= n}
+                                    for r in rows])
 
 
 def mat_invert(m: Matrix) -> Matrix:
@@ -419,7 +425,7 @@ def cokernel_projection(relations: Matrix):
             if f != c:
                 p[slot[f]][c] = -x
     s = [{slot[f]: one} if f in slot else {} for f in range(n)]
-    return Matrix.sparse(len(free), n, RATIONAL, p), Matrix.sparse(n, len(free), RATIONAL, s)
+    return _sparse(len(free), n, RATIONAL, p), _sparse(n, len(free), RATIONAL, s)
 
 
 def lift_matrix(m: Matrix, ring: Ring) -> Matrix:
@@ -428,7 +434,7 @@ def lift_matrix(m: Matrix, ring: Ring) -> Matrix:
         raise RingMismatch("can only lift rational matrices")
     if ring.kind == "rational":
         return m
-    return Matrix.sparse(m.rows, m.cols, ring, [
+    return _sparse(m.rows, m.cols, ring, [
         {j: HSeries.from_rational(x, ring.order) for j, x in r.items()} for r in m.nz])
 
 
@@ -441,13 +447,13 @@ def series_matrix(coeffs, ring: Ring) -> Matrix:
         parts = [c.nz[i] for c in coeffs]
         nz.append({j: HSeries.from_coeffs([r.get(j, 0) for r in parts], ring.order)
                    for j in set().union(*parts)})
-    return Matrix.sparse(rows, cols, ring, nz)
+    return _sparse(rows, cols, ring, nz)
 
 
 def series_coefficients(m: Matrix) -> list:
     """The rational matrix of each degree of a series matrix, listed by
     degree; the inverse of series_matrix."""
-    return [Matrix.sparse(m.rows, m.cols, RATIONAL, [
+    return [_sparse(m.rows, m.cols, RATIONAL, [
         {j: c for j, x in r.items() if (c := x.coeffs[d])} for r in m.nz])
         for d in range(m.ring.order + 1)]
 
@@ -456,5 +462,5 @@ def reduce_matrix(m: Matrix) -> Matrix:
     """Degree-0 reduction of a series matrix back to the rationals."""
     if m.ring.kind == "rational":
         return m
-    return Matrix.sparse(m.rows, m.cols, RATIONAL, [
+    return _sparse(m.rows, m.cols, RATIONAL, [
         {j: c for j, x in r.items() if (c := x.constant_term())} for r in m.nz])

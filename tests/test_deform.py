@@ -181,6 +181,31 @@ class TestPreCartierLaws:
         assert not by_rule["precartier.natural"].holds
         assert "(W(x)W->W(x)W,V->V)" in by_rule["precartier.natural"].detail
 
+    def test_zero_components_skip_no_failure(self, setup, monkeypatch):
+        """A law that reads only zero components of t multiplies nothing:
+        on intact, zero, lawless and broken data, the records equal those
+        of multiplying every component out."""
+        be, pc = setup
+        v, w, e = be.obj("V"), be.obj("W"), be.obj("E")
+        broken = dict(pc.table)
+        broken[(("E",), ("V",))] = qm([[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]])
+        broken[(("W", "W"), ("V",))] = Matrix.identity(16, RATIONAL)
+        cases = [pc, PreCartierData(be), PreCartierData(be, broken),
+                 PreCartierData(be, {("W", "W"): qm([[1, 2, 3, 4], [0, 1, 0, 0],
+                                                     [5, 0, 1, 0], [0, 0, 0, 1]])})]
+        sample = [v, w, be.obj("W", "W"), e, be.obj("E", "V")]
+        lines = [line_comonoid(be, "E"), line_comonoid(be, "E2")]
+
+        def records(data):
+            recs = check_pre_cartier(data, sample, inf_cocommutative=lines,
+                                     inf_braided=dy_coinvariants_functor(be))
+            return [(r.rule, r.holds, r.detail) for r in recs]
+
+        skipped = [records(PreCartierData(be, data.table)) for data in cases]
+        monkeypatch.setattr(PreCartierData, "vanishes", lambda self, x, y: False)
+        assert skipped == [records(PreCartierData(be, data.table)) for data in cases]
+        assert any(not ok for rule, ok, _ in skipped[2])
+
     def test_shape_guard(self, setup):
         be, _ = setup
         with pytest.raises(BackendError):
