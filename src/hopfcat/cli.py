@@ -233,33 +233,27 @@ def _uea_comonoid_records(uea, tag):
     """Coassociativity, both counit laws, and cocommutativity of the
     truncated coproduct, expanded word-by-word (Delta preserves degree, so
     nothing is cut): each term c w1 (x) w2 sums the engine's Delta(w1),
-    Delta(w2) by c.  Each word is numbered once, as first met, and Delta of
-    each basis word and each leg is read once into (i, j, c) triples of
-    numbers.  A term u (x) v (x) w of (Delta (x) 1)Delta(x) adds, and one of
-    (1 (x) Delta)Delta(x) subtracts, its coefficient under the int key
-    (u*n + v)*n + w, so coassociativity holds when no value is left nonzero.
-    On basis words every coefficient is an int."""
-    delta, ids, words, tri = uea.engine.delta, {}, [], {}
+    Delta(w2) by c.  Words are numbered as first met, and Delta of each
+    basis word and leg read once into (i, j, c) triples; a term u (x) v (x) w
+    of (Delta (x) 1)Delta adds, and one of (1 (x) Delta)Delta subtracts, its
+    coefficient under the int key (u*n + v)*n + w, so coassociativity holds
+    when every value cancels.  On basis words every coefficient is an int."""
+    delta, ids, tri = uea.engine.delta, {}, {}
 
     def num(w):
-        i = ids.get(w)
-        if i is None:
-            i = ids[w] = len(words)
-            words.append(w)
-        return i
+        return ids.setdefault(w, len(ids))
 
-    def read(i):
-        if i not in tri:
-            tri[i] = [(num(a), num(b), c) for (a, b), c in delta(words[i]).items() if c]
+    def read(w):
+        if num(w) not in tri:
+            tri[ids[w]] = [(num(a), num(b), c) for (a, b), c in delta(w).items() if c]
 
     basis, e = [num(w) for w in uea.basis], num(())
-    for w in basis:
+    for w in uea.basis:
         read(w)
-    for w in basis:
-        for i, j, _ in tri[w]:
-            read(i)
-            read(j)
-    n = len(words)
+        for a, b in delta(w):
+            read(a)
+            read(b)
+    n = len(ids)
     # Delta(u) as (v*n + w, c) pairs: both keys are linear in v*n + w
     flat = {i: [(a * n + b, c) for a, b, c in t] for i, t in tri.items()}
     coassoc = counit = cocomm = True

@@ -112,8 +112,7 @@ class PreCartierData(Value):
 
     def t_cut_left(self, x: ObjectRef, y: ObjectRef, z: ObjectRef) -> Matrix:
         """t on (x (x) y, z) by the left rule at the cut x|y: id_x (x) t(y, z)
-        plus t(x, z) with y carried past z and back, when t(x, z) is not
-        zero."""
+        plus t(x, z) with y carried past z and back."""
         be = self.backend
         idx = be.identity_mor(x)
         near = be.tensor_mor(idx, self.t(y, z)).matrix
@@ -127,8 +126,7 @@ class PreCartierData(Value):
 
     def t_cut_right(self, x: ObjectRef, y: ObjectRef, z: ObjectRef) -> Matrix:
         """t on (x, y (x) z) by the right rule at the cut y|z: t(x, y) (x) id_z
-        plus t(x, z) with y carried past x and back, when t(x, z) is not
-        zero."""
+        plus t(x, z) with y carried past x and back."""
         be = self.backend
         idz = be.identity_mor(z)
         near = be.tensor_mor(self.t(x, y), idz).matrix
@@ -202,10 +200,8 @@ def check_pre_cartier(pc: PreCartierData, sample, *, inf_cocommutative=(),
     "literal" asks t.delta = delta, "t_delta_zero" asks t.delta = 0
     (sigma.delta = delta either way).  inf_braided takes a functor out of
     pc.backend and asks F(t) F2 = 0, since the target's datum is zero.
-    Where the components of t a law reads are zero, both sides are the
-    zero map and nothing is multiplied: zero components are equivariant,
-    commute, are antisymmetric and natural, and add nothing to a peeling
-    rule.
+    A law that reads only zero components of t (pc.vanishes) holds with
+    both sides zero, and is not multiplied out.
     """
     if not sample:
         raise BackendError("need at least one sampled object")

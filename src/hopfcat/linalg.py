@@ -21,9 +21,10 @@ __setattr__ would make each of the thousands built per verify pay an
 object.__setattr__ per slot.
 
 One sparse exact elimination, _rref, serves kernels, cokernels and
-inverses; it is deterministic, since the reduced row echelon form with
-leftmost pivots is unique to the row space.  A series matrix is inverted
-through its degree-0 part, so it is invertible exactly when that part is.
+inverses.  It is fraction-free, on integer rows, and deterministic: the
+reduced row echelon form with leftmost pivots is unique to the row space,
+and its rows come out as Fractions.  A series matrix is inverted through
+its degree-0 part, so it is invertible exactly when that part is.
 """
 
 from __future__ import annotations
@@ -203,8 +204,7 @@ class Matrix:
 
 
 def _sparse(rows, cols, ring, nz):
-    """Matrix.sparse, for the results built here: a private function is
-    one call, with no classmethod dispatch."""
+    """Matrix.sparse, for the results built here, with no method dispatch."""
     return Matrix.__new__(Matrix)._fill(rows, cols, ring, tuple(nz))
 
 
@@ -276,43 +276,37 @@ def hstack(mats):
     return _sparse(rows, off, ring, nz)
 
 
-def _primitive(v):
-    """The rational row v, a {col: entry} dict, scaled to integers with no
-    common factor: a new {col: int} dict."""
-    d = lcm(*[x.denominator for x in v.values()])
-    v = {k: x.numerator * (d // x.denominator) for k, x in v.items()}
+def _content_free(v):
+    """The {col: int} row v divided by the gcd of its entries."""
     g = gcd(*v.values())
     return {k: x // g for k, x in v.items()} if g > 1 else v
 
 
 def _eliminate(v, row, c):
-    """Clear column c of the integer row v with the integer row row, whose
-    entry at c is nonzero: v <- a*v - b*row, a/b = row[c]/v[c] in lowest
-    terms, divided by its content.  Returns the new v."""
+    """v <- a*v - b*row, integer rows with a/b = row[c]/v[c] in lowest
+    terms, so column c clears; divided by its content."""
     g = gcd(row[c], v[c])
     a, b = row[c] // g, v[c] // g
     if a != 1:
         v = {k: a * x for k, x in v.items()}
-    _acc(v, row.items(), -b)
-    g = gcd(*v.values())
-    return {k: x // g for k, x in v.items()} if g > 1 else v
+    return _content_free(_acc(v, row.items(), -b))
 
 
 def _rref(vectors):
     """Reduced row echelon form, leftmost pivots, of the span of vectors,
     {col: Fraction} dicts of nonzeros, which it consumes: (rows, pivots),
-    pivots ascending, rows[k] the sparse row of pivots[k], with Fraction
-    entries.  Fraction-free (Bareiss, Math. Comp. 22 (1968)): each vector
-    is scaled to a primitive integer row and reduced on ints against the
-    pivot rows so far, leftmost first, every combined row divided by its
-    content; a pivot row has no column left of its pivot, so one pass from
-    the right back-substitutes, and each pivot row is divided by its pivot
-    once, at the end.  The reduced form is unique, so it equals the one
+    pivots ascending, rows[k] the sparse row of pivots[k].  Fraction-free
+    (Bareiss, Math. Comp. 22 (1968)): each vector, scaled to a primitive
+    integer row, is reduced on ints against the pivot rows so far, leftmost
+    first; a pivot row has no column left of its pivot, so one pass from the
+    right back-substitutes.  Each pivot row is divided by its pivot once, at
+    the end, into Fractions; the reduced form is unique, so it is the one a
     Fraction elimination gives.
     """
     pivot_rows = {}
     for v in vectors:
-        v = _primitive(v)
+        d = lcm(*[x.denominator for x in v.values()])
+        v = _content_free({k: x.numerator * (d // x.denominator) for k, x in v.items()})
         todo = [c for c in v if c in pivot_rows]
         queued = set(todo)
         heapq.heapify(todo)
@@ -334,15 +328,8 @@ def _rref(vectors):
         for k in [k for k in row if k != c and k in pivot_rows]:
             row = _eliminate(row, pivot_rows[k], k)
         pivot_rows[c] = row
-    return [_divided(pivot_rows[c], c) for c in pivots], pivots
-
-
-def _divided(row, c):
-    """The integer row divided by its entry at c, as Fractions."""
-    p = row[c]
-    if p == 1:
-        return {k: Fraction(x) for k, x in row.items()}
-    return {k: Fraction(x, p) for k, x in row.items()}
+    rows = [pivot_rows[c] for c in pivots]
+    return [{k: Fraction(x, r[c]) for k, x in r.items()} for c, r in zip(pivots, rows)], pivots
 
 
 def rational_kernel_vector(m: Matrix):

@@ -421,7 +421,7 @@ class TestFractionFreeElimination:
         its integer parts: no true division that int / int would turn
         into a float."""
         tree = ast.parse(inspect.getsource(linalg))
-        parts = {"_primitive", "_eliminate", "_rref", "_divided"}
+        parts = {"_content_free", "_eliminate", "_rref"}
         found = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in parts]
         assert {f.name for f in found} == parts
         for f in found:
