@@ -28,7 +28,7 @@ from itertools import product
 from math import prod
 
 from .linalg import Matrix, mat_kron
-from .scalars import RATIONAL, Value
+from .scalars import RATIONAL, Value, replace
 
 
 class BackendError(ValueError):
@@ -229,7 +229,7 @@ class MorphismRep(Value):
 
 
 class Backend(Value):
-    __slots__ = ("kind", "group", "atoms", "ring", "base", "_braidings", "_memo")
+    __slots__ = ("kind", "group", "atoms", "ring", "base", "_braidings", "_memo", "_dy")
     _fields = __slots__[:5]
 
     def __init__(self, kind, group, atoms, ring=RATIONAL, base=None):
@@ -238,9 +238,9 @@ class Backend(Value):
         self.atoms = atoms  # name -> Atom
         self.ring = ring
         self.base = base  # dy only: name of the acting/coacting atom
-        self._braidings = {}
-        # size -> identity; factors -> size; (dy_action or dy_coaction, factors) -> map
-        self._memo = {}
+        self._braidings = {}  # (size, size) -> swap
+        self._memo = {}  # size -> identity; factors -> size
+        self._dy = {}  # (dy_action or dy_coaction, factors) -> map
         if self.kind not in ("finset", "linear", "dy"):
             raise BackendError(f"unknown backend kind {self.kind!r}")
         if self.kind == "dy":
@@ -427,16 +427,18 @@ class Backend(Value):
         depends on the sizes of x and y alone: one table (or matrix) is
         built per size pair and kept for this backend's lifetime, and each
         call wraps it with the words' endpoints."""
-        nx, ny = self.obj_size(x), self.obj_size(y)
-        sw = self._braidings.get((nx, ny))
+        sizes = (self.obj_size(x), self.obj_size(y))
+        sw = self._braidings.get(sizes)
         if sw is None:
-            sw = _flip(nx, ny)
-            if self.kind != "finset":
-                sw = Matrix.from_table(self.ring, sw, nx * ny)
-            self._braidings[(nx, ny)] = sw
+            sw = self._braidings[sizes] = self._swap(*sizes)
         if self.kind == "finset":
             return MorphismRep(x.tensor(y), y.tensor(x), table=sw)
         return MorphismRep(x.tensor(y), y.tensor(x), matrix=sw)
+
+    def _swap(self, nx, ny):
+        """The block flip of sizes nx and ny, as a table or a matrix."""
+        sw = _flip(nx, ny)
+        return sw if self.kind == "finset" else Matrix.from_table(self.ring, sw, nx * ny)
 
     # -- group action on objects
 
@@ -473,7 +475,7 @@ class Backend(Value):
         """dy_action or dy_coaction of a word, memoized, by the head-first
         recursion over its factors."""
         self._need_dy()
-        out = self._memo.get((which, obj.factors))
+        out = self._dy.get((which, obj.factors))
         if out is not None:
             return out
         action = which == "dy_action"
@@ -493,7 +495,7 @@ class Backend(Value):
                     out = out + rest * mat_kron(self.braiding(base, head).matrix, id_tail)
                 else:
                     out = out + mat_kron(self.braiding(head, base).matrix, id_tail) * rest
-        self._memo[(which, obj.factors)] = out
+        self._dy[(which, obj.factors)] = out
         return out
 
     def _need_dy(self):
@@ -623,27 +625,24 @@ def _assoc_witness(n, hs, comp, gens):
 def check_braiding_coherence(backend):
     """Coherence of the symmetry on small tensor words: the inverse law and
     both hexagons (strictified to products of swaps), read off the swaps
-    without composing any.  Returns failure descriptions; empty means
-    coherent.
+    the backend has kept, without composing any.  Returns failure
+    descriptions; empty means coherent.
 
     Each law holds for the block flip at every size triple (Mac Lane,
     Categories for the Working Mathematician, ch. XI).  On the point
     (i, j, k) of x (x) y (x) z, sigma(x (x) y, z) and
     (sigma(x, z) (x) 1) o (1 (x) sigma(y, z)) both give (k, i, j), and
     sigma(x, y (x) z) and (1 (x) sigma(x, z)) o (sigma(x, y) (x) 1) both
-    give (j, k, i); two flips give back (a, b).  So each swap is compared
-    with the flip of its sizes, once per size pair, and a law fails unless
-    every swap it reads is a flip: a pass proves the laws, and a swap that
-    is not a flip fails every law that reads it.
+    give (j, k, i); two flips give back (a, b).  Backend.braiding builds
+    each swap as the flip, so only a kept swap can differ: each is compared
+    by value with the flip of its sizes, and a law fails unless every swap
+    it reads is a flip.  A pass proves the laws, and a kept swap that is
+    not a flip fails every law that reads it.
     """
-    flips = {}
+    bad = {sizes for sizes, sw in backend._braidings.items() if sw != backend._swap(*sizes)}
 
     def is_flip(x, y):
-        sizes = (backend.obj_size(x), backend.obj_size(y))
-        if sizes not in flips:
-            flips[sizes] = backend.equal_mor(backend.braiding(x, y), MorphismRep(
-                x.tensor(y), y.tensor(x), table=_flip(*sizes)))
-        return flips[sizes]
+        return (backend.obj_size(x), backend.obj_size(y)) not in bad
 
     failures = []
     names = sorted(backend.atoms)
@@ -662,35 +661,22 @@ def check_braiding_coherence(backend):
 
 
 def check_dy_tensor_closure(backend):
-    """On every two-letter word (a, b), the word's action and coaction
-    against their extension at the cut a|b:
-    pi_w = pi_a (x) 1 + (1 (x) pi_b)(sigma_{base,a} (x) 1), and dually.
-    The only cut of a two-letter word is the head-first recursion by
-    which Backend.dy_action and dy_coaction build a word's maps (once per
-    word, then memoized).  So this compares the memoized maps with a fresh
-    evaluation of that recursion from the one-letter maps, and holds
-    whatever the atoms' pi and pistar are, module or not.
+    """Each dy map the backend has kept against the same word's map on a
+    fresh backend of the same atoms, words in order.  Backend.dy_action
+    and dy_coaction build a word's maps once, by the head-first recursion
+    (the cut after its first letter), and keep them; so this compares what
+    was kept with a fresh run of that recursion, and holds whatever the
+    atoms' pi and pistar are, module or not.  The fresh backend is built
+    only when some map is kept.
     """
     backend._need_dy()
-    failures = []
-    names = sorted(backend.atoms)
-    base = ObjectRef.atom(backend.base)
-    for w in [ObjectRef((a, b)) for a in names for b in names]:
-        for cut in range(1, len(w.factors)):
-            left = ObjectRef(w.factors[:cut])
-            right = ObjectRef(w.factors[cut:])
-            id_l = backend.identity_mor(left).matrix
-            id_r = backend.identity_mor(right).matrix
-            swap = backend.braiding(base, left).matrix
-            expect = (mat_kron(backend.dy_action(left), id_r)
-                      + mat_kron(id_l, backend.dy_action(right)) * mat_kron(swap, id_r))
-            if backend.dy_action(w) != expect:
-                failures.append(f"action extension inconsistent at cut {cut} of {w.label()}")
-            swap2 = backend.braiding(left, base).matrix
-            expect2 = (mat_kron(backend.dy_coaction(left), id_r)
-                       + mat_kron(swap2, id_r) * mat_kron(id_l, backend.dy_coaction(right)))
-            if backend.dy_coaction(w) != expect2:
-                failures.append(f"coaction extension inconsistent at cut {cut} of {w.label()}")
+    failures, fresh = [], None
+    for which, factors in sorted(backend._dy, key=lambda key: key[::-1]):
+        fresh = fresh or replace(backend)
+        w = ObjectRef(factors)
+        if backend._dy[(which, factors)] != fresh._dy_word(which, w):
+            kind = which.removeprefix("dy_")
+            failures.append(f"{kind} extension inconsistent at cut 1 of {w.label()}")
     return failures
 
 

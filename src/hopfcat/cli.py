@@ -339,12 +339,9 @@ def _check_precartier(inst):
     sample = _law_objects(inst)
     if not sample:
         return []
-    functor = None
-    if inst.functor is not None and inst.functor.source is inst.backend:
-        functor = inst.functor
     return check_pre_cartier(
         inst.deformation["pc"], sample, inf_cocommutative=inst.comonoids,
-        convention=inst.deformation["convention"], inf_braided=functor)
+        convention=inst.deformation["convention"], inf_braided=inst.functor)
 
 
 def _check_deformed(inst):

@@ -277,7 +277,10 @@ class TestFinsetBackend:
         assert sw.table == (0, 2, 4, 1, 3, 5)
 
     def test_braiding_coherence(self):
-        assert check_braiding_coherence(z2_finset()) == []
+        g = cyclic_group(2)
+        for b in (z2_finset(), linear_backend(g, [regular_linear_atom("R", g)]), toy_dy()[0]):
+            assert check_braiding_coherence(b) == []
+            assert b._braidings == {}
 
     def test_diagonal_action(self):
         b = z2_finset()
@@ -595,7 +598,7 @@ class TestDyBackend:
 
     def test_tensor_extension_consistent(self):
         b, _, _ = toy_dy()
-        assert check_dy_tensor_closure(b) == []
+        assert check_dy_tensor_closure(b) == [] and b._dy == {}
         # the three-letter word, split by hand at both cuts
         w, base = ObjectRef(("V", "V", "V")), ObjectRef.atom(b.base)
         for cut in (1, 2):
@@ -608,6 +611,17 @@ class TestDyBackend:
             swap = b.as_matrix(b.braiding(left, base))
             assert b.dy_coaction(w) == (mat_kron(b.dy_coaction(left), ir)
                                         + mat_kron(swap, ir) * mat_kron(il, b.dy_coaction(right)))
+        kept = dict(b._dy)
+        assert check_dy_tensor_closure(b) == [] and b._dy == kept
+        # a wrong kept map is found at its word, three letters included
+        words = [ObjectRef(("V", "V")), w]
+        for v, which in itertools.product(words, ("dy_action", "dy_coaction")):
+            m = b._dy[(which, v.factors)]
+            assert not m.is_zero()
+            b._dy[(which, v.factors)] = Matrix.zeros(m.rows, m.cols, RATIONAL)
+        assert check_dy_tensor_closure(b) == [
+            f"{kind} extension inconsistent at cut 1 of {v.label()}"
+            for v in words for kind in ("action", "coaction")]
 
     def test_atom_action_recovered(self):
         b, _, _ = toy_dy()

@@ -367,7 +367,8 @@ class TestTensorTableSizes:
 class TestCubeTables:
     """An s4_torsors verify makes no table of |G|^3 = 13,824 entries or more,
     from _tensor_tables or from compose.  The hexagons are read off the
-    swaps, with nothing composed (check_braiding_coherence); gamma's
+    swaps the backend kept, with nothing composed and no swap of a
+    two-letter word built (check_braiding_coherence); gamma's
     id (x) delta (x) id and mult_along's collapse id (x) eps (x) id are read
     at orbit representatives only (split_tensor); and associativity goes
     through Light's test."""
@@ -391,6 +392,18 @@ class TestCubeTables:
         _, code = run_verify(write_doc(tmp_path, set_ladder_documents()["s4_torsors"]))
         assert code == 0
         assert counts == {"tensor": 0, "compose": 0}
+
+    def test_no_composite_size_swap_is_kept(self, monkeypatch, tmp_path):
+        loaded = []
+
+        def load(path, real=cli.load_instance):
+            loaded.append(real(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_instance", load)
+        _, code = run_verify(write_doc(tmp_path, set_ladder_documents()["s4_torsors"]))
+        assert code == 0
+        assert not {(576, 24), (24, 576)} & set(loaded[0].backend._braidings)
 
 
 class TestOneCertificatePerComonoid:
