@@ -213,7 +213,7 @@ class MorphismRep(Value):
     Exactly one of table (function on element indices, finset) or matrix
     (linear/dy) is set.  Immutable by contract, as ObjectRef is (derive
     with scalars.replace, which checks again): morphisms are dict keys,
-    e.g. of certificates.
+    e.g. of the adaptedness inverses a functor keeps.
     """
 
     __slots__ = ("dom", "cod", "table", "matrix")
@@ -637,9 +637,12 @@ def check_braiding_coherence(backend):
     each swap as the flip, so only a kept swap can differ: each is compared
     by value with the flip of its sizes, and a law fails unless every swap
     it reads is a flip.  A pass proves the laws, and a kept swap that is
-    not a flip fails every law that reads it.
+    not a flip fails every law that reads it.  So when every kept swap is
+    a flip, every law reads flips only, and nothing is walked.
     """
     bad = {sizes for sizes, sw in backend._braidings.items() if sw != backend._swap(*sizes)}
+    if not bad:
+        return []
 
     def is_flip(x, y):
         return (backend.obj_size(x), backend.obj_size(y)) not in bad

@@ -28,14 +28,15 @@ The functors provided are quotients:
   * base coinvariants   -- dy: quotient by the image of the base action.
 
 Adaptedness relative to a comonoid M asks two comparison maps to be
-invertible: the collapse of F(M) to the unit, and for the needed object
-pairs the map gamma splitting F(X (x) M (x) Y) into
-F(X (x) M) (x) F(M (x) Y).  The inverses are witnessed in a certificate
-and re-checked when made.  The functor holds one certificate per comonoid
-structure (carrier, delta, eps) beside its image memo, so chi and each
-pair's gamma are inverted at most once however many names the structure
-has: certify_adapted returns it, covering at least the pairs requested.
-A failing pair is not stored, and every caller gets the same NotAdapted.
+invertible: the collapse chi of F(M) to the unit, and for the needed
+object pairs the map gamma splitting F(X (x) M (x) Y) into
+F(X (x) M) (x) F(M (x) Y).  The functor keeps their inverses beside its
+image memo, as it keeps f2: chi_inverse(m) and gamma_inverse(m, x, y)
+invert each map on first ask, re-check the inverse, and key it by the
+comonoid structure (carrier, delta, eps), so comonoids differing in name
+alone share every inverse.  certify_adapted asks for the inverses a
+construction needs, and mult_along reads gamma's.  A map that is not
+invertible is stored nowhere, and every ask gets the same NotAdapted.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .backends import (
 )
 from .coalg import Comonoid, LawRecord
 from .linalg import Matrix, Singular, cokernel_projection, hstack, mat_invert, mat_kron
-from .scalars import RATIONAL, Value, replace
+from .scalars import RATIONAL
 
 
 class NotAdapted(ValueError):
@@ -101,7 +102,7 @@ class ComonoidalFunctor:
         self.source = source
         self.target = target
         self._images = {}
-        self._certs = {}  # (carrier, delta, eps) -> its AdaptednessCertificate
+        self._inverses = {}  # (carrier, delta, eps) -> chi^-1; (..., x, z factors) -> gamma^-1
         self._f2 = {}  # (x factors, y factors) -> f2(x, y)
 
     def apply_obj(self, obj: ObjectRef) -> ObjectRef:
@@ -128,6 +129,31 @@ class ComonoidalFunctor:
         if f2 is None:
             f2 = self._f2[key] = self.split(self.source.identity_mor(x.tensor(y)), x, y)
         return f2
+
+    def chi_inverse(self, m: Comonoid) -> MorphismRep:
+        """The inverse of chi(self, m); raises NotAdapted when it has none."""
+        key = (m.obj, m.delta, m.eps)
+        inv = self._inverses.get(key)
+        if inv is None:
+            inv = self._inverses[key] = invert_mor(self.target, chi(self, m))
+        return inv
+
+    def gamma_inverse(self, m: Comonoid, x: ObjectRef, z: ObjectRef) -> MorphismRep:
+        """The inverse of gamma(self, m, x, z), re-checked when made; raises
+        NotAdapted when it has none."""
+        key = (m.obj, m.delta, m.eps, x.factors, z.factors)
+        inv = self._inverses.get(key)
+        if inv is None:
+            dst = self.target
+            g = gamma(self, m, x, z)
+            inv = invert_mor(dst, g)
+            # re-check, so that only a proved inverse is kept; one side is
+            # enough, as invert_mor checked that g is a bijection or a
+            # square matrix, whose one-sided inverses are two-sided
+            if not dst.equal_mor(dst.compose(g, inv), dst.identity_mor(g.dom)):
+                raise NotAdapted("inverse failed re-verification")
+            self._inverses[key] = inv
+        return inv
 
 
 def _word(words) -> ObjectRef:
@@ -486,66 +512,22 @@ def gamma(functor, m: Comonoid, x: ObjectRef, z: ObjectRef) -> MorphismRep:
                                 x.tensor(m.obj), m.obj.tensor(z))
 
 
-class AdaptednessCertificate(Value):
-    """Inverses for the comparison maps of one middle comonoid; keys of
-    gamma_inv are (left factors, right factors)."""
-
-    __slots__ = ("comonoid", "chi_inv", "gamma_inv")
-    __hash__ = None
-
-    def __init__(self, comonoid, chi_inv, gamma_inv=None):
-        self.comonoid, self.chi_inv = comonoid, chi_inv
-        self.gamma_inv = {} if gamma_inv is None else gamma_inv
-
-    def gamma_inverse(self, x: ObjectRef, z: ObjectRef) -> MorphismRep:
-        try:
-            return self.gamma_inv[(x.factors, z.factors)]
-        except KeyError:
-            raise NotAdapted(
-                f"no certificate for the pair {x.label()},{z.label()} "
-                f"around {self.comonoid.name}") from None
-
-
-def certify_adapted(functor, m: Comonoid, pairs) -> AdaptednessCertificate:
-    """The functor's certificate for m, extended by gamma's inverse at every
-    requested (left, right) pair it lacks; raises NotAdapted with a witness
-    when a comparison map is not invertible.
-
-    Certificates are kept per comonoid structure (carrier, delta, eps):
-    comonoids differing in name alone share chi's and gamma's inverses,
-    and each gets a certificate that names it.
-    """
-    dst = functor.target
-    key = (m.obj, m.delta, m.eps)
-    cert = functor._certs.get(key)
-    if cert is None:
-        cert = functor._certs[key] = AdaptednessCertificate(m, invert_mor(dst, chi(functor, m)))
-    elif cert.comonoid != m:
-        cert = replace(cert, comonoid=m)  # the same gamma_inv dict, shared
+def certify_adapted(functor, m: Comonoid, pairs):
+    """Invert chi and, at every requested (left, right) pair, gamma for m,
+    through the functor's memo; raises NotAdapted with a witness when a
+    comparison map is not invertible."""
+    functor.chi_inverse(m)
     for x, z in pairs:
-        if (x.factors, z.factors) in cert.gamma_inv:
-            continue
-        g = gamma(functor, m, x, z)
-        ginv = invert_mor(dst, g)
-        # re-check, so certificates stay trustworthy even if edited; one
-        # side is enough, as invert_mor checked that g is a bijection or a
-        # square matrix, whose one-sided inverses are two-sided
-        both = dst.compose(g, ginv)
-        ident = dst.identity_mor(g.dom)
-        if not dst.equal_mor(both, ident):
-            raise NotAdapted("inverse failed re-verification")
-        cert.gamma_inv[(x.factors, z.factors)] = ginv
-    return cert
+        functor.gamma_inverse(m, x, z)
 
 
-def mult_along(functor, cert: AdaptednessCertificate, x: ObjectRef, z: ObjectRef):
+def mult_along(functor, m: Comonoid, x: ObjectRef, z: ObjectRef):
     """F(X (x) M) (x) F(M (x) Z) -> F(X (x) Z): merge along the middle
-    comonoid by inverting gamma and collapsing the doubled factor with
+    comonoid m by inverting gamma and collapsing the doubled factor with
     F(1 (x) eps (x) 1), one split_tensor, so the orbit functor never builds
     the collapse's table.
     """
-    ginv, src = cert.gamma_inverse(x, z), functor.source
+    ginv, src = functor.gamma_inverse(m, x, z), functor.source
     collapse = functor.split_tensor(
-        [src.identity_mor(x), cert.comonoid.eps, src.identity_mor(z)], x.tensor(z))
+        [src.identity_mor(x), m.eps, src.identity_mor(z)], x.tensor(z))
     return functor.target.compose(ginv, collapse)
-

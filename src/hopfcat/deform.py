@@ -71,13 +71,6 @@ class PreCartierData(Value):
             norm[(fx, fy)] = m
         self.backend, self.table, self._cache = backend, norm, {}
 
-    def atom_t(self, a, b) -> Matrix:
-        m = self.table.get((_word(a), _word(b)))
-        if m is None:
-            n = self.backend.atom_size(a) * self.backend.atom_size(b)
-            m = Matrix.zeros(n, n, RATIONAL)
-        return m
-
     def t(self, x: ObjectRef, y: ObjectRef) -> MorphismRep:
         """The extended map x (x) y -> x (x) y."""
         key = (x.factors, y.factors)
@@ -89,20 +82,17 @@ class PreCartierData(Value):
         stored = self.table.get(key)
         if stored is not None:
             mor = be.mor_from_matrix(dom, dom, stored)
-        elif not x.factors or not y.factors:
-            mor = be.mor_from_matrix(
-                dom, dom, Matrix.zeros(be.obj_size(dom), be.obj_size(dom), RATIONAL))
-        elif len(x.factors) >= 2:
+        elif len(x.factors) >= 2 and y.factors:
             # peel the first factor of the left argument
             mor = be.mor_from_matrix(dom, dom, self.t_cut_left(
                 ObjectRef(x.factors[:1]), ObjectRef(x.factors[1:]), y))
-        elif len(y.factors) >= 2:
+        elif len(y.factors) >= 2 and x.factors:
             # peel the first factor of the right argument
             mor = be.mor_from_matrix(dom, dom, self.t_cut_right(
                 x, ObjectRef(y.factors[:1]), ObjectRef(y.factors[1:])))
-        else:
-            mor = be.mor_from_matrix(dom, dom,
-                                     self.atom_t(x.factors[0], y.factors[0]))
+        else:  # the unit word, or an atom pair the table leaves out
+            mor = be.mor_from_matrix(
+                dom, dom, Matrix.zeros(be.obj_size(dom), be.obj_size(dom), RATIONAL))
         self._cache[key] = mor
         return mor
 
@@ -350,7 +340,10 @@ def change_ring(backend: Backend, ring) -> Backend:
 
 
 def _structure_in(data: HopfCategoryData, ring) -> HopfCategoryData:
-    """data over its backend moved into ring, every map with it."""
+    """data over its backend moved into ring, every map with it; data
+    itself when its backend is over ring already."""
+    if data.backend.ring == ring:
+        return data
 
     def move(maps):
         return {k: replace(f, matrix=_matrix_in(f.matrix, ring)) for k, f in maps.items()}

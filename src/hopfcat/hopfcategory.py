@@ -74,7 +74,8 @@ def build_hopf_category(functor, comonoids):
     labels = tuple(c.name or c.obj.label() for c in comonoids)
 
     all_pairs = [(a.obj, b.obj) for a in comonoids for b in comonoids]
-    certs = [certify_adapted(functor, m, all_pairs) for m in comonoids]
+    for m in comonoids:
+        certify_adapted(functor, m, all_pairs)
 
     data = HopfCategoryData(labels, dst)
     for i, x in enumerate(comonoids):
@@ -85,13 +86,12 @@ def build_hopf_category(functor, comonoids):
             data.eps[(i, j)] = functor.apply_mor(src.tensor_mor(x.eps, y.eps))
 
     for i, x in enumerate(comonoids):
-        chi_inv = certs[i].chi_inv
-        data.unit[i] = dst.compose(chi_inv, functor.apply_mor(x.delta))
+        data.unit[i] = dst.compose(functor.chi_inverse(x), functor.apply_mor(x.delta))
 
     for i, x in enumerate(comonoids):
         for j, y in enumerate(comonoids):
             for k, z in enumerate(comonoids):
-                data.mult[(i, j, k)] = mult_along(functor, certs[j], x.obj, z.obj)
+                data.mult[(i, j, k)] = mult_along(functor, y, x.obj, z.obj)
 
     return data
 

@@ -324,21 +324,21 @@ class TestMixedAssociativity:
 
             ends = [inst.backend.unit(), m.obj, n.obj]
             pairs = [(x, z) for x in ends for z in ends]
-            cert_m = certify_adapted(fn, m, pairs)
-            cert_n = certify_adapted(fn, n, pairs)
+            certify_adapted(fn, m, pairs)
+            certify_adapted(fn, n, pairs)
             dst = fn.target
             for x in ends:
                 for y in ends:
                     fxm = fn.apply_obj(x.tensor(m.obj))
                     fny = fn.apply_obj(n.obj.tensor(y))
                     lhs = dst.compose(
-                        dst.tensor_mor(mult_along(fn, cert_m, x, n.obj),
+                        dst.tensor_mor(mult_along(fn, m, x, n.obj),
                                        dst.identity_mor(fny)),
-                        mult_along(fn, cert_n, x, y))
+                        mult_along(fn, n, x, y))
                     rhs = dst.compose(
                         dst.tensor_mor(dst.identity_mor(fxm),
-                                       mult_along(fn, cert_n, m.obj, y)),
-                        mult_along(fn, cert_m, x, y))
+                                       mult_along(fn, n, m.obj, y)),
+                        mult_along(fn, m, x, y))
                     assert dst.equal_mor(lhs, rhs), (x.label(), y.label())
 
 

@@ -671,11 +671,12 @@ class TestValueSemantics:
         b = finset_backend(g, [regular_atom("S", g)])
         fn = OrbitFunctor(b)
         m = diagonal_comonoid(b, b.obj("S"), "M")
-        cert = certify_adapted(fn, m, [(b.unit(), b.obj("S"))])
+        certify_adapted(fn, m, [(b.unit(), b.obj("S"))])
         again = diagonal_comonoid(b, ObjectRef(("S",)), "M")
         assert again.delta is not m.delta and again.eps is not m.eps
-        assert certify_adapted(fn, again, []) is cert
-        assert list(fn._certs) == [(m.obj, m.delta, m.eps)]
+        assert fn.chi_inverse(again) is fn.chi_inverse(m)
+        assert fn.gamma_inverse(again, b.unit(), b.obj("S")) is fn.gamma_inverse(
+            m, b.unit(), b.obj("S"))
 
     def test_exactly_one_of_table_and_matrix(self):
         x = ObjectRef.atom("S")

@@ -24,7 +24,7 @@ from hopfcat.corpus import CORPUS_NAMES, corpus_path, load_corpus_document
 from hopfcat.instances import dump_document, load_instance
 from hopfcat.liebialg import EnvelopingEngine, pbw_words
 from hopfcat.linalg import Matrix, _acc
-from hopfcat.scalars import RATIONAL, replace
+from hopfcat.scalars import RATIONAL
 
 
 def write_doc(tmp_path, doc, name="inst.json"):
@@ -407,8 +407,8 @@ class TestCubeTables:
 
 
 class TestOneCertificatePerComonoid:
-    """The adapted group and the constructor read one certificate per
-    comonoid, kept by the functor: gamma is computed at most once per
+    """The adapted group and the constructor read the inverses the functor
+    keeps per comonoid structure: gamma is computed at most once per
     (comonoid, left, right), whichever of them asks first."""
 
     def gamma_calls(self, monkeypatch, path):
@@ -432,7 +432,7 @@ class TestOneCertificatePerComonoid:
 
     def test_two_comonoids_on_one_carrier(self, monkeypatch, tmp_path):
         """Both comonoids are the diagonal on S, and differ in name alone:
-        they share one certificate, so gamma is computed once per
+        they share every inverse, so gamma is computed once per
         (carrier, left, right), and each name gets its adapted record."""
         doc = load_corpus_document("z3_torsors")
         doc["comonoids"][1]["obj"] = ["S"]
@@ -443,17 +443,6 @@ class TestOneCertificatePerComonoid:
         assert max(calls.values()) == 1
         report, _ = run_verify(path, "adapted")
         assert [c["rule"] for c in report["checks"]] == ["adapted[M]", "adapted[N]"]
-
-    def test_shared_certificate_names_the_comonoid_asked_for(self):
-        inst = load_instance(str(corpus_path("z3_torsors")))
-        m = inst.comonoids[0]
-        twin = replace(m, name="twin")
-        first = cofunctor.certify_adapted(inst.functor, m, [])
-        second = cofunctor.certify_adapted(inst.functor, twin, [])
-        assert second.comonoid is twin and second.gamma_inv is first.gamma_inv
-        s = inst.backend.obj("S")
-        with pytest.raises(cofunctor.NotAdapted, match="around twin"):
-            second.gamma_inverse(s, s)
 
 
 class TestDyMapsBuiltOnce:

@@ -381,8 +381,11 @@ class TestAdaptedness:
         m = diagonal_comonoid(b, b.obj("S"))
         pairs = [(b.unit(), b.unit()), (b.obj("S"), b.obj("S")),
                  (b.obj("T"), b.obj("T")), (b.obj("S"), b.obj("T"))]
-        cert = certify_adapted(fn, m, pairs)
-        assert len(cert.gamma_inv) == 4
+        certify_adapted(fn, m, pairs)
+        dst = fn.target
+        for g, ginv in [(chi(fn, m), fn.chi_inverse(m))] + [
+                (gamma(fn, m, x, z), fn.gamma_inverse(m, x, z)) for x, z in pairs]:
+            assert dst.equal_mor(dst.compose(g, ginv), dst.identity_mor(g.dom))
 
     def test_gamma_counts_orbits(self):
         g = cyclic_group(3)
@@ -412,8 +415,8 @@ class TestAdaptedness:
         fn = group_coinvariants_functor(b)
         m = group_like_comonoid(b, b.obj("R"))
         pairs = [(b.obj("R"), b.obj("R"))]
-        cert = certify_adapted(fn, m, pairs)
-        ginv = cert.gamma_inverse(b.obj("R"), b.obj("R"))
+        certify_adapted(fn, m, pairs)
+        ginv = fn.gamma_inverse(m, b.obj("R"), b.obj("R"))
         gm = gamma(fn, m, b.obj("R"), b.obj("R"))
         both = fn.target.compose(gm, ginv)
         assert fn.target.equal_mor(both, fn.target.identity_mor(gm.dom))
@@ -426,8 +429,8 @@ class TestAdaptedness:
         fn = OrbitFunctor(b)
         m = diagonal_comonoid(b, b.obj("S"))
         s = b.obj("S")
-        cert = certify_adapted(fn, m, [(s, s)])
-        mu = mult_along(fn, cert, s, s)
+        certify_adapted(fn, m, [(s, s)])
+        mu = mult_along(fn, m, s, s)
         ss = s.tensor(s)
         orbit_of = fn.orbit_info(ss)[1]
         n = g.order
@@ -440,14 +443,53 @@ class TestAdaptedness:
                     out = mu.table[left * wy + right]
                     assert out == orbit_of[a * n + c]
 
-    def test_missing_pair_raises(self):
-        g = cyclic_group(2)
-        b = torsor_backend(g)
+    @staticmethod
+    def counting_gamma(monkeypatch):
+        calls = []
+
+        def counted(functor, m, x, z, real=cofunctor.gamma):
+            calls.append((x.factors, z.factors))
+            return real(functor, m, x, z)
+
+        monkeypatch.setattr(cofunctor, "gamma", counted)
+        return calls
+
+    def test_mult_along_on_an_uncertified_pair(self, monkeypatch):
+        # gamma is inverted on the first ask and kept, and the merge is the
+        # one a certified functor makes
+        b = torsor_backend(symmetric_group(3))
+        s = b.obj("S")
+        m = diagonal_comonoid(b, s)
+        certified = OrbitFunctor(b)
+        certify_adapted(certified, m, [(s, s)])
+        expected = mult_along(certified, m, s, s)
+        calls = self.counting_gamma(monkeypatch)
         fn = OrbitFunctor(b)
-        m = diagonal_comonoid(b, b.obj("S"))
-        cert = certify_adapted(fn, m, [])
-        with pytest.raises(NotAdapted):
-            cert.gamma_inverse(b.obj("S"), b.obj("S"))
+        assert mult_along(fn, m, s, s) == expected
+        assert mult_along(fn, m, s, s) == expected
+        assert calls == [(("S",), ("S",))]
+
+    def test_a_pair_that_is_not_adapted_is_stored_nowhere(self, monkeypatch):
+        # a one-point set with trivial action: chi is a bijection, but
+        # gamma at (S, S) sends the 2 orbits of S (x) P (x) S to the 1 x 1
+        # of F(S (x) P) (x) F(P (x) S)
+        g = cyclic_group(2)
+        b = finset_backend(g, [Atom("P", 1, ((0,), (0,))), regular_atom("S", g)])
+        fn = OrbitFunctor(b)
+        m = diagonal_comonoid(b, b.obj("P"))
+        s = b.obj("S")
+        certify_adapted(fn, m, [(s, b.unit())])
+        calls = self.counting_gamma(monkeypatch)
+        messages = set()
+        for ask in (lambda: certify_adapted(fn, m, [(s, s)]),
+                    lambda: fn.gamma_inverse(m, s, s),
+                    lambda: mult_along(fn, m, s, s),
+                    lambda: certify_adapted(fn, m, [(s, b.unit()), (s, s)])):
+            with pytest.raises(NotAdapted) as exc:
+                ask()
+            messages.add(str(exc.value))
+        assert len(messages) == 1 and "not a bijection" in messages.pop()
+        assert calls == [(("S",), ("S",))] * 4
 
 
 class TestInvertMor:

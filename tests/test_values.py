@@ -28,8 +28,7 @@ from hopfcat.backends import (
     finset_backend,
     regular_atom,
 )
-from hopfcat.coalg import HopfCategoryData, LawRecord, diagonal_comonoid
-from hopfcat.cofunctor import AdaptednessCertificate, OrbitFunctor, certify_adapted
+from hopfcat.coalg import HopfCategoryData, LawRecord
 from hopfcat.corpus import corpus_path
 from hopfcat.deform import PreCartierData
 from hopfcat.hopfcategory import GroupoidTable
@@ -56,15 +55,6 @@ class TestReplace:
         assert (g.dom, g.cod, g.table, g.matrix) == (x, ObjectRef.unit(), (0,), None)
         assert f.cod == x
 
-    def test_replace_shares_the_certificate_dict(self):
-        b = z3_finset()
-        m = diagonal_comonoid(b, b.obj("S"), "M")
-        cert = certify_adapted(OrbitFunctor(b), m, [(b.unit(), b.obj("S"))])
-        twin = replace(cert, comonoid=replace(m, name="twin"))
-        assert isinstance(twin, AdaptednessCertificate)
-        assert twin.gamma_inv is cert.gamma_inv and twin.chi_inv is cert.chi_inv
-        assert twin.comonoid.name == "twin" and cert.comonoid.name == "M"
-
     def test_replace_starts_skipped_slots_afresh(self):
         b = z3_finset()
         b.braiding(b.obj("S"), b.obj("S"))
@@ -77,7 +67,6 @@ class TestEqualityHashRepr:
         b = z3_finset()
         inst = load_instance(str(corpus_path("abelian_precartier")))
         values = [HopfCategoryData(("M",), b),
-                  AdaptednessCertificate(None, None),
                   PreCartierData(inst.backend),
                   GroupoidTable((), {}, {}, {}, {}),
                   Instance({}),
