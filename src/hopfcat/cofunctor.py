@@ -127,7 +127,8 @@ class ComonoidalFunctor:
         key = (x.factors, y.factors)
         f2 = self._f2.get(key)
         if f2 is None:
-            f2 = self._f2[key] = self.split(self.source.identity_mor(x.tensor(y)), x, y)
+            f2 = self._f2[key] = self.split_tensor(
+                [self.source.identity_mor(x), self.source.identity_mor(y)], x, y)
         return f2
 
     def chi_inverse(self, m: Comonoid) -> MorphismRep:

@@ -17,7 +17,9 @@ the symmetry, and both are linear in it.  So the deformed structure is
 the plain one embedded in the series ring, with those two maps rebuilt
 degree by degree from the rational coefficients of the deformed
 symmetry; nothing is inverted or re-certified over the series ring, and
-the degree-zero part is the plain structure itself.
+the degree-zero part is the plain structure itself.  A zero coefficient
+(t = 0 on the pair, or t^d = 0) gives zero maps, so only the nonzero
+degrees are rebuilt.
 """
 
 from __future__ import annotations
@@ -387,8 +389,9 @@ def build_deformed_hopf_category(plain, functor, comonoids, order, pc=None, *,
     multiplications, units and counits of plain are then embedded in the
     series ring, and each hom's splitting and antipode, the only maps that
     read the symmetry, are built from the deformed symmetry degree by
-    degree: both are linear in it, so each rational coefficient goes
-    through split_and_antipode and the results are summed back into one
+    degree: both are linear in it, so each nonzero rational coefficient
+    goes through split_and_antipode, a zero one gives the zero maps
+    between the same objects, and the results are summed back into one
     series map.  Nothing is inverted over the series ring.  Order 0
     returns plain itself.
     """
@@ -400,8 +403,13 @@ def build_deformed_hopf_category(plain, functor, comonoids, order, pc=None, *,
     for i, x in enumerate(comonoids):
         for j, y in enumerate(comonoids):
             braid = deformed_braiding(pc, x.obj, y.obj, order)
-            by_degree = [split_and_antipode(functor, x, y, replace(braid, matrix=c))
-                         for c in series_coefficients(braid.matrix)]
+            sigma, *higher = series_coefficients(braid.matrix)
+            degree0 = split_and_antipode(functor, x, y, replace(braid, matrix=sigma))
+            zero = tuple(replace(f, matrix=Matrix.zeros(f.matrix.rows, f.matrix.cols, RATIONAL))
+                         for f in degree0)
+            by_degree = [degree0] + [
+                zero if c.is_zero() else split_and_antipode(functor, x, y, replace(braid, matrix=c))
+                for c in higher]
             for maps, fs in zip((data.delta, data.antipode), zip(*by_degree)):
                 maps[(i, j)] = replace(fs[0], matrix=series_matrix([f.matrix for f in fs], ring))
     return data

@@ -78,11 +78,23 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, ring, rows):
+        """From dense rows of ring.coerce inputs.  Each distinct string is
+        parsed once per call: a JSON matrix is mostly "0"."""
         c = len(rows[0]) if rows else 0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
+        parsed = {}
+
+        def coerce(x):
+            if x.__class__ is not str:
+                return ring.coerce(x)
+            v = parsed.get(x)
+            if v is None:
+                v = parsed[x] = ring.coerce(x)
+            return v
+
         return _sparse(len(rows), c, ring, [
-            {j: x for j, x in enumerate(map(ring.coerce, row)) if x} for row in rows])
+            {j: x for j, x in enumerate(map(coerce, row)) if x} for row in rows])
 
     @classmethod
     def from_table(cls, ring, table, rows):

@@ -74,15 +74,17 @@ def as_fraction(x) -> Fraction:
 class HSeries(Value):
     """c0 + c1*hbar + ... + cK*hbar^K with exact rational coefficients.
 
-    Immutable; coeffs always has length order + 1.
+    Immutable; coeffs always has length order + 1.  _top, outside _fields,
+    is the highest nonzero degree (-1 for zero): a product stops there.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "coeffs", "_top")
+    _fields = ("order", "coeffs")
 
     def __init__(self, order, coeffs):
         if len(coeffs) != order + 1:
             raise ValueError("coefficient count must be order + 1")
-        self.order, self.coeffs = order, coeffs
+        self.order, self.coeffs, self._top = order, coeffs, _top_degree(coeffs, order)
 
     @classmethod
     def from_rational(cls, x, order):
@@ -126,18 +128,24 @@ class HSeries(Value):
             f = as_fraction(other)
             return HSeries(self.order, tuple(a * f for a in self.coeffs))
         self._check(other)
-        n = self.order + 1
+        n, ta, tb = self.order + 1, self._top, other._top
         a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * n
-        for i in range(n):
+        out = [_ZERO] * n
+        for i in range(ta + 1):
             ai = a[i]
             if not ai:
                 continue
-            for j in range(n - i):
+            for j in range(min(tb + 1, n - i)):
                 bj = b[j]
                 if bj:
-                    out[i + j] += ai * bj
-        return HSeries(self.order, tuple(out))
+                    s, p = out[i + j], ai * bj
+                    out[i + j] = p if s is _ZERO else s + p
+        prod = HSeries.__new__(HSeries)
+        prod.order, prod.coeffs = self.order, tuple(out)
+        # over a field the product's top is ta + tb, unless truncated away
+        prod._top = (-1 if ta < 0 or tb < 0 else ta + tb if ta + tb < n
+                     else _top_degree(out, self.order))
+        return prod
 
     __rmul__ = __mul__
 
@@ -149,6 +157,13 @@ class HSeries(Value):
 
     def __repr__(self):
         return "HSeries(%s)" % ", ".join(str(c) for c in self.coeffs)
+
+
+def _top_degree(coeffs, order):
+    """The highest d <= order with coeffs[d] nonzero, or -1."""
+    while order >= 0 and not coeffs[order]:
+        order -= 1
+    return order
 
 
 # Zero and one are shared objects of each ring (scalars are immutable), so

@@ -486,8 +486,9 @@ def trivial_backends(draw, max_size):
 @st.composite
 def composable_tensors(draw):
     """(backend, f, gs): 1-3 factors gs between words of at most one atom,
-    the unit word included, and f into the tensor of their domains, on a
-    finset or linear backend over 1-3 atoms of sizes 1-5."""
+    the unit word included, each a random map or the kept identity, and f
+    into the tensor of their domains, on a finset or linear backend over
+    1-3 atoms of sizes 1-5."""
     b = draw(trivial_backends(5))
     word = st.lists(st.sampled_from(sorted(b.atoms)), max_size=1).map(lambda w: b.obj(*w))
 
@@ -499,7 +500,8 @@ def composable_tensors(draw):
         ent = draw(st.lists(st.integers(-2, 2), min_size=n * m, max_size=n * m))
         return b.mor_from_matrix(dom, cod, Matrix(m, n, RATIONAL, tuple(map(Fraction, ent))))
 
-    gs = [random_mor(draw(word), draw(word)) for _ in range(draw(st.integers(1, 3)))]
+    doms = [draw(word) for _ in range(draw(st.integers(1, 3)))]
+    gs = [b.identity_mor(d) if draw(st.booleans()) else random_mor(d, draw(word)) for d in doms]
     f = random_mor(draw(word), ObjectRef(sum((h.dom.factors for h in gs), ())))
     return b, f, gs
 

@@ -179,6 +179,22 @@ class TestVerifyOutcomes:
         assert report["verdict"] == "error"
         assert report["error"].startswith(where)
 
+    @pytest.mark.parametrize("value", ["x", "1/0", 0.0, 1.5, ["0"], None])
+    @pytest.mark.parametrize("edit, where", [
+        (lambda d, v: d["atoms"][3]["pi"][2].__setitem__(-1, v), "atom 'V'.pi"),
+        (lambda d, v: d["deformation"]["t"][0]["matrix"][15].__setitem__(-1, v),
+         "deformation.t.matrix"),
+    ], ids=["pi", "t"])
+    def test_malformed_dense_entry_exits_2(self, tmp_path, edit, where, value):
+        """The last entry of a dense matrix, after many "0" and some "1"
+        strings that were parsed once each, is still parsed on its own."""
+        doc = load_corpus_document("abelian_precartier")
+        edit(doc, value)
+        report, code = run_verify(write_doc(tmp_path, doc))
+        assert code == 2
+        assert report["verdict"] == "error"
+        assert report["error"].startswith(where)
+
     def test_precartier_checks_every_atom(self, tmp_path):
         # six non-base atoms: two comonoid carriers and E3, E4, V, W; a
         # sample of four at seed 0 took E4 and W, and missed the bad entry
@@ -393,7 +409,8 @@ class TestCubeTables:
         assert code == 0
         assert counts == {"tensor": 0, "compose": 0}
 
-    def test_no_composite_size_swap_is_kept(self, monkeypatch, tmp_path):
+    def verified_backend(self, monkeypatch, tmp_path, doc):
+        """The backend that a passing verify of doc loaded."""
         loaded = []
 
         def load(path, real=cli.load_instance):
@@ -401,9 +418,27 @@ class TestCubeTables:
             return loaded[-1]
 
         monkeypatch.setattr(cli, "load_instance", load)
-        _, code = run_verify(write_doc(tmp_path, set_ladder_documents()["s4_torsors"]))
+        _, code = run_verify(write_doc(tmp_path, doc))
         assert code == 0
-        assert not {(576, 24), (24, 576)} & set(loaded[0].backend._braidings)
+        return loaded[0].backend
+
+    def test_no_composite_size_swap_is_kept(self, monkeypatch, tmp_path):
+        backend = self.verified_backend(monkeypatch, tmp_path,
+                                        set_ladder_documents()["s4_torsors"])
+        assert not {(576, 24), (24, 576)} & set(backend._braidings)
+
+    @pytest.mark.parametrize("name", ["s4_torsors", "z64_torsors"])
+    def test_no_identity_beyond_pairs(self, monkeypatch, tmp_path, name):
+        """F2 is split from id_x (x) id_y, so the orbit functor reads it at
+        representatives and the backend keeps no identity of |G|^3 points."""
+        if name == "s4_torsors":
+            doc, order = set_ladder_documents()[name], 24
+        else:
+            doc, order = corpus._torsor_doc(name, {"kind": "cyclic", "n": 64},
+                                            backends.cyclic_group(64)), 64
+        memo = self.verified_backend(monkeypatch, tmp_path, doc)._memo
+        kept = [len(one) for n, one in memo.items() if isinstance(n, int)]
+        assert kept and max(kept) <= order ** 2
 
 
 class TestOneCertificatePerComonoid:

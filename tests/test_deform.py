@@ -345,6 +345,22 @@ class TestDeformedBuild:
         assert all(any(mat is k for mat in lifted) for k in kept)
         assert not any(mat is r for mat in lifted for r in rebuilt)
 
+    def test_zero_coefficients_are_not_split(self, monkeypatch):
+        """Every positive degree of the zero deformation's symmetry is zero,
+        so an order-8 build splits each hom once, at degree 0."""
+        inst = z3_zero_deformation()
+        plain = build_hopf_category(inst.functor, inst.comonoids)
+        calls = []
+
+        def counted(functor, x, y, braid, real=deform.split_and_antipode):
+            calls.append((x, y))
+            return real(functor, x, y, braid)
+
+        monkeypatch.setattr(deform, "split_and_antipode", counted)
+        data = build_deformed_hopf_category(plain, inst.functor, inst.comonoids, 8,
+                                            inst.deformation["pc"])
+        assert len(calls) == len(data.hom) == len(inst.comonoids) ** 2
+
     def test_order_zero_build_is_rational(self):
         be, fun, m = z2_coinvariants()
         plain = build_hopf_category(fun, [m])

@@ -163,6 +163,18 @@ class TestMatrixBasics:
         a = qm([[Fraction(1, 3), -2], [0, 5]])
         assert Matrix.from_rows(RATIONAL, a.to_json()) == a
 
+    @pytest.mark.parametrize("ring", [RATIONAL, hseries_ring(2)])
+    def test_from_rows_reads_each_entry_as_coerce_does(self, ring):
+        """Repeated strings are parsed once per call; ints, and series
+        coefficient lists over the series ring, are read as they come."""
+        rows = [["0", "1/2", "0", 1], ["0", 0, "1/2", "-3"]]
+        if ring != RATIONAL:
+            rows[1][1] = ["0", "1/2"]
+        m = Matrix.from_rows(ring, rows)
+        assert [list(m.row(i)) for i in range(2)] == [list(map(ring.coerce, r)) for r in rows]
+        with pytest.raises(TypeError):
+            Matrix.from_rows(ring, [["0", "0"], ["0", 0.0]])
+
 
 class TestInverse:
     def test_frozen_2x2(self):

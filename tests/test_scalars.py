@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfcat.scalars import HSeries, RATIONAL, RingMismatch, as_fraction, hseries_ring
+from hopfcat.scalars import HSeries, RATIONAL, RingMismatch, as_fraction, hseries_ring, replace
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -47,6 +47,62 @@ class TestHSeriesArithmetic:
         a = HSeries.from_coeffs(xs, k)
         b = HSeries.from_coeffs(ys, k)
         assert (a * b).constant_term() == xs[0] * ys[0]
+
+
+def naive_mul(a, b):
+    """Full-length truncated product of two coefficient tuples."""
+    return tuple(sum((a[i] * b[d - i] for i in range(d + 1)), Fraction(0))
+                 for d in range(len(a)))
+
+
+@st.composite
+def series_triples(draw):
+    """Three series of one order in 0..8, each with a drawn highest nonzero
+    degree (so a drawn count of trailing zeros) and zeros below it."""
+    k = draw(st.integers(0, 8))
+
+    def series():
+        top = draw(st.integers(-1, k))
+        cs = draw(st.lists(st.one_of(st.just(Fraction(0)), rationals),
+                           min_size=top + 1, max_size=top + 1))
+        if cs and not cs[-1]:
+            cs[-1] = Fraction(1)
+        return HSeries.from_coeffs(cs, k)
+
+    return k, [series() for _ in range(3)]
+
+
+class TestHSeriesAgainstFullLength:
+    """Products stop at each operand's highest nonzero degree; the values,
+    sums and differences equal the full-length ones, also for products of
+    products, whose kept degree is derived rather than scanned."""
+
+    @given(series_triples())
+    def test_ring_operations(self, drawn):
+        k, (a, b, c) = drawn
+        ab = naive_mul(a.coeffs, b.coeffs)
+        assert (a * b).coeffs == ab
+        assert ((a * b) * c).coeffs == naive_mul(ab, c.coeffs)
+        assert (a * (b * c)).coeffs == naive_mul(a.coeffs, naive_mul(b.coeffs, c.coeffs))
+        assert ((a * b) * (a * b)).coeffs == naive_mul(ab, ab)
+        assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+        assert (a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
+        assert ((a * b) + c).coeffs == tuple(x + y for x, y in zip(ab, c.coeffs))
+        assert ((a - b) * c).coeffs == naive_mul(
+            tuple(x - y for x, y in zip(a.coeffs, b.coeffs)), c.coeffs)
+        for v in (a * b, (a * b) * c, a + b, a - b):
+            assert len(v.coeffs) == k + 1
+            assert bool(v) == any(v.coeffs)
+
+    @given(series_triples())
+    def test_equality_and_hash_ignore_the_kept_degree(self, drawn):
+        k, (a, b, c) = drawn
+        derived = (a * b) * c
+        fresh = HSeries(k, derived.coeffs)
+        assert derived == fresh and hash(derived) == hash(fresh)
+        assert repr(derived) == repr(fresh)
+        assert replace(derived, order=k) == fresh
+        assert HSeries._fields == ("order", "coeffs")
 
 
 class TestRing:
