@@ -360,7 +360,7 @@ class CoinvariantsFunctor(ComonoidalFunctor):
     are computed once per distinct matrix: words that differ by atoms the
     relations do not see (the trivial lines of a dy quotient) share them.
     A matrix is compared only with the earlier ones of its shape, and
-    never hashed, which would cost a Fraction hash per entry.
+    never hashed, which would cost a hash per entry.
     """
 
     def __init__(self, source: Backend, relations_fn, tag="coinv"):

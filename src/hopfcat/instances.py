@@ -55,7 +55,7 @@ import hashlib
 import json
 
 from .scalars import RATIONAL, Ring, Value, hseries_ring
-from .linalg import Matrix
+from .linalg import Matrix, _acc
 from .backends import (
     Atom,
     Backend,
@@ -361,9 +361,8 @@ def _constants_matrix(entries, rows, cols, pos, where):
         except (TypeError, ValueError) as exc:
             raise InstanceError(f"{where}[{at}]: {exc}") from None
         r, c = slot
-        nz[r][c] = nz[r].get(c, RATIONAL.zero()) + val
-    return Matrix.sparse(rows, cols, RATIONAL,
-                         [{c: v for c, v in row.items() if v} for row in nz])
+        _acc(nz[r], ((c, val),))
+    return Matrix.sparse(rows, cols, RATIONAL, nz)
 
 
 class LieModule(Value):

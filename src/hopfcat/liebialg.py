@@ -32,12 +32,11 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb
 
 from .coalg import LawRecord
 from .linalg import Matrix, _acc, mat_kron
-from .scalars import RATIONAL, Value
+from .scalars import RATIONAL, Value, _int, as_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +144,7 @@ def double_bracket(lb: LieBialgebra, j: Matrix) -> Matrix:
     slot the two copies of j share.
     """
     n = lb.dim
-    out = [Fraction(0)] * (n ** 3)
+    out = [0] * (n ** 3)
     pairs = [(a, b) for a in range(n) for b in range(n) if j[a, b]]
     for a, b in pairs:
         for c, d in pairs:
@@ -156,7 +155,7 @@ def double_bracket(lb: LieBialgebra, j: Matrix) -> Matrix:
                 out[(a * n + k) * n + d] += coef * br
             for k, br in lb.bracket_of(b, d):   # shared last slot
                 out[(a * n + c) * n + k] += coef * br
-    return Matrix.sparse(n ** 3, 1, RATIONAL, [{0: x} if x else {} for x in out])
+    return Matrix.sparse(n ** 3, 1, RATIONAL, [{0: _int(x)} if x else {} for x in out])
 
 
 def check_twist(lb: LieBialgebra, j: Matrix):
@@ -234,24 +233,20 @@ def twist_dy_module(lb: LieBialgebra, j: Matrix, pi: Matrix, pistar: Matrix):
 # enveloping algebra: exact normal ordering on words
 
 
-def _int(c):
-    """c as an int when it is integral, else as it is."""
-    return c.numerator if c.denominator == 1 else c
-
-
 class EnvelopingEngine:
     """Words in the generators with rational coefficients, rewritten to
     the basis of non-decreasing words.  No degree bound: intermediate
     terms may grow and later cancel, which is exactly what the truncated
     checks need to avoid lying about high-degree laws.
 
-    Elements are dicts word-tuple -> rational with no zero values: an int
-    where the value is integral, else a Fraction.  The bracket and cobracket
-    are read once, into tables whose integral structure constants are int,
-    and every word is seeded with the int 1, so over integral structure
-    constants (b2's, say) normal forms, products, coproducts and untwisted
-    coactions stay on ints; twist entries stay Fraction, and int and
-    Fraction sums are exact.  Normal forms, coproducts and coactions of
+    Elements are dicts word-tuple -> rational with no zero values, each in
+    the canonical form of scalars: an int where the value is integral, else
+    a Fraction.  The bracket and cobracket are read once, into tables of
+    the matrices' canonical entries, and every word is seeded with the int
+    1, so over integral structure constants (b2's, say) normal forms,
+    products, coproducts and untwisted coactions stay on ints; a twist's
+    non-integral entries are Fractions, and _acc puts every sum back in
+    canonical form.  Normal forms, coproducts and coactions of
     single words are memoized; only normal_word and delta hand out a
     cached dict: do not mutate it.
     """
@@ -260,9 +255,8 @@ class EnvelopingEngine:
         self.lb = lb
         n = lb.dim
         # bracket[a][b]: [e_a, e_b] as (k, c); cobracket[a]: delta(e_a) as ((p, q), c)
-        self.bracket = [[[(k, _int(c)) for k, c in lb.bracket_of(a, b)] for b in range(n)]
-                        for a in range(n)]
-        self.cobracket = [[(pq, _int(c)) for pq, c in lb.cobracket_of(a)] for a in range(n)]
+        self.bracket = [[lb.bracket_of(a, b) for b in range(n)] for a in range(n)]
+        self.cobracket = [lb.cobracket_of(a) for a in range(n)]
         self._nf_cache = {}
         self._delta_cache = {}
         self._coact_cache = {}
@@ -271,7 +265,7 @@ class EnvelopingEngine:
 
     @staticmethod
     def scalar(c=1):
-        c = Fraction(c)
+        c = as_fraction(c)
         return {(): c} if c else {}
 
     @staticmethod

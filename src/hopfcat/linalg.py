@@ -5,8 +5,10 @@ A matrix is stored by rows, each a {col: entry} dict of its nonzeros
 (compressed-row storage; T. A. Davis, Direct Methods for Sparse Linear
 Systems, SIAM 2006, ch. 2).  No zero is ever stored, so equality is
 structural, and every operation costs the nonzeros it touches: a
-permutation matrix costs n entries, not n^2.  Entries are Fraction or
-HSeries, never int; a series is zero when all its coefficients vanish.
+permutation matrix costs n entries, not n^2.  Entries are rationals in
+the canonical form of scalars (an int when integral, else a Fraction) or
+HSeries; a series is zero when all its coefficients vanish.  An operation
+puts each entry it computes in that form, and passes the others on.
 
 A matrix made by from_table from a bijection keeps the table as perm
 and its inverse as perm_inv; identities and symmetries are such.  A
@@ -23,7 +25,8 @@ object.__setattr__ per slot.
 One sparse exact elimination, _rref, serves kernels, cokernels and
 inverses.  It is fraction-free, on integer rows, and deterministic: the
 reduced row echelon form with leftmost pivots is unique to the row space,
-and its rows come out as Fractions.  A series matrix is inverted through
+and each pivot row is divided by its pivot into canonical rationals, an
+int wherever the quotient is exact.  A series matrix is inverted through
 its degree-0 part, so it is invertible exactly when that part is.
 """
 
@@ -34,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .scalars import RATIONAL, HSeries, Ring, RingMismatch
+from .scalars import RATIONAL, HSeries, Ring, RingMismatch, _int
 
 
 class Singular(Exception):
@@ -163,7 +166,7 @@ class Matrix:
     def scale(self, c):
         c = self.ring.coerce(c)
         return _sparse(self.rows, self.cols, self.ring,
-                       [{j: p for j, x in r.items() if (p := c * x)} for r in self.nz])
+                       [{j: _int(p) for j, x in r.items() if (p := c * x)} for r in self.nz])
 
     def __mul__(self, other):
         """Matrix product self @ other, over the nonzeros of both."""
@@ -194,7 +197,7 @@ class Matrix:
                     p = y if unit else x * y
                     s = acc.get(j)
                     acc[j] = p if s is None else s + p
-            out.append({j: s for j, s in acc.items() if s})
+            out.append({j: _int(s) for j, s in acc.items() if s})
         return _sparse(self.rows, other.cols, self.ring, out)
 
     def transpose(self):
@@ -228,10 +231,10 @@ def _iota(n):
 
 def _acc(out, terms, coef=1):
     """out[k] += coef * c for every (k, c) of terms, in place, keeping no
-    zero value; returns out.  The one sparse accumulator: matrix rows, the
-    elimination's row operations, and the enveloping algebra's elements.
-    Each sum is taken onto the stored value, so a series entry never
-    meets an int zero."""
+    zero value, each stored value in canonical form; returns out.  The one
+    sparse accumulator: matrix rows, the elimination's row operations, and
+    the enveloping algebra's elements.  Each sum is taken onto the stored
+    value, so a series entry never meets an int zero."""
     if coef != 1:
         terms = ((k, coef * c) for k, c in terms)
     for k, c in terms:
@@ -239,7 +242,7 @@ def _acc(out, terms, coef=1):
         if old is not None:
             c = old + c
         if c:
-            out[k] = c
+            out[k] = _int(c)
         elif old is not None:
             del out[k]
     return out
@@ -266,7 +269,7 @@ def mat_kron(a: Matrix, b: Matrix) -> Matrix:
     elif pb is not None:
         nz = [{ca * bc + c: x for ca, x in ra.items()} for ra in a.nz for c in b.perm_inv]
     else:
-        nz = [{ca * bc + cb: p for ca, x in ra.items() for cb, y in rb.items()
+        nz = [{ca * bc + cb: _int(p) for ca, x in ra.items() for cb, y in rb.items()
                if (p := y if x == 1 else x * y)} for ra in a.nz for rb in b.nz]
     return _sparse(a.rows * b.rows, a.cols * bc, a.ring, nz)
 
@@ -306,14 +309,15 @@ def _eliminate(v, row, c):
 
 def _rref(vectors):
     """Reduced row echelon form, leftmost pivots, of the span of vectors,
-    {col: Fraction} dicts of nonzeros, which it consumes: (rows, pivots),
+    {col: rational} dicts of nonzeros, which it consumes: (rows, pivots),
     pivots ascending, rows[k] the sparse row of pivots[k].  Fraction-free
     (Bareiss, Math. Comp. 22 (1968)): each vector, scaled to a primitive
     integer row, is reduced on ints against the pivot rows so far, leftmost
     first; a pivot row has no column left of its pivot, so one pass from the
     right back-substitutes.  Each pivot row is divided by its pivot once, at
-    the end, into Fractions; the reduced form is unique, so it is the one a
-    Fraction elimination gives.
+    the end, into an int where the quotient is exact and a Fraction
+    elsewhere; the reduced form is unique, so it is the one a Fraction
+    elimination gives.
     """
     pivot_rows = {}
     for v in vectors:
@@ -340,8 +344,13 @@ def _rref(vectors):
         for k in [k for k in row if k != c and k in pivot_rows]:
             row = _eliminate(row, pivot_rows[k], k)
         pivot_rows[c] = row
-    rows = [pivot_rows[c] for c in pivots]
-    return [{k: Fraction(x, r[c]) for k, x in r.items()} for c, r in zip(pivots, rows)], pivots
+    rows = []
+    for c in pivots:
+        row = pivot_rows[c]
+        p = row[c]
+        rows.append(row if p == 1 else
+                    {k: x // p if not x % p else Fraction(x, p) for k, x in row.items()})
+    return rows, pivots
 
 
 def rational_kernel_vector(m: Matrix):
@@ -355,10 +364,10 @@ def rational_kernel_vector(m: Matrix):
     if not free:
         return None
     f = free[0]
-    v = [Fraction(0)] * m.cols
-    v[f] = Fraction(1)
+    v = [0] * m.cols
+    v[f] = 1
     for row, c in zip(rows, pivots):
-        v[c] = -row.get(f, Fraction(0))
+        v[c] = -row.get(f, 0)
     return tuple(v)
 
 
@@ -387,7 +396,7 @@ def mat_invert(m: Matrix) -> Matrix:
             raise Singular("matrix is singular", v)
         # v * hbar^K is a genuine kernel vector in the truncated ring: every
         # product entry is (degree-0 part @ v) * hbar^K = 0.
-        top = (Fraction(0),) * ring.order
+        top = (0,) * ring.order
         raise Singular("degree-0 part is singular",
                        tuple(HSeries(ring.order, top + (x,)) for x in v))
     if ring == RATIONAL:

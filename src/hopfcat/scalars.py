@@ -1,8 +1,12 @@
 """Exact scalar rings: rationals and truncated hbar-polynomial extensions.
 
 Every linear computation in this package happens over one of two rings:
-arbitrary-precision rationals (fractions.Fraction) or the ring of
-polynomials in a formal parameter hbar truncated at a fixed degree K.
+arbitrary-precision rationals or the ring of polynomials in a formal
+parameter hbar truncated at a fixed degree K.  A rational is held in its
+cheapest exact type: an int when it is integral, a fractions.Fraction
+otherwise, and so is every series coefficient.  Integral arithmetic, the
+common case, then runs on ints.  Input is read by as_fraction, which
+makes a bool the int it equals and refuses a float.
 Truncated series multiply by dropping all terms of degree > K, and a
 series is zero (falsy) when all its coefficients vanish.  Scalars only add,
 subtract and multiply: division happens in linalg, which inverts a series
@@ -57,22 +61,32 @@ def replace(obj, **changes):
     return obj.__class__(**{**dict(zip(obj._fields, obj._values(obj))), **changes})
 
 
-def as_fraction(x) -> Fraction:
-    """Coerce int / str ("p/q") / Fraction to an exact rational."""
-    if isinstance(x, Fraction):
-        return x
+def _int(c):
+    """c as an int when it is an integral Fraction, else as it is: the
+    canonical form of a value already int, Fraction or HSeries."""
+    return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+
+
+def as_fraction(x):
+    """Coerce int / str ("p/q") / Fraction to an exact rational in its
+    canonical form, an int when it is integral; a bool becomes the int it
+    equals."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
+    if isinstance(x, Fraction):
+        return _int(x)
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            return _int(Fraction(x))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
 
 
 class HSeries(Value):
-    """c0 + c1*hbar + ... + cK*hbar^K with exact rational coefficients.
+    """c0 + c1*hbar + ... + cK*hbar^K with exact rational coefficients,
+    each in canonical form (an int when integral): __init__ puts the given
+    coefficients in it, and a product those it computes.
 
     Immutable; coeffs always has length order + 1.  _top, outside _fields,
     is the highest nonzero degree (-1 for zero): a product stops there.
@@ -82,31 +96,32 @@ class HSeries(Value):
     _fields = ("order", "coeffs")
 
     def __init__(self, order, coeffs):
+        coeffs = tuple(map(_int, coeffs))
         if len(coeffs) != order + 1:
             raise ValueError("coefficient count must be order + 1")
         self.order, self.coeffs, self._top = order, coeffs, _top_degree(coeffs, order)
 
     @classmethod
     def from_rational(cls, x, order):
-        c = [Fraction(0)] * (order + 1)
+        c = [0] * (order + 1)
         c[0] = as_fraction(x)
-        return cls(order, tuple(c))
+        return cls(order, c)
 
     @classmethod
     def from_coeffs(cls, coeffs, order):
         c = [as_fraction(x) for x in coeffs]
         if len(c) > order + 1:
             raise ValueError("too many coefficients for declared order")
-        c += [Fraction(0)] * (order + 1 - len(c))
-        return cls(order, tuple(c))
+        c += [0] * (order + 1 - len(c))
+        return cls(order, c)
 
     @classmethod
     def hbar(cls, order):
         if order < 1:
             raise ValueError("hbar needs order >= 1")
-        c = [Fraction(0)] * (order + 1)
-        c[1] = Fraction(1)
-        return cls(order, tuple(c))
+        c = [0] * (order + 1)
+        c[1] = 1
+        return cls(order, c)
 
     def _check(self, other):
         if not isinstance(other, HSeries) or other.order != self.order:
@@ -114,23 +129,23 @@ class HSeries(Value):
 
     def __add__(self, other):
         self._check(other)
-        return HSeries(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return HSeries(self.order, (a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         self._check(other)
-        return HSeries(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return HSeries(self.order, (a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return HSeries(self.order, tuple(-a for a in self.coeffs))
+        return HSeries(self.order, (-a for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = as_fraction(other)
-            return HSeries(self.order, tuple(a * f for a in self.coeffs))
+            return HSeries(self.order, (a * f for a in self.coeffs))
         self._check(other)
         n, ta, tb = self.order + 1, self._top, other._top
         a, b = self.coeffs, other.coeffs
-        out = [_ZERO] * n
+        out = [None] * n
         for i in range(ta + 1):
             ai = a[i]
             if not ai:
@@ -139,9 +154,10 @@ class HSeries(Value):
                 bj = b[j]
                 if bj:
                     s, p = out[i + j], ai * bj
-                    out[i + j] = p if s is _ZERO else s + p
+                    out[i + j] = p if s is None else s + p
+        out = tuple(0 if s is None else _int(s) for s in out)
         prod = HSeries.__new__(HSeries)
-        prod.order, prod.coeffs = self.order, tuple(out)
+        prod.order, prod.coeffs = self.order, out
         # over a field the product's top is ta + tb, unless truncated away
         prod._top = (-1 if ta < 0 or tb < 0 else ta + tb if ta + tb < n
                      else _top_degree(out, self.order))
@@ -152,7 +168,7 @@ class HSeries(Value):
     def __bool__(self):
         return any(self.coeffs)
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self):
         return self.coeffs[0]
 
     def __repr__(self):
@@ -164,11 +180,6 @@ def _top_degree(coeffs, order):
     while order >= 0 and not coeffs[order]:
         order -= 1
     return order
-
-
-# Zero and one are shared objects of each ring (scalars are immutable), so
-# reading an unstored matrix entry or filling a 0/1 matrix allocates nothing.
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @lru_cache(maxsize=None)
@@ -185,21 +196,23 @@ class Ring(Value):
         self.kind = kind  # "rational" | "hseries"
         self.order = order
 
+    # zero and one are shared objects of each ring (scalars are immutable),
+    # so reading an unstored entry or filling a 0/1 matrix allocates nothing
     def zero(self):
         if self.kind == "rational":
-            return _ZERO
+            return 0
         return _series_constant(0, self.order)
 
     def one(self):
         if self.kind == "rational":
-            return _ONE
+            return 1
         return _series_constant(1, self.order)
 
     def coerce(self, x):
         """Build a ring element from JSON-ish input.
 
-        Rational: int / "p/q" / Fraction.  Series: additionally a list of
-        coefficient strings, degree-ascending.
+        Rational: int / "p/q" / Fraction, as as_fraction reads them.
+        Series: additionally a list of coefficient strings, degree-ascending.
         """
         if self.kind == "rational":
             if isinstance(x, HSeries):

@@ -327,14 +327,36 @@ def uea_eps_matrix(uea):
     return Matrix.sparse(1, uea.dim, RATIONAL, [{uea.basis.index(()): Fraction(1)}])
 
 
+def canonical(x):
+    """A rational in the package's canonical form, written out on its own:
+    the int it equals when its denominator is 1, else a Fraction.  Series
+    values pass as they are (HSeries puts its coefficients in that form)."""
+    if isinstance(x, HSeries):
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def is_canonical(x):
+    """x is a rational of exactly the canonical type (int when integral,
+    else Fraction, never bool or float), or an HSeries whose coefficients
+    all are."""
+    if type(x) is HSeries:
+        return all(is_canonical(c) for c in x.coeffs)
+    return type(x) is (int if x == int(x) else Fraction)
+
+
 class DenseMatrix:
     """A matrix stored densely, row-major, zeros included, with textbook
     operations: the storage linalg.Matrix had before it kept only its
-    nonzeros, kept as the oracle for the sparse one."""
+    nonzeros, kept as the oracle for the sparse one.  Each entry is put in
+    canonical form as it is stored (conftest.canonical, written apart from
+    the library's rule); no operation here divides."""
 
     def __init__(self, rows, cols, ring, entries):
         assert len(entries) == rows * cols
-        self.rows, self.cols, self.ring, self.entries = rows, cols, ring, tuple(entries)
+        self.rows, self.cols, self.ring = rows, cols, ring
+        self.entries = tuple(map(canonical, entries))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -395,15 +417,16 @@ def dense_hstack(mats):
 
 def agrees(m, dense):
     """m, a linalg.Matrix, equals the dense oracle: same shape and ring, and
-    it stores exactly the oracle's nonzero entries, each a ring element of
-    the ring's own type (Fraction or HSeries, never int)."""
+    it stores exactly the oracle's nonzero entries, each of exactly the
+    oracle's type: over the rationals an int where it is integral and a
+    Fraction elsewhere, over a series ring an HSeries whose coefficients
+    are so."""
     stored = {(i, j): x for i, row in enumerate(m.nz) for j, x in row.items()}
     expect = {(i, j): dense[i, j] for i in range(dense.rows) for j in range(dense.cols)
               if dense[i, j]}
-    kind = Fraction if dense.ring == RATIONAL else HSeries
     return ((m.rows, m.cols, m.ring) == (dense.rows, dense.cols, dense.ring)
             and len(m.nz) == m.rows and stored == expect
-            and all(type(x) is kind for x in stored.values()))
+            and all(type(x) is type(expect[k]) and is_canonical(x) for k, x in stored.items()))
 
 
 def permutation_inverse(perm):
@@ -562,15 +585,26 @@ def validate_action_by_pairs(kind, group, atom):
             raise BackendError(f"atom {atom.name}: action is not a homomorphism")
 
 
+def _fraction_axpy(v, row, coef):
+    """v += coef * row on {col: Fraction} dicts, in place, keeping no zero."""
+    for k, x in row.items():
+        s = v.get(k, Fraction(0)) + coef * x
+        if s:
+            v[k] = s
+        else:
+            v.pop(k, None)
+
+
 def fraction_rref(vectors):
     """Reduced row echelon form, leftmost pivots, of the span of vectors,
-    {col: Fraction} dicts, which it consumes: (rows, pivots) as
-    linalg._rref returns them, by Fraction elimination.  The library's
-    elimination before it went fraction-free, kept as its oracle: each
-    vector is reduced against the pivot rows so far, leftmost first, and
-    every pivot row is scaled to pivot 1 as it is found."""
+    {col: rational} dicts: (rows, pivots) as linalg._rref returns them, by
+    Fraction elimination, each entry in canonical form at the end.  The
+    library's elimination before it went fraction-free, kept as its
+    oracle: each vector is reduced against the pivot rows so far, leftmost
+    first, and every pivot row is scaled to pivot 1 as it is found."""
     pivot_rows = {}
     for v in vectors:
+        v = {k: Fraction(x) for k, x in v.items()}
         todo = [c for c in v if c in pivot_rows]
         queued = set(todo)
         heapq.heapify(todo)
@@ -578,18 +612,18 @@ def fraction_rref(vectors):
             c = heapq.heappop(todo)
             if c in v:
                 row = pivot_rows[c]
-                _acc(v, row.items(), -v[c])
+                _fraction_axpy(v, row, -v[c])
                 for k in row:
                     if k in pivot_rows and k not in queued:
                         queued.add(k)
                         heapq.heappush(todo, k)
         if v:
             lead = min(v)
-            inv = 1 / v[lead]
+            inv = Fraction(1) / v[lead]
             pivot_rows[lead] = {k: x * inv for k, x in v.items()} if inv != 1 else v
     pivots = sorted(pivot_rows)
     for c in reversed(pivots):
         row = pivot_rows[c]
         for k in [k for k in row if k != c and k in pivot_rows]:
-            _acc(row, pivot_rows[k].items(), -row[k])
-    return [pivot_rows[c] for c in pivots], pivots
+            _fraction_axpy(row, pivot_rows[k], -row[k])
+    return [{k: canonical(x) for k, x in pivot_rows[c].items()} for c in pivots], pivots

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfcat
-from conftest import unmemoized_braiding_failures
+from conftest import is_canonical, unmemoized_braiding_failures
 from hopfcat import backends, cli, cofunctor, corpus, liebialg
 from hopfcat.cli import CHECK_ORDER, TARGETS, main, run_build, run_verify
 from hopfcat.coalg import LawRecord
@@ -24,7 +24,7 @@ from hopfcat.corpus import CORPUS_NAMES, corpus_path, load_corpus_document
 from hopfcat.instances import dump_document, load_instance
 from hopfcat.liebialg import EnvelopingEngine, pbw_words
 from hopfcat.linalg import Matrix, _acc
-from hopfcat.scalars import RATIONAL
+from hopfcat.scalars import RATIONAL, HSeries, Value
 
 
 def write_doc(tmp_path, doc, name="inst.json"):
@@ -282,6 +282,85 @@ class TestBuild:
         report, code = run_build(write_doc(tmp_path, doc), "hopf-monoid")
         assert code == 1
         assert "structure" not in report
+
+
+def ci_builds():
+    """(instance name, target) for every build CI makes of the shipped
+    corpus: both functor targets wherever a functor is given, the groupoid
+    on finset-gset, the deformation on abelian_precartier."""
+    calls = []
+    for name in CORPUS_NAMES:
+        doc = load_corpus_document(name)
+        if "functor" in doc:
+            calls += [(name, "hopf-monoid"), (name, "hopf-category")]
+            if doc["backend"] == "finset-gset":
+                calls.append((name, "groupoid"))
+        if name == "abelian_precartier":
+            calls.append((name, "deformed"))
+    return calls
+
+
+def deformed_documents():
+    """The two deformed builds of the lie-deform benchmark workload: the
+    abelian pre-Cartier datum at order 4 and a zero datum at order 8."""
+    pre = corpus._abelian_precartier_doc()
+    pre["deformation"]["order"] = 4
+    z3 = corpus._group_algebra_doc("z3_group_algebra", 3)
+    z3["deformation"] = {"order": 8, "convention": "t_delta_zero", "t": []}
+    return {"abelian_precartier_o4": pre, "z3_zero_deformation_o8": z3}
+
+
+def stored_scalars(root):
+    """Every stored rational and series coefficient of every Matrix reached
+    from root through Value fields, dicts, lists and tuples."""
+    seen, todo, out = set(), [root], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Matrix):
+            for row in obj.nz:
+                for x in row.values():
+                    out.extend(x.coeffs if isinstance(x, HSeries) else (x,))
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif isinstance(obj, Value):
+            todo.extend(obj._values(obj))
+    return out
+
+
+class TestCanonicalStructures:
+    """Every matrix of every built structure holds its rationals in
+    canonical form, an int where integral and a Fraction elsewhere."""
+
+    def built(self, monkeypatch, path, target):
+        made = []
+
+        def recording(*args, real=cli._construct):
+            out = real(*args)
+            made.append(out[0])
+            return out
+
+        monkeypatch.setattr(cli, "_construct", recording)
+        report, code = run_build(path, target)
+        assert code == 0, report.get("error")
+        return made[0]
+
+    @pytest.mark.parametrize("name, target", ci_builds())
+    def test_corpus_builds(self, monkeypatch, name, target):
+        values = stored_scalars(self.built(monkeypatch, corpus_path(name), target))
+        assert all(is_canonical(x) for x in values)
+        linear = load_corpus_document(name)["backend"] != "finset-gset"
+        assert bool(values) == linear
+
+    @pytest.mark.parametrize("name", sorted(deformed_documents()))
+    def test_deformed_builds(self, monkeypatch, tmp_path, name):
+        path = write_doc(tmp_path, deformed_documents()[name])
+        values = stored_scalars(self.built(monkeypatch, path, "deformed"))
+        assert values and all(is_canonical(x) for x in values)
 
 
 class TestOneBuildPath:

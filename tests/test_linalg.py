@@ -2,6 +2,7 @@ import ast
 import inspect
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,9 +25,18 @@ from hopfcat.linalg import (
 )
 from hopfcat.scalars import RATIONAL, HSeries, Ring, RingMismatch, hseries_ring
 
-from conftest import DenseMatrix, agrees, dense_hstack, fraction_rref, permutation_inverse
+from conftest import (
+    DenseMatrix,
+    agrees,
+    canonical,
+    dense_hstack,
+    fraction_rref,
+    is_canonical,
+    permutation_inverse,
+)
 
-rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
+# in canonical form, as every stored entry is: ints where integral
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8).map(canonical)
 
 
 def qm(rows):
@@ -58,7 +68,7 @@ def dense_rref(rows):
     """Reduced row echelon form over the rationals, leftmost pivots.
 
     Mutates and returns (rows, pivot_cols).  rows is a list of lists of
-    Fractions.
+    rationals; each pivot row is divided over Fraction.
     """
     if not rows:
         return rows, []
@@ -76,7 +86,7 @@ def dense_rref(rows):
         rows[r], rows[pr] = rows[pr], rows[r]
         pv = rows[r][c]
         if pv != 1:
-            inv = 1 / pv
+            inv = Fraction(1) / pv
             rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
@@ -356,12 +366,12 @@ class TestSparseEliminationAgainstDense:
 
 # entries of the fraction-free tests: units, small and large integers,
 # proper fractions
-FREE_ENTRIES = [Fraction(x) for x in (1, -1, 2, -2, 7, Fraction(1, 2), Fraction(-5, 3), 10 ** 6)]
+FREE_ENTRIES = [canonical(x) for x in (1, -1, 2, -2, 7, Fraction(1, 2), Fraction(-5, 3), 10 ** 6)]
 
 
 @st.composite
 def vector_lists(draw, max_cols=7):
-    """(cols, vectors): sparse {col: Fraction} vectors over cols columns,
+    """(cols, vectors): sparse {col: rational} vectors over cols columns,
     with empty ones, repeats and nonzero multiples of earlier ones mixed in."""
     cols = draw(st.integers(0, max_cols))
     entry = st.one_of(st.just(Fraction(0)), st.sampled_from(FREE_ENTRIES))
@@ -375,8 +385,8 @@ def vector_lists(draw, max_cols=7):
             vectors.append({})
         else:
             v = draw(st.sampled_from(vectors))
-            c = Fraction(1) if kind == "repeat" else draw(st.sampled_from(FREE_ENTRIES))
-            vectors.append({j: c * x for j, x in v.items()})
+            c = 1 if kind == "repeat" else draw(st.sampled_from(FREE_ENTRIES))
+            vectors.append({j: canonical(c * x) for j, x in v.items()})
     return cols, vectors
 
 
@@ -398,15 +408,19 @@ def inverse_or_witness(m):
 class TestFractionFreeElimination:
     """_rref against the Fraction elimination it replaced
     (conftest.fraction_rref): the reduced row echelon form is unique, so
-    both must give the same rows and pivots, every entry a Fraction."""
+    both must give the same rows and pivots, every entry of the same
+    canonical type: an int where it is integral, else a Fraction."""
 
     @settings(max_examples=300)
     @given(vector_lists())
     def test_same_rows_and_pivots_as_fraction_elimination(self, case):
         _, vectors = case
         rows, pivots = _rref([dict(v) for v in vectors])
-        assert (rows, pivots) == fraction_rref([dict(v) for v in vectors])
-        assert all(type(x) is Fraction for row in rows for x in row.values())
+        expect = fraction_rref([dict(v) for v in vectors])
+        assert (rows, pivots) == expect
+        assert [[type(x) for x in row.values()] for row in rows] == \
+            [[type(x) for x in row.values()] for row in expect[0]]
+        assert all(is_canonical(x) for row in rows for x in row.values())
 
     @settings(max_examples=150)
     @given(vector_lists())
@@ -425,7 +439,9 @@ class TestFractionFreeElimination:
         assert got == expect
         for kind, value in got[1:]:
             if kind == "singular":
-                assert all(isinstance(x, (Fraction, HSeries)) for x in value)
+                assert all(is_canonical(x) for x in value)
+            else:
+                assert all(is_canonical(x) for row in value.nz for x in row.values())
 
     def test_divides_no_int_by_int(self):
         """The elimination's only division is the exact floor division
@@ -439,12 +455,27 @@ class TestFractionFreeElimination:
         for f in found:
             assert not any(isinstance(node, ast.Div) for node in ast.walk(f)), f.name
 
+    def test_no_true_division_of_a_value_anywhere(self):
+        """No value of the package meets /, which could make a float: the
+        only true divisions in it join a path and a string."""
+        joins = []
+        for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                    right = node.right if isinstance(node, ast.BinOp) else node.value
+                    where = (path.name, node.lineno)
+                    assert isinstance(right, (ast.JoinedStr, ast.Constant)), where
+                    assert isinstance(right, ast.JoinedStr) or type(right.value) is str, where
+                    joins.append(path.name)
+        assert set(joins) == {"corpus.py"}
+
 
 def ring_entries(ring):
     """The ring's shared zero and one, which the library passes over by
-    identity, next to equal values that are separate objects, and others."""
+    identity, next to equal values that are separate objects (over the
+    rationals the ints 0, 1, -1, which the interpreter shares), and others."""
     if ring == RATIONAL:
-        fresh = st.sampled_from([0, 1, -1]).map(Fraction)
+        fresh = st.sampled_from([0, 1, -1])
         values = rationals
     else:
         fresh = st.sampled_from([0, 1, -1]).map(lambda c: HSeries.from_rational(c, ring.order))
@@ -465,19 +496,21 @@ def textbook_product(a, b):
             s = a.ring.zero()
             for t in range(a.cols):
                 s = s + a[i, t] * b[t, j]
-            ent.append(s)
+            ent.append(canonical(s))
     return Matrix(a.rows, b.cols, a.ring, tuple(ent))
 
 
 def textbook_kron(a, b):
     return Matrix(a.rows * b.rows, a.cols * b.cols, a.ring, tuple(
-        a[ra, ca] * b[rb, cb]
+        canonical(a[ra, ca] * b[rb, cb])
         for ra in range(a.rows) for rb in range(b.rows)
         for ca in range(a.cols) for cb in range(b.cols)))
 
 
 def same_entries(m, expect):
-    return m == expect and all(type(x) is type(y) for x, y in zip(m.entries, expect.entries))
+    """m equals expect entry by entry, each of the same, canonical type."""
+    return m == expect and all(type(x) is type(y) and is_canonical(x)
+                               for x, y in zip(m.entries, expect.entries))
 
 
 class TestEntrywiseOperations:
@@ -490,7 +523,7 @@ class TestEntrywiseOperations:
         c = ring_matrix(data.draw, ring, n, k)
         assert same_entries(a * b, textbook_product(a, b))
         assert same_entries(a + c, Matrix(n, k, ring, tuple(
-            x + y for x, y in zip(a.entries, c.entries))))
+            canonical(x + y) for x, y in zip(a.entries, c.entries))))
         assert same_entries(mat_kron(a, b), textbook_kron(a, b))
 
     def test_cancelling_sums_are_zero(self):
@@ -518,8 +551,7 @@ def oracle_entries(ring):
     cancel; other values; over the series ring also powers of hbar, whose
     products truncate to zero."""
     if ring == RATIONAL:
-        return st.one_of(st.just(ring.zero()), st.sampled_from([0, 1, -1, 2]).map(Fraction),
-                         rationals)
+        return st.one_of(st.just(ring.zero()), st.sampled_from([0, 1, -1, 2]), rationals)
     k = ring.order
     return st.one_of(
         st.just(ring.zero()),
@@ -552,10 +584,10 @@ class TestSparseAgainstDense:
     def test_constructors_and_reads(self, data, ring, r, c):
         m, d = matrix_and_oracle(data.draw, ring, r, c)
         assert agrees(m, d)
-        kind = Fraction if ring == RATIONAL else HSeries
         for i in range(r):
             assert m.row(i) == tuple(d[i, j] for j in range(c))
-            assert all(type(m[i, j]) is kind for j in range(c))
+            assert all(type(m[i, j]) is type(d[i, j]) and is_canonical(m[i, j])
+                       for j in range(c))
         assert m.entries == d.entries
         assert agrees(Matrix.zeros(r, c, ring), DenseMatrix(r, c, ring, [ring.zero()] * (r * c)))
         assert agrees(Matrix.identity(r, ring), DenseMatrix(r, r, ring, [
@@ -631,7 +663,7 @@ class TestSparseAgainstDense:
         assert agrees(p, DenseMatrix(p.rows, p.cols, RATIONAL, p.entries))
         assert agrees(s, DenseMatrix(s.rows, s.cols, RATIONAL, s.entries))
         v = rational_kernel_vector(m)
-        assert v is None or all(type(x) is Fraction for x in v)
+        assert v is None or all(is_canonical(x) for x in v)
 
     def test_empty_shapes(self):
         for ring in (RATIONAL, SERIES):
@@ -642,6 +674,41 @@ class TestSparseAgainstDense:
             assert hstack([tall, Matrix.identity(3, ring)]) == Matrix.identity(3, ring)
             assert mat_kron(wide, Matrix.identity(2, ring)) == Matrix.zeros(0, 6, ring)
             assert wide.transpose() == tall and wide.to_json() == []
+
+
+class TestCanonicalResults:
+    """Every value an operation hands out is canonical: over the rationals
+    an int where it is integral and a Fraction elsewhere, over a series
+    ring an HSeries with such coefficients; never a float or a bool."""
+
+    @staticmethod
+    def values(result):
+        if isinstance(result, Matrix):
+            return [x for row in result.nz for x in row.values()]
+        return list(result)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), rings, sides, sides, sides)
+    def test_matrix_operations(self, data, ring, n, k, m):
+        a, _ = matrix_and_oracle(data.draw, ring, n, k)
+        b, _ = matrix_and_oracle(data.draw, ring, k, m)
+        c, _ = matrix_and_oracle(data.draw, ring, n, k)
+        x = data.draw(oracle_entries(ring))
+        results = [a * b, a + c, a - c, -a, a.scale(x), mat_kron(a, b), mat_kron(b, a),
+                   a.transpose(), hstack([a, c])]
+        if ring == RATIONAL and n:
+            results += [*cokernel_projection(a), rational_kernel_vector(a) or ()]
+            # by the inverse of a stored entry, which brings out a 1 there
+            e = next((e for row in a.nz for e in row.values()), 1)
+            results.append(a.scale(canonical(Fraction(1, e))))
+        for result in results:
+            assert all(is_canonical(v) for v in self.values(result)), result
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.integers(1, 4).flatmap(square_matrices), series_square_matrices()))
+    def test_inverses_and_witnesses(self, m):
+        kind, value = inverse_or_witness(m)
+        assert all(is_canonical(v) for v in self.values(value)), (kind, value)
 
 
 def permutation_and_oracle(ring, table):

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from hopfcat.scalars import HSeries, RATIONAL, RingMismatch, as_fraction, hseries_ring, replace
 
+from conftest import is_canonical
+
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 
@@ -93,6 +95,8 @@ class TestHSeriesAgainstFullLength:
         for v in (a * b, (a * b) * c, a + b, a - b):
             assert len(v.coeffs) == k + 1
             assert bool(v) == any(v.coeffs)
+        for v in (a, a * b, (a * b) * c, a + b, a - b, -a, a * Fraction(2, 3), 3 * a):
+            assert all(is_canonical(x) for x in v.coeffs), v
 
     @given(series_triples())
     def test_equality_and_hash_ignore_the_kept_degree(self, drawn):
@@ -138,3 +142,28 @@ class TestAsFraction:
     def test_zero_denominator_is_a_value_error(self):
         with pytest.raises(ValueError):
             as_fraction("1/0")
+
+    def test_canonical_values(self):
+        """An int where the value is integral, else a Fraction."""
+        cases = [(5, 5, int), ("4/2", 2, int), ("-0/3", 0, int), (Fraction(6, 3), 2, int),
+                 ("3/2", Fraction(3, 2), Fraction), (Fraction(-1, 4), Fraction(-1, 4), Fraction)]
+        for x, value, kind in cases:
+            for v in (as_fraction(x), RATIONAL.coerce(x)):
+                assert v == value and type(v) is kind, (x, v)
+        for v in (hseries_ring(1).coerce(["2/2", "1/3"]).coeffs,
+                  HSeries.from_rational(Fraction(4, 2), 1).coeffs, HSeries.hbar(1).coeffs):
+            assert all(is_canonical(x) for x in v), v
+
+    def test_bools_become_the_ints_they_equal(self):
+        # bool subclasses int: stored as it is, True would be an entry
+        for b, n in ((True, 1), (False, 0)):
+            for v in (as_fraction(b), RATIONAL.coerce(b), HSeries.from_rational(b, 1).coeffs[0],
+                      hseries_ring(1).coerce([b, b]).coeffs[1]):
+                assert v == n and type(v) is int
+
+    def test_floats_are_refused(self):
+        for x in (1.0, 0.5):
+            with pytest.raises(TypeError):
+                as_fraction(x)
+            with pytest.raises(TypeError):
+                RATIONAL.coerce(x)
