@@ -13,8 +13,9 @@ Each functor implements apply_obj and one morphism map, split(f, w1,
 ..., wk): F(f), then F(w1 (x) ... (x) wk) -> F(w1) (x) ... (x) F(wk), one
 map by coassociativity of F2 (Aguiar & Mahajan, Monoidal Functors,
 Species and Hopf Algebras, 2010, ch. 3).  apply_mor (k = 1) and f2 (f = 1,
-k = 2) are defined from it once, on the base class: they keep the paper's
-names F and F2, which the benchmark's traced spans carry too.
+k = 2) are defined from it once, on the base class (the coinvariants
+functor reads f2 off its quotient data): they keep the paper's names F
+and F2, which the benchmark's traced spans carry too.
 split_tensor(gs, *words) is the split of g1 (x) ... (x) gn.  The base
 class builds that product; the orbit functor evaluates it at the orbit
 representatives of its domain only, which is all a split reads, so gamma
@@ -356,50 +357,68 @@ class CoinvariantsFunctor(ComonoidalFunctor):
     every morphism the functor is applied to (equivariance guarantees
     this for the two instances below).
 
-    The quotient data (p, s) depend on the relation matrix alone, so they
-    are computed once per distinct matrix: words that differ by atoms the
-    relations do not see (the trivial lines of a dy quotient) share them.
-    A matrix is compared only with the earlier ones of its shape, and
-    never hashed, which would cost a hash per entry.
+    units are the unit letters: atoms of dimension 1 whose own relation
+    matrix is zero.  A word's relations equal, entry for entry, those of
+    the word without its unit letters, so (p, s) are built once per such
+    reduced word, and F2(x, y) = (p_x (x) p_y) s_{x (x) y} once per reduced
+    pair; image atoms and F2's endpoints stay per full word.
+      - dy quotient: in Backend._dy_word a head E with |E| = 1 and pi = 0
+        gives 0 + a_tail (sigma_{b,E} (x) 1), and sigma_{b,E} is the
+        identity; any other head h gives pi_h (x) 1 + (1 (x) a_tail)
+        (sigma_{b,h} (x) 1), which reads a_tail and the tail's size only.
+      - group coinvariants: act(g, w (x) E) = act(g, w) (x) [1], and a
+        size-1 factor moves no mixed-radix index.
     """
 
-    def __init__(self, source: Backend, relations_fn, tag="coinv"):
+    def __init__(self, source: Backend, relations_fn, tag="coinv", units=()):
         if source.kind == "finset":
             raise BackendError("coinvariants need a linear source")
         if source.ring != RATIONAL:
             raise BackendError("coinvariants quotient exact rational backends")
         target = linear_backend(trivial_group(), [], ring=RATIONAL)
         super().__init__(source, target)
-        self.relations_fn = relations_fn
-        self.tag = tag
-        self._cokernels = {}  # (rows, cols) -> [(relations, (p, s))]
+        self.relations_fn, self.tag, self.units = relations_fn, tag, frozenset(units)
+        self._quotients = {}  # reduced factors -> (p, s)
+        self._f2_matrices = {}  # (reduced x, reduced y) -> F2's matrix
+
+    def _reduced(self, factors):
+        return tuple(a for a in factors if a not in self.units)
 
     def _image(self, obj: ObjectRef):
         key = obj.factors
-        if key in self._images:
-            return self._images[key]
-        rel = self.relations_fn(self.source, obj)
-        if rel.rows != self.source.obj_size(obj):
-            raise BackendError("relations have the wrong ambient dimension")
-        p, s = self._cokernel(rel)
-        if not obj.factors:
-            if p.rows != 1:
+        data = self._images.get(key)
+        if data is None:
+            reduced = self._reduced(key)
+            ps = self._quotients.get(reduced)
+            if ps is None:
+                rel = self.relations_fn(self.source, ObjectRef(reduced))
+                if rel.rows != self.source.obj_size(obj):
+                    raise BackendError("relations have the wrong ambient dimension")
+                ps = self._quotients[reduced] = cokernel_projection(rel)
+            p, s = ps
+            if key:
+                image = self.target.trivial_atom(f"{self.tag}[{obj.label()}]", p.rows)
+            elif p.rows == 1:
+                image = self.target.unit()
+            else:
                 raise BackendError("relations must vanish on the unit object")
-            image = self.target.unit()
-        else:
-            image = self.target.trivial_atom(f"{self.tag}[{obj.label()}]", p.rows)
-        data = (image, p, s)
-        self._images[key] = data
+            data = self._images[key] = (image, p, s)
         return data
 
-    def _cokernel(self, rel):
-        same = self._cokernels.setdefault((rel.rows, rel.cols), [])
-        for known, ps in same:
-            if known == rel:
-                return ps
-        ps = cokernel_projection(rel)
-        same.append((rel, ps))
-        return ps
+    def f2(self, x, y):
+        """split(1, x, y) = (p_x (x) p_y) s_{x (x) y}, with no identity of
+        x (x) y built."""
+        key = (x.factors, y.factors)
+        f2 = self._f2.get(key)
+        if f2 is None:
+            (fx, px, _), (fy, py, _) = self._image(x), self._image(y)
+            fxy, _, s = self._image(x.tensor(y))
+            pair = tuple(map(self._reduced, key))
+            m = self._f2_matrices.get(pair)
+            if m is None:
+                m = self._f2_matrices[pair] = mat_kron(px, py) * s
+            f2 = self._f2[key] = MorphismRep(fxy, _word([fx, fy]), matrix=m)
+        return f2
 
     def apply_obj(self, obj):
         return self._image(obj)[0]
@@ -430,7 +449,11 @@ def group_coinvariants_relations(source, obj):
 
 
 def group_coinvariants_functor(source):
-    return CoinvariantsFunctor(source, group_coinvariants_relations, tag="coinv")
+    # unit letters: lines on which every generator acts as 1
+    one = Matrix.identity(1, RATIONAL)
+    units = [a.name for a in source.atoms.values()
+             if a.size == 1 and all(a.action[g] == one for g in source.group.generators)]
+    return CoinvariantsFunctor(source, group_coinvariants_relations, "coinv", units)
 
 
 def dy_coinvariants_relations(source, obj):
@@ -439,7 +462,9 @@ def dy_coinvariants_relations(source, obj):
 
 def dy_coinvariants_functor(source):
     source._need_dy()
-    return CoinvariantsFunctor(source, dy_coinvariants_relations, tag="quot")
+    # unit letters: lines the base acts on by zero
+    units = [a.name for a in source.atoms.values() if a.size == 1 and a.pi.is_zero()]
+    return CoinvariantsFunctor(source, dy_coinvariants_relations, "quot", units)
 
 
 # ---------------------------------------------------------------------------

@@ -420,8 +420,11 @@ def cokernel_projection(relations: Matrix):
     if relations.ring != RATIONAL:
         raise RingMismatch("cokernel_projection is rational-only")
     n = relations.rows
-    # echelonize the columns: rows of the transpose, fresh dicts to consume
-    rows, pivots = _rref(relations.transpose().nz)
+    # echelonize the columns, rows of the transpose, each distinct nonzero
+    # one once and sparsest first; the reduced form of a span is unique.
+    # A transpose lists a row's keys ascending, so equal rows' items agree
+    cols = {tuple(c.items()): c for c in relations.transpose().nz if c}
+    rows, pivots = _rref(sorted(cols.values(), key=len))
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     slot = {f: t for t, f in enumerate(free)}

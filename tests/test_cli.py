@@ -695,6 +695,53 @@ class TestCoinvariantSizes:
         assert max(rows) <= 8 ** 3
 
 
+def padded_precartier_document():
+    """abelian_precartier with a third trivial line E3, a copy of E."""
+    doc = corpus._abelian_precartier_doc()
+    doc["atoms"].append(dict(next(a for a in doc["atoms"] if a["name"] == "E"), name="E3"))
+    return doc
+
+
+class TestUnitLettersDropped:
+    """An abelian_precartier verify builds relations for the unit and the
+    14 words of one to three letters over {V, W} only, each once, however
+    many trivial lines pad its words: a copy with a third line E3 builds
+    no more.  No coinvariants F2 builds a tensor product of identities."""
+
+    @pytest.mark.parametrize("padded, records", [(False, 286), (True, 358)])
+    def test_relations_of_reduced_words_only(self, monkeypatch, tmp_path, padded, records):
+        words, depth, tensored = Counter(), [0], []
+
+        def relations(source, obj, real=cofunctor.dy_coinvariants_relations):
+            words[obj.factors] += 1
+            return real(source, obj)
+
+        def f2(fn, x, y, real=cofunctor.CoinvariantsFunctor.f2):
+            depth[0] += 1
+            try:
+                return real(fn, x, y)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(cofunctor, "dy_coinvariants_relations", relations)
+        monkeypatch.setattr(cofunctor.CoinvariantsFunctor, "f2", f2)
+        for owner, name in [(backends.Backend, "tensor_all"), (backends.Backend, "tensor_mor"),
+                            (cofunctor.CoinvariantsFunctor, "split_tensor")]:
+            def recorded(*args, real=getattr(owner, name), name=name):
+                if depth[0]:
+                    tensored.append(name)
+                return real(*args)
+            monkeypatch.setattr(owner, name, recorded)
+        doc = padded_precartier_document() if padded else load_corpus_document(
+            "abelian_precartier")
+        report, code = run_verify(write_doc(tmp_path, doc))
+        assert code == 0 and len(report["checks"]) == records
+        assert set(words) == {()} | {w for k in (1, 2, 3)
+                                     for w in itertools.product("VW", repeat=k)}
+        assert max(words.values()) == 1
+        assert tensored == []
+
+
 class TestMain:
     def test_verify_json_output(self, capsys):
         code = main(["verify", str(corpus_path("z2_torsors")), "--json"])

@@ -13,6 +13,7 @@ from hopfcat.backends import (
     MorphismRep,
     ObjectRef,
     cyclic_group,
+    dy_backend,
     finset_backend,
     linear_backend,
     regular_atom,
@@ -28,6 +29,7 @@ from hopfcat.cofunctor import (
     certify_adapted,
     check_comonoidal,
     chi,
+    dy_coinvariants_functor,
     gamma,
     group_coinvariants_functor,
     group_coinvariants_relations,
@@ -362,6 +364,53 @@ class TestCoinvariantsFunctor:
             _, p, s = fn._image(w)
             assert (p, s) == cokernel_projection(fn.relations_fn(b, w)), w
         assert len(made) == len(set(made)) < len(words) / 2
+
+    @staticmethod
+    def unit_letter_backends():
+        """abelian_precartier's atoms and L, a line the base acts on by
+        (1, 0); Z2's regular representation R, its trivial line E and its
+        sign line S, whose relation is -2.  L and S are lines, and not
+        unit letters."""
+        dy = load_instance(corpus_path("abelian_precartier")).functor.source
+        ones = Matrix.identity(1, RATIONAL)
+        line = Atom("L", 1, (ones,), pi=Matrix.from_rows(RATIONAL, [[1, 0]]),
+                    pistar=Matrix.zeros(2, 1, RATIONAL))
+        dy = dy_backend(dy.atoms["b"], [a for n, a in dy.atoms.items() if n != "b"] + [line])
+        z2 = cyclic_group(2)
+        linrep = linear_backend(z2, [regular_linear_atom("R", z2), Atom("E", 1, (ones, ones)),
+                                     Atom("S", 1, (ones, -ones))])
+        return {"dy": (dy_coinvariants_functor(dy), {"E", "E2"}, {"L"}),
+                "linrep": (group_coinvariants_functor(linrep), {"E"}, {"S"})}
+
+    @staticmethod
+    def quotient_mismatches(fn):
+        """The short words whose kept (p, s) are not the quotient data of
+        their own relation matrix R, or break p R = 0 or p s = 1."""
+        b, bad = fn.source, []
+        for w in map(ObjectRef, short_words(b, 64)):
+            rel = fn.relations_fn(b, w)
+            _, p, s = fn._image(w)
+            if ((p, s) != cokernel_projection(rel) or not (p * rel).is_zero()
+                    or p * s != Matrix.identity(p.rows, RATIONAL)):
+                bad.append(w.factors)
+        return bad
+
+    @pytest.mark.parametrize("kind", ["dy", "linrep"])
+    def test_unit_letters_keep_each_words_quotient(self, kind):
+        fn, units, _ = self.unit_letter_backends()[kind]
+        assert fn.units == units
+        assert self.quotient_mismatches(fn) == []
+
+    @pytest.mark.parametrize("kind", ["dy", "linrep"])
+    def test_dropping_a_line_with_relations_is_caught(self, kind):
+        # a functor that takes every line for a unit letter: the words of
+        # L or S get the quotient of the word without it, and fail
+        fn, units, lines = self.unit_letter_backends()[kind]
+        b = fn.source
+        mutant = cofunctor.CoinvariantsFunctor(b, fn.relations_fn, units=units | lines)
+        bad = self.quotient_mismatches(mutant)
+        assert bad and all(lines & set(w) for w in bad)
+        assert {(line,) for line in lines} <= set(bad)
 
 
 class TestIdentityFunctor:

@@ -354,6 +354,39 @@ class TestSparseEliminationAgainstDense:
     def test_cokernel_projection_matches_dense(self, m):
         assert cokernel_projection(m) == dense_cokernel_projection(m)
 
+    @settings(max_examples=60)
+    @given(rational_matrices(), st.data())
+    def test_cokernel_of_repeated_permuted_columns(self, m, data):
+        # the columns of m's transpose, with its repeated, rescaled and zero
+        # rows among them, each listed twice in a drawn order: the same
+        # span, so the same quotient data
+        rel = m.transpose()
+        order = data.draw(st.permutations(list(range(rel.cols)) * 2))
+        wide = qm([[rel[i, j] for j in order] for i in range(rel.rows)])
+        assert cokernel_projection(wide) == dense_cokernel_projection(wide)
+        assert cokernel_projection(wide) == cokernel_projection(rel)
+
+    def test_distinct_columns_eliminated_sparsest_first(self, monkeypatch):
+        # abelian_precartier's V (x) V (x) V: 112 nonzero relation columns,
+        # 79 of them distinct
+        from hopfcat.backends import ObjectRef
+        from hopfcat.corpus import corpus_path
+        from hopfcat.instances import load_instance
+        b = load_instance(corpus_path("abelian_precartier")).functor.source
+        rel = b.dy_action(ObjectRef(("V", "V", "V")))
+        given_rows = []
+
+        def recorded(vectors, real=_rref):
+            given_rows.extend(vectors)
+            return real(given_rows)
+
+        monkeypatch.setattr(linalg, "_rref", recorded)
+        assert cokernel_projection(rel) == dense_cokernel_projection(rel)
+        sizes = [len(v) for v in given_rows]
+        assert sum(map(bool, rel.transpose().nz)) == 112
+        assert len(set(tuple(v.items()) for v in given_rows)) == len(given_rows) == 79
+        assert 0 not in sizes and sizes == sorted(sizes)
+
     def test_full_rank_relations_leave_a_zero_quotient(self):
         p, s = cokernel_projection(Matrix.identity(3, RATIONAL))
         assert (p.rows, p.cols) == (0, 3)
