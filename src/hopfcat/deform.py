@@ -53,9 +53,14 @@ class PreCartierData(Value):
     Unlisted pairs are filled in by the peeling rules, with atoms and
     the unit word bottoming out at zero.  Since the rules derive every
     word entry from the atom entries, explicit composite entries are
-    redundant data whose consistency `check_pre_cartier` verifies."""
+    redundant data whose consistency `check_pre_cartier` verifies.
 
-    __slots__ = ("backend", "table", "_cache")
+    _support is the set of atom pairs with a nonzero stored matrix when
+    every stored key is an atom pair, else None: by the peeling rules t
+    on (x, y) is then a sum of conjugates of t(a, b), one per letter a of
+    x and b of y, zero when no (a, b) is in the support."""
+
+    __slots__ = ("backend", "table", "_cache", "_support")
     _fields = ("backend", "table")
     __hash__ = None
 
@@ -72,6 +77,8 @@ class PreCartierData(Value):
                 raise BackendError(f"t[{fx},{fy}] has the wrong shape")
             norm[(fx, fy)] = m
         self.backend, self.table, self._cache = backend, norm, {}
+        self._support = ({(a, b) for ((a,), (b,)), m in norm.items() if not m.is_zero()}
+                         if all(len(x) == len(y) == 1 for x, y in norm) else None)
 
     def t(self, x: ObjectRef, y: ObjectRef) -> MorphismRep:
         """The extended map x (x) y -> x (x) y."""
@@ -99,7 +106,12 @@ class PreCartierData(Value):
         return mor
 
     def vanishes(self, x: ObjectRef, y: ObjectRef) -> bool:
-        """Whether t is the zero map on (x, y)."""
+        """Whether t is the zero map on (x, y): read from the letters
+        alone when no letter pair of (x, y) is in the support, else from t
+        built and tested."""
+        sup = self._support
+        if sup is not None and not any((a, b) in sup for a in x.factors for b in y.factors):
+            return True
         return self.t(x, y).matrix.is_zero()
 
     def t_cut_left(self, x: ObjectRef, y: ObjectRef, z: ObjectRef) -> Matrix:
@@ -193,7 +205,8 @@ def check_pre_cartier(pc: PreCartierData, sample, *, inf_cocommutative=(),
     (sigma.delta = delta either way).  inf_braided takes a functor out of
     pc.backend and asks F(t) F2 = 0, since the target's datum is zero.
     A law that reads only zero components of t (pc.vanishes) holds with
-    both sides zero, and is not multiplied out.
+    both sides zero, and is not multiplied out; a component whose letter
+    pairs are all outside the datum's support is known zero unbuilt.
     """
     if not sample:
         raise BackendError("need at least one sampled object")
@@ -288,6 +301,8 @@ def check_pre_cartier(pc: PreCartierData, sample, *, inf_cocommutative=(),
         bad = []
         for x in sample:
             for y in sample:
+                if pc.vanishes(x, y):
+                    continue
                 lhs = fun.target.compose(fun.apply_mor(pc.t(x, y)), fun.f2(x, y))
                 if not lhs.matrix.is_zero():
                     bad.append(f"({x.label()},{y.label()})")
@@ -325,14 +340,19 @@ def _matrix_in(m: Matrix, ring) -> Matrix:
 
 def change_ring(backend: Backend, ring) -> Backend:
     """The same backend with every structure matrix embedded in a series
-    ring, or reduced to its degree-0 part when ring is the rationals."""
+    ring, or reduced to its degree-0 part when ring is the rationals.
+    Each distinct matrix object is moved once: image atoms of one size
+    share one identity."""
     if backend.kind == "finset":
         raise BackendError("only linear backends change scalar ring")
     if backend.ring == ring:
         return backend
+    moved = {id(None): None}  # id(m) -> m in ring; every m stays alive in backend
 
     def move(m):
-        return None if m is None else _matrix_in(m, ring)
+        if id(m) not in moved:
+            moved[id(m)] = _matrix_in(m, ring)
+        return moved[id(m)]
 
     atoms = {name: Atom(name, a.size, tuple(map(move, a.action)),
                         pi=move(a.pi), pistar=move(a.pistar))

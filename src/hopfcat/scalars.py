@@ -89,7 +89,9 @@ class HSeries(Value):
     coefficients in it, and a product those it computes.
 
     Immutable; coeffs always has length order + 1.  _top, outside _fields,
-    is the highest nonzero degree (-1 for zero): a product stops there.
+    is the highest nonzero degree (-1 for zero): a product stops there,
+    a product of two constants (_top <= 0) is one rational product, and
+    truth reads _top alone.
     """
 
     __slots__ = ("order", "coeffs", "_top")
@@ -145,6 +147,12 @@ class HSeries(Value):
         self._check(other)
         n, ta, tb = self.order + 1, self._top, other._top
         a, b = self.coeffs, other.coeffs
+        prod = HSeries.__new__(HSeries)
+        prod.order = self.order
+        if ta <= 0 and tb <= 0:  # two constants: one rational product
+            c = _int(a[0] * b[0])
+            prod.coeffs, prod._top = (c,) + (0,) * self.order, 0 if c else -1
+            return prod
         out = [None] * n
         for i in range(ta + 1):
             ai = a[i]
@@ -155,9 +163,7 @@ class HSeries(Value):
                 if bj:
                     s, p = out[i + j], ai * bj
                     out[i + j] = p if s is None else s + p
-        out = tuple(0 if s is None else _int(s) for s in out)
-        prod = HSeries.__new__(HSeries)
-        prod.order, prod.coeffs = self.order, out
+        prod.coeffs = out = tuple(0 if s is None else _int(s) for s in out)
         # over a field the product's top is ta + tb, unless truncated away
         prod._top = (-1 if ta < 0 or tb < 0 else ta + tb if ta + tb < n
                      else _top_degree(out, self.order))
@@ -166,7 +172,7 @@ class HSeries(Value):
     __rmul__ = __mul__
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self._top >= 0
 
     def constant_term(self):
         return self.coeffs[0]

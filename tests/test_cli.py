@@ -742,6 +742,67 @@ class TestUnitLettersDropped:
         assert tensored == []
 
 
+
+def brute_force_squares(fn, objects):
+    """(rule, detail) of every failing coassociativity and symmetry square,
+    each composed at its own full triple or pair."""
+    src, dst, bad = fn.source, fn.target, []
+    for x, y, z in itertools.product(objects, repeat=3):
+        lhs = dst.compose_tensor(fn.f2(x, y.tensor(z)),
+                                 [dst.identity_mor(fn.apply_obj(x)), fn.f2(y, z)])
+        rhs = dst.compose_tensor(fn.f2(x.tensor(y), z),
+                                 [fn.f2(x, y), dst.identity_mor(fn.apply_obj(z))])
+        if not dst.equal_mor(lhs, rhs):
+            bad.append(("cofunctor.coassoc", f"at {x.label()},{y.label()},{z.label()}"))
+    for x, y in itertools.product(objects, repeat=2):
+        lhs = dst.compose(fn.apply_mor(src.braiding(x, y)), fn.f2(y, x))
+        rhs = dst.compose(fn.f2(x, y), dst.braiding(fn.apply_obj(x), fn.apply_obj(y)))
+        if not dst.equal_mor(lhs, rhs):
+            bad.append(("cofunctor.symmetry", f"at {x.label()},{y.label()}"))
+    return bad
+
+
+class TestSquaresOncePerReducedWords:
+    """check_comonoidal compares each coassociativity square once per
+    reduced triple and each symmetry square once per reduced pair, and
+    records every full triple and pair."""
+
+    @pytest.mark.parametrize("padded, triples, pairs", [(False, 64, 16), (True, 125, 25)])
+    def test_one_square_per_reduced_triple(self, monkeypatch, tmp_path, padded, triples, pairs):
+        doc = padded_precartier_document() if padded else load_corpus_document(
+            "abelian_precartier")
+        inst = load_instance(write_doc(tmp_path, doc))
+        calls = Counter()
+        for owner, name in [(backends.Backend, "compose_tensor"),
+                            (cofunctor.ComonoidalFunctor, "apply_mor")]:
+            def counted(*args, real=getattr(owner, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(owner, name, counted)
+        records = cofunctor.check_comonoidal(inst.functor, cli._law_objects(inst))
+        rules = Counter(r.rule for r in records)
+        assert rules["cofunctor.coassoc"] == triples and rules["cofunctor.symmetry"] == pairs
+        assert calls == {"compose_tensor": 2 * 27, "apply_mor": 9}
+        assert all(r.holds for r in records)
+
+    @pytest.mark.parametrize("pair", [(("V",), ("W",)), (("V", "W"), ("V",)), ((), ("W",))])
+    def test_corrupt_f2_fails_exactly_where_brute_force_does(self, tmp_path, pair):
+        path = write_doc(tmp_path, padded_precartier_document())
+        inst = load_instance(path)
+        objects = cli._law_objects(inst)
+        good = inst.functor.f2(*map(backends.ObjectRef, pair)).matrix
+        nz = list(good.nz)
+        nz[0] = {**nz[0], 0: Fraction(1, 7)}
+        bad = Matrix.sparse(good.rows, good.cols, RATIONAL, nz)
+        assert bad != good
+        fresh = load_instance(path).functor
+        fresh._f2_matrices[pair] = bad
+        records = cofunctor.check_comonoidal(fresh, objects)
+        failed = [(r.rule, r.detail) for r in records
+                  if not r.holds and r.rule in ("cofunctor.coassoc", "cofunctor.symmetry")]
+        assert failed and failed == brute_force_squares(fresh, objects)
+
+
 class TestMain:
     def test_verify_json_output(self, capsys):
         code = main(["verify", str(corpus_path("z2_torsors")), "--json"])

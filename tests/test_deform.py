@@ -6,6 +6,7 @@ N and 0, and two trivial lines E, E2 carry the comonoids.  The braiding
 datum comes from the antisymmetric pairing on the base.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from hopfcat import corpus, deform
 from hopfcat.backends import (Atom, BackendError, MorphismRep, ObjectRef, cyclic_group,
                               dy_backend, linear_backend, regular_linear_atom)
 from hopfcat.coalg import Comonoid, all_hold, check_comonoid, failures, group_like_comonoid
-from hopfcat.cofunctor import dy_coinvariants_functor, group_coinvariants_functor
+from hopfcat.cofunctor import (check_comonoidal, dy_coinvariants_functor,
+                               group_coinvariants_functor)
 from hopfcat.deform import (PreCartierData, PreCartierViolation,
                             build_deformed_hopf_category, casimir_t, change_ring,
                             check_pre_cartier, deformed_braiding, reduce_order0)
@@ -226,6 +228,56 @@ class TestPreCartierLaws:
             assert all_hold(check_comonoid(be, line_comonoid(be, name)))
 
 
+
+def words_up_to(names, k):
+    return [ObjectRef(w) for n in range(k + 1) for w in itertools.product(names, repeat=n)]
+
+
+def letter_support(table):
+    """The atom pairs of a table of atom-pair entries with a nonzero matrix."""
+    return {(a, b) for ((a,), (b,)), m in table.items() if not m.is_zero()}
+
+
+class TestVanishesFromLetters:
+    """vanishes(x, y) is True, with t unbuilt, when no letter pair of
+    (x, y) carries a nonzero stored atom entry; otherwise it tests the
+    built t.  Either way it equals t(x, y) == 0."""
+
+    def assert_agrees(self, be, table, words):
+        probe, ref = PreCartierData(be, table), PreCartierData(be, table)
+        for x, y in itertools.product(words, repeat=2):
+            assert probe.vanishes(x, y) == ref.t(x, y).matrix.is_zero(), (x, y)
+
+    def test_casimir_datum_of_abelian_precartier(self):
+        inst = load_instance(corpus.corpus_path("abelian_precartier"))
+        be, table = inst.backend, inst.deformation["pc"].table
+        words = words_up_to(sorted(be.atoms), 2)
+        self.assert_agrees(be, table, words)
+        support = letter_support(table)
+        outside = [(x, y) for x, y in itertools.product(words, repeat=2)
+                   if not any((a, b) in support for a in x.factors for b in y.factors)]
+        fresh = PreCartierData(be, table)
+        assert len(outside) > len(words) and all(fresh.vanishes(x, y) for x, y in outside)
+        assert fresh._cache == {}
+
+    def test_stored_composite_entry_is_read(self, setup):
+        be, _ = setup
+        # the atom entries are all zero; only the stored word entry is not
+        table = {(("E", "E"), ("E",)): qm([[1]]), ("E", "E2"): qm([[0]])}
+        self.assert_agrees(be, table, words_up_to(["E", "E2", "W"], 2))
+        assert not PreCartierData(be, table).vanishes(be.obj("E", "E"), be.obj("E"))
+
+    def test_cancelling_letter_pairs_vanish(self, setup):
+        be, _ = setup
+        # t((E, E2), E) = t(E2, E) + t(E, E) = 0 with both summands nonzero
+        table = {("E", "E"): qm([[1]]), ("E2", "E"): qm([[-1]])}
+        pc = PreCartierData(be, table)
+        x, y = be.obj("E", "E2"), be.obj("E")
+        assert pc.t(x, y).matrix.is_zero() and pc.vanishes(x, y)
+        assert not pc.vanishes(be.obj("E"), y)
+        self.assert_agrees(be, table, words_up_to(["E", "E2", "V"], 2))
+
+
 class TestDeformedBraiding:
     def test_scalar_exponential(self, setup):
         be, _ = setup
@@ -411,6 +463,40 @@ class TestDeformedBuild:
         plain = build_hopf_category(inst.functor, inst.comonoids)
         with pytest.raises(BackendError):
             build_deformed_hopf_category(plain, inst.functor, inst.comonoids, 1)
+
+
+
+class TestChangeRing:
+    def test_memoized_move_equals_entrywise_lift(self, monkeypatch):
+        """Each distinct matrix object is lifted once, and every atom equals
+        its unmemoized lift; moving back gives the rational atoms."""
+        inst = load_instance(corpus.corpus_path("abelian_precartier"))
+        build_hopf_category(inst.functor, inst.comonoids)
+        check_comonoidal(inst.functor, [inst.backend.obj(n) for n in ("E", "E2", "V", "W")])
+        ring = hseries_ring(3)
+        for be in (inst.backend, inst.functor.target):
+            mats = [m for a in be.atoms.values() for m in (*a.action, a.pi, a.pistar)
+                    if m is not None]
+            lifted = []
+
+            def recorded(mat, ring, real=lift_matrix):
+                lifted.append(mat)
+                return real(mat, ring)
+
+            monkeypatch.setattr(deform, "lift_matrix", recorded)
+            moved = change_ring(be, ring)
+            monkeypatch.undo()
+            assert len(lifted) == len({id(m) for m in mats})
+            # image atoms of one size share one identity
+            assert be is inst.backend or len(lifted) < len(mats)
+
+            def lift(m):
+                return None if m is None else lift_matrix(m, ring)
+
+            for name, a in be.atoms.items():
+                assert moved.atoms[name] == Atom(name, a.size, tuple(map(lift, a.action)),
+                                                 pi=lift(a.pi), pistar=lift(a.pistar))
+            assert change_ring(moved, RATIONAL).atoms == be.atoms
 
 
 # ---------------------------------------------------------------------------

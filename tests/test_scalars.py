@@ -60,11 +60,12 @@ def naive_mul(a, b):
 @st.composite
 def series_triples(draw):
     """Three series of one order in 0..8, each with a drawn highest nonzero
-    degree (so a drawn count of trailing zeros) and zeros below it."""
+    degree (so a drawn count of trailing zeros) and zeros below it; zero
+    (-1) and constants (0) are drawn as often as all other degrees."""
     k = draw(st.integers(0, 8))
 
     def series():
-        top = draw(st.integers(-1, k))
+        top = draw(st.one_of(st.sampled_from((-1, 0)), st.integers(-1, k)))
         cs = draw(st.lists(st.one_of(st.just(Fraction(0)), rationals),
                            min_size=top + 1, max_size=top + 1))
         if cs and not cs[-1]:
@@ -75,9 +76,10 @@ def series_triples(draw):
 
 
 class TestHSeriesAgainstFullLength:
-    """Products stop at each operand's highest nonzero degree; the values,
-    sums and differences equal the full-length ones, also for products of
-    products, whose kept degree is derived rather than scanned."""
+    """Products stop at each operand's highest nonzero degree, and two
+    constants multiply as one rational product; the values, sums and
+    differences equal the full-length ones, also for products of products,
+    whose kept degree is derived rather than scanned, and truth reads it."""
 
     @given(series_triples())
     def test_ring_operations(self, drawn):
@@ -95,6 +97,9 @@ class TestHSeriesAgainstFullLength:
         for v in (a * b, (a * b) * c, a + b, a - b):
             assert len(v.coeffs) == k + 1
             assert bool(v) == any(v.coeffs)
+        for v in (a * b, b * a, (a * b) * c, a * (b * c), (a * b) * (a * b), (a - b) * c):
+            assert bool(v) == any(v.coeffs)
+            assert v._top == max((d for d, x in enumerate(v.coeffs) if x), default=-1)
         for v in (a, a * b, (a * b) * c, a + b, a - b, -a, a * Fraction(2, 3), 3 * a):
             assert all(is_canonical(x) for x in v.coeffs), v
 
