@@ -397,8 +397,9 @@ class Backend(Value):
 
     def compose_tensor(self, f, gs):
         """compose(f, tensor_all(gs)).  On finset the tensor product is
-        evaluated only at f's values, by tensor_at: |f.dom|*len(gs)
-        lookups instead of a table of the product of the domain sizes.
+        evaluated only at f's values, by tensor_at: |f.dom| lookups per
+        factor that is not an identity, none for identities, instead of a
+        table of the product of the domain sizes.
         """
         if self.kind != "finset":
             return self.compose(f, self.tensor_all(gs))
@@ -409,21 +410,23 @@ class Backend(Value):
         return MorphismRep(f.dom, cod, table=tuple(self.tensor_at(gs, f.table)))
 
     def tensor_at(self, gs, points):
-        """The values of tensor_all(gs) at the given points of its domain,
-        as a list, for finset tables gs: each point is split into
-        mixed-radix digits over the domain sizes of gs, digit i goes through
-        gs[i], and the images are recombined over the codomain sizes; if
-        every gs[i] is an identity identity_mor kept, each point is its value."""
-        if all(g.table is self._memo.get(len(g.table)) for g in gs):
-            return list(points)
-        out, scale = [0] * len(points), 1
-        for g in gs[:0:-1]:
-            n, t = len(g.table), g.table
-            out = [o + t[v % n] * scale for o, v in zip(out, points)]
-            points = [v // n for v in points]
-            scale *= self.obj_size(g.cod)
-        t = gs[0].table if gs else (0,)  # no factors: the unit's identity
-        return [o + t[v] * scale for o, v in zip(out, points)]
+        """The values of tensor_all(gs) at the given points of its domain
+        (a list or any iterable), as a list, for finset tables gs.  A point
+        is a mixed-radix number over the sizes of gs; the factors are read
+        last first, each in one comprehension that replaces its own digit
+        by its value and keeps the digits around it, so the digits after it
+        are already codomain digits.  An identity identity_mor kept passes
+        its digit through untouched and costs no pass: a run of them only
+        scales the next factor, 1 (x) f (x) 1 is one pass, and a product of
+        identities returns the points as they are."""
+        out, scale = points, 1
+        for g in reversed(gs):
+            t, n, m = g.table, len(g.table), self.obj_size(g.cod)
+            if t is not self._memo.get(n):
+                step, span = n * scale, m * scale  # (a, x, b) -> (a, t[x], b)
+                out = [v // step * span + t[v // scale % n] * scale + v % scale for v in out]
+            scale *= m
+        return list(points) if out is points else out
 
     def braiding(self, x: ObjectRef, y: ObjectRef):
         """The symmetry x (x) y -> y (x) x as a block transposition.  It

@@ -198,7 +198,9 @@ class OrbitFunctor(ComonoidalFunctor):
     from p's transversal element and the fibre of p's orbit.  So a word
     gets a label for every point only when it is extended or read whole
     by orbit_info, never the longest words of a verify, which hold most
-    of the points.
+    of the points.  A word read on demand keeps, per point p of its
+    prefix, p's fibre labels and the atom's permuted row at p's
+    transversal element, and a label costs two indexings.
     Equivariant maps descend to orbit maps; the splitting sends the orbit
     of a pair to the pair of orbits.
     """
@@ -213,6 +215,7 @@ class OrbitFunctor(ComonoidalFunctor):
         # the empty word: one orbit, fixed by the whole group
         self._orbits = {(): ((0,), (tuple(group.elements()),), None)}
         self._points = {(): ((0,), (0,))}
+        self._rows = {}
 
     def _orbits_of(self, factors):
         """(reps, stabs, fibres) of a tensor word, kept for every word met:
@@ -279,21 +282,30 @@ class OrbitFunctor(ComonoidalFunctor):
             data = self._points[factors] = (tuple(orbit_of), tuple(trans))
         return data
 
+    def _rows_of(self, factors):
+        """(labs, rows) of a tensor word P (x) A, kept for every word read
+        by _labels_at: for each point p of P, the fibre labels lab of p's
+        orbit and A's action row at p's transversal element.  Both have
+        |P| entries, built once from P's per-point data."""
+        data = self._rows.get(factors)
+        if data is None:
+            p_orbit, p_trans = self._per_point(factors[:-1])
+            fibres = self._orbits_of(factors)[2]
+            action = self.source.atoms[factors[-1]].action
+            data = self._rows[factors] = ([fibres[k][0] for k in p_orbit],
+                                          list(map(action.__getitem__, p_trans)))
+        return data
+
     def _labels_at(self, factors, points):
-        """Orbit labels of the given points of a word, read from its
-        prefix's per-point data and its own fibres."""
+        """Orbit labels of the given points of a word (any iterable): the
+        label of (p, x) is labs[p][rows[p][x]], two indexings into the
+        word's _rows_of, unless the word has per-point data already."""
         data = self._points.get(factors)
         if data is not None:
             return list(map(data[0].__getitem__, points))
-        p_orbit, p_trans = self._per_point(factors[:-1])
-        fibres = self._orbits_of(factors)[2]
-        action = self.source.atoms[factors[-1]].action
+        labs, rows = self._rows_of(factors)
         m = self.source.atom_size(factors[-1])
-        out = []
-        for q in points:
-            p, x = divmod(q, m)
-            out.append(fibres[p_orbit[p]][0][action[p_trans[p]][x]])
-        return out
+        return [labs[p][rows[p][q % m]] for q in points for p in (q // m,)]
 
     def apply_obj(self, obj):
         key = obj.factors
@@ -323,8 +335,9 @@ class OrbitFunctor(ComonoidalFunctor):
 
     def split_tensor(self, gs, *words):
         """split reads a table at the representatives of its domain only,
-        so the tensor product of gs is evaluated there alone, digit by
-        digit (Backend.tensor_at), and never built whole."""
+        so the tensor product of gs is evaluated there alone, one pass per
+        factor that is not an identity (Backend.tensor_at), and never built
+        whole."""
         _require_split(ObjectRef(tuple(a for g in gs for a in g.cod.factors)), words)
         dom = ObjectRef(tuple(a for g in gs for a in g.dom.factors))
         return self._descend(dom, self.source.tensor_at(gs, self._orbits_of(dom.factors)[0]),

@@ -523,6 +523,60 @@ class TestComposeTensor:
             b.compose_tensor(f, gs + [b.identity_mor(b.obj("A0"))])
 
 
+def tensor_at_factors(b, shape, rng):
+    """Factors of the kinds in shape on b, whose atoms are P (size 1), A
+    and B: "id" is a kept identity of A, B or A (x) B, "unit_id" the unit's
+    identity, "map" a random table between atoms, "unit" a (k,) table
+    out of the unit and "counit" the all-zero table into it."""
+    words = [b.obj("A"), b.obj("B"), b.obj("A", "B"), b.obj("P")]
+    out = []
+    for kind in shape:
+        dom, cod = rng.choice(words), rng.choice(words)
+        if kind == "id":
+            out.append(b.identity_mor(rng.choice(words[:3])))
+        elif kind == "unit_id":
+            out.append(b.identity_mor(b.unit()))
+        elif kind == "unit":
+            out.append(b.mor_from_table(b.unit(), cod, [rng.randrange(b.obj_size(cod))]))
+        elif kind == "counit":
+            out.append(b.mor_from_table(dom, b.unit(), [0] * b.obj_size(dom)))
+        else:
+            m = b.obj_size(cod)
+            out.append(b.mor_from_table(dom, cod, [rng.randrange(m)
+                                                   for _ in range(b.obj_size(dom))]))
+    return out
+
+
+class TestTensorAtAgainstTensorAll:
+    """tensor_at(gs, points) reads tensor_all(gs).table at the points, for
+    every shape of 0-4 factors: runs of 0-4 kept identities around the
+    other factors, and the size-1 factors (the unit's identity, (k,) tables
+    out of the unit, all-zero tables into it)."""
+
+    SETS = finset_backend(cyclic_group(1), [Atom("P", 1, ((0,),)), Atom("A", 2, ((0, 1),)),
+                                            Atom("B", 3, ((0, 1, 2),))])
+    KINDS = ("id", "unit_id", "map", "unit", "counit")
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_every_shape(self, k):
+        b, rng = self.SETS, random.Random(k)
+        for shape in itertools.product(self.KINDS, repeat=k):
+            gs = tensor_at_factors(b, shape, rng)
+            full = b.tensor_all(gs).table
+            n = b.obj_size(ObjectRef(tuple(a for g in gs for a in g.dom.factors)))
+            points = rng.choices(range(n), k=2 * n) + [n - 1, 0]
+            expected = [full[p] for p in points]
+            assert b.tensor_at(gs, points) == expected, shape
+            # split hands its representatives' images over as an iterator
+            assert b.tensor_at(gs, map(points.__getitem__, range(len(points)))) == expected, shape
+
+    def test_identities_return_a_copy_of_the_points(self):
+        b = self.SETS
+        points = [5, 0, 3]
+        got = b.tensor_at([b.identity_mor(b.obj("A")), b.identity_mor(b.obj("B"))], points)
+        assert got == points and got is not points
+
+
 @st.composite
 def planted_swaps(draw):
     """A backend of trivial_backends(3) with one memoized swap replaced, at

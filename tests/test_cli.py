@@ -655,7 +655,9 @@ class TestOrbitLabelSizes:
     """An s4_torsors verify takes orbit data only of words of at most three
     letters (gamma and the hom splittings never image X (x) M (x) M (x) Z),
     and labels every point only of one-letter words, |G| = 24 points, never
-    the 13,824 of X (x) M (x) Z or the 331,776 of X (x) M (x) M (x) Z."""
+    the 13,824 of X (x) M (x) Z or the 331,776 of X (x) M (x) M (x) Z.  The
+    rows kept for words labelled on demand are as short: their prefixes
+    are one-letter words."""
 
     def test_longest_label_array(self, monkeypatch, tmp_path):
         lengths, words = [0], [()]
@@ -665,11 +667,17 @@ class TestOrbitLabelSizes:
             lengths.extend(map(len, out))
             return out
 
+        def rows(fn, factors, real=cofunctor.OrbitFunctor._rows_of):
+            out = real(fn, factors)
+            lengths.extend(map(len, out))
+            return out
+
         def orbits(fn, factors, real=cofunctor.OrbitFunctor._orbits_of):
             words.append(factors)
             return real(fn, factors)
 
         monkeypatch.setattr(cofunctor.OrbitFunctor, "_per_point", recorded)
+        monkeypatch.setattr(cofunctor.OrbitFunctor, "_rows_of", rows)
         monkeypatch.setattr(cofunctor.OrbitFunctor, "_orbits_of", orbits)
         _, code = run_verify(write_doc(tmp_path, set_ladder_documents()["s4_torsors"]))
         assert code == 0

@@ -230,6 +230,24 @@ class TestLabelsOnDemand:
             assert tuple(on_demand) == fn.orbit_info(b.obj(*word))[1], word
             assert tuple(on_demand) == naive_orbit_info(b, b.obj(*word))[1], word
 
+    @pytest.mark.parametrize("case", label_cases(), ids=["s3_torsors", "d4_square", "s3_gset"])
+    def test_a_second_read_at_other_points_reuses_the_rows(self, case):
+        """The first read of a word keeps its rows, |prefix| entries each;
+        a second read, at other points and from an iterator, uses them and
+        builds no label array either."""
+        b, words = case
+        for word in words:
+            n = b.obj_size(b.obj(*word))
+            expected = naive_orbit_info(b, b.obj(*word))[1]
+            fn = OrbitFunctor(b)
+            evens, odds = range(0, n, 2), range(n - 1, -1, -2)
+            assert fn._labels_at(word, evens) == [expected[q] for q in evens], word
+            rows = fn._rows[word]
+            assert list(map(len, rows)) == [n // b.atom_size(word[-1])] * 2, word
+            assert fn._labels_at(word, iter(odds)) == [expected[q] for q in odds], word
+            assert fn._rows[word] is rows, word
+            assert word not in fn._points, word
+
     def test_torsor_fibres_past_the_first_factor_are_not_swept(self):
         b, words = label_cases()[0]
         fn = OrbitFunctor(b)
