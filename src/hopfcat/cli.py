@@ -233,32 +233,27 @@ def _uea_comonoid_records(uea, tag):
     """Coassociativity, both counit laws, and cocommutativity of the
     truncated coproduct, expanded word-by-word (Delta preserves degree, so
     nothing is cut): each term c w1 (x) w2 sums the engine's Delta(w1),
-    Delta(w2) by c.  Words are numbered as first met, and Delta of each
-    basis word and leg read once into (i, j, c) triples; a term u (x) v (x) w
-    of (Delta (x) 1)Delta adds, and one of (1 (x) Delta)Delta subtracts, its
-    coefficient under the int key (u*n + v)*n + w, so coassociativity holds
-    when every value cancels.  On basis words every coefficient is an int."""
-    delta, ids, tri = uea.engine.delta, {}, {}
-
-    def num(w):
-        return ids.setdefault(w, len(ids))
+    Delta(w2) by c.  Words are numbered, the basis words first, then each
+    leg as first met, and Delta read once per word into (i, j, c) triples:
+    of the basis words, then of each leg outside the basis.  A term
+    u (x) v (x) w of (Delta (x) 1)Delta adds, and one of (1 (x) Delta)Delta
+    subtracts, its coefficient under the int key (u*n + v)*n + w, so
+    coassociativity holds when every value cancels.  On basis words every
+    coefficient is an int."""
+    delta, ids = uea.engine.delta, {w: i for i, w in enumerate(uea.basis)}
 
     def read(w):
-        if num(w) not in tri:
-            tri[ids[w]] = [(num(a), num(b), c) for (a, b), c in delta(w).items() if c]
+        return [(ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)), c)
+                for (a, b), c in delta(w).items() if c]
 
-    basis, e = [num(w) for w in uea.basis], num(())
-    for w in uea.basis:
-        read(w)
-        for a, b in delta(w):
-            read(a)
-            read(b)
-    n = len(ids)
+    tri = list(map(read, uea.basis))
+    tri += map(read, list(ids)[len(tri):])
+    n, e = len(ids), ids[()]
     # Delta(u) as (v*n + w, c) pairs: both keys are linear in v*n + w
-    flat = {i: [(a * n + b, c) for a, b, c in t] for i, t in tri.items()}
+    flat = [[(a * n + b, c) for a, b, c in t] for t in tri]
     coassoc = counit = cocomm = True
-    for w in basis:
-        t, diff = tri[w], {}
+    for w, t in enumerate(tri[:len(uea.basis)]):
+        diff = {}
         for i, j, c in t:
             for ab, c2 in flat[i]:
                 k = ab * n + j

@@ -247,8 +247,9 @@ class EnvelopingEngine:
     products, coproducts and untwisted coactions stay on ints; a twist's
     non-integral entries are Fractions, and _acc puts every sum back in
     canonical form.  Normal forms, coproducts and coactions of
-    single words are memoized; only normal_word and delta hand out a
-    cached dict: do not mutate it.
+    single words are memoized, and so is the module law's verdict per
+    degree, which reads no twist.  normal_word, act, delta and coact_word
+    hand out a cached dict: do not mutate it.
     """
 
     def __init__(self, lb: LieBialgebra):
@@ -260,6 +261,7 @@ class EnvelopingEngine:
         self._nf_cache = {}
         self._delta_cache = {}
         self._coact_cache = {}
+        self._module_law_cache = {}
 
     # -- element helpers
 
@@ -267,10 +269,6 @@ class EnvelopingEngine:
     def scalar(c=1):
         c = as_fraction(c)
         return {(): c} if c else {}
-
-    @staticmethod
-    def generator(i):
-        return {(i,): 1}
 
     def normal_word(self, word):
         """Normal form of a single word as an element dict (cached: do not
@@ -295,13 +293,6 @@ class EnvelopingEngine:
                 _acc(result, self.normal_word(head + (k,) + tail).items(), coef)
         self._nf_cache[word] = result
         return result
-
-    def mul(self, e1, e2):
-        out = {}
-        for w1, c1 in e1.items():
-            for w2, c2 in e2.items():
-                _acc(out, self.normal_word(w1 + w2).items(), c1 * c2)
-        return out
 
     # -- tensor-square elements: dict (word, word) -> rational
 
@@ -339,9 +330,10 @@ class EnvelopingEngine:
     # -- the crossed structure on the enveloping algebra
     #    elements of b (x) U are dicts (index, word) -> rational
 
-    def act(self, i, e):
-        """pi(e_i (x) u) = e_i u: left multiplication by a generator."""
-        return self.mul(self.generator(i), e)
+    def act(self, i, word):
+        """pi(e_i (x) w) = e_i w for one word w: the normal form of (i,) + w
+        (cached: do not mutate it)."""
+        return self.normal_word((i,) + word)
 
     def coact(self, e, twist=None):
         """pistar on the enveloping algebra, defined by the mixed relation
@@ -352,10 +344,11 @@ class EnvelopingEngine:
         """
         out = {}
         for word, coef in e.items():
-            _acc(out, self._coact_word(word, twist).items(), coef)
+            _acc(out, self.coact_word(word, twist).items(), coef)
         return out
 
-    def _coact_word(self, word, twist):
+    def coact_word(self, word, twist=None):
+        """pistar of one word (cached: do not mutate it)."""
         key = (word, twist)
         cache = self._coact_cache
         if key in cache:
@@ -366,20 +359,36 @@ class EnvelopingEngine:
                 result = {(a, (b,)): c for a, row in enumerate(twist.nz) for b, c in row.items()}
         else:
             x, rest = word[0], word[1:]
-            inner = self._coact_word(rest, twist)
+            inner = self.coact_word(rest, twist)
             # (B (x) 1)(x (x) pistar(u))
             for (a, w), c in inner.items():
                 _acc(result, (((k, w), br) for k, br in self.bracket[x][a]), c)
             # (1 (x) pi)(tau (x) 1): keep the comodule leg, multiply in x
             for (a, w), c in inner.items():
-                prod = self.act(x, {w: 1})
-                _acc(result, (((a, w2), c2) for w2, c2 in prod.items()), c)
+                _acc(result, (((a, w2), c2) for w2, c2 in self.act(x, w).items()), c)
             # -(1 (x) pi)(D (x) 1)(x (x) u)
             for (a, b), c in self.cobracket[x]:
-                prod = self.act(b, {rest: 1})
-                _acc(result, (((a, w2), c2) for w2, c2 in prod.items()), -c)
+                _acc(result, (((a, w2), c2) for w2, c2 in self.act(b, rest).items()), -c)
         cache[key] = result
         return result
+
+
+def _module_law_holds(eng, words):
+    """[e_i, e_j] u = e_i e_j u - e_j e_i u on every word u of words."""
+    n = eng.lb.dim
+    for i in range(n):
+        for j in range(n):
+            for w in words:
+                lhs, rhs = {}, {}
+                for k, br in eng.bracket[i][j]:
+                    _acc(lhs, eng.act(k, w).items(), br)
+                for w1, c in eng.act(j, w).items():
+                    _acc(rhs, eng.act(i, w1).items(), c)
+                for w1, c in eng.act(i, w).items():
+                    _acc(rhs, eng.act(j, w1).items(), -c)
+                if lhs != rhs:
+                    return False
+    return True
 
 
 def check_uea_dy_identities(lb: LieBialgebra, max_degree, twist=None, engine=None):
@@ -387,58 +396,52 @@ def check_uea_dy_identities(lb: LieBialgebra, max_degree, twist=None, engine=Non
     action and coaction, checked exactly on all basis words of degree up
     to max_degree, with no truncation anywhere in the middle.  engine, an
     EnvelopingEngine of lb, lends its normal forms and coactions (a fresh
-    one when not given).
+    one when not given), and its module-law verdict per max_degree: that
+    law reads no twist, so it is evaluated once per engine and degree.
     """
     eng = engine or EnvelopingEngine(lb)
-    n = lb.dim
-    words = pbw_words(n, max_degree)
-    records = []
-
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            for w in words:
-                u = {w: 1}
-                lhs = {}
-                for k, br in eng.bracket[i][j]:
-                    _acc(lhs, eng.act(k, u).items(), br)
-                rhs = _acc(eng.act(i, eng.act(j, u)),
-                           eng.act(j, eng.act(i, u)).items(), -1)
-                if lhs != rhs:
-                    ok = False
-    records.append(LawRecord("uea.module", ok, f"degree <= {max_degree}"))
+    words = pbw_words(lb.dim, max_degree)
+    detail = f"degree <= {max_degree}"
+    ok = eng._module_law_cache.get(max_degree)
+    if ok is None:
+        ok = eng._module_law_cache[max_degree] = _module_law_holds(eng, words)
+    records = [LawRecord("uea.module", ok, detail)]
 
     ok = True
     for w in words:
-        u = {w: 1}
-        first = eng.coact(u, twist)
         # (1 (x) pistar) then antisymmetrize the two outer legs,
-        # swap-minus-identity orientation as in check_dy_module
-        lhs, rhs = {}, {}
-        for (a, w1), c in first.items():
-            for (b, w2), c2 in eng.coact({w1: 1}, twist).items():
-                _acc(lhs, (((b, a, w2), c2), ((a, b, w2), -c2)), c)
-            _acc(rhs, (((p, q, w1), c2) for (p, q), c2 in eng.cobracket[a]), c)
-        if lhs != rhs:
+        # swap-minus-identity orientation as in check_dy_module, less
+        # (D (x) 1) pistar: each law sums lhs - rhs into one dict
+        diff = {}
+        for (a, w1), c in eng.coact_word(w, twist).items():
+            for (b, w2), c2 in eng.coact_word(w1, twist).items():
+                v = c * c2
+                diff[b, a, w2] = diff.get((b, a, w2), 0) + v
+                diff[a, b, w2] = diff.get((a, b, w2), 0) - v
+            for (p, q), c2 in eng.cobracket[a]:
+                diff[p, q, w1] = diff.get((p, q, w1), 0) - c * c2
+        if any(diff.values()):
             ok = False
-    records.append(LawRecord("uea.comodule", ok, f"degree <= {max_degree}"))
+    records.append(LawRecord("uea.comodule", ok, detail))
 
     ok = True
-    for i in range(n):
+    for i in range(lb.dim):
         for w in words:
-            u = {w: 1}
-            lhs = eng.coact(eng.act(i, u), twist)
-            rhs = {}
-            for (a, w1), c in eng.coact(u, twist).items():
-                _acc(rhs, (((k, w1), br) for k, br in eng.bracket[i][a]), c)
-                prod = eng.act(i, {w1: 1})
-                _acc(rhs, (((a, w2), c2) for w2, c2 in prod.items()), c)
+            diff = {}
+            for w1, c in eng.act(i, w).items():
+                for key, c2 in eng.coact_word(w1, twist).items():
+                    diff[key] = diff.get(key, 0) + c * c2
+            for (a, w1), c in eng.coact_word(w, twist).items():
+                for k, br in eng.bracket[i][a]:
+                    diff[k, w1] = diff.get((k, w1), 0) - c * br
+                for w2, c2 in eng.act(i, w1).items():
+                    diff[a, w2] = diff.get((a, w2), 0) - c * c2
             for (a, b), c in eng.cobracket[i]:
-                prod = eng.act(b, {w: 1})
-                _acc(rhs, (((a, w2), c2) for w2, c2 in prod.items()), -c)
-            if lhs != rhs:
+                for w2, c2 in eng.act(b, w).items():
+                    diff[a, w2] = diff.get((a, w2), 0) + c * c2
+            if any(diff.values()):
                 ok = False
-    records.append(LawRecord("uea.mixed", ok, f"degree <= {max_degree}"))
+    records.append(LawRecord("uea.mixed", ok, detail))
     return records
 
 

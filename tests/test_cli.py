@@ -995,6 +995,71 @@ class TestSharedEnvelopingEngine:
         assert max(c for w, c in misses.items() if len(w) > deg) == 1
 
 
+class TestModuleLawOncePerVerify:
+    """The module law reads no twist: one verify evaluates it once, on the
+    shared engine, and emits its verdict under every tag."""
+
+    TAGS = ("j=0", "j0", "j1", "j2")
+
+    def test_evaluated_once_and_emitted_four_times(self, tmp_path, monkeypatch):
+        path = b2_with_corpus_twists(tmp_path)
+        deg = load_instance(path).uea["identity_degree"]
+        calls = []
+        real = liebialg._module_law_holds
+
+        def counted(eng, words):
+            calls.append(len(words))
+            return real(eng, words)
+
+        monkeypatch.setattr(liebialg, "_module_law_holds", counted)
+        report, code = run_verify(path, checks="uea")
+        assert code == 0
+        assert calls == [len(pbw_words(2, deg))]
+        module = [r for r in report["checks"] if r["rule"].startswith("uea.module[")]
+        assert [r["rule"] for r in module] == [f"uea.module[{t}]" for t in self.TAGS]
+        assert all(r["holds"] and r["detail"] == f"degree <= {deg}" for r in module)
+
+    def test_a_planted_normal_form_fails_it_under_every_tag(self, tmp_path, monkeypatch):
+        # y x = x y - y, planted as x y - 2 y before anything reads it
+        real = liebialg.TruncatedUEA
+
+        def planted(lb, order):
+            uea = real(lb, order)
+            uea.engine._nf_cache[(1, 0)] = {(0, 1): 1, (1,): -2}
+            return uea
+
+        monkeypatch.setattr(liebialg, "TruncatedUEA", planted)
+        failing = TestUeaCoproductMutation.run(b2_with_corpus_twists(tmp_path))
+        assert {f"uea.module[{t}]" for t in self.TAGS} <= failing
+
+
+class TestEnvelopingMemoIsReadOnly:
+    def test_a_uea_check_leaves_the_memo_as_it_found_it(self, tmp_path, monkeypatch):
+        """The identity checks read normal forms, coproducts and coactions
+        straight from the engine's memo.  After one _check_uea every entry
+        equals a fresh engine's; a second one on the warm engine, the
+        module law evaluated again, leaves all three memos equal to deep
+        copies taken before it."""
+        inst = load_instance(b2_with_corpus_twists(tmp_path))
+        real = liebialg.TruncatedUEA
+        plain = real(inst.lie, inst.uea["order"])
+        monkeypatch.setattr(liebialg, "TruncatedUEA",
+                            lambda lb, order: plain if lb == inst.lie else real(lb, order))
+        eng, memos = plain.engine, ("_nf_cache", "_delta_cache", "_coact_cache")
+        assert all(r.holds for r in cli._check_uea(inst))
+        fresh = EnvelopingEngine(inst.lie)
+        assert all(fresh.normal_word(w) == v for w, v in eng._nf_cache.items())
+        assert all(fresh.delta(w) == v for w, v in eng._delta_cache.items())
+        assert all(fresh.coact_word(w, j) == v for (w, j), v in eng._coact_cache.items())
+        eng._module_law_cache.clear()
+        before = {name: copy.deepcopy(getattr(eng, name)) for name in memos}
+        assert all(before.values())
+        assert all(r.holds for r in cli._check_uea(inst))
+        assert eng._module_law_cache
+        for name in memos:
+            assert getattr(eng, name) == before[name], name
+
+
 # ---------------------------------------------------------------------------
 # the exit contract under malformed input
 

@@ -38,7 +38,7 @@ from hopfcat.cofunctor import (
 )
 from hopfcat import cofunctor, corpus
 from hopfcat.corpus import corpus_path
-from hopfcat.instances import dump_document, load_instance
+from hopfcat.instances import dump_document, load_instance, parse_instance
 from hopfcat.linalg import Matrix, cokernel_projection
 from hopfcat.scalars import RATIONAL
 
@@ -849,3 +849,47 @@ class TestSplitTensorAgainstSplit:
         monkeypatch.setattr(Backend, "tensor_all", refused)
         for gs, words, want in cases:
             assert fn.split_tensor(gs, *words) == want
+
+
+def torsor_instance_cases():
+    """(orbit functor, largest word size) of s3_torsors and s4_torsors."""
+    s4 = corpus._torsor_doc("s4_torsors", {"kind": "symmetric", "n": 4}, symmetric_group(4))
+    return [(load_instance(corpus_path("s3_torsors")).functor, 216),
+            (parse_instance(s4).functor, 576)]
+
+
+TORSOR_INSTANCE_CASES = torsor_instance_cases()
+
+
+class TestSplitOnTorsorInstances:
+    """split and split_tensor into two and three words, against F(f) then
+    the F2s, on the orbit functors of two torsor instances: each word's
+    labels are read at its own digit of every point, and the labels joined
+    in the mixed radix of the image sizes."""
+
+    @pytest.mark.parametrize("case", TORSOR_INSTANCE_CASES, ids=["s3_torsors", "s4_torsors"])
+    def test_split(self, case):
+        fn, limit = case
+        b = fn.source
+        for word in short_words(b, limit):
+            for f, words in split_cases(b, word):
+                if len(words) > 1:
+                    assert_split_matches(fn, f, *words)
+
+    @pytest.mark.parametrize("case", TORSOR_INSTANCE_CASES, ids=["s3_torsors", "s4_torsors"])
+    def test_split_tensor(self, case):
+        fn, limit = case
+        b = fn.source
+        checked = 0
+        for gs in tensor_lists(b, "S", "T", seed=5):
+            cod = ObjectRef(tuple(a for g in gs for a in g.cod.factors))
+            if b.obj_size(cod) > limit:
+                continue
+            whole = b.tensor_all(gs)
+            for k in (2, 3):
+                for words in cuts(cod.factors, k):
+                    assert fn.target.equal_mor(fn.split_tensor(gs, *words),
+                                               composite_split(fn, whole, *words)), \
+                        [w.label() for w in words]
+                    checked += 1
+        assert checked > 20

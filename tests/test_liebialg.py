@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from hopfcat import cli
 from hopfcat.coalg import all_hold, failures
+from hopfcat.corpus import corpus_path
+from hopfcat.instances import load_instance
 from hopfcat.liebialg import (
     EnvelopingEngine,
     LieBialgebra,
@@ -24,7 +26,7 @@ from hopfcat.liebialg import (
     twist_dy_module,
     vec_twist,
 )
-from hopfcat.linalg import Matrix, mat_kron
+from hopfcat.linalg import Matrix, _acc, mat_kron
 from hopfcat.scalars import RATIONAL
 
 from conftest import (
@@ -276,29 +278,28 @@ class TestEnvelopingEngine:
 
     def test_mul_matches_bracket(self):
         eng = EnvelopingEngine(b2())
-        x, y = eng.generator(0), eng.generator(1)
-        xy = eng.mul(x, y)
-        yx = eng.mul(y, x)
+        xy = eng.act(0, (1,))
+        yx = eng.act(1, (0,))
         commutator = {w: xy.get(w, 0) - yx.get(w, 0) for w in xy.keys() | yx.keys()}
         assert {w: c for w, c in commutator.items() if c} == {(1,): Fraction(1)}
 
     def test_coproduct_primitive(self):
         eng = EnvelopingEngine(b2())
-        d = eng.coproduct(eng.generator(0))
+        d = eng.coproduct({(0,): 1})
         assert d == {((0,), ()): Fraction(1), ((), (0,)): Fraction(1)}
 
     def test_coproduct_is_algebra_map(self):
         eng = EnvelopingEngine(b2())
-        a = eng.mul(eng.generator(1), eng.generator(0))
+        a = eng.act(1, (0,))
         lhs = eng.coproduct(a)
-        rhs = t_mul(eng, eng.coproduct(eng.generator(1)), eng.coproduct(eng.generator(0)))
+        rhs = t_mul(eng, eng.coproduct({(1,): 1}), eng.coproduct({(0,): 1}))
         assert lhs == rhs
 
     def test_untwisted_coaction_of_generator_is_minus_cobracket(self):
         eng = EnvelopingEngine(b2())
-        got = eng.coact(eng.generator(1))
+        got = eng.coact_word((1,))
         assert got == {(0, (1,)): Fraction(-1), (1, (0,)): Fraction(1)}
-        assert eng.coact(eng.generator(0)) == {}
+        assert eng.coact_word((0,)) == {}
 
     def test_coaction_seeded_by_twist(self):
         eng = EnvelopingEngine(b2())
@@ -326,6 +327,16 @@ class TestUeaIdentities:
         j = qm([[0, 1], [-1, 0]])
         recs = check_uea_dy_identities(lb, 2, twist=j)
         assert all_hold(recs), failures(recs)
+
+    def test_a_planted_coaction_above_the_degree_fails_only_mixed(self):
+        # the comodule law reads coactions up to max_degree; the mixed law
+        # also reads those of e_i w, one degree higher
+        eng = EnvelopingEngine(b2())
+        w = (0, 1, 1, 1)
+        planted = eng.coact_word(w)
+        planted[(0, w)] = planted.get((0, w), 0) + 1
+        recs = check_uea_dy_identities(b2(), 3, engine=eng)
+        assert {r.rule for r in recs if not r.holds} == {"uea.mixed"}
 
     def test_invalid_twist_seed_fails_comodule(self):
         # the cross pairing on two commuting copies fails the twist
@@ -382,7 +393,7 @@ class TestTruncatedUEA:
         t = TruncatedUEA(b2(), 2)
         sub = [w for w in t.basis if len(w) <= 1]
         ix = {w: i for i, w in enumerate(t.basis)}
-        cols = [{ix[w2]: c for w2, c in t.engine.act(i, {w: Fraction(1)}).items()}
+        cols = [{ix[w2]: c for w2, c in t.engine.act(i, w).items()}
                 for i in range(2) for w in sub]
         m = Matrix.sparse(len(cols), t.dim, RATIONAL, cols).transpose()
         # column of (generator 1) acting on word (0,): y*x = xy - y
@@ -463,6 +474,40 @@ def words_to_degree(n, degree):
 B2_TWISTS = (qm([[0, 1], [-1, 0]]), qm([[0, Fraction(-2, 3)], [Fraction(2, 3), 0]]))
 
 
+def element_product(engine, e1, e2):
+    """e1 e2 word by word through normal_word: the product the engine's
+    act made of a generator and a one-word element before it read one
+    word's normal form."""
+    out = {}
+    for w1, c1 in e1.items():
+        for w2, c2 in e2.items():
+            _acc(out, engine.normal_word(w1 + w2).items(), c1 * c2)
+    return out
+
+
+CORPUS_TWISTS = tuple(load_instance(corpus_path("b2_twists")).twists)
+
+
+class TestOneWordReads:
+    """act and coact_word hand out the memoized dict of one word, and it
+    equals the element product and coaction that were copied before."""
+
+    @pytest.mark.parametrize("lb, twists", [(b2(), (None,) + CORPUS_TWISTS), (sl2(), (None,))],
+                             ids=["b2", "sl2"])
+    def test_against_the_element_paths(self, lb, twists):
+        eng, oracle = EnvelopingEngine(lb), EnvelopingEngine(lb)
+        for w in pbw_words(lb.dim, 4):
+            for i in range(lb.dim):
+                got = eng.act(i, w)
+                assert got is eng._nf_cache[(i,) + w]
+                assert got == element_product(oracle, {(i,): 1}, {w: 1}), (i, w)
+            for j in twists:
+                got = eng.coact_word(w, j)
+                assert got is eng._coact_cache[(w, j)]
+                assert got == oracle.coact({w: 1}, j), (w, j)
+        assert len(CORPUS_TWISTS) == 3
+
+
 class TestIntegerEngine:
     """The engine reads integral structure constants as int and seeds every
     word with the int 1; twist entries stay Fraction."""
@@ -471,7 +516,7 @@ class TestIntegerEngine:
         eng = EnvelopingEngine(b2())
         for w in words_to_degree(2, 4):
             images = [eng.normal_word(w), eng.coact({w: 1})]
-            images += [eng.act(i, {w: 1}) for i in range(2)]
+            images += [eng.act(i, w) for i in range(2)]
             for image in images:
                 assert all(type(c) is int for c in image.values()), (w, image)
         assert any(eng.coact({w: 1}) for w in words_to_degree(2, 4))
