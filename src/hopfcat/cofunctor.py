@@ -25,7 +25,8 @@ The functors provided are quotients:
 
   * orbit functor       -- finset: collapse each object to its set of
     group orbits under the diagonal action.
-  * group coinvariants  -- linear: quotient by the span of (g - 1)v.
+  * group coinvariants  -- linear: quotient by the span of (g - 1)v; on a
+    permutation module k[X] it is k[X/G], the orbit functor made linear.
   * base coinvariants   -- dy: quotient by the image of the base action.
 
 Adaptedness relative to a comonoid M asks two comparison maps to be
@@ -55,7 +56,7 @@ from .backends import (
     trivial_group,
 )
 from .coalg import Comonoid, LawRecord
-from .linalg import Matrix, Singular, cokernel_projection, hstack, mat_invert, mat_kron
+from .linalg import Matrix, Singular, _acc, cokernel_projection, mat_invert, mat_kron
 from .scalars import RATIONAL
 
 
@@ -454,12 +455,14 @@ class CoinvariantsFunctor(ComonoidalFunctor):
 
 
 def group_coinvariants_relations(source, obj):
-    n = source.obj_size(obj)
-    ident = Matrix.identity(n, RATIONAL)
-    # gh - 1 = (g - 1)h + (h - 1): the generators' blocks span the same
-    # subspace as every element's, so the unique RREF is the same
-    blocks = [source.as_matrix(source.act(g, obj)) - ident for g in source.group.generators]
-    return hstack(blocks) if blocks else Matrix.zeros(n, 0, RATIONAL)
+    """act(g) - 1 per generator g side by side, one pass over its nonzeros
+    each; gh - 1 = (g - 1)h + (h - 1), so they span every element's."""
+    n, gens = source.obj_size(obj), source.group.generators
+    nz = [{} for _ in range(n)]
+    for k, g in enumerate(gens):
+        for i, (row, r) in enumerate(zip(nz, source.as_matrix(source.act(g, obj)).nz)):
+            _acc(row, [*((k * n + j, x) for j, x in r.items()), (k * n + i, -1)])
+    return Matrix.sparse(n, n * len(gens), RATIONAL, nz)
 
 
 def group_coinvariants_functor(source):

@@ -338,11 +338,11 @@ def _matrix_in(m: Matrix, ring) -> Matrix:
     return reduce_matrix(m) if ring == RATIONAL else lift_matrix(m, ring)
 
 
-def change_ring(backend: Backend, ring) -> Backend:
-    """The same backend with every structure matrix embedded in a series
-    ring, or reduced to its degree-0 part when ring is the rationals.
-    Each distinct matrix object is moved once: image atoms of one size
-    share one identity."""
+def change_ring(backend: Backend, ring, names=None) -> Backend:
+    """The same backend, or its atoms in names alone, with every structure
+    matrix embedded in a series ring, or reduced to its degree-0 part when
+    ring is the rationals.  Each distinct matrix object is moved once:
+    image atoms of one size share one identity."""
     if backend.kind == "finset":
         raise BackendError("only linear backends change scalar ring")
     if backend.ring == ring:
@@ -356,23 +356,23 @@ def change_ring(backend: Backend, ring) -> Backend:
 
     atoms = {name: Atom(name, a.size, tuple(map(move, a.action)),
                         pi=move(a.pi), pistar=move(a.pistar))
-             for name, a in backend.atoms.items()}
+             for name, a in backend.atoms.items() if names is None or name in names}
     return Backend(backend.kind, backend.group, atoms, ring=ring,
                    base=backend.base)
 
 
 def _structure_in(data: HopfCategoryData, ring) -> HopfCategoryData:
-    """data over its backend moved into ring, every map with it; data
-    itself when its backend is over ring already."""
+    """data moved into ring, every map and the atoms they run between (the
+    homs', and a dy base); data itself when already over ring."""
     if data.backend.ring == ring:
         return data
 
     def move(maps):
         return {k: replace(f, matrix=_matrix_in(f.matrix, ring)) for k, f in maps.items()}
 
-    return HopfCategoryData(data.labels, change_ring(data.backend, ring), dict(data.hom),
-                            *map(move, (data.mult, data.unit, data.delta, data.eps,
-                                        data.antipode)))
+    names = {data.backend.base, *(a for obj in data.hom.values() for a in obj.factors)}
+    return HopfCategoryData(data.labels, change_ring(data.backend, ring, names), dict(data.hom),
+                            *map(move, (data.mult, data.unit, data.delta, data.eps, data.antipode)))
 
 
 def reduce_order0(data: HopfCategoryData) -> HopfCategoryData:

@@ -22,8 +22,9 @@ Matrices are dict keys, immutable by contract and unguarded: a raising
 __setattr__ would make each of the thousands built per verify pay an
 object.__setattr__ per slot.
 
-One sparse exact elimination, _rref, serves kernels, cokernels and
-inverses.  It is fraction-free, on integer rows, and deterministic: the
+One sparse exact elimination, _rref, serves kernels, inverses and the
+cokernels of relations not all e_a - e_b (those are graph components).
+It is fraction-free, on integer rows, and deterministic: the
 reduced row echelon form with leftmost pivots is unique to the row space,
 and each pivot row is divided by its pivot into canonical rationals, an
 int wherever the quotient is exact.  A series matrix is inverted through
@@ -409,6 +410,30 @@ def mat_invert(m: Matrix) -> Matrix:
     return total
 
 
+def _incidence_rref(relations: Matrix):
+    """_rref of the columns when each nonzero one is e_a - e_b, else None:
+    one union-find pass (Tarjan, J. ACM 22 (1975)), the larger root on top."""
+    root, seen = list(range(relations.rows)), {}  # column -> (row, entry); None once paired
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for i, r in enumerate(relations.nz):
+        for j, x in r.items():
+            first = seen.get(j, seen)
+            if first is seen and (x == 1 or x == -1):
+                seen[j] = (i, x)
+            elif first is seen or first is None or first[1] != -x:
+                return None
+            else:
+                a, b = find(first[0]), find(i)
+                root[min(a, b)], seen[j] = max(a, b), None
+    pivots = [(i, r) for i, r in enumerate(map(find, root)) if r != i]
+    return None if any(seen.values()) else ([{i: 1, r: -1} for i, r in pivots], [i for i, _ in pivots])
+
+
 def cokernel_projection(relations: Matrix):
     """Quotient data for span(columns of relations) inside Q^n.
 
@@ -416,19 +441,21 @@ def cokernel_projection(relations: Matrix):
     r = n - rank(relations).  The quotient basis is the classes of the
     non-pivot coordinates of the column space's echelon form (leftmost
     pivots), and s sections by those coordinates.  Rational ring only.
+    Columns all e_a - e_b (g.v - v on a permutation module) are a graph's
+    edges, and the quotient is its H0 (Biggs, Algebraic Graph Theory, ch. 4):
+    a component c1 < ... < ck's edges span e_ci - e_ck, i < k, its reduced
+    rows, so p is the component indicator, rows ordered by largest member.
     """
     if relations.ring != RATIONAL:
         raise RingMismatch("cokernel_projection is rational-only")
-    n = relations.rows
-    # echelonize the columns, rows of the transpose, each distinct nonzero
-    # one once and sparsest first; the reduced form of a span is unique.
-    # A transpose lists a row's keys ascending, so equal rows' items agree
-    cols = {tuple(c.items()): c for c in relations.transpose().nz if c}
-    rows, pivots = _rref(sorted(cols.values(), key=len))
+    n, one = relations.rows, RATIONAL.one()
+    # else eliminate each distinct nonzero column once, sparsest first: a
+    # transpose lists a row's keys ascending, so equal columns' items agree
+    rows, pivots = _incidence_rref(relations) or _rref(sorted(
+        {tuple(c.items()): c for c in relations.transpose().nz if c}.values(), key=len))
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     slot = {f: t for t, f in enumerate(free)}
-    one = RATIONAL.one()
     p = [{f: one} for f in free]
     # e_pivot = -sum(R[row, free] e_free) modulo the relation span
     for row, c in zip(rows, pivots):

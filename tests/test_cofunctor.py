@@ -39,7 +39,7 @@ from hopfcat.cofunctor import (
 from hopfcat import cofunctor, corpus
 from hopfcat.corpus import corpus_path
 from hopfcat.instances import dump_document, load_instance, parse_instance
-from hopfcat.linalg import Matrix, cokernel_projection
+from hopfcat.linalg import Matrix, _incidence_rref, cokernel_projection, hstack
 from hopfcat.scalars import RATIONAL
 
 from conftest import (
@@ -288,6 +288,42 @@ def permutation_linear_backend(group, perms):
 
 def named_perms(group):
     return [tuple(int(ch) for ch in name) for name in group.names]
+
+
+def relation_builder_backends():
+    """Z4 with its regular representation R and the rotation by a quarter
+    turn on Q^2, and S3 with its regular representation R, the permutation
+    representation P and the sign representation E."""
+    z4 = cyclic_group(4)
+    quarter = Matrix.from_rows(RATIONAL, [[0, -1], [1, 0]])
+    turns = [Matrix.identity(2, RATIONAL)]
+    for _ in range(3):
+        turns.append(quarter * turns[-1])
+    z4_backend = linear_backend(z4, [regular_linear_atom("R", z4), Atom("Q", 2, tuple(turns))])
+    s3 = symmetric_group(3)
+    s3_atoms = permutation_linear_backend(s3, named_perms(s3)).atoms.values()
+    s3_backend = linear_backend(s3, [*s3_atoms, regular_linear_atom("R", s3)])
+    return {"z4": z4_backend, "s3": s3_backend}
+
+
+class TestCoinvariantRelationBuilder:
+    @pytest.mark.parametrize("name", ["z4", "s3"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_stacked_blocks(self, name, data):
+        # one pass per generator against hstack([act(g) - 1]), the blocks
+        # it replaced
+        b = relation_builder_backends()[name]
+        word = data.draw(st.lists(st.sampled_from(sorted(b.atoms)), max_size=3))
+        obj = b.obj(*word)
+        ident = Matrix.identity(b.obj_size(obj), RATIONAL)
+        blocks = [b.as_matrix(b.act(g, obj)) - ident for g in b.group.generators]
+        rel = group_coinvariants_relations(b, obj)
+        assert rel == hstack(blocks)
+        # a permutation module's relations are a graph's edges, and its
+        # quotient is read off the components
+        if set(word) <= {"R", "P"}:
+            assert _incidence_rref(rel) is not None
 
 
 class TestCoinvariantRelationsAgainstAllElements:

@@ -12,6 +12,7 @@ from hopfcat import linalg
 from hopfcat.linalg import (
     Matrix,
     Singular,
+    _incidence_rref,
     _rref,
     cokernel_projection,
     hstack,
@@ -391,6 +392,83 @@ class TestSparseEliminationAgainstDense:
         p, s = cokernel_projection(Matrix.identity(3, RATIONAL))
         assert (p.rows, p.cols) == (0, 3)
         assert (s.rows, s.cols) == (3, 0)
+
+
+def from_columns(n, columns):
+    """The n-row rational matrix with the given {row: entry} columns."""
+    nz = [{} for _ in range(n)]
+    for j, c in enumerate(columns):
+        for i, x in c.items():
+            nz[i][j] = x
+    return Matrix.sparse(n, len(columns), RATIONAL, nz)
+
+
+def rref_cokernel_projection(relations):
+    """cokernel_projection by elimination alone: the classes of the free
+    coordinates of _rref of the columns, each taken as it comes."""
+    n = relations.rows
+    rows, pivots = _rref(c for c in relations.transpose().nz if c)
+    free = [c for c in range(n) if c not in pivots]
+    slot = {f: t for t, f in enumerate(free)}
+    p = [{f: 1} for f in free]
+    for row, c in zip(rows, pivots):
+        for f, x in row.items():
+            if f != c:
+                p[slot[f]][c] = -x
+    s = [{slot[f]: 1} if f in slot else {} for f in range(n)]
+    return Matrix.sparse(len(free), n, RATIONAL, p), Matrix.sparse(n, len(free), RATIONAL, s)
+
+
+@st.composite
+def incidence_columns(draw, min_n=1, max_n=12):
+    """(n, columns): columns e_a - e_b on n points, with duplicates,
+    sign-flipped copies and zero columns among them, in a drawn order;
+    points that no column meets stay isolated."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    columns = [{a: 1, b: -1} for a, b in draw(st.lists(pairs, max_size=n + 2))] if n > 1 else []
+    for kind in draw(st.lists(st.sampled_from(["repeat", "flip", "zero"]), max_size=4)):
+        if kind == "zero" or not columns:
+            columns.append({})
+        else:
+            c = draw(st.sampled_from(columns))
+            columns.append(dict(c) if kind == "repeat" else {i: -x for i, x in c.items()})
+    return n, draw(st.permutations(columns))
+
+
+class TestIncidenceCokernel:
+    """Relations e_a - e_b are the edges of a graph, and the quotient is
+    its H0: read off the connected components, entry for entry the
+    echelon result."""
+
+    @settings(max_examples=200)
+    @given(incidence_columns())
+    def test_components_match_elimination(self, case):
+        n, columns = case
+        rel = from_columns(n, columns)
+        assert _incidence_rref(rel) is not None
+        assert cokernel_projection(rel) == rref_cokernel_projection(rel)
+        assert cokernel_projection(rel) == dense_cokernel_projection(rel)
+
+    @settings(max_examples=200)
+    @given(incidence_columns(min_n=4), st.data())
+    def test_other_columns_fall_back_to_elimination(self, case, data):
+        n, columns = case
+        a, b, c, d = data.draw(st.permutations(range(n)))[:4]
+        odd = data.draw(st.lists(st.sampled_from([
+            {a: 2, b: -2}, {a: 1, b: 1}, {a: 1}, {a: -1},
+            {a: 1, b: -1, c: 1}, {a: 1, b: -1, c: -1, d: 1}, {a: Fraction(1, 2), b: -1},
+        ]), min_size=1, max_size=2))
+        rel = from_columns(n, data.draw(st.permutations(columns + odd)))
+        assert _incidence_rref(rel) is None
+        assert cokernel_projection(rel) == rref_cokernel_projection(rel)
+
+    def test_rows_ordered_by_largest_member(self):
+        # components {0, 3}, {1}, {2, 4}: free coordinates 1, 3, 4
+        rel = from_columns(5, [{4: 1, 2: -1}, {0: -1, 3: 1}, {2: 1, 4: -1}])
+        p, s = cokernel_projection(rel)
+        assert p == qm([[0, 1, 0, 0, 0], [1, 0, 0, 1, 0], [0, 0, 1, 0, 1]])
+        assert s == qm([[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 # ---------------------------------------------------------------------------
