@@ -457,12 +457,12 @@ class CoinvariantsFunctor(ComonoidalFunctor):
 def group_coinvariants_relations(source, obj):
     """act(g) - 1 per generator g side by side, one pass over its nonzeros
     each; gh - 1 = (g - 1)h + (h - 1), so they span every element's."""
-    n, gens = source.obj_size(obj), source.group.generators
-    nz = [{} for _ in range(n)]
+    n, gens, ring = source.obj_size(obj), source.group.generators, source.ring
+    nz, minus_one = [{} for _ in range(n)], -ring.one()
     for k, g in enumerate(gens):
         for i, (row, r) in enumerate(zip(nz, source.as_matrix(source.act(g, obj)).nz)):
-            _acc(row, [*((k * n + j, x) for j, x in r.items()), (k * n + i, -1)])
-    return Matrix.sparse(n, n * len(gens), RATIONAL, nz)
+            _acc(row, [*((k * n + j, x) for j, x in r.items()), (k * n + i, minus_one)])
+    return Matrix.sparse(n, n * len(gens), ring, nz)
 
 
 def group_coinvariants_functor(source):

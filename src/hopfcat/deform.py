@@ -338,8 +338,8 @@ def _matrix_in(m: Matrix, ring) -> Matrix:
     return reduce_matrix(m) if ring == RATIONAL else lift_matrix(m, ring)
 
 
-def change_ring(backend: Backend, ring, names=None) -> Backend:
-    """The same backend, or its atoms in names alone, with every structure
+def change_ring(backend: Backend, ring, names) -> Backend:
+    """The backend's atoms in names (all: backend.atoms), every structure
     matrix embedded in a series ring, or reduced to its degree-0 part when
     ring is the rationals.  Each distinct matrix object is moved once:
     image atoms of one size share one identity."""
@@ -356,7 +356,7 @@ def change_ring(backend: Backend, ring, names=None) -> Backend:
 
     atoms = {name: Atom(name, a.size, tuple(map(move, a.action)),
                         pi=move(a.pi), pistar=move(a.pistar))
-             for name, a in backend.atoms.items() if names is None or name in names}
+             for name, a in backend.atoms.items() if name in names}
     return Backend(backend.kind, backend.group, atoms, ring=ring,
                    base=backend.base)
 

@@ -569,7 +569,7 @@ class TestDeformationLayer:
 
             for order in (1, 2, 3):
                 ring = hseries_ring(order)
-                lifted = change_ring(be, ring)
+                lifted = change_ring(be, ring, be.atoms)
                 for x, y in ((v, w), (w, v), (v, v), (vw, w)):
                     fwd = deformed_braiding(pc, x, y, order)
                     back = deformed_braiding(pc, y, x, order)

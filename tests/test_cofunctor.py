@@ -40,7 +40,8 @@ from hopfcat import cofunctor, corpus
 from hopfcat.corpus import corpus_path
 from hopfcat.instances import dump_document, load_instance, parse_instance
 from hopfcat.linalg import Matrix, _incidence_rref, cokernel_projection, hstack
-from hopfcat.scalars import RATIONAL
+from hopfcat.deform import change_ring
+from hopfcat.scalars import RATIONAL, RingMismatch, hseries_ring
 
 from conftest import (
     all_elements_coinvariants_relations,
@@ -324,6 +325,20 @@ class TestCoinvariantRelationBuilder:
         # quotient is read off the components
         if set(word) <= {"R", "P"}:
             assert _incidence_rref(rel) is not None
+
+    def test_relations_stay_over_the_source_ring(self):
+        # a series source's relations are labelled with its ring, so the
+        # rational-only quotient refuses them rather than reading them
+        b = relation_builder_backends()["z4"]
+        lifted = change_ring(b, hseries_ring(2), b.atoms)
+        obj = lifted.obj("R", "Q")
+        rel = group_coinvariants_relations(lifted, obj)
+        ident = Matrix.identity(lifted.obj_size(obj), hseries_ring(2))
+        assert rel.ring == hseries_ring(2)
+        assert rel == hstack([lifted.as_matrix(lifted.act(g, obj)) - ident
+                              for g in lifted.group.generators])
+        with pytest.raises(RingMismatch):
+            cokernel_projection(rel)
 
 
 class TestCoinvariantRelationsAgainstAllElements:

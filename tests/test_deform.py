@@ -323,7 +323,7 @@ class TestDeformedBraiding:
     def test_hexagons_at_order_two(self, setup):
         be, pc = setup
         ring = hseries_ring(2)
-        lifted = change_ring(be, ring)
+        lifted = change_ring(be, ring, be.atoms)
         names = ["V", "W"]
         for a in names:
             for b in names:
@@ -484,7 +484,7 @@ class TestChangeRing:
                 return real(mat, ring)
 
             monkeypatch.setattr(deform, "lift_matrix", recorded)
-            moved = change_ring(be, ring)
+            moved = change_ring(be, ring, be.atoms)
             monkeypatch.undo()
             assert len(lifted) == len({id(m) for m in mats})
             # image atoms of one size share one identity
@@ -496,7 +496,7 @@ class TestChangeRing:
             for name, a in be.atoms.items():
                 assert moved.atoms[name] == Atom(name, a.size, tuple(map(lift, a.action)),
                                                  pi=lift(a.pi), pistar=lift(a.pistar))
-            assert change_ring(moved, RATIONAL).atoms == be.atoms
+            assert change_ring(moved, RATIONAL, moved.atoms).atoms == be.atoms
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +510,7 @@ def series_route(functor, comonoids, pc, order):
     lifted projection p and section s as p.f.s; the splitting then goes
     through the lifted F2(xy, xy) = (p_xy (x) p_xy) s_xyxy."""
     ring = hseries_ring(order)
-    src = change_ring(functor.source, ring)
+    src = change_ring(functor.source, ring, functor.source.atoms)
 
     def push(f):
         p, s = functor._image(f.cod)[1], functor._image(f.dom)[2]
